@@ -33,7 +33,6 @@ from .fluctuation import (
 )
 from .gauge import (
     DegeneracyStructure,
-    GaugeElement,
     cluster_spectrum,
     default_cluster_tol_abs,
     sample_gauge_element,
@@ -82,7 +81,6 @@ __all__ = [
     "EntropyReport",
     "EvolutionResult",
     "FtReport",
-    "GaugeElement",
     "LevelDistribution",
     "ModelSpec",
     "Protocol",

@@ -1,4 +1,5 @@
-"""Experiment runner and verification suites.
+"""Command-line entry point: config parsing, the `run` report, file output,
+and dispatch to the property suites in gaugetherm.verify.
 
 Config files are INI-style with a flat schema and strict key checking: a
 misspelled tolerance name fails the run instead of silently running with the
@@ -29,37 +30,18 @@ from .dynamics import (
     evolve,
     integration_tolerance,
     ledger,
-    work_heat_series,
 )
 from .fluctuation import build_ensemble, verify_ft
-from .gauge import (
-    cluster_spectrum,
-    default_cluster_tol_abs,
-    sample_gauge_element,
-    twirl,
-    twirl_oracle,
-)
-from .invariants import (
-    LevelDistribution,
-    level_distribution,
-    s_gauge,
-    thermal_level_distribution,
-)
-from .linalg import (
-    ValidationError,
-    eigh,
-    gibbs_state,
-    haar_unitary,
-    validate_hermitian,
-)
+from .invariants import level_distribution, s_gauge, thermal_level_distribution
+from .linalg import ValidationError, gibbs_state, validate_hermitian
 from .models import (
     ModelSpec,
     ThirdLawScan,
     build_protocol,
     curie_weiss,
-    random_protocol,
     third_law_scan,
 )
+from .verify import SUITES, gauge_conjugates
 
 CSV_HEADER = (
     "t,w_u,w_inv,q_c,q_u,s_gt,s_d,c_rel,s_gamma,f_eq,"
@@ -67,7 +49,6 @@ CSV_HEADER = (
 )
 THIRD_LAW_HEADER = "beta,s_gt,limit_ln_n0"
 EMIT_CHOICES = ("clausius", "ft", "gauge_check", "ledger", "third_law")
-SUITES = ("ft", "clausius", "gauge", "twirl-oracle")
 
 # nodes, t_final, beta used when the config leaves them out
 _MODEL_DEFAULTS = {
@@ -334,16 +315,9 @@ def _evolve_thermal(cfg: RunConfig, p: Protocol):
 
 def _ft_section(p: Protocol, ev) -> dict:
     """Entropy-production FT between the two thermal endpoint references."""
-    ds0, dst = ev.structures[0], ev.structures[-1]
-    fwd = level_distribution(ev.states[0], ds0)
-    rev = thermal_level_distribution(dst, p.beta)
-    ens = build_ensemble(p, fwd, rev, ev)
-    rep = verify_ft(ens)
-    n0 = np.asarray(ds0.mults, dtype=float)
-    nt = np.asarray(dst.mults, dtype=float)
-    micro = float(
-        np.max(np.abs(ens.transition * n0[:, None] - ens.reverse_transition.T * nt[None, :]))
-    )
+    fwd = level_distribution(ev.states[0], ev.structures[0])
+    rev = thermal_level_distribution(ev.structures[-1], p.beta)
+    rep = verify_ft(build_ensemble(p, fwd, rev, ev))
     return {
         "reference": "thermal",
         "ift_value": rep.ift_value,
@@ -353,25 +327,20 @@ def _ft_section(p: Protocol, ev) -> dict:
         "mean_sigma_via_entropy": rep.mean_sigma_via_entropy,
         "mean_sigma_via_endpoints": rep.mean_sigma_via_endpoints,
         "crooks_max_violation": rep.crooks_max_violation,
-        "microreversibility_max": micro,
+        "microreversibility_max": rep.microreversibility_max,
     }
 
 
 def _gauge_section(p: Protocol, ev, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
     nodes = sorted({0, p.n_nodes // 2, p.n_nodes - 1})
-    worst_twirl = 0.0
-    worst_sgt = 0.0
-    for j in nodes:
-        g = sample_gauge_element(ev.structures[j], rng)
-        conj = g.embedded @ ev.states[j] @ g.embedded.conj().T
-        worst_twirl = max(
-            worst_twirl,
-            float(np.max(np.abs(twirl(conj, ev.structures[j]) - ev.twirled_states[j]))),
+    conj, _, worst_twirl = gauge_conjugates(ev, nodes, np.random.default_rng(seed))
+    worst_sgt = max(
+        abs(
+            s_gauge(level_distribution(ev.states[j], ev.structures[j]))
+            - s_gauge(level_distribution(c, ev.structures[j]))
         )
-        base = s_gauge(level_distribution(ev.states[j], ev.structures[j]))
-        moved = s_gauge(level_distribution(conj, ev.structures[j]))
-        worst_sgt = max(worst_sgt, abs(base - moved))
+        for j, c in zip(nodes, conj)
+    )
     return {"nodes_checked": nodes, "max_twirl_deviation": worst_twirl, "max_s_gt_deviation": worst_sgt}
 
 
@@ -490,12 +459,8 @@ def cmd_third_law(config_path: str, out_override: str | None = None) -> int:
     if cfg.model_name == "matrix":
         h = read_matrix_file(cfg.matrix_path)
     elif cfg.model_name == "curie_weiss":
-        try:
-            h = curie_weiss(
-                cfg.params["j"], int(cfg.params["n_spins"]), cfg.params["b_end"]
-            )
-        except KeyError as exc:
-            raise ConfigError(f"model 'curie_weiss' is missing required param {exc}") from None
+        prm = cfg.spec.params
+        h = curie_weiss(prm["j"], int(prm["n_spins"]), prm["b_end"])
     else:
         raise ConfigError(
             f"[model] name = '{cfg.model_name}' does not resolve to a single Hamiltonian; "
@@ -509,263 +474,14 @@ def cmd_third_law(config_path: str, out_override: str | None = None) -> int:
     return 0
 
 
-def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = haar_unitary(dim, rng)
-    w = rng.random(dim) + 0.05
-    w /= w.sum()
-    rho = (v * w) @ v.conj().T
-    return (rho + rho.conj().T) / 2.0
-
-
-def _case_protocol(rng: np.random.Generator, index: int, *, max_dim: int, nodes: int):
-    dim = int(rng.integers(2, max_dim + 1))
-    beta = float(0.5 + 1.5 * rng.random())
-    degenerate = index % 3 == 0
-    return random_protocol(dim, nodes, rng, degenerate=degenerate, beta=beta)
-
-
-def _suite_ft(cases: int, seed: int) -> list[dict]:
-    results = []
-    for i in range(cases):
-        rng = np.random.default_rng(seed + i)
-        p = _case_protocol(rng, i, max_dim=8, nodes=81)
-        if i % 2 == 0:
-            rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
-        else:
-            rho0 = _random_density(p.dim, rng)
-        ev = evolve(p, rho0)
-        ds0, dst = ev.structures[0], ev.structures[-1]
-        fwd = level_distribution(rho0, ds0)
-        mode = i % 3
-        if mode == 0:
-            rev = level_distribution(ev.states[-1], dst)
-        elif mode == 1:
-            rev = thermal_level_distribution(dst, p.beta)
-        else:
-            raw = rng.random(dst.n_levels) + 0.1
-            rev = LevelDistribution(
-                probs=raw / raw.sum(), mults=dst.mults, energies=dst.energies
-            )
-        ens = build_ensemble(p, fwd, rev, ev)
-        rep = verify_ft(ens)
-        n0 = np.asarray(ds0.mults, dtype=float)
-        nt = np.asarray(dst.mults, dtype=float)
-        micro = float(
-            np.max(np.abs(ens.transition * n0[:, None] - ens.reverse_transition.T * nt[None, :]))
-        )
-        entropy_dev = abs(rep.mean_sigma - rep.mean_sigma_via_entropy)
-        work_dev = (
-            abs(rep.mean_sigma - rep.mean_sigma_via_work)
-            if math.isfinite(rep.mean_sigma_via_work)
-            else 0.0
-        )
-        ok = (
-            abs(rep.ift_value - 1.0) <= 1e-9
-            and rep.crooks_max_violation <= 1e-10
-            and rep.mean_sigma >= -1e-10
-            and micro <= 1e-10
-            and entropy_dev <= 1e-8
-            and work_dev <= 1e-8
-        )
-        results.append(
-            {
-                "case": i,
-                "seed": seed + i,
-                "dim": p.dim,
-                "reference": ("evolved", "thermal", "random")[mode],
-                "ift_deviation": abs(rep.ift_value - 1.0),
-                "crooks_max_violation": rep.crooks_max_violation,
-                "mean_sigma": rep.mean_sigma,
-                "microreversibility_max": micro,
-                "mean_sigma_entropy_route_dev": entropy_dev,
-                "mean_sigma_work_route_dev": work_dev,
-                "pass": ok,
-            }
-        )
-    return results
-
-
-def _suite_clausius(cases: int, seed: int) -> list[dict]:
-    results = []
-    for i in range(cases):
-        rng = np.random.default_rng(seed + i)
-        p = _case_protocol(rng, i, max_dim=6, nodes=301)
-        rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
-        ev = evolve(p, rho0)
-        tl = ledger(p, ev)
-        tol = integration_tolerance(p, ev)
-        rep = clausius_report(p, ev, tl)
-        worst = rep.worst_slacks()
-        min_slack = min(worst.values())
-        balance = float(np.max(np.abs(rep.balance_residual)))
-        identity = float(np.max(np.abs(tl.w_u - tl.w_inv - tl.q_c)))
-        bal_tol = max(1e-8, p.beta * tol)
-        ok = min_slack >= -1e-6 and balance <= bal_tol and identity <= tol
-        results.append(
-            {
-                "case": i,
-                "seed": seed + i,
-                "dim": p.dim,
-                "integration_tolerance": tol,
-                "slack_deficit": max(0.0, -min_slack),
-                "worst_slacks": worst,
-                "balance_residual_max": balance,
-                "identity_residual_max": identity,
-                "pass": ok,
-            }
-        )
-    return results
-
-
-def _suite_gauge(cases: int, seed: int) -> list[dict]:
-    results = []
-    for i in range(cases):
-        rng = np.random.default_rng(seed + i)
-        p = _case_protocol(rng, i, max_dim=6, nodes=61)
-        rho0 = _random_density(p.dim, rng)
-        ev = evolve(p, rho0)
-        conj_states = np.empty_like(ev.states)
-        worst_twirl = 0.0
-        for j in range(p.n_nodes):
-            g = sample_gauge_element(ev.structures[j], rng)
-            conj_states[j] = g.embedded @ ev.states[j] @ g.embedded.conj().T
-            worst_twirl = max(
-                worst_twirl,
-                float(
-                    np.max(np.abs(twirl(conj_states[j], ev.structures[j]) - ev.twirled_states[j]))
-                ),
-            )
-        conj_twirled = np.stack(
-            [twirl(conj_states[j], ev.structures[j]) for j in range(p.n_nodes)]
-        )
-        base = work_heat_series(p, ev)
-        moved = work_heat_series(
-            p,
-            type(ev)(
-                states=conj_states,
-                twirled_states=conj_twirled,
-                propagators=ev.propagators,
-                structures=ev.structures,
-                cluster_tol_abs=ev.cluster_tol_abs,
-                cluster_tol_rel=ev.cluster_tol_rel,
-            ),
-        )
-        w_inv_dev = float(np.max(np.abs(base.w_inv - moved.w_inv)))
-        q_c_dev = float(np.max(np.abs(base.q_c - moved.q_c)))
-
-        ds0, dst = ev.structures[0], ev.structures[-1]
-        fwd = level_distribution(rho0, ds0)
-        rev = level_distribution(ev.states[-1], dst)
-        ens = build_ensemble(p, fwd, rev, ev)
-        v0 = sample_gauge_element(ds0, rng).embedded
-        vt = sample_gauge_element(dst, rng).embedded
-        props = ev.propagators.copy()
-        props[-1] = vt @ ev.propagators[-1] @ v0
-        ev_conj = type(ev)(
-            states=ev.states,
-            twirled_states=ev.twirled_states,
-            propagators=props,
-            structures=ev.structures,
-            cluster_tol_abs=ev.cluster_tol_abs,
-            cluster_tol_rel=ev.cluster_tol_rel,
-        )
-        ens_conj = build_ensemble(p, fwd, rev, ev_conj)
-        trans_dev = float(np.max(np.abs(ens.transition - ens_conj.transition)))
-        joint_dev = float(np.max(np.abs(ens.joint_forward - ens_conj.joint_forward)))
-        mask = ~np.isnan(ens.sigma)
-        mask_conj = ~np.isnan(ens_conj.sigma)
-        if np.array_equal(mask, mask_conj):
-            sigma_dev = (
-                float(np.max(np.abs(ens.sigma[mask] - ens_conj.sigma[mask])))
-                if mask.any()
-                else 0.0
-            )
-        else:
-            sigma_dev = math.inf
-        rep = verify_ft(ens)
-        rep_conj = verify_ft(ens_conj)
-        ift_dev = abs(rep.ift_value - rep_conj.ift_value)
-        msig_dev = abs(rep.mean_sigma - rep_conj.mean_sigma)
-
-        ok = (
-            worst_twirl <= 1e-9
-            and w_inv_dev <= 1e-9
-            and q_c_dev <= 1e-9
-            and trans_dev <= 1e-10
-            and joint_dev <= 1e-10
-            and sigma_dev <= 1e-10
-            and ift_dev <= 1e-9
-            and msig_dev <= 1e-9
-        )
-        results.append(
-            {
-                "case": i,
-                "seed": seed + i,
-                "dim": p.dim,
-                "max_twirl_deviation": worst_twirl,
-                "w_inv_deviation": w_inv_dev,
-                "q_c_deviation": q_c_dev,
-                "transition_deviation": trans_dev,
-                "joint_deviation": joint_dev,
-                "sigma_deviation": sigma_dev,
-                "ift_deviation": ift_dev,
-                "mean_sigma_deviation": msig_dev,
-                "pass": ok,
-            }
-        )
-    return results
-
-
-def _suite_twirl_oracle(cases: int, seed: int) -> list[dict]:
-    samples = 20000
-    bound = 3.0 / math.sqrt(samples) + 1e-3
-    results = []
-    for i in range(cases):
-        rng = np.random.default_rng(seed + i)
-        dim = int(rng.integers(2, 7))
-        w = np.sort(rng.normal(size=dim))
-        if i % 2 == 0:
-            w[1] = w[0]
-            if dim >= 4:
-                w[3] = w[2]
-        v = haar_unitary(dim, rng)
-        h = (v * w) @ v.conj().T
-        h = (h + h.conj().T) / 2.0
-        ds = cluster_spectrum(eigh(h), default_cluster_tol_abs(h))
-        rho = _random_density(dim, rng)
-        exact = twirl(rho, ds)
-        mc = twirl_oracle(rho, ds, samples, rng)
-        dev = float(np.max(np.abs(mc - exact)))
-        results.append(
-            {
-                "case": i,
-                "seed": seed + i,
-                "dim": dim,
-                "samples": samples,
-                "max_deviation": dev,
-                "bound": bound,
-                "pass": dev < bound,
-            }
-        )
-    return results
-
-
-_SUITE_RUNNERS = {
-    "ft": _suite_ft,
-    "clausius": _suite_clausius,
-    "gauge": _suite_gauge,
-    "twirl-oracle": _suite_twirl_oracle,
-}
-
-
 def cmd_verify(suite: str, cases: int, seed: int, out_dir: str) -> int:
-    if suite not in _SUITE_RUNNERS:
+    if suite not in SUITES:
         raise ConfigError(f"unknown suite '{suite}'; choose from {', '.join(SUITES)}")
     if cases < 1:
         raise ConfigError(f"--cases must be >= 1, got {cases}")
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    results = _SUITE_RUNNERS[suite](cases, seed)
+    results = SUITES[suite](cases, seed)
     all_pass = all(r["pass"] for r in results)
     numeric_keys = sorted(
         k

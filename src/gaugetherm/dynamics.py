@@ -84,9 +84,6 @@ class Protocol:
     def tau(self) -> float:
         return float(self.times[-1])
 
-    def hamiltonian_at(self, j: int) -> np.ndarray:
-        return self.hamiltonians[j]
-
 
 @dataclass(frozen=True)
 class EvolutionResult:

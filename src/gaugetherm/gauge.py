@@ -55,20 +55,6 @@ class DegeneracyStructure:
         return cols @ cols.conj().T
 
     @property
-    def levels(self) -> list[tuple[float, int, np.ndarray]]:
-        return [
-            (float(self.energies[k]), int(self.mults[k]), self.projector(k))
-            for k in range(self.n_levels)
-        ]
-
-    def level_hamiltonian(self) -> np.ndarray:
-        """Sum_k eps^k Pi_k, the clustered representative of H."""
-        w = np.concatenate(
-            [np.full(int(n), e) for e, n in zip(self.energies, self.mults)]
-        )
-        return (self.basis * w) @ self.basis.conj().T
-
-    @property
     def degenerate(self) -> bool:
         return bool(np.any(self.mults > 1))
 
@@ -103,10 +89,13 @@ def cluster_spectrum(
 
     if int(mults.sum()) != d:
         raise ValidationError("level multiplicities do not sum to the dimension")
-    if np.any(np.diff(energies) <= tol):
+    # every gap inside a level is <= tol, but a chain of such gaps can span more
+    starts = np.asarray(boundaries[:-1])
+    stops = np.asarray(boundaries[1:])
+    if np.any(w[stops - 1] - w[starts] > tol):
         raise ValidationError(
-            "clustering tolerance cannot separate the level energies; "
-            "tighten the tolerance or treat the levels as merged"
+            "clustering tolerance chains eigenvalues into a level wider than the "
+            "tolerance; tighten the tolerance or treat the levels as merged"
         )
     if float(np.max(np.abs(V.conj().T @ V - np.eye(d)))) > PROJECTOR_TOL:
         raise ValidationError("eigenbasis is not orthonormal within tolerance")
@@ -151,24 +140,16 @@ def twirl_oracle(
         raise ValueError("samples must be >= 1")
     acc = np.zeros_like(np.asarray(rho, dtype=complex))
     for _ in range(samples):
-        V = sample_gauge_element(ds, rng).embedded
+        V = sample_gauge_element(ds, rng)
         acc += V @ rho @ V.conj().T
     return acc / samples
 
 
-@dataclass(frozen=True)
-class GaugeElement:
-    """One element of the gauge group: per-level Haar blocks and the full-space embedding."""
-
-    blocks: tuple[np.ndarray, ...]
-    embedded: np.ndarray
-
-
-def sample_gauge_element(ds: DegeneracyStructure, rng: np.random.Generator) -> GaugeElement:
-    """Independent Haar unitary on each level, embedded via the eigenbasis."""
-    blocks = tuple(haar_unitary(int(n), rng) for n in ds.mults)
+def sample_gauge_element(ds: DegeneracyStructure, rng: np.random.Generator) -> np.ndarray:
+    """One gauge-group element: an independent Haar unitary on each level,
+    embedded in the full space via the eigenbasis."""
     block_diag = np.zeros((ds.dim, ds.dim), dtype=complex)
-    for s, b in zip(ds.slices, blocks):
-        block_diag[s, s] = b
+    for s, n in zip(ds.slices, ds.mults):
+        block_diag[s, s] = haar_unitary(int(n), rng)
     B = ds.basis
-    return GaugeElement(blocks=blocks, embedded=B @ block_diag @ B.conj().T)
+    return B @ block_diag @ B.conj().T

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import gaugetherm as gt
-from gaugetherm.cli import (
-    _suite_clausius,
-    _suite_ft,
-    _suite_gauge,
-    _suite_twirl_oracle,
+from gaugetherm.verify import (
+    suite_clausius as _suite_clausius,
+    suite_ft as _suite_ft,
+    suite_gauge as _suite_gauge,
+    suite_twirl_oracle as _suite_twirl_oracle,
 )
 
 from test_linalg import random_density

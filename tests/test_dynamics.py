@@ -53,6 +53,12 @@ class TestProtocolValidation:
         with pytest.raises(ValidationError):
             gt.Protocol(times=np.array([0.0, 1.0]), hamiltonians=hams, beta=1.0)
 
+    def test_rejects_nan_node(self):
+        hams = np.zeros((3, 2, 2), dtype=complex)
+        hams[1, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="node 1"):
+            gt.Protocol(times=np.array([0.0, 0.5, 1.0]), hamiltonians=hams, beta=1.0)
+
     def test_uniformity_tolerance_is_tight(self):
         times = np.linspace(0.0, 1.0, 11)
         times[5] += 100 * GRID_UNIFORMITY_TOL

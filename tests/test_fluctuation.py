@@ -189,8 +189,8 @@ def test_gauge_invariance_of_ensemble(lz_run):
     fwd = gt.level_distribution(lz_run.rho0, ev.structures[0])
     rev = gt.thermal_level_distribution(ev.structures[-1], p.beta)
     ens = gt.build_ensemble(p, fwd, rev, ev)
-    v0 = gt.sample_gauge_element(ev.structures[0], rng).embedded
-    vt = gt.sample_gauge_element(ev.structures[-1], rng).embedded
+    v0 = gt.sample_gauge_element(ev.structures[0], rng)
+    vt = gt.sample_gauge_element(ev.structures[-1], rng)
     props = ev.propagators.copy()
     props[-1] = vt @ ev.propagators[-1] @ v0
     ev2 = gt.EvolutionResult(

@@ -32,6 +32,16 @@ def test_cluster_exact_degeneracy():
     assert np.allclose(p0 @ ds.projector(1), 0.0, atol=1e-14)
 
 
+def test_cluster_rejects_chained_level():
+    # consecutive gaps of 0.9 tol each, so no single gap splits the chain,
+    # but the 40 eigenvalues span 35 tol
+    tol = 1e-6
+    w = np.concatenate([0.9 * tol * np.arange(40), [1.0]])
+    es = eigh(np.diag(w).astype(complex))
+    with pytest.raises(ValidationError, match="wider than the tolerance"):
+        cluster_spectrum(es, tol, tol_rel=0.0)
+
+
 def test_cluster_near_degeneracy_tolerance():
     h = np.diag([0.0, 1e-13, 1.0]).astype(complex)
     assert tuple(structure_of(h).mults) == (2, 1)
@@ -89,8 +99,7 @@ def test_gauge_element_structure():
     rng = np.random.default_rng(4)
     h = np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex)
     ds = structure_of(h)
-    g = sample_gauge_element(ds, rng)
-    v = g.embedded
+    v = sample_gauge_element(ds, rng)
     assert np.allclose(v @ v.conj().T, np.eye(4), atol=1e-12)
     # commutes with every level projector, hence with H
     for k in range(ds.n_levels):

@@ -22,6 +22,7 @@ from gaugetherm.linalg import (
     validate_unitary,
     von_neumann_entropy,
 )
+from gaugetherm.models import curie_weiss
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -79,6 +80,18 @@ def test_relative_entropy_support_violation_is_inf():
     rho = np.eye(2, dtype=complex) / 2
     sigma = np.diag([1.0, 0.0]).astype(complex)
     assert relative_entropy(rho, sigma) == math.inf
+    # rotated, the null eigenvalue comes out of eigh as +-round-off, not 0
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        u = haar_unitary(3, rng)
+        rotated = u @ np.diag([0.6, 0.4, 0.0]) @ u.conj().T
+        assert relative_entropy(np.eye(3, dtype=complex) / 3, rotated) == math.inf
+
+
+def test_relative_entropy_of_curie_weiss_thermal_state_is_nonnegative():
+    # sigma_0 of the Curie-Weiss run: 47 populations below 1e-10, none exactly 0
+    sigma, _ = gibbs_state(curie_weiss(1.0, 50, 2.0), 2.0)
+    assert relative_entropy(sigma, sigma) >= 0.0
 
 
 def test_relative_entropy_basis_independent():
@@ -136,6 +149,10 @@ def test_validation_errors():
         validate_density(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValidationError):
         validate_density(np.diag([1.5, -0.5]).astype(complex))
+    with_inf = np.eye(3, dtype=complex) / 3
+    with_inf[0, 2] = with_inf[2, 0] = np.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        validate_density(with_inf)
     with pytest.raises(ValidationError):
         validate_unitary(2 * np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
@@ -176,3 +193,9 @@ def test_fidelity_bounds_property(seed):
     assert -1e-10 <= f <= 1 + 1e-10
     assert fidelity(sigma, rho) == pytest.approx(f, abs=1e-9)
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
+    # commuting inputs: the square-root route must match the Bhattacharyya sum
+    dim = int(rng.integers(2, 7))
+    p, q = rng.random(dim) + 0.05, rng.random(dim) + 0.05
+    p, q = p / p.sum(), q / q.sum()
+    f_diag = fidelity(np.diag(p).astype(complex), np.diag(q).astype(complex))
+    assert f_diag == pytest.approx(float(np.sqrt(p * q).sum() ** 2), abs=1e-8)
