@@ -18,20 +18,18 @@ from scipy.optimize import linear_sum_assignment
 from .gauge import (
     CLUSTER_TOL_REL,
     DegeneracyStructure,
-    cluster_spectrum,
+    cluster_spectra,
     default_cluster_tol_abs,
-    twirl,
 )
-from .invariants import entropy_report
+from .invariants import LEVEL_NORM_TOL
 from .linalg import (
+    PROB_FLOOR,
     ValidationError,
-    bures_angle,
-    eigh,
     expm_hermitian_scaled,
     gibbs_state,
-    relative_entropy,
     validate_density,
     validate_hermitian,
+    von_neumann_entropy,
 )
 
 GRID_UNIFORMITY_TOL = 1e-12
@@ -65,8 +63,7 @@ class Protocol:
             raise ValidationError("time grid must start at 0")
         if not (self.beta > 0 and np.isfinite(self.beta)):
             raise ValidationError(f"beta must be positive and finite, got {self.beta}")
-        for j in range(hams.shape[0]):
-            validate_hermitian(hams[j], f"hamiltonian at node {j}")
+        validate_hermitian(hams, "hamiltonian at node")
 
     @property
     def n_nodes(self) -> int:
@@ -109,29 +106,50 @@ def evolve(
     Cumulative propagators compose on the left: U_{j+1} = U_step U_j, so
     propagators[j] maps t=0 data to t_j. Degeneracy structures are recomputed
     independently per node; levels are never tracked through crossings.
+
+    The spectral work is two stacked eigendecompositions: one of all node
+    Hamiltonians, clustered into the structures, and one of all midpoint
+    Hamiltonians, which gives every step propagator. States, their checks
+    (finite, Hermitian, unit trace, level populations summing to 1) and the
+    twirled states are stacked operations on those results.
     """
     rho0 = validate_density(rho0)
     if rho0.shape[0] != p.dim:
         raise ValidationError("initial state dimension does not match the protocol")
+    h = p.hamiltonians
+    tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
+    w, V = np.linalg.eigh(h)
+    structures = cluster_spectra(w, V, tol_abs, cluster_tol_rel)
+    return _propagate(p, rho0, structures, V, cluster_tol_abs, cluster_tol_rel)
+
+
+def _dag(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def _propagate(
+    p: Protocol,
+    rho0: np.ndarray,
+    structures: list[DegeneracyStructure],
+    bases: np.ndarray,
+    cluster_tol_abs: float | None,
+    cluster_tol_rel: float,
+) -> EvolutionResult:
+    """evolve for a validated rho0 and known node structures (bases stacked)."""
     n, d, dt = p.n_nodes, p.dim, p.dt
-    states = np.empty((n, d, d), dtype=complex)
-    twirled = np.empty_like(states)
-    props = np.empty_like(states)
-    states[0] = rho0
+    h = p.hamiltonians
+    steps = expm_hermitian_scaled((h[:-1] + h[1:]) / 2.0, -1j * dt)
+    props = np.empty((n, d, d), dtype=complex)
     props[0] = np.eye(d)
-    U = np.eye(d, dtype=complex)
     for j in range(n - 1):
-        h_mid = (p.hamiltonians[j] + p.hamiltonians[j + 1]) / 2.0
-        U = expm_hermitian_scaled(h_mid, -1j * dt) @ U
-        props[j + 1] = U
-        states[j + 1] = U @ rho0 @ U.conj().T
-    structures: list[DegeneracyStructure] = []
-    for j in range(n):
-        H = p.hamiltonians[j]
-        tol_abs = cluster_tol_abs if cluster_tol_abs is not None else default_cluster_tol_abs(H)
-        ds = cluster_spectrum(eigh(H), tol_abs, cluster_tol_rel)
-        structures.append(ds)
-        twirled[j] = twirl(states[j], ds)
+        np.matmul(steps[j], props[j], out=props[j + 1])
+    del steps
+    states = props @ rho0 @ _dag(props)
+    states[0] = rho0
+    validate_density(states, "evolved state at node", check_psd=False)
+    _, pops = _level_space(states, bases, structures)
+    mults = np.concatenate([ds.mults for ds in structures])
+    twirled = (bases * np.repeat(pops / mults, mults).reshape(n, d)[:, None, :]) @ _dag(bases)
     return EvolutionResult(
         states=states,
         twirled_states=twirled,
@@ -140,6 +158,34 @@ def evolve(
         cluster_tol_abs=cluster_tol_abs,
         cluster_tol_rel=cluster_tol_rel,
     )
+
+
+def _level_space(
+    states: np.ndarray, bases: np.ndarray, structures: list[DegeneracyStructure]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of B_j^dag rho_j B_j (n, d) and the level populations
+    Tr(Pi_k rho_j) of all nodes laid end to end, from one stacked basis change
+    and one np.add.reduceat.
+
+    Raises when the clipped populations of a node miss 1 by more than
+    LEVEL_NORM_TOL: the state and the structure do not belong together.
+    """
+    d = states.shape[1]
+    diag = np.real(np.diagonal(_dag(bases) @ states @ bases, axis1=1, axis2=2)).copy()
+    starts = np.concatenate([j * d + ds.starts for j, ds in enumerate(structures)])
+    pops = np.add.reduceat(diag.ravel(), starts)
+    total = np.add.reduceat(np.clip(pops, 0.0, None), _node_starts(structures))
+    bad = np.abs(total - 1.0) > LEVEL_NORM_TOL
+    if np.any(bad):
+        j = int(np.flatnonzero(bad)[0])
+        raise ValidationError(f"level populations at node {j} sum to {total[j]}, expected 1")
+    return diag, pops
+
+
+def _node_starts(structures: list[DegeneracyStructure]) -> np.ndarray:
+    """Index of each node's first level when the levels of all nodes are laid end to end."""
+    n_levels = np.array([ds.n_levels for ds in structures])
+    return np.cumsum(n_levels) - n_levels
 
 
 def _central_diff(series: np.ndarray, dt: float) -> np.ndarray:
@@ -187,8 +233,8 @@ class ThermoLedger:
     """Per-node cumulative thermodynamic series for one protocol run.
 
     Work/heat/energy columns are in energy units, entropies in nats, bures in
-    radians. rel_ent is S(rho^E_j || gibbs(H_j)) and may be math.inf if a
-    support violation is ever encountered.
+    radians. rel_ent is S(rho^E_j || gibbs(H_j)); it is computed from
+    log-weights and so stays finite even where e^{-beta H} underflows.
     """
 
     w_u: np.ndarray
@@ -207,27 +253,58 @@ class ThermoLedger:
 
 
 def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
-    """Integrate all work/heat functionals and evaluate the entropy columns."""
+    """Integrate all work/heat functionals and evaluate the entropy columns.
+
+    The entropy, free-energy, Bures and relative-entropy columns are computed
+    in level space. The twirled state and the Gibbs state are both diagonal
+    in each node's structure basis, so one stacked basis change of the states
+    gives every column. With level populations p_k (level_distribution) and
+    Gibbs weights q_k = n_k e^{-beta e_k} / Z (thermal_level_distribution):
+
+    - f_eq = -ln Z / beta, with ln Z = log_partition(energies, mults, beta);
+    - rel_ent = sum_k p_k ln(p_k / q_k), the classical KL divergence, which
+      equals S(rho^E || gibbs(H)) and is evaluated from log-weights;
+    - bures = arccos(sum_k sqrt(p_k q_k)), the Bhattacharyya coefficient
+      being the square root of the fidelity of two commuting states; it is
+      evaluated as 2 arcsin(||sqrt(p) - sqrt(q)|| / 2), which is the same
+      angle for normalised p and q and keeps its digits as the fidelity
+      approaches 1;
+    - s_d is the Shannon entropy of the basis-changed diagonal;
+    - s_vn is computed once, from states[0]: unitary evolution keeps the
+      spectrum, so it is the same at every node.
+
+    gibbs_state, fidelity, bures_angle, relative_entropy and entropy_report
+    remain the general (non-commuting) matrix routes; they agree with these
+    columns to round-off.
+    """
     series = work_heat_series(p, ev)
-    n = p.n_nodes
-    f_eq = np.empty(n)
-    s_gt = np.empty(n)
-    s_d = np.empty(n)
-    c_rel = np.empty(n)
-    s_gamma = np.empty(n)
-    bures = np.empty(n)
-    rel = np.empty(n)
     beta = p.beta
-    for j in range(n):
-        sigma, ln_z = gibbs_state(p.hamiltonians[j], beta)
-        f_eq[j] = -ln_z / beta
-        rep = entropy_report(ev.states[j], ev.structures[j])
-        s_gt[j] = rep.s_gt
-        s_d[j] = rep.s_d
-        c_rel[j] = rep.c_rel
-        s_gamma[j] = rep.s_gamma
-        bures[j] = bures_angle(ev.twirled_states[j], sigma)
-        rel[j] = relative_entropy(ev.twirled_states[j], sigma)
+    structures = ev.structures
+    diag, pops = _level_space(ev.states, np.stack([ds.basis for ds in structures]), structures)
+    node_starts = _node_starts(structures)
+    node = np.repeat(np.arange(p.n_nodes), [ds.n_levels for ds in structures])
+    mults = np.concatenate([ds.mults for ds in structures]).astype(float)
+    energies = np.concatenate([ds.energies for ds in structures])
+
+    def per_node(x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x, node_starts)
+
+    pops = np.clip(pops, 0.0, None)
+    pops /= per_node(pops)[node]
+    e0 = energies[node_starts]  # levels ascend, so each node's first is its lowest
+    ln_z = np.log(per_node(mults * np.exp(-beta * (energies - e0[node])))) - beta * e0
+    ln_q = np.log(mults) - beta * energies - ln_z[node]
+    live = pops > PROB_FLOOR
+    ln_p = np.log(np.where(live, pops, 1.0))
+    s_gt = per_node(np.where(live, pops * np.log(mults), 0.0)) - per_node(pops * ln_p)
+    rel = per_node(np.where(live, pops * (ln_p - ln_q), 0.0))
+    hellinger = per_node((np.sqrt(pops) - np.exp(ln_q / 2.0)) ** 2)
+    bures = 2.0 * np.arcsin(np.minimum(np.sqrt(hellinger) / 2.0, 1.0))
+
+    x = np.clip(diag, 0.0, 1.0)
+    x = np.where(x > PROB_FLOOR, x, 1.0)  # 1 ln 1 = 0 stands in for 0 ln 0
+    s_d = -np.sum(x * np.log(x), axis=1)
+    s_vn = von_neumann_entropy(ev.states[0])
     return ThermoLedger(
         w_u=series.w_u,
         w_inv=series.w_inv,
@@ -235,11 +312,11 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
         q_u=series.q_u,
         q_inv=series.q_u + series.q_c,
         u=series.u,
-        f_eq=f_eq,
+        f_eq=-ln_z / beta,
         s_gt=s_gt,
         s_d=s_d,
-        c_rel=c_rel,
-        s_gamma=s_gamma,
+        c_rel=s_d - s_vn,
+        s_gamma=s_gt - s_d,
         bures=bures,
         rel_ent=rel,
     )
@@ -250,9 +327,11 @@ def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
 
     Re-runs the pipeline on the grid coarsened by a factor of two (every
     other node of the same data, no interpolation) and bounds the error by
-    the worst cumulative-series difference at shared nodes. The 1.5 safety
-    factor covers terms that converge only first order, e.g. a degeneracy
-    jump sitting on a single grid node.
+    the worst cumulative-series difference at shared nodes. The coarse nodes
+    are the fine nodes 0, 2, 4, ... with the same clustering tolerances, so
+    they reuse ev.structures[::2]: the only new spectral work is the coarse
+    midpoint propagators. The 1.5 safety factor covers terms that converge
+    only first order, e.g. a degeneracy jump sitting on a single grid node.
     """
     if p.n_nodes < 5:
         raise ValueError("tolerance estimation needs at least 5 grid nodes")
@@ -263,11 +342,14 @@ def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
         beta=p.beta,
         label=p.label,
     )
-    cev = evolve(
+    structures = ev.structures[::2]
+    cev = _propagate(
         coarse,
         ev.states[0],
-        cluster_tol_abs=ev.cluster_tol_abs,
-        cluster_tol_rel=ev.cluster_tol_rel,
+        structures,
+        np.stack([ds.basis for ds in structures]),
+        ev.cluster_tol_abs,
+        ev.cluster_tol_rel,
     )
     fine = work_heat_series(p, ev)
     crs = work_heat_series(coarse, cev)

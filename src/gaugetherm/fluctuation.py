@@ -281,30 +281,35 @@ def sample_trajectories(
 ) -> SampledFtReport:
     """Inverse-CDF sampling of (k, l) outcomes from the forward joint.
 
-    Deterministic for a given generator state; standard errors use the
-    sample standard deviation, zero for a single draw.
+    Deterministic for a given generator state. The standard errors are the
+    exact ones of a mean of `count` draws, sqrt(Var_P(x) / count), with P the
+    forward joint over the finite-sigma outcomes the sampler draws from: the
+    ensemble is known exactly, and a sample standard deviation misses rare
+    outcomes that were not drawn.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    flat = np.where(np.isfinite(ens.sigma), ens.joint_forward, 0.0).ravel()
+    finite = np.isfinite(ens.sigma)
+    flat = np.where(finite, ens.joint_forward, 0.0).ravel()
     cdf = np.cumsum(flat)
     cdf /= cdf[-1]
     idx = np.searchsorted(cdf, rng.random(count), side="right")
     idx = np.minimum(idx, flat.size - 1)
     sig = ens.sigma.ravel()[idx]
     weights = np.exp(-sig)
-    if count > 1:
-        ift_err = float(np.std(weights, ddof=1) / math.sqrt(count))
-        sig_err = float(np.std(sig, ddof=1) / math.sqrt(count))
-    else:
-        ift_err = 0.0
-        sig_err = 0.0
+
+    prob = flat / flat.sum()
+    all_sig = np.where(finite, ens.sigma, 0.0).ravel()
+
+    def stderr(x: np.ndarray) -> float:
+        return math.sqrt(float(prob @ (x - prob @ x) ** 2) / count)
+
     counts = np.bincount(idx, minlength=flat.size).reshape(ens.joint_forward.shape)
     return SampledFtReport(
         count=count,
         ift_value=float(weights.mean()),
-        ift_stderr=ift_err,
+        ift_stderr=stderr(np.exp(-all_sig)),
         mean_sigma=float(sig.mean()),
-        mean_sigma_stderr=sig_err,
+        mean_sigma_stderr=stderr(all_sig),
         counts=counts,
     )

@@ -23,11 +23,15 @@ CLUSTER_TOL_REL = 1e-9
 PROJECTOR_TOL = 1e-9
 
 
-def default_cluster_tol_abs(H: np.ndarray) -> float:
-    """Absolute gap tolerance scaled to the operator: 1e-9 * max(1, ||H||_max * dim)."""
+def default_cluster_tol_abs(H: np.ndarray) -> float | np.ndarray:
+    """Absolute gap tolerance scaled to the operator: 1e-9 * max(1, ||H||_max * dim).
+
+    A stack of operators (n, d, d) gets one tolerance per operator.
+    """
     H = np.asarray(H)
-    hmax = float(np.max(np.abs(H))) if H.size else 0.0
-    return 1e-9 * max(1.0, hmax * H.shape[0])
+    hmax = np.max(np.abs(H), axis=(-2, -1), initial=0.0)
+    tol = 1e-9 * np.maximum(1.0, hmax * H.shape[-1])
+    return float(tol) if tol.ndim == 0 else tol
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,11 @@ class DegeneracyStructure:
     def n_levels(self) -> int:
         return len(self.mults)
 
+    @property
+    def starts(self) -> np.ndarray:
+        """Index of each level's first eigenvector column, for np.add.reduceat."""
+        return np.cumsum(self.mults) - self.mults
+
     def projector(self, k: int) -> np.ndarray:
         cols = self.basis[:, self.slices[k]]
         return cols @ cols.conj().T
@@ -69,39 +78,56 @@ def cluster_spectrum(
     round-off scale, far below physical gaps, so the split is unambiguous for
     every protocol this library builds; ambiguous inputs fail validation.
     """
-    if tol_abs < 0 or tol_rel < 0:
+    return cluster_spectra(
+        np.asarray(es.eigenvalues)[None], np.asarray(es.eigenvectors)[None], tol_abs, tol_rel
+    )[0]
+
+
+def cluster_spectra(
+    w: np.ndarray,
+    V: np.ndarray,
+    tol_abs: float | np.ndarray,
+    tol_rel: float = CLUSTER_TOL_REL,
+) -> list[DegeneracyStructure]:
+    """cluster_spectrum over a stack of eigensystems in one vectorised pass.
+
+    w (n, d) holds ascending spectra and V (n, d, d) their eigenvectors, as
+    np.linalg.eigh returns them for a stack; tol_abs is one tolerance or one
+    per spectrum. Structure j keeps the view V[j] as its basis.
+    """
+    w = np.asarray(w, dtype=float)
+    n, d = w.shape
+    tol_abs = np.broadcast_to(np.asarray(tol_abs, dtype=float), (n,))
+    if np.any(tol_abs < 0) or tol_rel < 0:
         raise ValueError("clustering tolerances must be nonnegative")
-    w = np.asarray(es.eigenvalues, dtype=float)
-    V = es.eigenvectors
-    d = w.shape[0]
-    spectral = float(np.max(np.abs(w))) if d else 0.0
-    tol = tol_abs + tol_rel * spectral
+    tol = tol_abs + tol_rel * np.max(np.abs(w), axis=1, initial=0.0)
 
-    boundaries = [0]
-    for i in range(1, d):
-        if w[i] - w[i - 1] > tol:
-            boundaries.append(i)
-    boundaries.append(d)
-
-    slices = tuple(slice(a, b) for a, b in zip(boundaries[:-1], boundaries[1:]))
-    energies = np.array([float(w[s].mean()) for s in slices])
-    mults = np.array([s.stop - s.start for s in slices], dtype=int)
-
-    if int(mults.sum()) != d:
-        raise ValidationError("level multiplicities do not sum to the dimension")
+    first = np.ones((n, d), dtype=bool)
+    first[:, 1:] = np.diff(w, axis=1) > tol[:, None]
+    last = np.ones_like(first)
+    last[:, :-1] = first[:, 1:]
+    n_levels = first.sum(axis=1)
     # every gap inside a level is <= tol, but a chain of such gaps can span more
-    starts = np.asarray(boundaries[:-1])
-    stops = np.asarray(boundaries[1:])
-    if np.any(w[stops - 1] - w[starts] > tol):
+    if np.any(w[last] - w[first] > np.repeat(tol, n_levels)):
         raise ValidationError(
             "clustering tolerance chains eigenvalues into a level wider than the "
             "tolerance; tighten the tolerance or treat the levels as merged"
         )
-    if float(np.max(np.abs(V.conj().T @ V - np.eye(d)))) > PROJECTOR_TOL:
+    gram = np.swapaxes(V, -1, -2).conj() @ V
+    if float(np.max(np.abs(gram - np.eye(d)), initial=0.0)) > PROJECTOR_TOL:
         raise ValidationError("eigenbasis is not orthonormal within tolerance")
-    return DegeneracyStructure(
-        energies=energies, mults=mults, basis=V, dim=d, slices=slices
-    )
+    del gram
+
+    level_starts = np.flatnonzero(first)
+    mults = np.diff(np.append(level_starts, n * d))
+    energies = np.add.reduceat(w.ravel(), level_starts) / mults
+    cuts = np.cumsum(n_levels)[:-1]
+    out = []
+    for j, (e, m) in enumerate(zip(np.split(energies, cuts), np.split(mults, cuts))):
+        bounds = np.append(np.cumsum(m) - m, d).tolist()
+        slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+        out.append(DegeneracyStructure(energies=e, mults=m, basis=V[j], dim=d, slices=slices))
+    return out
 
 
 def twirl(rho: np.ndarray, ds: DegeneracyStructure) -> np.ndarray:
@@ -117,12 +143,9 @@ def twirl(rho: np.ndarray, ds: DegeneracyStructure) -> np.ndarray:
             f"state dimension {rho.shape[0]} does not match structure dimension {ds.dim}"
         )
     B = ds.basis
-    rb = B.conj().T @ rho @ B
-    out = np.zeros_like(rb)
-    for k, s in enumerate(ds.slices):
-        p = float(np.real(np.trace(rb[s, s])))
-        np.fill_diagonal(out[s, s], p / ds.mults[k])
-    return B @ out @ B.conj().T
+    diag = np.real(np.diagonal(B.conj().T @ rho @ B))
+    pops = np.add.reduceat(diag, ds.starts)
+    return (B * np.repeat(pops / ds.mults, ds.mults)) @ B.conj().T
 
 
 def twirl_oracle(

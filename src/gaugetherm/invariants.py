@@ -57,9 +57,7 @@ def level_distribution(rho: np.ndarray, ds: DegeneracyStructure) -> LevelDistrib
     if rho.shape[0] != ds.dim:
         raise ValidationError("state and structure dimensions differ")
     rb = ds.basis.conj().T @ rho @ ds.basis
-    diag = np.real(np.diag(rb))
-    probs = np.array([float(diag[s].sum()) for s in ds.slices])
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip(np.add.reduceat(np.real(np.diag(rb)), ds.starts), 0.0, None)
     total = float(probs.sum())
     if abs(total - 1.0) > LEVEL_NORM_TOL:
         raise ValidationError(f"level populations sum to {total}, expected 1")

@@ -29,33 +29,53 @@ def _max_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _named(name: str, bad: np.ndarray) -> str:
+    """The name of the first failing operator: `name` alone, or `name j` in a stack."""
+    return name if bad.ndim == 0 else f"{name} {int(np.argmax(bad))}"
+
+
 def validate_hermitian(H: np.ndarray, name: str = "operator") -> np.ndarray:
+    """Check one square matrix, or a stack (n, d, d) of them, for finite
+    Hermitian entries; each matrix is held to its own scale, and an error
+    names the first failing matrix of a stack by its index."""
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {H.shape}")
-    hmax = _max_norm(H)
-    if not math.isfinite(hmax):
-        raise ValidationError(f"{name} has non-finite entries")
-    scale = max(1.0, hmax)
-    if _max_norm(H - H.conj().T) > HERMITICITY_TOL * scale:
-        raise ValidationError(f"{name} is not Hermitian within tolerance")
+    hmax = np.max(np.abs(H), axis=(-2, -1), initial=0.0)
+    bad = ~np.isfinite(hmax)
+    if np.any(bad):
+        raise ValidationError(f"{_named(name, bad)} has non-finite entries")
+    skew = np.max(np.abs(H - np.swapaxes(H, -1, -2).conj()), axis=(-2, -1), initial=0.0)
+    bad = skew > HERMITICITY_TOL * np.maximum(1.0, hmax)
+    if np.any(bad):
+        raise ValidationError(f"{_named(name, bad)} is not Hermitian within tolerance")
     return H
 
 
 def validate_density(rho: np.ndarray, name: str = "state", check_psd: bool = True) -> np.ndarray:
+    """validate_hermitian plus unit trace and, optionally, no eigenvalue below
+    EIG_FLOOR; stacks are checked matrix by matrix."""
     rho = validate_hermitian(rho, name)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"{name} trace is {tr:.3e}, expected 1")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > TRACE_TOL
+    if np.any(bad):
+        tr_bad = complex(np.ravel(tr)[np.argmax(bad)])
+        raise ValidationError(f"{_named(name, bad)} trace is {tr_bad:.3e}, expected 1")
     if check_psd:
-        lo = float(np.linalg.eigvalsh(rho)[0])
-        if lo < EIG_FLOOR:
-            raise ValidationError(f"{name} has eigenvalue {lo:.3e} below {EIG_FLOOR}")
+        lo = np.linalg.eigvalsh(rho)[..., 0]
+        bad = lo < EIG_FLOOR
+        if np.any(bad):
+            lo_bad = float(np.ravel(lo)[np.argmax(bad)])
+            raise ValidationError(
+                f"{_named(name, bad)} has eigenvalue {lo_bad:.3e} below {EIG_FLOOR}"
+            )
     return rho
 
 
 def validate_unitary(U: np.ndarray, name: str = "unitary") -> np.ndarray:
     U = np.asarray(U, dtype=complex)
+    if not np.all(np.isfinite(U)):
+        raise ValidationError(f"{name} has non-finite entries")
     d = U.shape[0]
     if _max_norm(U @ U.conj().T - np.eye(d)) > UNITARITY_TOL:
         raise ValidationError(f"{name} is not unitary within tolerance")
@@ -64,32 +84,35 @@ def validate_unitary(U: np.ndarray, name: str = "unitary") -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
+    """Ascending eigenvalues and the matching orthonormal eigenvector columns
+    (one row of eigenvalues and one eigenvector matrix per operator of a stack)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 def eigh(H: np.ndarray) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian operator, eigenvalues ascending."""
+    """Full eigendecomposition of a Hermitian operator, or of every operator
+    of a stack (n, d, d) in one call, eigenvalues ascending."""
     H = validate_hermitian(H)
     w, V = np.linalg.eigh(H)
     return EigenSystem(eigenvalues=w, eigenvectors=V)
 
 
 def expm_hermitian_scaled(H: np.ndarray, c: complex) -> np.ndarray:
-    """exp(c*H) for Hermitian H via the spectral decomposition.
+    """exp(c*H) for Hermitian H, or for each operator of a stack (n, d, d),
+    via the spectral decomposition.
 
-    With c purely imaginary this is the unitary propagator route used for
-    every time step, so it must stay unitary to round-off.
+    With c purely imaginary this is the unitary propagator route that evolve
+    uses for all its time steps at once, so it must stay unitary to round-off.
     """
     es = eigh(H)
     w, V = es.eigenvalues, es.eigenvectors
-    return (V * np.exp(c * w)) @ V.conj().T
+    return (V * np.exp(c * w)[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
 
 
 def gibbs_state(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:

@@ -282,3 +282,63 @@ def test_small_protocol_invariants_property(seed):
     assert np.max(np.abs(tl.s_gt - (tl.s_d + tl.s_gamma))) < 1e-9
     u = ev.propagators[-1]
     assert np.allclose(u @ u.conj().T, np.eye(p.dim), atol=1e-9)
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    seed=st.integers(0, 10_000),
+    dim=st.integers(2, 5),
+    degenerate=st.booleans(),
+    thermal=st.booleans(),
+)
+def test_level_space_ledger_matches_matrix_routes(seed, dim, degenerate, thermal):
+    rng = np.random.default_rng(seed)
+    beta = float(0.5 + 1.5 * rng.random())
+    p = gt.random_protocol(dim, 21, rng, degenerate=degenerate, beta=beta)
+    rho0 = gt.gibbs_state(p.hamiltonians[0], beta)[0] if thermal else random_density(dim, rng)
+    ev = gt.evolve(p, rho0)
+    tl = gt.ledger(p, ev)
+    for j in range(p.n_nodes):
+        sigma, ln_z = gt.gibbs_state(p.hamiltonians[j], beta)
+        rep = gt.entropy_report(ev.states[j], ev.structures[j])
+        twirled = gt.twirl(ev.states[j], ev.structures[j])
+        assert tl.rel_ent[j] == pytest.approx(gt.relative_entropy(twirled, sigma), abs=1e-10)
+        assert tl.f_eq[j] == pytest.approx(-ln_z / beta, abs=1e-10)
+        assert tl.s_gt[j] == pytest.approx(rep.s_gt, abs=1e-10)
+        assert tl.s_d[j] == pytest.approx(rep.s_d, abs=1e-10)
+        assert tl.c_rel[j] == pytest.approx(rep.c_rel, abs=1e-10)
+        assert tl.s_gamma[j] == pytest.approx(rep.s_gamma, abs=1e-10)
+        # the matrix route's fidelity is good to ~1e-14, which arccos turns into
+        # an angle error of ~1e-7 as F -> 1: compare fidelities there, angles elsewhere
+        fid = gt.fidelity(twirled, sigma)
+        assert math.cos(tl.bures[j]) ** 2 == pytest.approx(fid, abs=1e-10)
+        if fid < 1.0 - 1e-6:
+            assert tl.bures[j] == pytest.approx(gt.bures_angle(twirled, sigma), abs=1e-7)
+        assert np.max(np.abs(ev.twirled_states[j] - twirled)) < 1e-12
+    if degenerate:
+        assert ev.structures[0].degenerate and ev.structures[-1].degenerate
+
+
+def test_eigendecomposition_budget(monkeypatch):
+    rng = np.random.default_rng(5)
+    p = gt.random_protocol(4, 41, rng, degenerate=True, beta=1.0)
+    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    counts = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            shape = np.shape(a)
+            counts[name] += int(np.prod(shape[:-2]))  # a stacked call counts each matrix
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    ev = gt.evolve(p, rho0)
+    gt.ledger(p, ev)
+    gt.integration_tolerance(p, ev)
+    assert counts["eigh"] <= 3 * p.n_nodes
+    assert counts["eigvalsh"] <= 3

@@ -1,4 +1,5 @@
 """Two-point-measurement ensembles and fluctuation-theorem checks."""
+import dataclasses
 import math
 
 import numpy as np
@@ -240,7 +241,11 @@ class TestSampling:
         ens = gt.build_ensemble(p, fwd, rev, ev)
         rep = gt.sample_trajectories(ens, 1, np.random.default_rng(0))
         assert rep.count == 1
-        assert rep.ift_stderr == 0.0
+        finite = np.isfinite(ens.sigma)
+        prob = np.where(finite, ens.joint_forward, 0.0) / ens.joint_forward[finite].sum()
+        weights = np.exp(-np.where(finite, ens.sigma, 0.0))
+        var = float(np.sum(prob * (weights - np.sum(prob * weights)) ** 2))
+        assert rep.ift_stderr == pytest.approx(math.sqrt(var), rel=1e-12)
         assert rep.counts.sum() == 1
         k, l = np.argwhere(rep.counts == 1)[0]
         assert rep.mean_sigma == pytest.approx(float(ens.sigma[k, l]))
@@ -253,6 +258,22 @@ class TestSampling:
         rep = gt.sample_trajectories(ens, 100_000, np.random.default_rng(11))
         assert abs(rep.ift_value - 1.0) < 4 * rep.ift_stderr
         assert rep.counts.sum() == 100_000
+
+    def test_stderr_counts_unsampled_rare_outcome(self, lz_run):
+        p, ev = lz_run.p, lz_run.ev
+        fwd = gt.level_distribution(lz_run.rho0, ev.structures[0])
+        rev = gt.thermal_level_distribution(ev.structures[-1], p.beta)
+        ens = gt.build_ensemble(p, fwd, rev, ev)
+        # one cell of probability 1e-5 with sigma = -7; 2000 draws rarely hit it
+        joint = np.array([[0.6, 0.4 - 1e-5], [1e-5, 0.0]])
+        sigma = np.array([[0.05, -0.08], [-7.0, np.nan]])
+        rare = dataclasses.replace(ens, joint_forward=joint, sigma=sigma)
+        rep = gt.sample_trajectories(rare, 2000, np.random.default_rng(3))
+        prob = np.array([0.6, 0.4 - 1e-5, 1e-5])
+        s = np.array([0.05, -0.08, -7.0])
+        for x, err in ((s, rep.mean_sigma_stderr), (np.exp(-s), rep.ift_stderr)):
+            exact = math.sqrt(float(prob @ (x - prob @ x) ** 2) / 2000)
+            assert err == pytest.approx(exact, rel=1e-12)
 
     def test_count_validation(self, lz_run):
         p, ev = lz_run.p, lz_run.ev

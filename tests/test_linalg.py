@@ -155,6 +155,8 @@ def test_validation_errors():
         validate_density(with_inf)
     with pytest.raises(ValidationError):
         validate_unitary(2 * np.eye(2, dtype=complex))
+    with pytest.raises(ValidationError, match="non-finite"):
+        validate_unitary(np.full((2, 2), np.nan, dtype=complex))
     with pytest.raises(ValueError):
         gibbs_state(np.eye(2, dtype=complex), -1.0)
 
