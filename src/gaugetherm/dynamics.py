@@ -25,8 +25,9 @@ from .invariants import LEVEL_NORM_TOL
 from .linalg import (
     PROB_FLOOR,
     ValidationError,
-    expm_hermitian_scaled,
+    check_hermitian,
     gibbs_state,
+    node_blocks,
     validate_density,
     validate_hermitian,
     von_neumann_entropy,
@@ -107,11 +108,13 @@ def evolve(
     propagators[j] maps t=0 data to t_j. Degeneracy structures are recomputed
     independently per node; levels are never tracked through crossings.
 
-    The spectral work is two stacked eigendecompositions: one of all node
-    Hamiltonians, clustered into the structures, and one of all midpoint
-    Hamiltonians, which gives every step propagator. States, their checks
-    (finite, Hermitian, unit trace, level populations summing to 1) and the
-    twirled states are stacked operations on those results.
+    The spectral work is one eigendecomposition per node Hamiltonian, made
+    as one stacked call and clustered into the structures, and one per
+    midpoint Hamiltonian, which gives every step propagator. States, their
+    checks (finite, Hermitian, unit trace, level populations summing to 1)
+    and the twirled states are stacked operations on those results, run in
+    node blocks (linalg.node_blocks): beyond the result, evolve holds a few
+    blocks of temporaries, not whole (n, d, d) stacks.
     """
     rho0 = validate_density(rho0)
     if rho0.shape[0] != p.dim:
@@ -131,25 +134,43 @@ def _propagate(
     p: Protocol,
     rho0: np.ndarray,
     structures: list[DegeneracyStructure],
-    bases: np.ndarray,
+    bases: np.ndarray | list[np.ndarray],
     cluster_tol_abs: float | None,
     cluster_tol_rel: float,
 ) -> EvolutionResult:
-    """evolve for a validated rho0 and known node structures (bases stacked)."""
+    """evolve for a validated rho0 and known node structures, whose bases
+    are given as a stack (n, d, d) or as a list of (d, d) arrays.
+
+    Node blocks are written straight into the preallocated outputs. The step
+    propagators exp(-i dt H_mid) come from one eigendecomposition per
+    midpoint, a block at a time; each midpoint is checked as Hermitian and
+    named by its step index, as expm_hermitian_scaled on the whole stack
+    would name it.
+    """
     n, d, dt = p.n_nodes, p.dim, p.dt
     h = p.hamiltonians
-    steps = expm_hermitian_scaled((h[:-1] + h[1:]) / 2.0, -1j * dt)
+    c = -1j * dt
     props = np.empty((n, d, d), dtype=complex)
     props[0] = np.eye(d)
-    for j in range(n - 1):
-        np.matmul(steps[j], props[j], out=props[j + 1])
-    del steps
-    states = props @ rho0 @ _dag(props)
+    for s in node_blocks(n - 1, d):
+        mid = (h[s] + h[s.start + 1 : s.stop + 1]) / 2.0
+        check_hermitian(mid, "operator", s.start)
+        w, V = np.linalg.eigh(mid)
+        steps = (V * np.exp(c * w)[..., None, :]) @ _dag(V)
+        for j, step in enumerate(steps, s.start):
+            np.matmul(step, props[j], out=props[j + 1])
+    states = np.empty_like(props)
+    for s in node_blocks(n, d):
+        np.matmul(props[s] @ rho0, _dag(props[s]), out=states[s])
     states[0] = rho0
     validate_density(states, "evolved state at node", check_psd=False)
     _, pops = _level_space(states, bases, structures)
     mults = np.concatenate([ds.mults for ds in structures])
-    twirled = (bases * np.repeat(pops / mults, mults).reshape(n, d)[:, None, :]) @ _dag(bases)
+    col_pops = np.repeat(pops / mults, mults).reshape(n, d)
+    twirled = np.empty_like(states)
+    for s in node_blocks(n, d):
+        b = np.asarray(bases[s])
+        np.matmul(b * col_pops[s, None, :], _dag(b), out=twirled[s])
     return EvolutionResult(
         states=states,
         twirled_states=twirled,
@@ -161,17 +182,26 @@ def _propagate(
 
 
 def _level_space(
-    states: np.ndarray, bases: np.ndarray, structures: list[DegeneracyStructure]
+    states: np.ndarray,
+    bases: np.ndarray | list[np.ndarray],
+    structures: list[DegeneracyStructure],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal of B_j^dag rho_j B_j (n, d) and the level populations
-    Tr(Pi_k rho_j) of all nodes laid end to end, from one stacked basis change
-    and one np.add.reduceat.
+    Tr(Pi_k rho_j) of all nodes laid end to end, from a basis change per
+    node block and one np.add.reduceat.
 
-    Raises when the clipped populations of a node miss 1 by more than
-    LEVEL_NORM_TOL: the state and the structure do not belong together.
+    Only the diagonal is formed: (B^dag rho B)_aa = Re sum_i conj(B_ia) (rho B)_ia,
+    summed over the real and imaginary parts. Raises when the clipped
+    populations of a node miss 1 by more than LEVEL_NORM_TOL: the state and
+    the structure do not belong together.
     """
-    d = states.shape[1]
-    diag = np.real(np.diagonal(_dag(bases) @ states @ bases, axis1=1, axis2=2)).copy()
+    n, d = states.shape[:2]
+    diag = np.empty((n, d))
+    for s in node_blocks(n, d):
+        b = np.asarray(bases[s])
+        rb = states[s] @ b
+        diag[s] = np.einsum("nia,nia->na", b.real, rb.real)
+        diag[s] += np.einsum("nia,nia->na", b.imag, rb.imag)
     starts = np.concatenate([j * d + ds.starts for j, ds in enumerate(structures)])
     pops = np.add.reduceat(diag.ravel(), starts)
     total = np.add.reduceat(np.clip(pops, 0.0, None), _node_starts(structures))
@@ -214,17 +244,41 @@ class WorkHeatSeries:
     u: np.ndarray
 
 
+def _power_integrands(
+    series: np.ndarray, h: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re Tr(S_j Hdot_j), Re Tr(Sdot_j H_j) and Re Tr(S_j H_j) per node for a
+    state stack S, with the derivatives of _central_diff.
+
+    A central difference is linear, so it moves onto neighbour traces:
+    Tr(S_j Hdot_j) = [Tr(S_j H_{j+1}) - Tr(S_j H_{j-1})] / 2dt and
+    Tr(Sdot_j H_j) = [Tr(S_{j+1} H_j) - Tr(S_{j-1} H_j)] / 2dt, one-sided at
+    the two ends. Three traces per stack, and no (n, d, d) temporary.
+    """
+    fwd = _trace_pairs(series[:-1], h[1:])  # Tr(S_j H_{j+1})
+    bwd = _trace_pairs(series[1:], h[:-1])  # Tr(S_{j+1} H_j)
+    same = _trace_pairs(series, h)
+    work = np.empty_like(same)
+    work[1:-1] = (fwd[1:] - bwd[:-1]) / (2.0 * dt)
+    work[0] = (fwd[0] - same[0]) / dt
+    work[-1] = (same[-1] - bwd[-1]) / dt
+    heat = np.empty_like(same)
+    heat[1:-1] = (bwd[1:] - fwd[:-1]) / (2.0 * dt)
+    heat[0] = (bwd[0] - same[0]) / dt
+    heat[-1] = (same[-1] - fwd[-1]) / dt
+    return work, heat, same
+
+
 def work_heat_series(p: Protocol, ev: EvolutionResult) -> WorkHeatSeries:
     dt = p.dt
-    h_dot = _central_diff(p.hamiltonians, dt)
-    rho_dot = _central_diff(ev.states, dt)
-    tw_dot = _central_diff(ev.twirled_states, dt)
+    w_u, q_u, u = _power_integrands(ev.states, p.hamiltonians, dt)
+    w_inv, q_c, _ = _power_integrands(ev.twirled_states, p.hamiltonians, dt)
     return WorkHeatSeries(
-        w_u=_cumtrap(_trace_pairs(ev.states, h_dot), dt),
-        w_inv=_cumtrap(_trace_pairs(ev.twirled_states, h_dot), dt),
-        q_c=_cumtrap(_trace_pairs(tw_dot, p.hamiltonians), dt),
-        q_u=_cumtrap(_trace_pairs(rho_dot, p.hamiltonians), dt),
-        u=_trace_pairs(ev.states, p.hamiltonians),
+        w_u=_cumtrap(w_u, dt),
+        w_inv=_cumtrap(w_inv, dt),
+        q_c=_cumtrap(q_c, dt),
+        q_u=_cumtrap(q_u, dt),
+        u=u,
     )
 
 
@@ -280,7 +334,7 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     series = work_heat_series(p, ev)
     beta = p.beta
     structures = ev.structures
-    diag, pops = _level_space(ev.states, np.stack([ds.basis for ds in structures]), structures)
+    diag, pops = _level_space(ev.states, [ds.basis for ds in structures], structures)
     node_starts = _node_starts(structures)
     node = np.repeat(np.arange(p.n_nodes), [ds.n_levels for ds in structures])
     mults = np.concatenate([ds.mults for ds in structures]).astype(float)
@@ -325,20 +379,22 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
 def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
     """Declared quadrature tolerance for this protocol run.
 
-    Re-runs the pipeline on the grid coarsened by a factor of two (every
-    other node of the same data, no interpolation) and bounds the error by
-    the worst cumulative-series difference at shared nodes. The coarse nodes
-    are the fine nodes 0, 2, 4, ... with the same clustering tolerances, so
-    they reuse ev.structures[::2]: the only new spectral work is the coarse
-    midpoint propagators. The 1.5 safety factor covers terms that converge
-    only first order, e.g. a degeneracy jump sitting on a single grid node.
+    Propagates on the grid coarsened by a factor of two (every other node of
+    the same data, no interpolation) and bounds the error by the worst
+    cumulative-series difference at shared nodes. The coarse nodes are the
+    fine nodes 0, 2, 4, ... with the same clustering tolerances, so they
+    reuse ev.structures[::2] and views of the fine Hamiltonians: the only new
+    spectral work is the coarse midpoint propagators, and the only new
+    storage the coarse states, twirled states and propagators. The fine
+    series is rebuilt from neighbour traces, which costs six traces. The
+    1.5 safety factor covers terms that converge only first order, e.g. a
+    degeneracy jump sitting on a single grid node.
     """
     if p.n_nodes < 5:
         raise ValueError("tolerance estimation needs at least 5 grid nodes")
-    idx = np.arange(0, p.n_nodes, 2)
     coarse = Protocol(
-        times=p.times[idx],
-        hamiltonians=p.hamiltonians[idx],
+        times=p.times[::2],
+        hamiltonians=p.hamiltonians[::2],
         beta=p.beta,
         label=p.label,
     )
@@ -347,7 +403,7 @@ def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
         coarse,
         ev.states[0],
         structures,
-        np.stack([ds.basis for ds in structures]),
+        [ds.basis for ds in structures],
         ev.cluster_tol_abs,
         ev.cluster_tol_rel,
     )
@@ -355,7 +411,7 @@ def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
     crs = work_heat_series(coarse, cev)
     worst = 0.0
     for name in ("w_u", "w_inv", "q_c", "q_u"):
-        f = getattr(fine, name)[idx]
+        f = getattr(fine, name)[::2]
         c = getattr(crs, name)
         worst = max(worst, float(np.max(np.abs(f - c))))
     return 1.5 * worst + 1e-12

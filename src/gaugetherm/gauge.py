@@ -16,6 +16,8 @@ from .linalg import (
     EigenSystem,
     ValidationError,
     haar_unitary,
+    max_abs_entry,
+    node_blocks,
     validate_density,
 )
 
@@ -29,8 +31,7 @@ def default_cluster_tol_abs(H: np.ndarray) -> float | np.ndarray:
     A stack of operators (n, d, d) gets one tolerance per operator.
     """
     H = np.asarray(H)
-    hmax = np.max(np.abs(H), axis=(-2, -1), initial=0.0)
-    tol = 1e-9 * np.maximum(1.0, hmax * H.shape[-1])
+    tol = 1e-9 * np.maximum(1.0, max_abs_entry(H) * H.shape[-1])
     return float(tol) if tol.ndim == 0 else tol
 
 
@@ -113,10 +114,11 @@ def cluster_spectra(
             "clustering tolerance chains eigenvalues into a level wider than the "
             "tolerance; tighten the tolerance or treat the levels as merged"
         )
-    gram = np.swapaxes(V, -1, -2).conj() @ V
-    if float(np.max(np.abs(gram - np.eye(d)), initial=0.0)) > PROJECTOR_TOL:
-        raise ValidationError("eigenbasis is not orthonormal within tolerance")
-    del gram
+    for s in node_blocks(n, d):
+        gram = np.swapaxes(V[s], -1, -2).conj() @ V[s]
+        gram -= np.eye(d)
+        if float(np.max(np.abs(gram), initial=0.0)) > PROJECTOR_TOL:
+            raise ValidationError("eigenbasis is not orthonormal within tolerance")
 
     level_starts = np.flatnonzero(first)
     mults = np.diff(np.append(level_starts, n * d))

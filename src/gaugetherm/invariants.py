@@ -38,6 +38,11 @@ class LevelDistribution:
         if not (len(self.probs) == len(self.mults) == len(self.energies)):
             raise ValidationError("level distribution arrays must share length")
         p = np.asarray(self.probs, dtype=float)
+        # NaN fails every comparison below, so finiteness is checked first
+        if not np.isfinite(p).all():
+            raise ValidationError("level probabilities must be finite")
+        if not np.isfinite(np.asarray(self.energies, dtype=float)).all():
+            raise ValidationError("level energies must be finite")
         if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > LEVEL_NORM_TOL:
             raise ValidationError("level probabilities must be nonnegative and sum to 1")
 

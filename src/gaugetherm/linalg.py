@@ -25,30 +25,80 @@ class ValidationError(ValueError):
     """An operator failed one of its structural invariants."""
 
 
+# Stacked work on (n, d, d) arrays runs over blocks of consecutive matrices
+# holding about this many bytes of complex entries, so that its temporaries
+# stay a small fraction of the stack; a stack of small matrices is one block.
+BLOCK_BYTES = 2**18
+
+
+def node_blocks(n: int, d: int) -> list[slice]:
+    """Consecutive slices covering range(n), each BLOCK_BYTES of (d, d) complex matrices."""
+    size = max(1, BLOCK_BYTES // max(1, 16 * d * d))
+    return [slice(a, min(a + size, n)) for a in range(0, max(n, 1), size)]
+
+
+def _per_matrix(H: np.ndarray, fn) -> np.ndarray:
+    """fn, which maps a stack (k, d, d) to one value per matrix, over one
+    matrix or a stack (n, d, d); a stack longer than a node block is taken a
+    block at a time."""
+    if H.ndim == 2 or H.nbytes <= BLOCK_BYTES:
+        return fn(H)
+    return np.concatenate([fn(H[s]) for s in node_blocks(H.shape[0], H.shape[-1])])
+
+
+def _abs_max(H: np.ndarray) -> np.ndarray:
+    return np.abs(H).max(axis=(-2, -1), initial=0.0)
+
+
+def _skew(H: np.ndarray) -> np.ndarray:
+    """max |H - H^dag| per matrix, from float temporaries: the squared moduli
+    (Re H - Re H^T)^2 + (Im H + Im H^T)^2, with no conjugate copy of H."""
+    re, im = H.real, H.imag
+    a = re - np.swapaxes(re, -1, -2)
+    b = im + np.swapaxes(im, -1, -2)
+    a *= a
+    b *= b
+    a += b
+    return np.sqrt(a.max(axis=(-2, -1), initial=0.0))
+
+
+def max_abs_entry(H: np.ndarray) -> np.ndarray:
+    """max |H_ij| of one matrix, or of every matrix of a stack (n, d, d)."""
+    return _per_matrix(np.asarray(H), _abs_max)
+
+
 def _max_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _named(name: str, bad: np.ndarray) -> str:
-    """The name of the first failing operator: `name` alone, or `name j` in a stack."""
-    return name if bad.ndim == 0 else f"{name} {int(np.argmax(bad))}"
+def _named(name: str, bad: np.ndarray, first: int = 0) -> str:
+    """The name of the first failing operator: `name` alone, or `name j` in a
+    stack whose first operator is number `first`."""
+    return name if bad.ndim == 0 else f"{name} {first + int(np.argmax(bad))}"
+
+
+def check_hermitian(H: np.ndarray, name: str, first: int = 0) -> None:
+    """validate_hermitian's checks on a complex square matrix or stack whose
+    first matrix is number `first` (so that a block of a longer stack is
+    reported by its index in that stack)."""
+    hmax = _per_matrix(H, _abs_max)
+    finite = np.isfinite(hmax)
+    if not finite.all():
+        raise ValidationError(f"{_named(name, ~finite, first)} has non-finite entries")
+    bad = _per_matrix(H, _skew) > HERMITICITY_TOL * np.maximum(1.0, hmax)
+    if bad.any():
+        raise ValidationError(f"{_named(name, bad, first)} is not Hermitian within tolerance")
 
 
 def validate_hermitian(H: np.ndarray, name: str = "operator") -> np.ndarray:
     """Check one square matrix, or a stack (n, d, d) of them, for finite
     Hermitian entries; each matrix is held to its own scale, and an error
-    names the first failing matrix of a stack by its index."""
+    names the first failing matrix of a stack by its index. A stack is
+    checked in node blocks, so the temporaries are a block of floats."""
     H = np.asarray(H, dtype=complex)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {H.shape}")
-    hmax = np.max(np.abs(H), axis=(-2, -1), initial=0.0)
-    bad = ~np.isfinite(hmax)
-    if np.any(bad):
-        raise ValidationError(f"{_named(name, bad)} has non-finite entries")
-    skew = np.max(np.abs(H - np.swapaxes(H, -1, -2).conj()), axis=(-2, -1), initial=0.0)
-    bad = skew > HERMITICITY_TOL * np.maximum(1.0, hmax)
-    if np.any(bad):
-        raise ValidationError(f"{_named(name, bad)} is not Hermitian within tolerance")
+    check_hermitian(H, name)
     return H
 
 

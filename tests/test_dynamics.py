@@ -1,5 +1,7 @@
 """Propagation, work/heat accounting, and the work bounds."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 import gaugetherm as gt
 from gaugetherm.dynamics import GRID_UNIFORMITY_TOL
-from gaugetherm.linalg import ValidationError, expm_hermitian_scaled
+from gaugetherm.dynamics import _central_diff, _cumtrap, _trace_pairs
+from gaugetherm.linalg import BLOCK_BYTES, ValidationError, expm_hermitian_scaled
+from gaugetherm.verify import gauge_conjugates
 
 from test_linalg import SX, random_density
 
@@ -58,6 +62,19 @@ class TestProtocolValidation:
         hams[1, 0, 0] = np.nan
         with pytest.raises(ValidationError, match="node 1"):
             gt.Protocol(times=np.array([0.0, 0.5, 1.0]), hamiltonians=hams, beta=1.0)
+
+    def test_midpoint_check_names_its_step(self):
+        # every node is Hermitian to 1e-12 of its 1e6 scale, but the midpoint
+        # of A + S and -A + S is the skew part S alone; evolve checks the
+        # midpoints a node block at a time and must still name the step
+        block = BLOCK_BYTES // (16 * 2 * 2)
+        a = np.diag([1e6, -1e6]).astype(complex)
+        skew = np.array([[0.0, 1e-7], [-1e-7, 0.0]], dtype=complex)
+        hams = np.repeat((a + skew)[None], block + 10, axis=0)
+        hams[block + 4] = -a + skew
+        p = gt.Protocol(times=np.linspace(0.0, 1.0, block + 10), hamiltonians=hams, beta=1.0)
+        with pytest.raises(ValidationError, match=f"operator {block + 3} is not Hermitian"):
+            gt.evolve(p, np.eye(2, dtype=complex) / 2)
 
     def test_uniformity_tolerance_is_tight(self):
         times = np.linspace(0.0, 1.0, 11)
@@ -317,6 +334,26 @@ def test_level_space_ledger_matches_matrix_routes(seed, dim, degenerate, thermal
         assert np.max(np.abs(ev.twirled_states[j] - twirled)) < 1e-12
     if degenerate:
         assert ev.structures[0].degenerate and ev.structures[-1].degenerate
+    # the neighbour-trace integrands against central-difference stacks, also
+    # on a result rebuilt with gauge-conjugated states as the gauge suite does;
+    # relative to the column or, where a column vanishes exactly (q_c on a
+    # single-level run), to the protocol's energy scale
+    energy = np.max(np.abs(p.hamiltonians))
+    conj, conj_twirled, _ = gauge_conjugates(ev, range(p.n_nodes), rng)
+    rebuilt = dataclasses.replace(ev, states=conj, twirled_states=conj_twirled)
+    for run in (ev, rebuilt):
+        series = gt.work_heat_series(p, run)
+        h_dot = _central_diff(p.hamiltonians, p.dt)
+        reference = {
+            "w_u": _cumtrap(_trace_pairs(run.states, h_dot), p.dt),
+            "w_inv": _cumtrap(_trace_pairs(run.twirled_states, h_dot), p.dt),
+            "q_c": _cumtrap(_trace_pairs(_central_diff(run.twirled_states, p.dt), p.hamiltonians), p.dt),
+            "q_u": _cumtrap(_trace_pairs(_central_diff(run.states, p.dt), p.hamiltonians), p.dt),
+            "u": _trace_pairs(run.states, p.hamiltonians),
+        }
+        for name, ref in reference.items():
+            err = np.max(np.abs(getattr(series, name) - ref))
+            assert err <= 1e-10 * max(np.max(np.abs(ref)), energy), name
 
 
 def test_eigendecomposition_budget(monkeypatch):
@@ -342,3 +379,34 @@ def test_eigendecomposition_budget(monkeypatch):
     gt.integration_tolerance(p, ev)
     assert counts["eigh"] <= 3 * p.n_nodes
     assert counts["eigvalsh"] <= 3
+
+
+def test_stacked_passes_hold_a_few_blocks():
+    """Beyond what they return, evolve, ledger and integration_tolerance hold
+    a few node blocks of temporaries, not whole (n, d, d) stacks."""
+    p = gt.curie_weiss_protocol(n_spins=40, nodes=401)
+    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    stack = p.n_nodes * p.dim**2 * np.dtype(complex).itemsize
+
+    def traced(fn):
+        """fn's result, its peak above the memory held before it, and the
+        memory it leaves held, both in stacks."""
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+        return out, (peak - held) / stack, (current - held) / stack
+
+    tracemalloc.start()
+    try:
+        ev, evolve_peak, evolve_kept = traced(lambda: gt.evolve(p, rho0))
+        _, ledger_peak, _ = traced(lambda: gt.ledger(p, ev))
+        _, tolerance_peak, _ = traced(lambda: gt.integration_tolerance(p, ev))
+    finally:
+        tracemalloc.stop()
+    # states, twirled states, propagators and the node bases
+    assert evolve_kept >= 4.0
+    assert evolve_peak <= evolve_kept + 0.25
+    assert ledger_peak <= 0.25
+    # the coarse run keeps states, twirled states and propagators at half the nodes
+    assert tolerance_peak <= 1.5 + 0.25

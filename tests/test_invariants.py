@@ -58,6 +58,23 @@ def test_level_distribution_rejects_unnormalized():
         )
 
 
+@pytest.mark.parametrize(
+    "probs, energies",
+    [
+        ([np.nan, 1.0], [0.0, 1.0]),
+        ([np.nan, np.nan], [0.0, 1.0]),
+        ([0.5, np.inf], [0.0, 1.0]),
+        ([0.5, 0.5], [0.0, np.nan]),
+        ([0.5, 0.5], [-np.inf, 1.0]),
+    ],
+)
+def test_level_distribution_rejects_non_finite(probs, energies):
+    # NaN < -1e-12 and |NaN - 1| > tol are both false, so NaN used to pass
+    # and s_gauge then returned 0.0 silently
+    with pytest.raises(ValidationError, match="finite"):
+        LevelDistribution(probs=np.array(probs), mults=np.array([1, 1]), energies=np.array(energies))
+
+
 def test_s_gauge_mixedness_credit():
     # all weight on one doubly degenerate level: -sum p ln p = 0, credit ln 2
     ld = LevelDistribution(

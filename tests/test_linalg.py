@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugetherm.linalg import (
+    BLOCK_BYTES,
     ValidationError,
     bures_angle,
     eigh,
@@ -159,6 +160,17 @@ def test_validation_errors():
         validate_unitary(np.full((2, 2), np.nan, dtype=complex))
     with pytest.raises(ValueError):
         gibbs_state(np.eye(2, dtype=complex), -1.0)
+    # a stack of several node blocks names its first failing matrix by its
+    # index in the whole stack, and reports non-finite entries before skew
+    block = BLOCK_BYTES // (16 * 2 * 2)
+    stack = np.zeros((3 * block + 5, 2, 2), dtype=complex)
+    stack[block + 3, 0, 1] = 1.0
+    stack[2 * block + 7, 1, 1] = np.nan
+    with pytest.raises(ValidationError, match=f"stack {2 * block + 7} has non-finite"):
+        validate_hermitian(stack, "stack")
+    stack[2 * block + 7, 1, 1] = 0.0
+    with pytest.raises(ValidationError, match=f"stack {block + 3} is not Hermitian"):
+        validate_hermitian(stack, "stack")
 
 
 def test_shannon_entropy_ignores_exact_zeros():
