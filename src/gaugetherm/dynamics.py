@@ -91,8 +91,6 @@ class EvolutionResult:
     twirled_states: np.ndarray
     propagators: np.ndarray
     structures: list[DegeneracyStructure]
-    cluster_tol_abs: float | None
-    cluster_tol_rel: float
 
 
 def evolve(
@@ -123,7 +121,7 @@ def evolve(
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
     w, V = np.linalg.eigh(h)
     structures = cluster_spectra(w, V, tol_abs, cluster_tol_rel)
-    return _propagate(p, rho0, structures, V, cluster_tol_abs, cluster_tol_rel)
+    return _propagate(p, rho0, structures)
 
 
 def _dag(a: np.ndarray) -> np.ndarray:
@@ -131,21 +129,14 @@ def _dag(a: np.ndarray) -> np.ndarray:
 
 
 def _propagate(
-    p: Protocol,
-    rho0: np.ndarray,
-    structures: list[DegeneracyStructure],
-    bases: np.ndarray | list[np.ndarray],
-    cluster_tol_abs: float | None,
-    cluster_tol_rel: float,
+    p: Protocol, rho0: np.ndarray, structures: list[DegeneracyStructure]
 ) -> EvolutionResult:
-    """evolve for a validated rho0 and known node structures, whose bases
-    are given as a stack (n, d, d) or as a list of (d, d) arrays.
+    """evolve for a validated rho0 and known node structures.
 
     Node blocks are written straight into the preallocated outputs. The step
     propagators exp(-i dt H_mid) come from one eigendecomposition per
     midpoint, a block at a time; each midpoint is checked as Hermitian and
-    named by its step index, as expm_hermitian_scaled on the whole stack
-    would name it.
+    named by its step index in the whole protocol.
     """
     n, d, dt = p.n_nodes, p.dim, p.dt
     h = p.hamiltonians
@@ -164,31 +155,38 @@ def _propagate(
         np.matmul(props[s] @ rho0, _dag(props[s]), out=states[s])
     states[0] = rho0
     validate_density(states, "evolved state at node", check_psd=False)
-    _, pops = _level_space(states, bases, structures)
-    mults = np.concatenate([ds.mults for ds in structures])
+    _, pops = _level_space(states, structures)
+    mults = _flat_levels(structures)[0]
     col_pops = np.repeat(pops / mults, mults).reshape(n, d)
     twirled = np.empty_like(states)
     for s in node_blocks(n, d):
-        b = np.asarray(bases[s])
+        b = np.stack([ds.basis for ds in structures[s]])
         np.matmul(b * col_pops[s, None, :], _dag(b), out=twirled[s])
     return EvolutionResult(
-        states=states,
-        twirled_states=twirled,
-        propagators=props,
-        structures=structures,
-        cluster_tol_abs=cluster_tol_abs,
-        cluster_tol_rel=cluster_tol_rel,
+        states=states, twirled_states=twirled, propagators=props, structures=structures
+    )
+
+
+def _flat_levels(
+    structures: list[DegeneracyStructure],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The levels of all nodes laid end to end: their multiplicities, their
+    energies, and the index of each node's first level."""
+    n_levels = np.array([ds.n_levels for ds in structures])
+    return (
+        np.concatenate([ds.mults for ds in structures]),
+        np.concatenate([ds.energies for ds in structures]),
+        np.cumsum(n_levels) - n_levels,
     )
 
 
 def _level_space(
-    states: np.ndarray,
-    bases: np.ndarray | list[np.ndarray],
-    structures: list[DegeneracyStructure],
+    states: np.ndarray, structures: list[DegeneracyStructure]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal of B_j^dag rho_j B_j (n, d) and the level populations
     Tr(Pi_k rho_j) of all nodes laid end to end, from a basis change per
-    node block and one np.add.reduceat.
+    node block and one np.add.reduceat. The multiplicities of every node sum
+    to d, so the first column of each flat level is cumsum(mults) - mults.
 
     Only the diagonal is formed: (B^dag rho B)_aa = Re sum_i conj(B_ia) (rho B)_ia,
     summed over the real and imaginary parts. Raises when the clipped
@@ -198,24 +196,18 @@ def _level_space(
     n, d = states.shape[:2]
     diag = np.empty((n, d))
     for s in node_blocks(n, d):
-        b = np.asarray(bases[s])
+        b = np.stack([ds.basis for ds in structures[s]])
         rb = states[s] @ b
         diag[s] = np.einsum("nia,nia->na", b.real, rb.real)
         diag[s] += np.einsum("nia,nia->na", b.imag, rb.imag)
-    starts = np.concatenate([j * d + ds.starts for j, ds in enumerate(structures)])
-    pops = np.add.reduceat(diag.ravel(), starts)
-    total = np.add.reduceat(np.clip(pops, 0.0, None), _node_starts(structures))
+    mults, _, node_starts = _flat_levels(structures)
+    pops = np.add.reduceat(diag.ravel(), np.cumsum(mults) - mults)
+    total = np.add.reduceat(np.clip(pops, 0.0, None), node_starts)
     bad = np.abs(total - 1.0) > LEVEL_NORM_TOL
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
         raise ValidationError(f"level populations at node {j} sum to {total[j]}, expected 1")
     return diag, pops
-
-
-def _node_starts(structures: list[DegeneracyStructure]) -> np.ndarray:
-    """Index of each node's first level when the levels of all nodes are laid end to end."""
-    n_levels = np.array([ds.n_levels for ds in structures])
-    return np.cumsum(n_levels) - n_levels
 
 
 def _central_diff(series: np.ndarray, dt: float) -> np.ndarray:
@@ -334,11 +326,10 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     series = work_heat_series(p, ev)
     beta = p.beta
     structures = ev.structures
-    diag, pops = _level_space(ev.states, [ds.basis for ds in structures], structures)
-    node_starts = _node_starts(structures)
-    node = np.repeat(np.arange(p.n_nodes), [ds.n_levels for ds in structures])
-    mults = np.concatenate([ds.mults for ds in structures]).astype(float)
-    energies = np.concatenate([ds.energies for ds in structures])
+    diag, pops = _level_space(ev.states, structures)
+    mults, energies, node_starts = _flat_levels(structures)
+    mults = mults.astype(float)
+    node = np.repeat(np.arange(p.n_nodes), np.diff(node_starts, append=mults.size))
 
     def per_node(x: np.ndarray) -> np.ndarray:
         return np.add.reduceat(x, node_starts)
@@ -398,15 +389,7 @@ def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
         beta=p.beta,
         label=p.label,
     )
-    structures = ev.structures[::2]
-    cev = _propagate(
-        coarse,
-        ev.states[0],
-        structures,
-        [ds.basis for ds in structures],
-        ev.cluster_tol_abs,
-        ev.cluster_tol_rel,
-    )
+    cev = _propagate(coarse, ev.states[0], ev.structures[::2])
     fine = work_heat_series(p, ev)
     crs = work_heat_series(coarse, cev)
     worst = 0.0
@@ -461,8 +444,10 @@ def connection_cross_check(
     Builds the aligned eigenframe V_t, the connection A = -Vdot V^dag (the
     sign that makes the covariant derivative annihilate every spectral
     projector), and integrates Tr(rho (Hdot + [A,H])) and
-    Tr(H (rhodot + [A,rho])). Skipped whenever any node is degenerate: the
-    frame derivative is not defined across a merged level.
+    Tr(H (rhodot + [A,rho])): with t = Re Tr(rho [A,H]) = -Re Tr(H [A,rho]),
+    these are the work and heat integrands of work_heat_series plus and minus
+    t. Skipped whenever any node is degenerate: the frame derivative is not
+    defined across a merged level.
     """
     for j, ds in enumerate(ev.structures):
         if ds.degenerate:
@@ -476,16 +461,11 @@ def connection_cross_check(
     frames = aligned_frames([ds.basis for ds in ev.structures])
     v_dot = _central_diff(frames, dt)
     conn = -np.einsum("nij,nkj->nik", v_dot, frames.conj())
-    h_dot = _central_diff(p.hamiltonians, dt)
-    rho_dot = _central_diff(ev.states, dt)
-    comm_h = np.einsum("nij,njk->nik", conn, p.hamiltonians) - np.einsum(
-        "nij,njk->nik", p.hamiltonians, conn
-    )
-    comm_rho = np.einsum("nij,njk->nik", conn, ev.states) - np.einsum(
-        "nij,njk->nik", ev.states, conn
-    )
-    w_cov = _cumtrap(_trace_pairs(ev.states, h_dot + comm_h), dt)
-    q_cov = _cumtrap(_trace_pairs(rho_dot + comm_rho, p.hamiltonians), dt)
+    h = p.hamiltonians
+    t = _trace_pairs(ev.states, conn @ h - h @ conn)
+    work, heat, _ = _power_integrands(ev.states, h, dt)
+    w_cov = _cumtrap(work + t, dt)
+    q_cov = _cumtrap(heat - t, dt)
     return ConnectionCheck(
         performed=True,
         reason="",

@@ -101,13 +101,11 @@ def _check_aligned(ld: LevelDistribution, ds: DegeneracyStructure, name: str) ->
         raise ValidationError(f"{name} energies do not match the level structure")
 
 
-def _block_norms(m: np.ndarray, row_slices, col_slices) -> np.ndarray:
-    """out[r, c] = squared Frobenius norm of the (r, c) block of m."""
-    out = np.empty((len(row_slices), len(col_slices)))
-    for r, rs in enumerate(row_slices):
-        for c, cs in enumerate(col_slices):
-            out[r, c] = float(np.sum(np.abs(m[rs, cs]) ** 2))
-    return out
+def _block_norms(m: np.ndarray, row_starts: np.ndarray, col_starts: np.ndarray) -> np.ndarray:
+    """out[r, c] = squared Frobenius norm of the (r, c) block of m, whose
+    row and column blocks begin at row_starts and col_starts."""
+    rows = np.add.reduceat(np.abs(m) ** 2, row_starts, axis=0)
+    return np.add.reduceat(rows, col_starts, axis=1)
 
 
 def build_ensemble(
@@ -141,8 +139,8 @@ def build_ensemble(
     n0 = np.asarray(ds0.mults, dtype=float)
     nt = np.asarray(dst.mults, dtype=float)
     # [l, k] and [k, l] entries are both Tr(Pi_l U Pi_k U^dag), reached two ways
-    transition = _block_norms(m_fwd, dst.slices, ds0.slices).T / n0[:, None]
-    reverse_transition = _block_norms(m_rev, ds0.slices, dst.slices).T / nt[:, None]
+    transition = _block_norms(m_fwd, dst.starts, ds0.starts).T / n0[:, None]
+    reverse_transition = _block_norms(m_rev, ds0.starts, dst.starts).T / nt[:, None]
     for name, t in (("transition", transition), ("reverse_transition", reverse_transition)):
         dev = float(np.max(np.abs(t.sum(axis=1) - 1.0)))
         if dev > ROW_SUM_TOL:

@@ -8,7 +8,8 @@ and spreads each uniformly across its eigenspace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,25 +41,34 @@ class DegeneracyStructure:
     """Clustered levels of a Hermitian spectrum.
 
     energies[k] is the multiplicity-weighted mean of the member eigenvalues,
-    mults[k] the level dimension, and basis the unitary whose column slice
-    for level k spans that eigenspace. Projectors are materialized on demand;
+    mults[k] the level dimension, and basis the unitary whose columns hold
+    the levels in order, mults[k] of them spanning level k. The multiplicities
+    fix the gauge group U(n^1) x ... x U(n^L), so dim, starts and slices are
+    derived from mults and basis. Projectors are materialized on demand;
     storing them per level would dominate memory on long protocols.
     """
 
     energies: np.ndarray
     mults: np.ndarray
     basis: np.ndarray
-    dim: int
-    slices: tuple[slice, ...] = field(repr=False, default=())
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def n_levels(self) -> int:
         return len(self.mults)
 
-    @property
+    @cached_property
     def starts(self) -> np.ndarray:
         """Index of each level's first eigenvector column, for np.add.reduceat."""
         return np.cumsum(self.mults) - self.mults
+
+    @cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """The basis columns of each level."""
+        return tuple(map(slice, self.starts.tolist(), np.cumsum(self.mults).tolist()))
 
     def projector(self, k: int) -> np.ndarray:
         cols = self.basis[:, self.slices[k]]
@@ -124,12 +134,10 @@ def cluster_spectra(
     mults = np.diff(np.append(level_starts, n * d))
     energies = np.add.reduceat(w.ravel(), level_starts) / mults
     cuts = np.cumsum(n_levels)[:-1]
-    out = []
-    for j, (e, m) in enumerate(zip(np.split(energies, cuts), np.split(mults, cuts))):
-        bounds = np.append(np.cumsum(m) - m, d).tolist()
-        slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-        out.append(DegeneracyStructure(energies=e, mults=m, basis=V[j], dim=d, slices=slices))
-    return out
+    return [
+        DegeneracyStructure(energies=e, mults=m, basis=V[j])
+        for j, (e, m) in enumerate(zip(np.split(energies, cuts), np.split(mults, cuts)))
+    ]
 
 
 def twirl(rho: np.ndarray, ds: DegeneracyStructure) -> np.ndarray:

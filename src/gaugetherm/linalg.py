@@ -14,7 +14,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10
-UNITARITY_TOL = 1e-10
 # probabilities below this are treated as exact zeros in logarithms
 PROB_FLOOR = 1e-14
 # sigma eigenvalues below this count as null space in relative_entropy
@@ -65,10 +64,6 @@ def _skew(H: np.ndarray) -> np.ndarray:
 def max_abs_entry(H: np.ndarray) -> np.ndarray:
     """max |H_ij| of one matrix, or of every matrix of a stack (n, d, d)."""
     return _per_matrix(np.asarray(H), _abs_max)
-
-
-def _max_norm(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _named(name: str, bad: np.ndarray, first: int = 0) -> str:
@@ -122,16 +117,6 @@ def validate_density(rho: np.ndarray, name: str = "state", check_psd: bool = Tru
     return rho
 
 
-def validate_unitary(U: np.ndarray, name: str = "unitary") -> np.ndarray:
-    U = np.asarray(U, dtype=complex)
-    if not np.all(np.isfinite(U)):
-        raise ValidationError(f"{name} has non-finite entries")
-    d = U.shape[0]
-    if _max_norm(U @ U.conj().T - np.eye(d)) > UNITARITY_TOL:
-        raise ValidationError(f"{name} is not unitary within tolerance")
-    return U
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues and the matching orthonormal eigenvector columns
@@ -140,10 +125,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
-
 
 def eigh(H: np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a Hermitian operator, or of every operator
@@ -151,18 +132,6 @@ def eigh(H: np.ndarray) -> EigenSystem:
     H = validate_hermitian(H)
     w, V = np.linalg.eigh(H)
     return EigenSystem(eigenvalues=w, eigenvectors=V)
-
-
-def expm_hermitian_scaled(H: np.ndarray, c: complex) -> np.ndarray:
-    """exp(c*H) for Hermitian H, or for each operator of a stack (n, d, d),
-    via the spectral decomposition.
-
-    With c purely imaginary this is the unitary propagator route that evolve
-    uses for all its time steps at once, so it must stay unitary to round-off.
-    """
-    es = eigh(H)
-    w, V = es.eigenvalues, es.eigenvectors
-    return (V * np.exp(c * w)[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
 
 
 def gibbs_state(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:

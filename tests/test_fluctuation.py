@@ -199,8 +199,6 @@ def test_gauge_invariance_of_ensemble(lz_run):
         twirled_states=ev.twirled_states,
         propagators=props,
         structures=ev.structures,
-        cluster_tol_abs=ev.cluster_tol_abs,
-        cluster_tol_rel=ev.cluster_tol_rel,
     )
     ens2 = gt.build_ensemble(p, fwd, rev, ev2)
     assert np.max(np.abs(ens.transition - ens2.transition)) < 1e-10

@@ -1,10 +1,14 @@
 """Degeneracy clustering and twirl tests."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaugetherm as gt
 from gaugetherm.gauge import (
+    DegeneracyStructure,
     cluster_spectrum,
     default_cluster_tol_abs,
     sample_gauge_element,
@@ -120,3 +124,36 @@ def test_twirl_is_entropy_nondecreasing(seed):
     ds = structure_of(h)
     rho = random_density(4, rng)
     assert von_neumann_entropy(twirl(rho, ds)) >= von_neumann_entropy(rho) - 1e-10
+
+
+def test_structure_from_levels_alone():
+    """energies, mults and basis fix the whole level layout: a structure
+    built from them alone samples gauge elements and enumerates the TPM
+    ensemble exactly as cluster_spectrum's own structures do."""
+    rng = np.random.default_rng(12)
+    p = gt.random_protocol(5, 21, rng, degenerate=True, beta=1.0)
+    rho0 = random_density(5, rng)
+    ev = gt.evolve(p, rho0)
+    rebuilt = [
+        DegeneracyStructure(energies=ds.energies, mults=ds.mults, basis=ds.basis)
+        for ds in ev.structures
+    ]
+    ds = rebuilt[0]
+    assert ds.degenerate
+    v = sample_gauge_element(ds, rng)
+    assert np.allclose(v @ v.conj().T, np.eye(ds.dim), atol=1e-12)
+    projectors = [ds.projector(k) for k in range(ds.n_levels)]
+    for pk in projectors:
+        assert np.allclose(v @ pk, pk @ v, atol=1e-12)
+    assert np.allclose(sum(projectors), np.eye(ds.dim), atol=1e-12)
+    assert [i for s in ds.slices for i in range(ds.dim)[s]] == list(range(ds.dim))
+
+    def ensemble(structures):
+        run = dataclasses.replace(ev, structures=structures)
+        fwd = gt.level_distribution(rho0, structures[0])
+        rev = gt.thermal_level_distribution(structures[-1], p.beta)
+        return gt.build_ensemble(p, fwd, rev, run)
+
+    want, got = ensemble(ev.structures), ensemble(rebuilt)
+    for name in ("transition", "reverse_transition", "joint_forward", "joint_reverse", "sigma"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
