@@ -43,7 +43,6 @@ from .invariants import (
     EntropyReport,
     LevelDistribution,
     entropy_report,
-    holevo_asymmetry_f,
     level_distribution,
     noneq_free_energy,
     s_gauge,
@@ -105,7 +104,6 @@ __all__ = [
     "fidelity",
     "gibbs_state",
     "haar_unitary",
-    "holevo_asymmetry_f",
     "integration_tolerance",
     "landau_zener",
     "landau_zener_protocol",

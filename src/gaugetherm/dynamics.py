@@ -9,7 +9,7 @@ so the declared integration tolerance scales as C dt^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -20,11 +20,14 @@ from .gauge import (
     DegeneracyStructure,
     cluster_spectra,
     default_cluster_tol_abs,
+    flat_levels,
+    level_space,
+    level_twirl,
 )
-from .invariants import LEVEL_NORM_TOL
 from .linalg import (
     PROB_FLOOR,
     ValidationError,
+    _dag,
     check_hermitian,
     gibbs_state,
     node_blocks,
@@ -124,10 +127,6 @@ def evolve(
     return _propagate(p, rho0, structures)
 
 
-def _dag(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2).conj()
-
-
 def _propagate(
     p: Protocol, rho0: np.ndarray, structures: list[DegeneracyStructure]
 ) -> EvolutionResult:
@@ -155,59 +154,10 @@ def _propagate(
         np.matmul(props[s] @ rho0, _dag(props[s]), out=states[s])
     states[0] = rho0
     validate_density(states, "evolved state at node", check_psd=False)
-    _, pops = _level_space(states, structures)
-    mults = _flat_levels(structures)[0]
-    col_pops = np.repeat(pops / mults, mults).reshape(n, d)
-    twirled = np.empty_like(states)
-    for s in node_blocks(n, d):
-        b = np.stack([ds.basis for ds in structures[s]])
-        np.matmul(b * col_pops[s, None, :], _dag(b), out=twirled[s])
+    twirled = level_twirl(level_space(states, structures)[1], structures)
     return EvolutionResult(
         states=states, twirled_states=twirled, propagators=props, structures=structures
     )
-
-
-def _flat_levels(
-    structures: list[DegeneracyStructure],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The levels of all nodes laid end to end: their multiplicities, their
-    energies, and the index of each node's first level."""
-    n_levels = np.array([ds.n_levels for ds in structures])
-    return (
-        np.concatenate([ds.mults for ds in structures]),
-        np.concatenate([ds.energies for ds in structures]),
-        np.cumsum(n_levels) - n_levels,
-    )
-
-
-def _level_space(
-    states: np.ndarray, structures: list[DegeneracyStructure]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of B_j^dag rho_j B_j (n, d) and the level populations
-    Tr(Pi_k rho_j) of all nodes laid end to end, from a basis change per
-    node block and one np.add.reduceat. The multiplicities of every node sum
-    to d, so the first column of each flat level is cumsum(mults) - mults.
-
-    Only the diagonal is formed: (B^dag rho B)_aa = Re sum_i conj(B_ia) (rho B)_ia,
-    summed over the real and imaginary parts. Raises when the clipped
-    populations of a node miss 1 by more than LEVEL_NORM_TOL: the state and
-    the structure do not belong together.
-    """
-    n, d = states.shape[:2]
-    diag = np.empty((n, d))
-    for s in node_blocks(n, d):
-        b = np.stack([ds.basis for ds in structures[s]])
-        rb = states[s] @ b
-        diag[s] = np.einsum("nia,nia->na", b.real, rb.real)
-        diag[s] += np.einsum("nia,nia->na", b.imag, rb.imag)
-    mults, _, node_starts = _flat_levels(structures)
-    pops = np.add.reduceat(diag.ravel(), np.cumsum(mults) - mults)
-    total = np.add.reduceat(np.clip(pops, 0.0, None), node_starts)
-    bad = np.abs(total - 1.0) > LEVEL_NORM_TOL
-    if np.any(bad):
-        j = int(np.flatnonzero(bad)[0])
-        raise ValidationError(f"level populations at node {j} sum to {total[j]}, expected 1")
-    return diag, pops
 
 
 def _central_diff(series: np.ndarray, dt: float) -> np.ndarray:
@@ -304,8 +254,10 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     The entropy, free-energy, Bures and relative-entropy columns are computed
     in level space. The twirled state and the Gibbs state are both diagonal
     in each node's structure basis, so one stacked basis change of the states
-    gives every column. With level populations p_k (level_distribution) and
-    Gibbs weights q_k = n_k e^{-beta e_k} / Z (thermal_level_distribution):
+    (gauge.level_space, the kernel that twirl, level_distribution and
+    entropy_report run on a single state) gives every column. With level
+    populations p_k and Gibbs weights q_k = n_k e^{-beta e_k} / Z
+    (thermal_level_distribution):
 
     - f_eq = -ln Z / beta, with ln Z = log_partition(energies, mults, beta);
     - rel_ent = sum_k p_k ln(p_k / q_k), the classical KL divergence, which
@@ -319,15 +271,15 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     - s_vn is computed once, from states[0]: unitary evolution keeps the
       spectrum, so it is the same at every node.
 
-    gibbs_state, fidelity, bures_angle, relative_entropy and entropy_report
-    remain the general (non-commuting) matrix routes; they agree with these
-    columns to round-off.
+    gibbs_state, fidelity, bures_angle and relative_entropy remain the
+    general (non-commuting) matrix routes; they agree with these columns to
+    round-off.
     """
     series = work_heat_series(p, ev)
     beta = p.beta
     structures = ev.structures
-    diag, pops = _level_space(ev.states, structures)
-    mults, energies, node_starts = _flat_levels(structures)
+    diag, pops = level_space(ev.states, structures)
+    mults, energies, _, node_starts = flat_levels(structures)
     mults = mults.astype(float)
     node = np.repeat(np.arange(p.n_nodes), np.diff(node_starts, append=mults.size))
 
@@ -383,12 +335,7 @@ def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
     """
     if p.n_nodes < 5:
         raise ValueError("tolerance estimation needs at least 5 grid nodes")
-    coarse = Protocol(
-        times=p.times[::2],
-        hamiltonians=p.hamiltonians[::2],
-        beta=p.beta,
-        label=p.label,
-    )
+    coarse = replace(p, times=p.times[::2], hamiltonians=p.hamiltonians[::2])
     cev = _propagate(coarse, ev.states[0], ev.structures[::2])
     fine = work_heat_series(p, ev)
     crs = work_heat_series(coarse, cev)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import DegeneracyStructure
+from .gauge import LEVEL_NORM_TOL, DegeneracyStructure, level_space
 from .linalg import (
     PROB_FLOOR,
     ValidationError,
@@ -22,8 +22,6 @@ from .linalg import (
     validate_density,
     von_neumann_entropy,
 )
-
-LEVEL_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class LevelDistribution:
             raise ValidationError("level probabilities must be finite")
         if not np.isfinite(np.asarray(self.energies, dtype=float)).all():
             raise ValidationError("level energies must be finite")
-        if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > LEVEL_NORM_TOL:
+        if (p < -1e-12).any() or abs(float(p.sum()) - 1.0) > LEVEL_NORM_TOL:
             raise ValidationError("level probabilities must be nonnegative and sum to 1")
 
     @property
@@ -56,17 +54,14 @@ def level_distribution(rho: np.ndarray, ds: DegeneracyStructure) -> LevelDistrib
 
     A total-probability defect beyond LEVEL_NORM_TOL means the state and the
     structure do not belong together, which is a validation error rather than
-    something to paper over.
+    something to paper over (raised by level_space).
     """
-    rho = validate_density(rho, check_psd=False)
-    if rho.shape[0] != ds.dim:
-        raise ValidationError("state and structure dimensions differ")
-    rb = ds.basis.conj().T @ rho @ ds.basis
-    probs = np.clip(np.add.reduceat(np.real(np.diag(rb)), ds.starts), 0.0, None)
-    total = float(probs.sum())
-    if abs(total - 1.0) > LEVEL_NORM_TOL:
-        raise ValidationError(f"level populations sum to {total}, expected 1")
-    return LevelDistribution(probs=probs / total, mults=ds.mults, energies=ds.energies)
+    return _normalized(level_space(validate_density(rho, check_psd=False)[None], [ds])[1], ds)
+
+
+def _normalized(pops: np.ndarray, ds: DegeneracyStructure) -> LevelDistribution:
+    probs = np.clip(pops, 0.0, None)
+    return LevelDistribution(probs=probs / probs.sum(), mults=ds.mults, energies=ds.energies)
 
 
 def thermal_level_distribution(ds: DegeneracyStructure, beta: float) -> LevelDistribution:
@@ -113,41 +108,13 @@ class EntropyReport:
 
 
 def entropy_report(rho: np.ndarray, ds: DegeneracyStructure) -> EntropyReport:
+    """The entropy split of one state from one validation and one level_space call."""
     rho = validate_density(rho, check_psd=False)
+    diag, pops = level_space(rho[None], [ds])
     s_vn = von_neumann_entropy(rho)
-    rb = ds.basis.conj().T @ rho @ ds.basis
-    diag = np.clip(np.real(np.diag(rb)), 0.0, 1.0)
-    s_d = shannon_entropy(diag)
-    s_gt = s_gauge(level_distribution(rho, ds))
-    return EntropyReport(
-        s_gt=s_gt,
-        s_vn=s_vn,
-        s_d=s_d,
-        c_rel=s_d - s_vn,
-        s_gamma=s_gt - s_d,
-    )
-
-
-def holevo_asymmetry_f(rho: np.ndarray, ds: DegeneracyStructure) -> float:
-    """Asymmetry entropy from the signed block value list.
-
-    The list pairs every diagonal entry -rho_ii (in the level basis) with the
-    uniform level weight p^k/n^k repeated n^k times; -sum v ln|v| over the
-    lot telescopes to s_gt - s_d. Kept as an independent cross-check of the
-    s_gamma column.
-    """
-    rho = validate_density(rho, check_psd=False)
-    rb = ds.basis.conj().T @ rho @ ds.basis
-    diag = np.clip(np.real(np.diag(rb)), 0.0, 1.0)
-    ld = level_distribution(rho, ds)
-    values = [-x for x in diag]
-    for p, n in zip(ld.probs, ld.mults):
-        values.extend([float(p) / int(n)] * int(n))
-    total = 0.0
-    for v in values:
-        if abs(v) > PROB_FLOOR:
-            total -= v * np.log(abs(v))
-    return float(total)
+    s_d = shannon_entropy(np.clip(diag[0], 0.0, 1.0))
+    s_gt = s_gauge(_normalized(pops, ds))
+    return EntropyReport(s_gt=s_gt, s_vn=s_vn, s_d=s_d, c_rel=s_d - s_vn, s_gamma=s_gt - s_d)
 
 
 def noneq_free_energy(

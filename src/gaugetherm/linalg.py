@@ -36,6 +36,10 @@ def node_blocks(n: int, d: int) -> list[slice]:
     return [slice(a, min(a + size, n)) for a in range(0, max(n, 1), size)]
 
 
+def _dag(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2).conj()
+
+
 def _per_matrix(H: np.ndarray, fn) -> np.ndarray:
     """fn, which maps a stack (k, d, d) to one value per matrix, over one
     matrix or a stack (n, d, d); a stack longer than a node block is taken a
@@ -103,13 +107,13 @@ def validate_density(rho: np.ndarray, name: str = "state", check_psd: bool = Tru
     rho = validate_hermitian(rho, name)
     tr = np.trace(rho, axis1=-2, axis2=-1)
     bad = np.abs(tr - 1.0) > TRACE_TOL
-    if np.any(bad):
+    if bad.any():
         tr_bad = complex(np.ravel(tr)[np.argmax(bad)])
         raise ValidationError(f"{_named(name, bad)} trace is {tr_bad:.3e}, expected 1")
     if check_psd:
         lo = np.linalg.eigvalsh(rho)[..., 0]
         bad = lo < EIG_FLOOR
-        if np.any(bad):
+        if bad.any():
             lo_bad = float(np.ravel(lo)[np.argmax(bad)])
             raise ValidationError(
                 f"{_named(name, bad)} has eigenvalue {lo_bad:.3e} below {EIG_FLOOR}"
@@ -229,18 +233,24 @@ def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.conj().T
 
 
+def _root_svd(rho: np.ndarray, sigma: np.ndarray):
+    """sqrt(rho), sqrt(sigma) and the SVD W S V^dag of sqrt(sigma) sqrt(rho): sum(S) is
+    the root fidelity, W V^dag the polar unitary taking sqrt(sigma) closest to sqrt(rho)."""
+    sr, ss = _sqrtm_psd(rho), _sqrtm_psd(sigma)
+    w, sv, vh = np.linalg.svd(ss @ sr)
+    return sr, ss, w, sv, vh
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 by the
-    matrix-square-root route, for commuting and non-commuting inputs alike."""
-    sr = _sqrtm_psd(rho)
-    inner = sr @ sigma @ sr
-    inner = (inner + inner.conj().T) / 2.0
-    w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    f = float(np.sqrt(w).sum() ** 2)
-    return min(max(f, 0.0), 1.0)
+    """Uhlmann fidelity ||sqrt(sigma) sqrt(rho)||_1^2, for commuting and
+    non-commuting inputs alike."""
+    return min(float(_root_svd(rho, sigma)[3].sum()) ** 2, 1.0)
 
 
 def bures_angle(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Bures angle arccos(sqrt(F)) in [0, pi/2]."""
-    root = min(max(math.sqrt(fidelity(rho, sigma)), 0.0), 1.0)
-    return math.acos(root)
+    """Bures angle arccos(sqrt(F)) in [0, pi/2], taken as 2 arcsin(D_B / 2), which keeps
+    its digits as F -> 1: D_B = ||sqrt(rho) - sqrt(sigma) W V^dag||_F with the polar
+    unitary of _root_svd (Jozsa, J. Mod. Opt. 41, 2315 (1994))."""
+    sr, ss, w, _, vh = _root_svd(rho, sigma)
+    dist = float(np.linalg.norm(sr - ss @ (w @ vh)))
+    return min(2.0 * math.asin(min(dist / 2.0, 1.0)), math.pi / 2.0)

@@ -186,10 +186,10 @@ class ModelSpec:
     """Resolved description of one protocol run."""
 
     name: str
+    nodes: int
+    t_final: float
+    beta: float
     params: dict = field(default_factory=dict)
-    nodes: int = 1001
-    t_final: float = 1.0
-    beta: float = 1.0
     seed: int = 0
 
     def __post_init__(self):

@@ -8,14 +8,13 @@ from gaugetherm.gauge import cluster_spectrum, default_cluster_tol_abs
 from gaugetherm.invariants import (
     LevelDistribution,
     entropy_report,
-    holevo_asymmetry_f,
     level_distribution,
     noneq_free_energy,
     s_gauge,
     stochastic_entropy,
     thermal_level_distribution,
 )
-from gaugetherm.linalg import ValidationError, eigh, gibbs_state, relative_entropy
+from gaugetherm.linalg import PROB_FLOOR, ValidationError, eigh, gibbs_state, relative_entropy
 
 from test_linalg import random_density
 
@@ -106,6 +105,18 @@ def test_stochastic_entropy_zero_probability():
         stochastic_entropy(1, ld)
 
 
+def test_single_state_routes_share_the_kernel_checks():
+    from gaugetherm.gauge import twirl
+
+    ds = structure_of(np.diag([0.0, 1.0]).astype(complex))
+    for route in (twirl, level_distribution, entropy_report):
+        with pytest.raises(ValidationError, match="dimension 3"):
+            route(np.eye(3, dtype=complex) / 3, ds)
+        # Hermitian with unit trace but no state: the clipped populations sum to 1.5
+        with pytest.raises(ValidationError, match="sum to 1.5"):
+            route(np.diag([1.5, -0.5]).astype(complex), ds)
+
+
 def test_entropy_report_pure_superposition():
     # (|0> + |1>)/sqrt(2) across two nondegenerate levels: all coherence
     h = np.diag([0.0, 1.0]).astype(complex)
@@ -143,6 +154,26 @@ def test_entropy_report_decomposition_random():
     assert rep.s_gt == pytest.approx(rep.s_d + rep.s_gamma, abs=1e-10)
     for part in (rep.s_vn, rep.c_rel, rep.s_gamma, rep.s_d):
         assert part >= -1e-10
+
+
+def holevo_asymmetry_f(rho, ds):
+    """Asymmetry entropy from the signed block value list, an independent
+    reference for the s_gamma column.
+
+    The list pairs every diagonal entry -rho_ii (in the level basis, from the
+    full product B^dag rho B) with the uniform level weight p^k/n^k repeated
+    n^k times; -sum v ln|v| over the lot telescopes to s_gt - s_d.
+    """
+    diag = np.clip(np.real(np.diag(ds.basis.conj().T @ rho @ ds.basis)), 0.0, 1.0)
+    values = [-x for x in diag]
+    for k, n in enumerate(ds.mults):
+        p = float(np.real(np.trace(ds.projector(k) @ rho)))
+        values.extend([p / int(n)] * int(n))
+    total = 0.0
+    for v in values:
+        if abs(v) > PROB_FLOOR:
+            total -= v * np.log(abs(v))
+    return float(total)
 
 
 def test_holevo_cross_check():

@@ -21,7 +21,7 @@ from gaugetherm.linalg import (
     validate_hermitian,
     von_neumann_entropy,
 )
-from gaugetherm.models import curie_weiss
+from gaugetherm.models import curie_weiss, random_protocol
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -114,6 +114,34 @@ def test_bures_angle_extremes():
     assert bures_angle(rho, rho) == pytest.approx(0.0, abs=1e-7)
     orth = np.diag([0.0, 1.0]).astype(complex)
     assert bures_angle(rho, orth) == pytest.approx(math.pi / 2, abs=1e-7)
+
+
+def test_bures_angle_precise_near_unit_fidelity():
+    # arccos(sqrt(F)) turns a round-off of ~1e-15 in F into ~3e-8 in the
+    # angle of a degenerate thermal state with itself; the polar route does not
+    p = random_protocol(4, 21, np.random.default_rng(1), degenerate=True, beta=1.0)
+    sigma, _ = gibbs_state(p.hamiltonians[0], 1.0)
+    assert bures_angle(sigma, sigma) < 1e-12
+
+
+def test_fidelity_precise_with_small_weights():
+    # square roots of the eigenvalues of sqrt(rho) sigma sqrt(rho) lose about
+    # eps / sqrt(w) on an eigenvalue w, ~1e-10 here (smallest weight 4e-7);
+    # the singular values of sqrt(sigma) sqrt(rho) keep F(sigma, sigma) at 1
+    rng = np.random.default_rng(9021)
+    beta = float(0.5 + 1.5 * rng.random())
+    p = random_protocol(5, 21, rng, beta=beta)
+    sigma, _ = gibbs_state(p.hamiltonians[0], beta)
+    assert 1.0 - fidelity(sigma, sigma) < 1e-12
+
+
+def test_bures_angle_matches_fidelity_route():
+    # away from F = 1 the arccos route has all its digits, so the two agree
+    rng = np.random.default_rng(8)
+    for dim in (2, 3, 5):
+        rho, sigma = random_density(dim, rng), random_density(dim, rng)
+        expect = math.acos(math.sqrt(fidelity(rho, sigma)))
+        assert bures_angle(rho, sigma) == pytest.approx(expect, abs=1e-9)
 
 
 def test_haar_moment_and_determinism():

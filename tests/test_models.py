@@ -119,26 +119,30 @@ class TestThirdLawScan:
 class TestModelSpec:
     def test_missing_param_named(self):
         with pytest.raises(ValueError, match="delta"):
-            gt.ModelSpec(name="landau_zener", params={"v": 1.0})
+            gt.ModelSpec(name="landau_zener", nodes=11, t_final=1.0, beta=1.0, params={"v": 1.0})
 
     def test_unknown_param_named(self):
         with pytest.raises(ValueError, match="ramp_rate"):
             gt.ModelSpec(
-                name="landau_zener", params={"delta": 2.0, "v": 1.0, "ramp_rate": 3.0}
+                name="landau_zener",
+                nodes=11,
+                t_final=1.0,
+                beta=1.0,
+                params={"delta": 2.0, "v": 1.0, "ramp_rate": 3.0},
             )
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="ising"):
-            gt.ModelSpec(name="ising", params={})
+            gt.ModelSpec(name="ising", nodes=11, t_final=1.0, beta=1.0, params={})
 
     def test_bad_scalars(self):
         good = {"delta": 2.0, "v": 1.0}
         with pytest.raises(ValueError):
-            gt.ModelSpec(name="landau_zener", params=good, nodes=1)
+            gt.ModelSpec(name="landau_zener", nodes=1, t_final=1.0, beta=1.0, params=good)
         with pytest.raises(ValueError):
-            gt.ModelSpec(name="landau_zener", params=good, beta=0.0)
+            gt.ModelSpec(name="landau_zener", nodes=11, t_final=1.0, beta=0.0, params=good)
         with pytest.raises(ValueError):
-            gt.ModelSpec(name="landau_zener", params=good, t_final=0.0)
+            gt.ModelSpec(name="landau_zener", nodes=11, t_final=0.0, beta=1.0, params=good)
 
     def test_dispatch(self):
         for name, params in (
@@ -146,11 +150,18 @@ class TestModelSpec:
             ("curie_weiss", {"j": 1.0, "n_spins": 8, "b_start": 2.0, "b_end": 1.0}),
             ("random", {"dim": 3, "degenerate": False}),
         ):
-            spec = gt.ModelSpec(name=name, params=params, nodes=11, beta=1.0)
+            spec = gt.ModelSpec(name=name, nodes=11, t_final=1.0, beta=1.0, params=params)
             p = gt.build_protocol(spec)
             assert p.label == name
             assert len(p.times) == 11
-        spec = gt.ModelSpec(name="random", params={"dim": 3, "degenerate": False}, nodes=11, seed=4)
+        spec = gt.ModelSpec(
+            name="random",
+            nodes=11,
+            t_final=1.0,
+            beta=1.0,
+            params={"dim": 3, "degenerate": False},
+            seed=4,
+        )
         a = gt.build_protocol(spec)
         b = gt.build_protocol(spec)
         assert np.array_equal(a.hamiltonians, b.hamiltonians)
