@@ -54,6 +54,7 @@ from .linalg import (
     bures_angle,
     fidelity,
     gibbs_state,
+    haar_unitaries,
     haar_unitary,
     relative_entropy,
     von_neumann_entropy,
@@ -103,6 +104,7 @@ __all__ = [
     "evolve",
     "fidelity",
     "gibbs_state",
+    "haar_unitaries",
     "haar_unitary",
     "integration_tolerance",
     "landau_zener",

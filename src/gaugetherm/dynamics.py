@@ -28,6 +28,7 @@ from .linalg import (
     PROB_FLOOR,
     ValidationError,
     _dag,
+    _transposed,
     check_hermitian,
     gibbs_state,
     node_blocks,
@@ -168,9 +169,18 @@ def _central_diff(series: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _flat_traces(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """Re Tr(a_j b_j) per node from a contiguous copy bt of b transposed: the flat
+    product sum over a_ij (b^T)_ij, which reads both operands in memory order."""
+    return np.einsum("nij,nij->n", a, bt).real
+
+
 def _trace_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(a_j b_j) per node."""
-    return np.real(np.einsum("nij,nji->n", a, b))
+    """Re Tr(a_j b_j) per node, a node block at a time."""
+    out = np.empty(len(a))
+    for s in node_blocks(*a.shape[:2]):
+        out[s] = _flat_traces(a[s], _transposed(b[s]))
+    return out
 
 
 def _cumtrap(y: np.ndarray, dt: float) -> np.ndarray:
@@ -195,11 +205,19 @@ def _power_integrands(
     A central difference is linear, so it moves onto neighbour traces:
     Tr(S_j Hdot_j) = [Tr(S_j H_{j+1}) - Tr(S_j H_{j-1})] / 2dt and
     Tr(Sdot_j H_j) = [Tr(S_{j+1} H_j) - Tr(S_{j-1} H_j)] / 2dt, one-sided at
-    the two ends. Three traces per stack, and no (n, d, d) temporary.
+    the two ends. Three traces per stack, taken a node block at a time over
+    one transposed copy of the block's H and the next node's, and no (n, d, d)
+    temporary.
     """
-    fwd = _trace_pairs(series[:-1], h[1:])  # Tr(S_j H_{j+1})
-    bwd = _trace_pairs(series[1:], h[:-1])  # Tr(S_{j+1} H_j)
-    same = _trace_pairs(series, h)
+    n, d = h.shape[:2]
+    fwd, bwd, same = np.empty(n - 1), np.empty(n - 1), np.empty(n)
+    for s in node_blocks(n, d):
+        a, b = s.start, s.stop
+        ht = _transposed(h[a : b + 1])
+        m = min(b, n - 1) - a  # the neighbour pairs (j, j + 1) with j in this block
+        same[s] = _flat_traces(series[s], ht[: b - a])
+        fwd[a : a + m] = _flat_traces(series[a : a + m], ht[1 : m + 1])  # Tr(S_j H_{j+1})
+        bwd[a : a + m] = _flat_traces(series[a + 1 : a + m + 1], ht[:m])  # Tr(S_{j+1} H_j)
     work = np.empty_like(same)
     work[1:-1] = (fwd[1:] - bwd[:-1]) / (2.0 * dt)
     work[0] = (fwd[0] - same[0]) / dt

@@ -21,7 +21,7 @@ from .linalg import (
     EigenSystem,
     ValidationError,
     _dag,
-    haar_unitary,
+    haar_unitaries,
     max_abs_entry,
     node_blocks,
     validate_density,
@@ -220,22 +220,39 @@ def twirl_oracle(
     """Monte Carlo twirl: average of V rho V^dag over Haar-sampled gauge elements.
 
     Converges to twirl(rho, ds) at O(1/sqrt(samples)); exists to certify the
-    projector formula, not to replace it.
+    projector formula, not to replace it. Sampled in the level basis, a
+    block of elements at a time (linalg.node_blocks): with R = B^dag rho B,
+    each block adds the sum of D R D^dag over its block-diagonal elements D,
+    and the average is rotated back by the basis B once.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    acc = np.zeros_like(np.asarray(rho, dtype=complex))
-    for _ in range(samples):
-        V = sample_gauge_element(ds, rng)
-        acc += V @ rho @ V.conj().T
-    return acc / samples
+    rho = validate_density(rho, check_psd=False)
+    if rho.shape != (ds.dim, ds.dim):
+        raise ValidationError(
+            f"state dimension {rho.shape[-1]} does not match structure dimension {ds.dim}"
+        )
+    B = ds.basis
+    R = _dag(B) @ rho @ B
+    acc = np.zeros_like(R)
+    for s in node_blocks(samples, ds.dim):
+        D = _level_elements(ds, s.stop - s.start, rng)
+        acc += (D @ R @ _dag(D)).sum(axis=0)
+    return B @ (acc / samples) @ _dag(B)
+
+
+def _level_elements(ds: DegeneracyStructure, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count gauge elements in the level basis (count, d, d): block diagonal,
+    an independent Haar unitary on each level, drawn level by level."""
+    D = np.zeros((count, ds.dim, ds.dim), dtype=complex)
+    for s, n in zip(ds.slices, ds.mults.tolist()):
+        D[:, s, s] = haar_unitaries(n, count, rng)
+    return D
 
 
 def sample_gauge_element(ds: DegeneracyStructure, rng: np.random.Generator) -> np.ndarray:
     """One gauge-group element: an independent Haar unitary on each level,
-    embedded in the full space via the eigenbasis."""
-    block_diag = np.zeros((ds.dim, ds.dim), dtype=complex)
-    for s, n in zip(ds.slices, ds.mults):
-        block_diag[s, s] = haar_unitary(int(n), rng)
+    embedded in the full space via the eigenbasis (twirl_oracle's sampler at
+    one element)."""
     B = ds.basis
-    return B @ block_diag @ B.conj().T
+    return B @ _level_elements(ds, 1, rng)[0] @ B.conj().T

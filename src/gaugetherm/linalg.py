@@ -40,6 +40,12 @@ def _dag(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2).conj()
 
 
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """a^T per matrix as a C-contiguous copy: elementwise work between a and its
+    transpose then reads both in memory order, where a strided view is slow."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
 def _per_matrix(H: np.ndarray, fn) -> np.ndarray:
     """fn, which maps a stack (k, d, d) to one value per matrix, over one
     matrix or a stack (n, d, d); a stack longer than a node block is taken a
@@ -53,16 +59,11 @@ def _abs_max(H: np.ndarray) -> np.ndarray:
     return np.abs(H).max(axis=(-2, -1), initial=0.0)
 
 
-def _skew(H: np.ndarray) -> np.ndarray:
-    """max |H - H^dag| per matrix, from float temporaries: the squared moduli
-    (Re H - Re H^T)^2 + (Im H + Im H^T)^2, with no conjugate copy of H."""
-    re, im = H.real, H.imag
-    a = re - np.swapaxes(re, -1, -2)
-    b = im + np.swapaxes(im, -1, -2)
-    a *= a
-    b *= b
-    a += b
-    return np.sqrt(a.max(axis=(-2, -1), initial=0.0))
+def _scale_skew(H: np.ndarray) -> np.ndarray:
+    """max |H_ij| and max |H - H^dag| per matrix, as a last axis of length 2,
+    from one reduction over H and H - H^dag stacked in memory order."""
+    both = np.abs(np.concatenate([H, H - _transposed(H).conj()], axis=-2))
+    return both.reshape(H.shape[:-2] + (2, -1)).max(axis=-1, initial=0.0)
 
 
 def max_abs_entry(H: np.ndarray) -> np.ndarray:
@@ -76,24 +77,28 @@ def _named(name: str, bad: np.ndarray, first: int = 0) -> str:
     return name if bad.ndim == 0 else f"{name} {first + int(np.argmax(bad))}"
 
 
+@np.errstate(invalid="ignore")  # inf - inf in the skew of a non-finite matrix
 def check_hermitian(H: np.ndarray, name: str, first: int = 0) -> None:
     """validate_hermitian's checks on a complex square matrix or stack whose
     first matrix is number `first` (so that a block of a longer stack is
     reported by its index in that stack)."""
-    hmax = _per_matrix(H, _abs_max)
-    finite = np.isfinite(hmax)
-    if not finite.all():
-        raise ValidationError(f"{_named(name, ~finite, first)} has non-finite entries")
-    bad = _per_matrix(H, _skew) > HERMITICITY_TOL * np.maximum(1.0, hmax)
-    if bad.any():
-        raise ValidationError(f"{_named(name, bad, first)} is not Hermitian within tolerance")
+    scale_skew = _per_matrix(H, _scale_skew)
+    hmax = scale_skew[..., 0]
+    # a non-finite entry makes the skew NaN or infinite, so the difference is
+    # NaN and that matrix fails as well; non-finite entries are named first
+    ok = scale_skew[..., 1] - HERMITICITY_TOL * np.maximum(1.0, hmax) <= 0.0
+    if not ok.all():
+        finite = np.isfinite(hmax)
+        if not finite.all():
+            raise ValidationError(f"{_named(name, ~finite, first)} has non-finite entries")
+        raise ValidationError(f"{_named(name, ~ok, first)} is not Hermitian within tolerance")
 
 
 def validate_hermitian(H: np.ndarray, name: str = "operator") -> np.ndarray:
     """Check one square matrix, or a stack (n, d, d) of them, for finite
     Hermitian entries; each matrix is held to its own scale, and an error
     names the first failing matrix of a stack by its index. A stack is
-    checked in node blocks, so the temporaries are a block of floats."""
+    checked in node blocks, so the temporaries are a few blocks."""
     H = np.asarray(H, dtype=complex)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {H.shape}")
@@ -105,7 +110,7 @@ def validate_density(rho: np.ndarray, name: str = "state", check_psd: bool = Tru
     """validate_hermitian plus unit trace and, optionally, no eigenvalue below
     EIG_FLOOR; stacks are checked matrix by matrix."""
     rho = validate_hermitian(rho, name)
-    tr = np.trace(rho, axis1=-2, axis2=-1)
+    tr = rho.diagonal(0, -2, -1).sum(axis=-1)
     bad = np.abs(tr - 1.0) > TRACE_TOL
     if bad.any():
         tr_bad = complex(np.ravel(tr)[np.argmax(bad)])
@@ -164,21 +169,30 @@ def log_partition(energies: np.ndarray, mults: np.ndarray, beta: float) -> float
     return math.log(float((n * np.exp(-beta * (e - e0))).sum())) - beta * e0
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary: complex Ginibre, QR, phase fix.
+def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A stack (count, n, n) of independent Haar-distributed unitaries: one
+    complex Ginibre stack, one stacked QR, phase fix (Mezzadri, Notices AMS
+    54, 592 (2007)).
 
-    The diagonal of R is rotated to the positive real axis, which removes the
-    QR gauge freedom and makes the distribution exactly Haar.
+    The diagonal of each R is rotated to the positive real axis, which
+    removes the QR gauge freedom and makes the distribution exactly Haar.
+    The draws are all real parts, then all imaginary parts (for n = 1, one
+    uniform phase per matrix), so count = 1 takes the stream of one matrix.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return np.exp(2j * np.pi * rng.random()) * np.eye(1)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        return np.exp(2j * np.pi * rng.random(count))[:, None, None]
+    shape = (count, n, n)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    q = q * (diag / np.abs(diag))
-    return q
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed n x n unitary: haar_unitaries at count = 1."""
+    return haar_unitaries(n, 1, rng)[0]
 
 
 def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import gaugetherm as gt
 from gaugetherm.dynamics import GRID_UNIFORMITY_TOL
-from gaugetherm.dynamics import _central_diff, _cumtrap, _trace_pairs
+from gaugetherm.dynamics import _central_diff, _cumtrap, _power_integrands, _trace_pairs
 from gaugetherm.linalg import BLOCK_BYTES, ValidationError, shannon_entropy
 from gaugetherm.verify import gauge_conjugates
 
@@ -434,3 +434,24 @@ def test_stacked_passes_hold_a_few_blocks():
     assert ledger_peak <= 0.25
     # the coarse run keeps states, twirled states and propagators at half the nodes
     assert tolerance_peak <= 1.5 + 0.25
+
+
+def test_neighbour_traces_across_node_blocks():
+    """_trace_pairs and the work/heat integrands agree with traces of full
+    matrix products, on a stack of several node blocks, so every block edge
+    and its one-node halo is crossed."""
+    rng = np.random.default_rng(17)
+    d, dt = 12, 0.1
+    n = 3 * (BLOCK_BYTES // (16 * d * d)) + 5
+    s = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    h = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    h = h + np.swapaxes(h, -1, -2).conj()
+
+    def full(a, b):
+        return np.trace(a @ b, axis1=-2, axis2=-1).real
+
+    assert np.allclose(_trace_pairs(s, h), full(s, h), rtol=0.0, atol=1e-11)
+    work, heat, same = _power_integrands(s, h, dt)
+    assert np.allclose(same, full(s, h), rtol=0.0, atol=1e-11)
+    assert np.allclose(work, full(s, _central_diff(h, dt)), rtol=0.0, atol=1e-10)
+    assert np.allclose(heat, full(_central_diff(s, dt), h), rtol=0.0, atol=1e-10)

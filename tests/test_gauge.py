@@ -15,7 +15,7 @@ from gaugetherm.gauge import (
     twirl,
     twirl_oracle,
 )
-from gaugetherm.linalg import ValidationError, eigh, haar_unitary, von_neumann_entropy
+from gaugetherm.linalg import ValidationError, eigh, haar_unitary, node_blocks, von_neumann_entropy
 
 from test_linalg import random_density
 
@@ -97,6 +97,44 @@ def test_twirl_oracle_matches_exact():
     samples = 4000
     dev = np.max(np.abs(twirl_oracle(rho, ds, samples, rng) - twirl(rho, ds)))
     assert dev < 3 / np.sqrt(samples) + 1e-3
+
+
+def _oracle_case(seed: int, dim: int):
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(dim, rng)
+    w = np.arange(dim, dtype=float)
+    w[1] = w[0]  # a degenerate ground pair next to simple levels
+    h = (u * w) @ u.conj().T
+    return structure_of((h + h.conj().T) / 2), random_density(dim, rng)
+
+
+def test_twirl_oracle_single_sample_is_one_gauge_element():
+    """At one sample the oracle is V rho V^dag with the gauge element
+    sample_gauge_element draws from the same stream."""
+    ds, rho = _oracle_case(31, 4)
+    v = sample_gauge_element(ds, np.random.default_rng(5))
+    one = twirl_oracle(rho, ds, 1, np.random.default_rng(5))
+    assert np.allclose(one, v @ rho @ v.conj().T, rtol=0.0, atol=1e-12)
+
+
+def test_twirl_oracle_across_sample_blocks():
+    """A sample count one past a block still meets the oracle bound, and a
+    seed fixes the result."""
+    ds, rho = _oracle_case(32, 3)
+    samples = node_blocks(10**6, ds.dim)[0].stop + 1
+    mc = twirl_oracle(rho, ds, samples, np.random.default_rng(9))
+    assert np.max(np.abs(mc - twirl(rho, ds))) < 3 / np.sqrt(samples) + 1e-3
+    assert np.array_equal(mc, twirl_oracle(rho, ds, samples, np.random.default_rng(9)))
+
+
+def test_twirl_oracle_validates_its_state():
+    ds, rho = _oracle_case(33, 4)
+    bad = rho.copy()
+    bad[0, 1] = bad[1, 0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        twirl_oracle(bad, ds, 10, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match="dimension"):
+        twirl_oracle(np.eye(3, dtype=complex) / 3, ds, 10, np.random.default_rng(0))
 
 
 def test_gauge_element_structure():

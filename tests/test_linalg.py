@@ -13,6 +13,7 @@ from gaugetherm.linalg import (
     eigh,
     fidelity,
     gibbs_state,
+    haar_unitaries,
     haar_unitary,
     log_partition,
     relative_entropy,
@@ -160,6 +161,38 @@ def test_haar_moment_and_determinism():
     b = haar_unitary(4, np.random.default_rng(7))
     assert np.array_equal(a, b)
     assert np.max(np.abs(a @ a.conj().T - np.eye(4))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_haar_unitaries_unitary_with_haar_moments(n):
+    count = 4000
+    u = haar_unitaries(n, count, np.random.default_rng(100 + n))
+    assert u.shape == (count, n, n)
+    gram = u @ np.swapaxes(u, -1, -2).conj()
+    assert np.max(np.abs(gram - np.eye(n))) < 1e-12
+    # Haar first moments: E U_ij = 0 and E|U_ij|^2 = 1/n, for every entry
+    se_mean = math.sqrt(1 / (n * count))
+    assert np.max(np.abs(u.mean(axis=0))) < 5 * se_mean
+    se_square = math.sqrt((2 / (n * (n + 1)) - (1 / n) ** 2) / count)
+    assert np.max(np.abs((np.abs(u) ** 2).mean(axis=0) - 1 / n)) < 5 * se_square + 1e-12
+
+
+def test_haar_unitary_pinned_values():
+    """The single draw keeps its random stream: real parts, then imaginary
+    parts, one QR; these are its values at seed 7."""
+    pinned = np.array([
+        [0.000515891635733956 - 0.563725682946799j, 0.4151043129243812 - 0.04498569245088695j,
+         -0.2455681490534785 - 0.5791883200007608j, -0.06539870585297436 - 0.32838691893280064j],
+        [-0.19067610851597802 - 0.7723717497947921j, -0.3486770405000837 + 0.15461870579702908j,
+         0.09349206670358584 + 0.2992226373304961j, 0.2815252991620969 + 0.20992958750508578j],
+        [-0.20641753682968345 + 0.06573698636007526j, -0.36775091375122454 - 0.2416285182561596j,
+         0.17826017233609606 - 0.6775080790251562j, -0.0077765290056258035 + 0.5182576705895496j],
+        [0.04420776402746478 - 0.020339929087217483j, -0.6891256486400049 + 0.10799462532464833j,
+         0.033577110505430725 - 0.1184943559080908j, -0.38343054157216383 - 0.5906671204914068j],
+    ])
+    assert np.allclose(haar_unitary(4, np.random.default_rng(7)), pinned, rtol=0.0, atol=1e-12)
+    assert np.array_equal(haar_unitary(4, np.random.default_rng(7)),
+                          haar_unitaries(4, 1, np.random.default_rng(7))[0])
 
 
 def test_validation_errors():
