@@ -29,7 +29,7 @@ def main() -> None:
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
     ev = gt.evolve(p, rho0)
     tl = gt.ledger(p, ev)
-    tol = gt.integration_tolerance(p, ev)
+    tol = gt.integration_tolerance(p, ev, tl)
 
     print(f"grid: {p.n_nodes} nodes, dt = {p.dt:.2e}, integration tolerance {tol:.2e}")
     print(f"w_u    = {tl.w_u[-1]:+.10f}")

@@ -369,7 +369,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     p = _resolve_protocol(cfg)
     rho0, ev = _evolve_thermal(cfg, p)
     tl = ledger(p, ev)
-    tol = integration_tolerance(p, ev)
+    tol = integration_tolerance(p, ev, tl)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     beta = p.beta

@@ -9,6 +9,7 @@ so the declared integration tolerance scales as C dt^2.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,11 +113,9 @@ def evolve(
 
     The spectral work is one eigendecomposition per node Hamiltonian, made
     as one stacked call and clustered into the structures, and one per
-    midpoint Hamiltonian, which gives every step propagator. States, their
-    checks (finite, Hermitian, unit trace, level populations summing to 1)
-    and the twirled states are stacked operations on those results, run in
-    node blocks (linalg.node_blocks): beyond the result, evolve holds a few
-    blocks of temporaries, not whole (n, d, d) stacks.
+    midpoint Hamiltonian, which gives every step propagator. The rest is the
+    node-block pass of _propagate, written into the three stacks returned:
+    beyond them, evolve holds a few blocks of temporaries.
     """
     rho0 = validate_density(rho0)
     if rho0.shape[0] != p.dim:
@@ -125,40 +124,49 @@ def evolve(
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
     w, V = np.linalg.eigh(h)
     structures = cluster_spectra(w, V, tol_abs, cluster_tol_rel)
-    return _propagate(p, rho0, structures)
+    props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
+    for s, *blocks in _propagate(p, rho0, structures):
+        props[s], states[s], twirled[s] = blocks
+        del blocks  # so that the pass frees them before it makes the next block
+    return EvolutionResult(states, twirled, props, structures)
 
 
 def _propagate(
     p: Protocol, rho0: np.ndarray, structures: list[DegeneracyStructure]
-) -> EvolutionResult:
-    """evolve for a validated rho0 and known node structures.
-
-    Node blocks are written straight into the preallocated outputs. The step
-    propagators exp(-i dt H_mid) come from one eigendecomposition per
-    midpoint, a block at a time; each midpoint is checked as Hermitian and
-    named by its step index in the whole protocol.
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """evolve's pass for a validated rho0 and known node structures: for each
+    node block s (linalg.node_blocks) it yields s and the propagators, states
+    and twirled states of its nodes, carrying the running propagator between
+    blocks. Midpoints, states and level populations are checked a block at a
+    time, and an error names its step or node by its index in the protocol.
     """
     n, d, dt = p.n_nodes, p.dim, p.dt
     h = p.hamiltonians
     c = -1j * dt
-    props = np.empty((n, d, d), dtype=complex)
-    props[0] = np.eye(d)
-    for s in node_blocks(n - 1, d):
-        mid = (h[s] + h[s.start + 1 : s.stop + 1]) / 2.0
-        check_hermitian(mid, "operator", s.start)
-        w, V = np.linalg.eigh(mid)
-        steps = (V * np.exp(c * w)[..., None, :]) @ _dag(V)
-        for j, step in enumerate(steps, s.start):
-            np.matmul(step, props[j], out=props[j + 1])
-    states = np.empty_like(props)
+    u = np.eye(d, dtype=complex)  # the propagator into the last node produced
     for s in node_blocks(n, d):
-        np.matmul(props[s] @ rho0, _dag(props[s]), out=states[s])
-    states[0] = rho0
-    validate_density(states, "evolved state at node", check_psd=False)
-    twirled = level_twirl(level_space(states, structures)[1], structures)
-    return EvolutionResult(
-        states=states, twirled_states=twirled, propagators=props, structures=structures
-    )
+        a, b = s.start, s.stop
+        lo = max(a - 1, 0)  # steps lo .. b - 2 lead into the block's nodes
+        props = np.empty((b - a, d, d), dtype=complex)
+        props[0] = u  # U_0 = 1; in a later block, step a - 1 overwrites it
+        for j, step in enumerate(_steps(h, lo, b - 1, c), lo):  # node j to node j + 1
+            u = np.matmul(step, u, out=props[j + 1 - a])
+        states = np.matmul(props @ rho0, _dag(props))
+        if a == 0:
+            states[0] = rho0
+        validate_density(states, "evolved state at node", check_psd=False, first=a)
+        twirled = level_twirl(level_space(states, structures[s], first=a)[1], structures[s])
+        yield s, props, states, twirled
+        u = props[-1].copy()  # carry the last propagator and let the block go
+        del props, states, twirled
+
+
+def _steps(h: np.ndarray, lo: int, hi: int, c: complex) -> np.ndarray:
+    """exp(c H_mid) for the steps lo .. hi - 1, one eigendecomposition per midpoint."""
+    mid = (h[lo:hi] + h[lo + 1 : hi + 1]) / 2.0
+    check_hermitian(mid, "operator", lo)
+    w, V = np.linalg.eigh(mid)
+    return (V * np.exp(c * w)[..., None, :]) @ _dag(V)
 
 
 def _central_diff(series: np.ndarray, dt: float) -> np.ndarray:
@@ -183,6 +191,11 @@ def _trace_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stored_blocks(*stacks: np.ndarray) -> Iterator[tuple]:
+    """(s, stack[s], ...) over the node blocks of equally long stored stacks."""
+    return ((s, *(x[s] for x in stacks)) for s in node_blocks(*stacks[0].shape[:2]))
+
+
 def _cumtrap(y: np.ndarray, dt: float) -> np.ndarray:
     return cumulative_trapezoid(y, dx=dt, initial=0.0)
 
@@ -196,43 +209,48 @@ class WorkHeatSeries:
     u: np.ndarray
 
 
+def _ends(plus: np.ndarray, minus: np.ndarray, same: np.ndarray, dt: float) -> np.ndarray:
+    """(plus_j - minus_{j-1}) / 2dt per node, and one-sided against same at the two ends."""
+    out = np.empty_like(same)
+    out[1:-1] = (plus[1:] - minus[:-1]) / (2.0 * dt)
+    out[0] = (plus[0] - same[0]) / dt
+    out[-1] = (same[-1] - minus[-1]) / dt
+    return out
+
+
 def _power_integrands(
-    series: np.ndarray, h: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re Tr(S_j Hdot_j), Re Tr(Sdot_j H_j) and Re Tr(S_j H_j) per node for a
-    state stack S, with the derivatives of _central_diff.
+    blocks: Iterable[tuple], h: np.ndarray, dt: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Re Tr(S_j Hdot_j), Re Tr(Sdot_j H_j) and Re Tr(S_j H_j) per node, with
+    the derivatives of _central_diff, for each state stack S of a pass whose
+    blocks (s, S[s], S'[s], ...) come from _stored_blocks or _propagate.
 
     A central difference is linear, so it moves onto neighbour traces:
     Tr(S_j Hdot_j) = [Tr(S_j H_{j+1}) - Tr(S_j H_{j-1})] / 2dt and
-    Tr(Sdot_j H_j) = [Tr(S_{j+1} H_j) - Tr(S_{j-1} H_j)] / 2dt, one-sided at
-    the two ends. Three traces per stack, taken a node block at a time over
-    one transposed copy of the block's H and the next node's, and no (n, d, d)
-    temporary.
+    Tr(Sdot_j H_j) = [Tr(S_{j+1} H_j) - Tr(S_{j-1} H_j)] / 2dt. A block takes
+    them from one transposed copy of its H with a one-node halo on each side,
+    Tr(S_{j+1} H_j) in the block of node j + 1, so no state crosses blocks.
     """
-    n, d = h.shape[:2]
-    fwd, bwd, same = np.empty(n - 1), np.empty(n - 1), np.empty(n)
-    for s in node_blocks(n, d):
+    n = len(h)
+    traces = []
+    for s, *stacks in blocks:
         a, b = s.start, s.stop
-        ht = _transposed(h[a : b + 1])
-        m = min(b, n - 1) - a  # the neighbour pairs (j, j + 1) with j in this block
-        same[s] = _flat_traces(series[s], ht[: b - a])
-        fwd[a : a + m] = _flat_traces(series[a : a + m], ht[1 : m + 1])  # Tr(S_j H_{j+1})
-        bwd[a : a + m] = _flat_traces(series[a + 1 : a + m + 1], ht[:m])  # Tr(S_{j+1} H_j)
-    work = np.empty_like(same)
-    work[1:-1] = (fwd[1:] - bwd[:-1]) / (2.0 * dt)
-    work[0] = (fwd[0] - same[0]) / dt
-    work[-1] = (same[-1] - bwd[-1]) / dt
-    heat = np.empty_like(same)
-    heat[1:-1] = (bwd[1:] - fwd[:-1]) / (2.0 * dt)
-    heat[0] = (bwd[0] - same[0]) / dt
-    heat[-1] = (same[-1] - fwd[-1]) / dt
-    return work, heat, same
+        lo = max(a - 1, 0)
+        k = a - lo  # H_j is ht[j - lo], so node a sits at k
+        ht = _transposed(h[lo : b + 1])
+        m = min(b, n - 1) - a  # the pairs (j, j + 1) with j in this block
+        if not traces:
+            traces = [(np.empty(n), np.empty(n - 1), np.empty(n - 1)) for _ in stacks]
+        for (same, fwd, bwd), x in zip(traces, stacks):
+            same[s] = _flat_traces(x, ht[k : k + b - a])
+            fwd[a : a + m] = _flat_traces(x[:m], ht[k + 1 : k + 1 + m])  # Tr(S_j H_{j+1})
+            bwd[lo : b - 1] = _flat_traces(x[1 - k :], ht[: b - 1 - lo])  # Tr(S_{j+1} H_j)
+    return [(_ends(f, b, same, dt), _ends(b, f, same, dt), same) for same, f, b in traces]
 
 
-def work_heat_series(p: Protocol, ev: EvolutionResult) -> WorkHeatSeries:
-    dt = p.dt
-    w_u, q_u, u = _power_integrands(ev.states, p.hamiltonians, dt)
-    w_inv, q_c, _ = _power_integrands(ev.twirled_states, p.hamiltonians, dt)
+def _series(blocks: Iterable[tuple], h: np.ndarray, dt: float) -> WorkHeatSeries:
+    """The work/heat series of a pass whose blocks hold states and twirled states."""
+    (w_u, q_u, u), (w_inv, q_c, _) = _power_integrands(blocks, h, dt)
     return WorkHeatSeries(
         w_u=_cumtrap(w_u, dt),
         w_inv=_cumtrap(w_inv, dt),
@@ -240,6 +258,10 @@ def work_heat_series(p: Protocol, ev: EvolutionResult) -> WorkHeatSeries:
         q_u=_cumtrap(q_u, dt),
         u=u,
     )
+
+
+def work_heat_series(p: Protocol, ev: EvolutionResult) -> WorkHeatSeries:
+    return _series(_stored_blocks(ev.states, ev.twirled_states), p.hamiltonians, p.dt)
 
 
 @dataclass(frozen=True)
@@ -337,26 +359,28 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     )
 
 
-def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
+def integration_tolerance(
+    p: Protocol, ev: EvolutionResult, tl: ThermoLedger | None = None
+) -> float:
     """Declared quadrature tolerance for this protocol run.
 
     Propagates on the grid coarsened by a factor of two (every other node of
     the same data, no interpolation) and bounds the error by the worst
     cumulative-series difference at shared nodes. The coarse nodes are the
     fine nodes 0, 2, 4, ... with the same clustering tolerances, so they
-    reuse ev.structures[::2] and views of the fine Hamiltonians: the only new
-    spectral work is the coarse midpoint propagators, and the only new
-    storage the coarse states, twirled states and propagators. The fine
-    series is rebuilt from neighbour traces, which costs six traces. The
-    1.5 safety factor covers terms that converge only first order, e.g. a
-    degeneracy jump sitting on a single grid node.
+    reuse ev.structures[::2] and views of the fine Hamiltonians; the coarse
+    pass of _propagate is folded into its neighbour traces a node block at a
+    time, so its only new work is the coarse midpoint propagators and it
+    stores no coarse stack. The fine series is read from tl, this run's
+    ledger, when given. The 1.5 safety factor covers terms that converge only
+    first order, e.g. a degeneracy jump sitting on a single grid node.
     """
     if p.n_nodes < 5:
         raise ValueError("tolerance estimation needs at least 5 grid nodes")
     coarse = replace(p, times=p.times[::2], hamiltonians=p.hamiltonians[::2])
-    cev = _propagate(coarse, ev.states[0], ev.structures[::2])
-    fine = work_heat_series(p, ev)
-    crs = work_heat_series(coarse, cev)
+    blocks = _propagate(coarse, ev.states[0], ev.structures[::2])
+    crs = _series(((s, st, tw) for s, _, st, tw in blocks), coarse.hamiltonians, coarse.dt)
+    fine = work_heat_series(p, ev) if tl is None else tl
     worst = 0.0
     for name in ("w_u", "w_inv", "q_c", "q_u"):
         f = getattr(fine, name)[::2]
@@ -428,7 +452,7 @@ def connection_cross_check(
     conn = -np.einsum("nij,nkj->nik", v_dot, frames.conj())
     h = p.hamiltonians
     t = _trace_pairs(ev.states, conn @ h - h @ conn)
-    work, heat, _ = _power_integrands(ev.states, h, dt)
+    [(work, heat, _)] = _power_integrands(_stored_blocks(ev.states), h, dt)
     w_cov = _cumtrap(work + t, dt)
     q_cov = _cumtrap(heat - t, dt)
     return ConnectionCheck(

@@ -161,14 +161,15 @@ def flat_levels(
 
 
 def level_space(
-    states: np.ndarray, structures: list[DegeneracyStructure]
+    states: np.ndarray, structures: list[DegeneracyStructure], first: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal of B_j^dag rho_j B_j (n, d), formed from the one product
     rho B as Re sum_i conj(B_ia) (rho B)_ia a node block at a time, and the
     level populations Tr(Pi_k rho_j) of all nodes laid end to end.
 
     Raises when the clipped populations of a node miss 1 by more than
-    LEVEL_NORM_TOL: the state and the structure do not belong together.
+    LEVEL_NORM_TOL: the state and the structure do not belong together; the
+    node is named by its index counted from `first`, as in check_hermitian.
     """
     n, d = states.shape[:2]
     dim = structures[0].dim
@@ -184,7 +185,7 @@ def level_space(
     bad = np.abs(total - 1.0) > LEVEL_NORM_TOL
     if bad.any():
         j = int(np.flatnonzero(bad)[0])
-        raise ValidationError(f"level populations at node {j} sum to {total[j]}, expected 1")
+        raise ValidationError(f"level populations at node {first + j} sum to {total[j]}, expected 1")
     return diag, pops
 
 

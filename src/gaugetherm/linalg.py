@@ -63,7 +63,7 @@ def _scale_skew(H: np.ndarray) -> np.ndarray:
     """max |H_ij| and max |H - H^dag| per matrix, as a last axis of length 2,
     from one reduction over H and H - H^dag stacked in memory order."""
     both = np.abs(np.concatenate([H, H - _transposed(H).conj()], axis=-2))
-    return both.reshape(H.shape[:-2] + (2, -1)).max(axis=-1, initial=0.0)
+    return both.reshape(H.shape[:-2] + (2, H.shape[-1] ** 2)).max(axis=-1, initial=0.0)
 
 
 def max_abs_entry(H: np.ndarray) -> np.ndarray:
@@ -94,34 +94,36 @@ def check_hermitian(H: np.ndarray, name: str, first: int = 0) -> None:
         raise ValidationError(f"{_named(name, ~ok, first)} is not Hermitian within tolerance")
 
 
-def validate_hermitian(H: np.ndarray, name: str = "operator") -> np.ndarray:
+def validate_hermitian(H: np.ndarray, name: str = "operator", first: int = 0) -> np.ndarray:
     """Check one square matrix, or a stack (n, d, d) of them, for finite
     Hermitian entries; each matrix is held to its own scale, and an error
-    names the first failing matrix of a stack by its index. A stack is
-    checked in node blocks, so the temporaries are a few blocks."""
+    names the first failing matrix of a stack by its index counted from
+    `first`. A stack is checked in node blocks, so temporaries are a few blocks."""
     H = np.asarray(H, dtype=complex)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {H.shape}")
-    check_hermitian(H, name)
+    check_hermitian(H, name, first)
     return H
 
 
-def validate_density(rho: np.ndarray, name: str = "state", check_psd: bool = True) -> np.ndarray:
+def validate_density(
+    rho: np.ndarray, name: str = "state", check_psd: bool = True, first: int = 0
+) -> np.ndarray:
     """validate_hermitian plus unit trace and, optionally, no eigenvalue below
-    EIG_FLOOR; stacks are checked matrix by matrix."""
-    rho = validate_hermitian(rho, name)
+    EIG_FLOOR; stacks are checked matrix by matrix, and named as there."""
+    rho = validate_hermitian(rho, name, first)
     tr = rho.diagonal(0, -2, -1).sum(axis=-1)
     bad = np.abs(tr - 1.0) > TRACE_TOL
     if bad.any():
         tr_bad = complex(np.ravel(tr)[np.argmax(bad)])
-        raise ValidationError(f"{_named(name, bad)} trace is {tr_bad:.3e}, expected 1")
+        raise ValidationError(f"{_named(name, bad, first)} trace is {tr_bad:.3e}, expected 1")
     if check_psd:
         lo = np.linalg.eigvalsh(rho)[..., 0]
         bad = lo < EIG_FLOOR
         if bad.any():
             lo_bad = float(np.ravel(lo)[np.argmax(bad)])
             raise ValidationError(
-                f"{_named(name, bad)} has eigenvalue {lo_bad:.3e} below {EIG_FLOOR}"
+                f"{_named(name, bad, first)} has eigenvalue {lo_bad:.3e} below {EIG_FLOOR}"
             )
     return rho
 

@@ -138,7 +138,7 @@ def suite_clausius(cases: int, seed: int) -> list[dict]:
         rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
         ev = evolve(p, rho0)
         tl = ledger(p, ev)
-        tol = integration_tolerance(p, ev)
+        tol = integration_tolerance(p, ev, tl)
         rep = clausius_report(p, ev, tl)
         worst = rep.worst_slacks()
         min_slack = min(worst.values())
