@@ -34,10 +34,10 @@ def main() -> None:
         nodes=args.nodes,
     )
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
-    ev = gt.evolve(p, rho0)
-    tl = gt.ledger(p, ev)
+    run = gt.stream_run(p, rho0)
+    ev, tl = run.ev, run.tl
 
-    merged = [j for j in range(p.n_nodes) if ev.structures[j].degenerate]
+    merged = [j for j in range(p.n_nodes) if run.structures[j].degenerate]
     print(f"grid: {p.n_nodes} nodes; {len(merged)} nodes with merged levels")
     if merged:
         b_vals = sorted({round(float(2.0 * (1 - p.times[j] / p.tau)), 6) for j in merged})

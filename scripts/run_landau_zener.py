@@ -27,9 +27,8 @@ def main() -> None:
         delta=args.delta, v=args.v, beta=args.beta, nodes=args.nodes
     )
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
-    ev = gt.evolve(p, rho0)
-    tl = gt.ledger(p, ev)
-    tol = gt.integration_tolerance(p, ev, tl)
+    run = gt.stream_run(p, rho0)
+    ev, tl, tol = run.ev, run.tl, run.tol
 
     print(f"grid: {p.n_nodes} nodes, dt = {p.dt:.2e}, integration tolerance {tol:.2e}")
     print(f"w_u    = {tl.w_u[-1]:+.10f}")

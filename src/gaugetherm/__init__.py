@@ -12,6 +12,7 @@ from .dynamics import (
     ConnectionCheck,
     EvolutionResult,
     Protocol,
+    StreamedRun,
     ThermoLedger,
     WorkHeatSeries,
     aligned_frames,
@@ -20,6 +21,7 @@ from .dynamics import (
     evolve,
     integration_tolerance,
     ledger,
+    stream_run,
     work_heat_series,
 )
 from .fluctuation import (
@@ -85,6 +87,7 @@ __all__ = [
     "ModelSpec",
     "Protocol",
     "SampledFtReport",
+    "StreamedRun",
     "ThermoLedger",
     "ThirdLawScan",
     "TwoPointEnsemble",
@@ -118,6 +121,7 @@ __all__ = [
     "sample_gauge_element",
     "sample_trajectories",
     "stochastic_entropy",
+    "stream_run",
     "thermal_level_distribution",
     "third_law_scan",
     "twirl",

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    Protocol,
-    clausius_report,
-    connection_cross_check,
-    evolve,
-    integration_tolerance,
-    ledger,
-)
+from .dynamics import Protocol, StreamedRun, clausius_report, stream_run
 from .fluctuation import build_ensemble, verify_ft
 from .invariants import level_distribution, s_gauge, thermal_level_distribution
 from .linalg import ValidationError, gibbs_state, validate_hermitian
@@ -303,14 +296,14 @@ def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
             fh.write(",".join("%.12g" % float(c[i]) for c in columns) + "\n")
 
 
-def _evolve_thermal(cfg: RunConfig, p: Protocol):
+def _thermal_run(cfg: RunConfig, p: Protocol) -> StreamedRun:
     rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
     kwargs = {}
     if cfg.cluster_tol_abs is not None:
         kwargs["cluster_tol_abs"] = cfg.cluster_tol_abs
     if cfg.cluster_tol_rel is not None:
         kwargs["cluster_tol_rel"] = cfg.cluster_tol_rel
-    return rho0, evolve(p, rho0, **kwargs)
+    return stream_run(p, rho0, connection="clausius" in cfg.emit, **kwargs)
 
 
 def _ft_section(p: Protocol, ev) -> dict:
@@ -331,17 +324,17 @@ def _ft_section(p: Protocol, ev) -> dict:
     }
 
 
-def _gauge_section(p: Protocol, ev, seed: int) -> dict:
-    nodes = sorted({0, p.n_nodes // 2, p.n_nodes - 1})
-    conj, _, worst_twirl = gauge_conjugates(ev, nodes, np.random.default_rng(seed))
+def _gauge_section(run: StreamedRun, seed: int) -> dict:
+    ev, kept = run.ev, range(len(run.nodes))  # the run keeps the nodes checked
+    conj, _, worst_twirl = gauge_conjugates(ev, kept, np.random.default_rng(seed))
     worst_sgt = max(
         abs(
-            s_gauge(level_distribution(ev.states[j], ev.structures[j]))
-            - s_gauge(level_distribution(c, ev.structures[j]))
+            s_gauge(level_distribution(ev.states[i], ev.structures[i]))
+            - s_gauge(level_distribution(c, ev.structures[i]))
         )
-        for j, c in zip(nodes, conj)
+        for i, c in zip(kept, conj)
     )
-    return {"nodes_checked": nodes, "max_twirl_deviation": worst_twirl, "max_s_gt_deviation": worst_sgt}
+    return {"nodes_checked": run.nodes, "max_twirl_deviation": worst_twirl, "max_s_gt_deviation": worst_sgt}
 
 
 def _third_law_columns(scan: ThirdLawScan):
@@ -367,9 +360,8 @@ def _run_third_law_scan(cfg: RunConfig, h: np.ndarray) -> ThirdLawScan:
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
     cfg = load_run_config(config_path, out_override)
     p = _resolve_protocol(cfg)
-    rho0, ev = _evolve_thermal(cfg, p)
-    tl = ledger(p, ev)
-    tol = integration_tolerance(p, ev, tl)
+    run = _thermal_run(cfg, p)
+    ev, tl, tol = run.ev, run.tl, run.tol
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     beta = p.beta
@@ -422,7 +414,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
             section.update({k: v for k, v in rep.worst_slacks().items()})
             section["balance_residual_max"] = float(np.max(np.abs(rep.balance_residual)))
         report["clausius"] = section
-        cc = connection_cross_check(p, ev, tl)
+        cc = run.connection
         conn = {"performed": cc.performed, "reason": cc.reason}
         if cc.performed:
             conn["w_deviation_max"] = float(np.max(cc.w_deviation))
@@ -433,7 +425,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
         report["ft"] = _ft_section(p, ev)
 
     if "gauge_check" in cfg.emit:
-        report["gauge_check"] = _gauge_section(p, ev, cfg.seed)
+        report["gauge_check"] = _gauge_section(run, cfg.seed)
 
     if "third_law" in cfg.emit:
         scan = _run_third_law_scan(cfg, p.hamiltonians[-1])

@@ -114,31 +114,43 @@ def evolve(
     The spectral work is one eigendecomposition per node Hamiltonian, made
     as one stacked call and clustered into the structures, and one per
     midpoint Hamiltonian, which gives every step propagator. The rest is the
-    node-block pass of _propagate, written into the three stacks returned:
-    beyond them, evolve holds a few blocks of temporaries.
+    node-block pass of _propagate, written into the three stacks returned.
+    Those stacks are for library callers that read every node; stream_run
+    folds the same pass into the ledger, the tolerance and the connection
+    check without storing them.
     """
+    rho0, structures = _node_structures(p, rho0, cluster_tol_abs, cluster_tol_rel)
+    props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
+    for s, *blocks in _propagate(p, rho0, structures):
+        props[s], states[s], twirled[s] = blocks[:3]
+        del blocks  # so that the pass frees them before it makes the next block
+    return EvolutionResult(states, twirled, props, structures)
+
+
+def _node_structures(
+    p: Protocol, rho0: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float
+) -> tuple[np.ndarray, list[DegeneracyStructure]]:
+    """The validated rho0 and the clustered structure of every node Hamiltonian,
+    from one stacked eigendecomposition."""
     rho0 = validate_density(rho0)
     if rho0.shape[0] != p.dim:
         raise ValidationError("initial state dimension does not match the protocol")
     h = p.hamiltonians
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
     w, V = np.linalg.eigh(h)
-    structures = cluster_spectra(w, V, tol_abs, cluster_tol_rel)
-    props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
-    for s, *blocks in _propagate(p, rho0, structures):
-        props[s], states[s], twirled[s] = blocks
-        del blocks  # so that the pass frees them before it makes the next block
-    return EvolutionResult(states, twirled, props, structures)
+    return rho0, cluster_spectra(w, V, tol_abs, cluster_tol_rel)
 
 
 def _propagate(
     p: Protocol, rho0: np.ndarray, structures: list[DegeneracyStructure]
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """evolve's pass for a validated rho0 and known node structures: for each
     node block s (linalg.node_blocks) it yields s and the propagators, states
-    and twirled states of its nodes, carrying the running propagator between
-    blocks. Midpoints, states and level populations are checked a block at a
-    time, and an error names its step or node by its index in the protocol.
+    and twirled states of its nodes, and the level-basis diagonal and level
+    populations of its states (gauge.level_space), carrying the running
+    propagator between blocks. Midpoints, states and level populations are
+    checked a block at a time, and an error names its step or node by its
+    index in the protocol.
     """
     n, d, dt = p.n_nodes, p.dim, p.dt
     h = p.hamiltonians
@@ -155,10 +167,10 @@ def _propagate(
         if a == 0:
             states[0] = rho0
         validate_density(states, "evolved state at node", check_psd=False, first=a)
-        twirled = level_twirl(level_space(states, structures[s], first=a)[1], structures[s])
-        yield s, props, states, twirled
+        diag, pops = level_space(states, structures[s], first=a)
+        yield s, props, states, level_twirl(pops, structures[s]), diag, pops
         u = props[-1].copy()  # carry the last propagator and let the block go
-        del props, states, twirled
+        del props, states
 
 
 def _steps(h: np.ndarray, lo: int, hi: int, c: complex) -> np.ndarray:
@@ -248,9 +260,9 @@ def _power_integrands(
     return [(_ends(f, b, same, dt), _ends(b, f, same, dt), same) for same, f, b in traces]
 
 
-def _series(blocks: Iterable[tuple], h: np.ndarray, dt: float) -> WorkHeatSeries:
-    """The work/heat series of a pass whose blocks hold states and twirled states."""
-    (w_u, q_u, u), (w_inv, q_c, _) = _power_integrands(blocks, h, dt)
+def _series(integrands: list[tuple], dt: float) -> WorkHeatSeries:
+    """The work/heat series from _power_integrands of states and twirled states."""
+    (w_u, q_u, u), (w_inv, q_c, _) = integrands
     return WorkHeatSeries(
         w_u=_cumtrap(w_u, dt),
         w_inv=_cumtrap(w_inv, dt),
@@ -261,7 +273,8 @@ def _series(blocks: Iterable[tuple], h: np.ndarray, dt: float) -> WorkHeatSeries
 
 
 def work_heat_series(p: Protocol, ev: EvolutionResult) -> WorkHeatSeries:
-    return _series(_stored_blocks(ev.states, ev.twirled_states), p.hamiltonians, p.dt)
+    blocks = _stored_blocks(ev.states, ev.twirled_states)
+    return _series(_power_integrands(blocks, p.hamiltonians, p.dt), p.dt)
 
 
 @dataclass(frozen=True)
@@ -295,7 +308,9 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     in level space. The twirled state and the Gibbs state are both diagonal
     in each node's structure basis, so one stacked basis change of the states
     (gauge.level_space, the kernel that twirl, level_distribution and
-    entropy_report run on a single state) gives every column. With level
+    entropy_report run on a single state) gives every column. ledger takes
+    it from the stored states; stream_run feeds the same column code the
+    diagonal and populations that its pass computes for the twirl. With level
     populations p_k and Gibbs weights q_k = n_k e^{-beta e_k} / Z
     (thermal_level_distribution):
 
@@ -315,13 +330,25 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     general (non-commuting) matrix routes; they agree with these columns to
     round-off.
     """
-    series = work_heat_series(p, ev)
-    beta = p.beta
-    structures = ev.structures
-    diag, pops = level_space(ev.states, structures)
+    diag, pops = level_space(ev.states, ev.structures)
+    s_vn = von_neumann_entropy(ev.states[0])
+    return _ledger(work_heat_series(p, ev), ev.structures, diag, pops, p.beta, s_vn)
+
+
+def _ledger(
+    series: WorkHeatSeries,
+    structures: list[DegeneracyStructure],
+    diag: np.ndarray,
+    pops: np.ndarray,
+    beta: float,
+    s_vn: float,
+) -> ThermoLedger:
+    """ledger's columns from the work/heat series, the level-basis diagonal and
+    level populations of every node (gauge.level_space) and the state's von
+    Neumann entropy."""
     mults, energies, _, node_starts = flat_levels(structures)
     mults = mults.astype(float)
-    node = np.repeat(np.arange(p.n_nodes), np.diff(node_starts, append=mults.size))
+    node = np.repeat(np.arange(len(structures)), np.diff(node_starts, append=mults.size))
 
     def per_node(x: np.ndarray) -> np.ndarray:
         return np.add.reduceat(x, node_starts)
@@ -341,7 +368,6 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     x = np.clip(diag, 0.0, 1.0)
     x = np.where(x > PROB_FLOOR, x, 1.0)  # 1 ln 1 = 0 stands in for 0 ln 0
     s_d = -np.sum(x * np.log(x), axis=1)
-    s_vn = von_neumann_entropy(ev.states[0])
     return ThermoLedger(
         w_u=series.w_u,
         w_inv=series.w_inv,
@@ -375,12 +401,20 @@ def integration_tolerance(
     ledger, when given. The 1.5 safety factor covers terms that converge only
     first order, e.g. a degeneracy jump sitting on a single grid node.
     """
+    fine = work_heat_series(p, ev) if tl is None else tl
+    return _tolerance(p, ev.states[0], ev.structures, fine)
+
+
+def _tolerance(
+    p: Protocol, rho0: np.ndarray, structures: list[DegeneracyStructure], fine
+) -> float:
+    """integration_tolerance from rho0, the structures of every fine node and
+    the fine work/heat series (a WorkHeatSeries or ThermoLedger)."""
     if p.n_nodes < 5:
         raise ValueError("tolerance estimation needs at least 5 grid nodes")
     coarse = replace(p, times=p.times[::2], hamiltonians=p.hamiltonians[::2])
-    blocks = _propagate(coarse, ev.states[0], ev.structures[::2])
-    crs = _series(((s, st, tw) for s, _, st, tw in blocks), coarse.hamiltonians, coarse.dt)
-    fine = work_heat_series(p, ev) if tl is None else tl
+    blocks = ((s, st, tw) for s, _, st, tw, *_ in _propagate(coarse, rho0, structures[::2]))
+    crs = _series(_power_integrands(blocks, coarse.hamiltonians, coarse.dt), coarse.dt)
     worst = 0.0
     for name in ("w_u", "w_inv", "q_c", "q_u"):
         f = getattr(fine, name)[::2]
@@ -409,20 +443,77 @@ def aligned_frames(bases: list[np.ndarray]) -> np.ndarray:
     smooth frame regardless of the per-node phase and ordering freedom of the
     eigensolver.
     """
-    n = len(bases)
-    d = bases[0].shape[0]
-    out = np.empty((n, d, d), dtype=complex)
+    out = np.empty((len(bases),) + bases[0].shape, dtype=complex)
     out[0] = bases[0]
-    for j in range(1, n):
-        overlap = out[j - 1].conj().T @ bases[j]
-        rows, cols = linear_sum_assignment(-np.abs(overlap))
-        perm = np.empty(d, dtype=int)
-        perm[rows] = cols
-        w = bases[j][:, perm]
-        ov = np.array([overlap[i, perm[i]] for i in range(d)])
-        phases = np.where(np.abs(ov) > 0, ov / np.maximum(np.abs(ov), 1e-300), 1.0)
-        out[j] = w * phases.conj()
+    for j in range(1, len(bases)):
+        out[j] = _aligned(out[j - 1], bases[j])
     return out
+
+
+def _aligned(prev: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """basis with its columns matched and phased to the aligned frame prev."""
+    d = basis.shape[0]
+    overlap = prev.conj().T @ basis
+    rows, cols = linear_sum_assignment(-np.abs(overlap))
+    perm = np.empty(d, dtype=int)
+    perm[rows] = cols
+    w = basis[:, perm]
+    ov = np.array([overlap[i, perm[i]] for i in range(d)])
+    phases = np.where(np.abs(ov) > 0, ov / np.maximum(np.abs(ov), 1e-300), 1.0)
+    return w * phases.conj()
+
+
+def _degenerate_check(structures: list[DegeneracyStructure]) -> ConnectionCheck | None:
+    """The skipped check when a node is degenerate: the frame derivative is
+    not defined across a merged level."""
+    for j, ds in enumerate(structures):
+        if ds.degenerate:
+            return ConnectionCheck(
+                performed=False,
+                reason=f"degenerate spectrum at node {j}; frame construction undefined",
+            )
+    return None
+
+
+def _connections(structures: list[DegeneracyStructure], dt: float) -> Iterator[np.ndarray]:
+    """The connection A_j = -Vdot_j V_j^dag of the aligned frame, one node block
+    (linalg.node_blocks) at a time. Frames are aligned in node order, and a
+    block's central differences take one frame of halo on each side, so only
+    the last two frames carry over to the next block."""
+    n = len(structures)
+    frames, first = [structures[0].basis], 0  # aligned frames of nodes first, first + 1, ...
+    for s in node_blocks(n, structures[0].dim):
+        a, b = s.start, s.stop
+        while first + len(frames) < min(b + 1, n):
+            frames.append(_aligned(frames[-1], structures[first + len(frames)].basis))
+        f = np.array(frames)
+        k = a - first  # node a's frame; the frame before it, if any, is halo
+        v_dot = _central_diff(f, dt)[k : k + b - a]
+        yield -np.einsum("nij,nkj->nik", v_dot, f[k : k + b - a].conj())
+        first += len(frames) - 2
+        del frames[:-2]
+
+
+def _commutator_traces(states: np.ndarray, conn: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Re Tr(rho_j [A_j, H_j]) per node of a block."""
+    return _trace_pairs(states, conn @ h - h @ conn)
+
+
+def _connection_check(
+    work: np.ndarray, heat: np.ndarray, t: np.ndarray, tl: ThermoLedger, dt: float
+) -> ConnectionCheck:
+    """The covariant route from the states' work and heat integrands and the
+    commutator traces t, compared with the ledger's invariant columns."""
+    w_cov = _cumtrap(work + t, dt)
+    q_cov = _cumtrap(heat - t, dt)
+    return ConnectionCheck(
+        performed=True,
+        reason="",
+        w_cov=w_cov,
+        q_cov=q_cov,
+        w_deviation=np.abs(w_cov - tl.w_inv),
+        q_deviation=np.abs(q_cov - tl.q_inv),
+    )
 
 
 def connection_cross_check(
@@ -436,33 +527,88 @@ def connection_cross_check(
     Tr(H (rhodot + [A,rho])): with t = Re Tr(rho [A,H]) = -Re Tr(H [A,rho]),
     these are the work and heat integrands of work_heat_series plus and minus
     t. Skipped whenever any node is degenerate: the frame derivative is not
-    defined across a merged level.
+    defined across a merged level. The frame and t are taken a node block at
+    a time, as stream_run takes them from its pass.
     """
-    for j, ds in enumerate(ev.structures):
-        if ds.degenerate:
-            return ConnectionCheck(
-                performed=False,
-                reason=f"degenerate spectrum at node {j}; frame construction undefined",
-            )
+    skipped = _degenerate_check(ev.structures)
+    if skipped is not None:
+        return skipped
     if tl is None:
         tl = ledger(p, ev)
-    dt = p.dt
-    frames = aligned_frames([ds.basis for ds in ev.structures])
-    v_dot = _central_diff(frames, dt)
-    conn = -np.einsum("nij,nkj->nik", v_dot, frames.conj())
-    h = p.hamiltonians
-    t = _trace_pairs(ev.states, conn @ h - h @ conn)
+    h, dt = p.hamiltonians, p.dt
+    t = np.empty(p.n_nodes)
+    for (s, states), conn in zip(_stored_blocks(ev.states), _connections(ev.structures, dt)):
+        t[s] = _commutator_traces(states, conn, h[s])
     [(work, heat, _)] = _power_integrands(_stored_blocks(ev.states), h, dt)
-    w_cov = _cumtrap(work + t, dt)
-    q_cov = _cumtrap(heat - t, dt)
-    return ConnectionCheck(
-        performed=True,
-        reason="",
-        w_cov=w_cov,
-        q_cov=q_cov,
-        w_deviation=np.abs(w_cov - tl.w_inv),
-        q_deviation=np.abs(q_cov - tl.q_inv),
+    return _connection_check(work, heat, t, tl, dt)
+
+
+@dataclass(frozen=True)
+class StreamedRun:
+    """What stream_run keeps: ev holds only the kept nodes, so its [0] and
+    [-1] are the protocol's ends; connection is None when not asked for."""
+
+    nodes: list[int]
+    ev: EvolutionResult
+    structures: list[DegeneracyStructure]
+    tl: ThermoLedger
+    tol: float
+    connection: ConnectionCheck | None
+
+
+def stream_run(
+    p: Protocol,
+    rho0: np.ndarray,
+    *,
+    connection: bool = False,
+    cluster_tol_abs: float | None = None,
+    cluster_tol_rel: float = CLUSTER_TOL_REL,
+) -> StreamedRun:
+    """evolve, ledger, integration_tolerance and, with connection=True,
+    connection_cross_check in one pass over node blocks, with the same
+    numbers bit for bit.
+
+    The structures come first (one stacked eigendecomposition), then one pass
+    of _propagate whose blocks feed every consumer and are then let go: the
+    neighbour traces of the work/heat series, the level-basis diagonal and
+    populations of the ledger's columns, and the commutator traces of the
+    connection check. So beyond the Hamiltonians and the node bases a run
+    holds a few node blocks, not the (n, d, d) stacks of evolve. The nodes
+    kept are 0, n // 2 and n - 1.
+    """
+    rho0, structures = _node_structures(p, rho0, cluster_tol_abs, cluster_tol_rel)
+    n, d, h, dt = p.n_nodes, p.dim, p.hamiltonians, p.dt
+    nodes = sorted({0, n // 2, n - 1})
+    kept = [np.empty((len(nodes), d, d), dtype=complex) for _ in range(3)]
+    diag, pops = np.empty((n, d)), []
+    check = _degenerate_check(structures) if connection else None
+    conns = _connections(structures, dt) if connection and check is None else None
+    t = np.empty(n)
+
+    def blocks():
+        for s, props, states, twirled, dg, pp in _propagate(p, rho0, structures):
+            for i, j in enumerate(nodes):
+                if s.start <= j < s.stop:
+                    for out, x in zip(kept, (states, twirled, props)):
+                        out[i] = x[j - s.start]
+            diag[s] = dg
+            pops.append(pp)
+            if conns is not None:
+                t[s] = _commutator_traces(states, next(conns), h[s])
+            yield s, states, twirled
+            del props, states, twirled
+
+    integrands = _power_integrands(blocks(), h, dt)
+    tl = _ledger(
+        _series(integrands, dt), structures, diag, np.concatenate(pops), p.beta,
+        von_neumann_entropy(rho0),
     )
+    tol = _tolerance(p, rho0, structures, tl)
+    if conns is not None:
+        work, heat, _ = integrands[0]
+        check = _connection_check(work, heat, t, tl, dt)
+    ev = EvolutionResult(*kept, [structures[j] for j in nodes])
+    return StreamedRun(nodes, ev, structures, tl, tol, check)
 
 
 @dataclass(frozen=True)

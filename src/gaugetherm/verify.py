@@ -20,8 +20,7 @@ from .dynamics import (
     Protocol,
     clausius_report,
     evolve,
-    integration_tolerance,
-    ledger,
+    stream_run,
     work_heat_series,
 )
 from .fluctuation import build_ensemble, verify_ft
@@ -136,10 +135,9 @@ def suite_clausius(cases: int, seed: int) -> list[dict]:
         rng = np.random.default_rng(seed + i)
         p = _case_protocol(rng, i, max_dim=6, nodes=301)
         rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
-        ev = evolve(p, rho0)
-        tl = ledger(p, ev)
-        tol = integration_tolerance(p, ev, tl)
-        rep = clausius_report(p, ev, tl)
+        run = stream_run(p, rho0)
+        tl, tol = run.tl, run.tol
+        rep = clausius_report(p, run.ev, tl)
         worst = rep.worst_slacks()
         min_slack = min(worst.values())
         balance = float(np.max(np.abs(rep.balance_residual)))

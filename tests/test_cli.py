@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from gaugetherm.cli import CSV_HEADER, THIRD_LAW_HEADER, main
+import gaugetherm as gt
+from gaugetherm.cli import (
+    CSV_HEADER,
+    THIRD_LAW_HEADER,
+    _ft_section,
+    _json_ready,
+    load_run_config,
+    main,
+)
+from gaugetherm.verify import gauge_conjugates
 
 
 def write_config(path, body):
@@ -21,6 +30,26 @@ nodes = 41
 [params]
 delta = 2.0
 v = 1.0
+"""
+
+# d = 21 at 101 nodes: three node blocks
+CW_BLOCKS = """\
+[model]
+name = curie_weiss
+nodes = 101
+
+[params]
+j = 1.0
+n_spins = 20
+b_start = 2.0
+b_end = 0.0
+
+[run]
+emit = clausius,ft,gauge_check,ledger,third_law
+seed = 3
+
+[third_law]
+points = 8
 """
 
 
@@ -52,6 +81,42 @@ class TestRun:
         assert run_cli(["run", "--config", cfg, "--out", out]) == 0
         assert (out / "report.json").read_bytes() == first_report
         assert (out / "ledger.csv").read_bytes() == first_ledger
+
+    def test_streamed_run_matches_stored_route(self, tmp_path, capsys):
+        """A multi-block run with every emit section writes the same bytes
+        twice, and its final ledger row, gauge check and FT section equal
+        those of the stored route (evolve and ledger over every node)."""
+        cfg = write_config(tmp_path / "run.ini", CW_BLOCKS)
+        out = tmp_path / "out"
+        names = ("report.json", "ledger.csv", "third_law.csv")
+        assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+        first = {name: (out / name).read_bytes() for name in names}
+        assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        for name in names:
+            assert (out / name).read_bytes() == first[name], name
+
+        report = json.loads(first["report.json"])
+        p = gt.build_protocol(load_run_config(cfg).spec)
+        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        ev = gt.evolve(p, rho0)
+        tl = gt.ledger(p, ev)
+        final = {k: float(getattr(tl, k)[-1]) for k in report["final"] if k != "t"}
+        assert report["final"] == _json_ready({"t": p.tau, **final})
+        nodes = [0, p.n_nodes // 2, p.n_nodes - 1]
+        conj, _, worst_twirl = gauge_conjugates(ev, nodes, np.random.default_rng(3))
+        worst_sgt = max(
+            abs(
+                gt.s_gauge(gt.level_distribution(ev.states[j], ev.structures[j]))
+                - gt.s_gauge(gt.level_distribution(c, ev.structures[j]))
+            )
+            for j, c in zip(nodes, conj)
+        )
+        assert report["gauge_check"] == _json_ready(
+            {"nodes_checked": nodes, "max_twirl_deviation": worst_twirl,
+             "max_s_gt_deviation": worst_sgt}
+        )
+        assert report["ft"] == _json_ready(_ft_section(p, ev))
 
     def test_emit_filtering(self, tmp_path):
         cfg = write_config(

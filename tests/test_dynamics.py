@@ -26,6 +26,7 @@ from gaugetherm.linalg import (
     shannon_entropy,
     validate_density,
 )
+from gaugetherm.cli import cmd_run
 from gaugetherm.verify import gauge_conjugates
 
 from test_linalg import SX, random_density
@@ -418,12 +419,19 @@ def test_eigendecomposition_budget(monkeypatch):
     assert counts["eigvalsh"] <= 3
 
 
-def test_stacked_passes_hold_a_few_blocks():
+def test_stacked_passes_hold_a_few_blocks(tmp_path):
     """Beyond what they return, evolve, ledger and integration_tolerance hold
-    a few node blocks of temporaries, not whole (n, d, d) stacks."""
+    a few node blocks of temporaries, not whole (n, d, d) stacks; a whole
+    `gaugetherm run` holds its Hamiltonians, the node bases and a few blocks."""
     p = gt.curie_weiss_protocol(n_spins=40, nodes=401)
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
     stack = p.n_nodes * p.dim**2 * np.dtype(complex).itemsize
+    config = tmp_path / "curie_weiss.ini"
+    config.write_text(
+        "[model]\nname = curie_weiss\nnodes = 401\n\n"
+        "[params]\nj = 1.0\nn_spins = 40\nb_start = 2.0\nb_end = 0.0\n\n"
+        "[run]\nemit = clausius,ft,gauge_check,ledger,third_law\n"
+    )
 
     def traced(fn):
         """fn's result, its peak above the memory held before it, and the
@@ -439,6 +447,8 @@ def test_stacked_passes_hold_a_few_blocks():
         ev, evolve_peak, evolve_kept = traced(lambda: gt.evolve(p, rho0))
         _, ledger_peak, _ = traced(lambda: gt.ledger(p, ev))
         _, tolerance_peak, _ = traced(lambda: gt.integration_tolerance(p, ev))
+        del ev
+        code, run_peak, _ = traced(lambda: cmd_run(str(config), str(tmp_path / "out")))
     finally:
         tracemalloc.stop()
     # states, twirled states, propagators and the node bases
@@ -448,6 +458,10 @@ def test_stacked_passes_hold_a_few_blocks():
     # the coarse run is folded into its neighbour traces a node block at a
     # time, so it keeps no coarse stack
     assert tolerance_peak <= 0.5
+    # the run builds the Hamiltonians and the node bases, and folds its pass
+    # into the ledger, the tolerance and the checks: it stores no state stack
+    assert code == 0
+    assert run_peak <= 2.5
 
 
 def test_neighbour_traces_across_node_blocks():
@@ -561,3 +575,72 @@ class TestPassNamesGlobalIndices:
                     validate_density(stack[s], "state at node", first=s.start)
             else:
                 validate_density(stack[s], "state at node", first=s.start)
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        lambda: _ramp12(3 * BLOCK12 + 5, seed=29),
+        lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801),
+    ],
+    ids=["ramp12", "curie_weiss"],
+)
+def test_stream_run_matches_stored_route(protocol):
+    """stream_run folds one pass over node blocks into the ledger, the
+    tolerance and the connection check; every number equals, bit for bit,
+    what evolve, ledger, integration_tolerance and connection_cross_check
+    give from the stored stacks. Both protocols span four node blocks or
+    more, and the ramp does not commute with itself, so its states move."""
+    p = protocol()
+    assert len(node_blocks(p.n_nodes, p.dim)) >= 4
+    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    run = gt.stream_run(p, rho0, connection=True)
+    ev = gt.evolve(p, rho0)
+    tl = gt.ledger(p, ev)
+    for field in dataclasses.fields(tl):
+        assert np.array_equal(getattr(run.tl, field.name), getattr(tl, field.name)), field.name
+    assert run.tol == gt.integration_tolerance(p, ev, tl)
+    cc = gt.connection_cross_check(p, ev, tl)
+    assert cc.performed == (p.dim == 12)
+    for field in dataclasses.fields(cc):
+        a, b = getattr(run.connection, field.name), getattr(cc, field.name)
+        assert (a is None and b is None) or np.array_equal(a, b), field.name
+
+    nodes = [0, p.n_nodes // 2, p.n_nodes - 1]
+    assert run.nodes == nodes
+    assert np.array_equal(run.ev.states, ev.states[nodes])
+    assert np.array_equal(run.ev.twirled_states, ev.twirled_states[nodes])
+    assert np.array_equal(run.ev.propagators, ev.propagators[nodes])
+    assert np.array_equal(run.ev.propagators[-1], ev.propagators[-1])  # U_tau
+    assert [run.structures[j] for j in nodes] == run.ev.structures
+    for ours, theirs in zip(run.structures, ev.structures):
+        assert np.array_equal(ours.basis, theirs.basis)
+        assert np.array_equal(ours.energies, theirs.energies)
+    assert gt.stream_run(p, rho0).connection is None
+
+
+@pytest.mark.parametrize("one_node_blocks", [False, True])
+def test_connection_check_across_node_blocks(one_node_blocks, monkeypatch):
+    """The connection check aligns its frames and takes their central
+    differences a node block at a time; across four blocks, or with one node
+    per block (as for d > 128), it agrees with the whole-stack formula:
+    frames aligned over every node, A = -Vdot V^dag."""
+    p = _ramp12(9 if one_node_blocks else 3 * BLOCK12 + 5, seed=31)
+    if one_node_blocks:
+        monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * 12 * 12)
+        assert len(node_blocks(p.n_nodes, p.dim)) == p.n_nodes
+    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    ev = gt.evolve(p, rho0)
+    cc = gt.connection_cross_check(p, ev)
+    assert cc.performed
+    frames = gt.aligned_frames([ds.basis for ds in ev.structures])
+    conn = -np.einsum("nij,nkj->nik", _central_diff(frames, p.dt), frames.conj())
+    h = p.hamiltonians
+    t = _trace_pairs(ev.states, conn @ h - h @ conn)
+    [(work, heat, _)] = _power_integrands(_stored_blocks(ev.states), h, p.dt)
+    scale = max(1.0, float(np.max(np.abs(cc.w_cov))), float(np.max(np.abs(cc.q_cov))))
+    assert np.allclose(cc.w_cov, _cumtrap(work + t, p.dt), rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(cc.q_cov, _cumtrap(heat - t, p.dt), rtol=0.0, atol=1e-12 * scale)
+    run = gt.stream_run(p, rho0, connection=True)
+    assert np.array_equal(run.connection.w_cov, cc.w_cov)
+    assert np.array_equal(run.connection.q_cov, cc.q_cov)
