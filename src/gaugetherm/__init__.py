@@ -48,6 +48,7 @@ from .invariants import (
     level_distribution,
     noneq_free_energy,
     s_gauge,
+    stochastic_entropies,
     stochastic_entropy,
     thermal_level_distribution,
 )
@@ -120,6 +121,7 @@ __all__ = [
     "s_gauge",
     "sample_gauge_element",
     "sample_trajectories",
+    "stochastic_entropies",
     "stochastic_entropy",
     "stream_run",
     "thermal_level_distribution",

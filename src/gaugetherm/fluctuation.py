@@ -20,6 +20,7 @@ from .gauge import DegeneracyStructure
 from .invariants import (
     LevelDistribution,
     s_gauge,
+    stochastic_entropies,
     thermal_level_distribution,
 )
 from .linalg import PROB_FLOOR, ValidationError, log_partition
@@ -171,10 +172,9 @@ def build_ensemble(
         )
 
     support = (joint_forward > 0.0) & (rev_kl > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ref0 = np.log(pf / n0)
-        reft = np.log(pr / nt)
-        sigma_all = ref0[:, None] - reft[None, :]
+    s0, st = stochastic_entropies(forward_init), stochastic_entropies(reverse_ref)
+    with np.errstate(invalid="ignore"):  # inf - inf where both references vanish
+        sigma_all = st[None, :] - s0[:, None]
     sigma = np.where(support, sigma_all, np.nan)
     floored = support & (joint_forward > PROB_FLOOR)
     with np.errstate(divide="ignore"):

@@ -139,10 +139,10 @@ def cluster_spectra(
     level_starts = np.flatnonzero(first)
     mults = np.diff(np.append(level_starts, n * d))
     energies = np.add.reduceat(w.ravel(), level_starts) / mults
-    cuts = np.cumsum(n_levels)[:-1]
+    ends = np.cumsum(n_levels).tolist()
     return [
-        DegeneracyStructure(energies=e, mults=m, basis=V[j])
-        for j, (e, m) in enumerate(zip(np.split(energies, cuts), np.split(mults, cuts)))
+        DegeneracyStructure(energies=energies[a:b], mults=mults[a:b], basis=V[j])
+        for j, (a, b) in enumerate(zip([0] + ends[:-1], ends))
     ]
 
 
@@ -160,6 +160,20 @@ def flat_levels(
     return mults, np.concatenate([ds.energies for ds in structures]), level_starts, node_starts
 
 
+def _bases(structures: list[DegeneracyStructure]) -> np.ndarray:
+    """The node bases (k, d, d) of consecutive structures: a view of the one
+    basis for a single node, a stacked copy for a node block."""
+    if len(structures) == 1:
+        return structures[0].basis[None]
+    return np.array([ds.basis for ds in structures])
+
+
+def _level_diagonal(states: np.ndarray, structures: list[DegeneracyStructure]) -> np.ndarray:
+    """Re diag(B_j^dag rho_j B_j) (k, d) of one node block, from the one product rho B."""
+    b = _bases(structures)
+    return (b.conj() * (states @ b)).real.sum(axis=-2)
+
+
 def level_space(
     states: np.ndarray, structures: list[DegeneracyStructure], first: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,24 +181,26 @@ def level_space(
     rho B as Re sum_i conj(B_ia) (rho B)_ia a node block at a time, and the
     level populations Tr(Pi_k rho_j) of all nodes laid end to end.
 
+    A single state is the n = 1 case: one block, read through a view of its
+    basis, so a one-state call costs a few numpy calls (twirl,
+    level_distribution and entropy_report validate the state and call this).
+
     Raises when the clipped populations of a node miss 1 by more than
-    LEVEL_NORM_TOL: the state and the structure do not belong together; the
-    node is named by its index counted from `first`, as in check_hermitian.
+    LEVEL_NORM_TOL, or are not finite: the state and the structure do not
+    belong together; the node is named by its index counted from `first`, as
+    in check_hermitian.
     """
     n, d = states.shape[:2]
     dim = structures[0].dim
     if states.shape[1:] != (dim, dim):
         raise ValidationError(f"state dimension {d} does not match structure dimension {dim}")
-    diag = np.empty((n, d))
-    for s in node_blocks(n, d):
-        b = np.array([ds.basis for ds in structures[s]])
-        diag[s] = np.real(b.conj() * (states[s] @ b)).sum(axis=-2)
+    diag = np.concatenate([_level_diagonal(states[s], structures[s]) for s in node_blocks(n, d)])
     _, _, level_starts, node_starts = flat_levels(structures)
     pops = np.add.reduceat(diag.ravel(), level_starts)
     total = np.add.reduceat(np.maximum(pops, 0.0), node_starts)
-    bad = np.abs(total - 1.0) > LEVEL_NORM_TOL
-    if bad.any():
-        j = int(np.flatnonzero(bad)[0])
+    miss = abs(total - 1.0)
+    if not miss.max() <= LEVEL_NORM_TOL:  # one test, which a NaN fails as well
+        j = int(np.argmax(~(miss <= LEVEL_NORM_TOL)))
         raise ValidationError(f"level populations at node {first + j} sum to {total[j]}, expected 1")
     return diag, pops
 
@@ -193,11 +209,11 @@ def level_twirl(pops: np.ndarray, structures: list[DegeneracyStructure]) -> np.n
     """The twirled states B_j diag(p/n) B_j^dag (n, d, d) from level_space's populations."""
     n, d = len(structures), structures[0].dim
     mults = flat_levels(structures)[0]
-    cols = np.repeat(pops / mults, mults).reshape(n, d)
+    cols = np.repeat(pops / mults, mults).reshape(n, 1, d)
     out = np.empty((n, d, d), dtype=complex)
     for s in node_blocks(n, d):
-        b = np.array([ds.basis for ds in structures[s]])
-        np.matmul(b * cols[s, None, :], _dag(b), out=out[s])
+        b = _bases(structures[s])
+        np.matmul(b * cols[s], _dag(b), out=out[s])
     return out
 
 

@@ -36,10 +36,15 @@ class LevelDistribution:
         if not (len(self.probs) == len(self.mults) == len(self.energies)):
             raise ValidationError("level distribution arrays must share length")
         p = np.asarray(self.probs, dtype=float)
-        # NaN fails every comparison below, so finiteness is checked first
+        e = np.asarray(self.energies, dtype=float)
+        # A valid distribution passes one combined test, in which a NaN or inf
+        # probability fails the sum comparison. Only a failing input is
+        # diagnosed, finiteness first, since NaN fails no comparison below.
+        if abs(p.sum() - 1.0) <= LEVEL_NORM_TOL and p.min() >= -1e-12 and np.isfinite(e).all():
+            return
         if not np.isfinite(p).all():
             raise ValidationError("level probabilities must be finite")
-        if not np.isfinite(np.asarray(self.energies, dtype=float)).all():
+        if not np.isfinite(e).all():
             raise ValidationError("level energies must be finite")
         if (p < -1e-12).any() or abs(float(p.sum()) - 1.0) > LEVEL_NORM_TOL:
             raise ValidationError("level probabilities must be nonnegative and sum to 1")
@@ -56,11 +61,12 @@ def level_distribution(rho: np.ndarray, ds: DegeneracyStructure) -> LevelDistrib
     structure do not belong together, which is a validation error rather than
     something to paper over (raised by level_space).
     """
-    return _normalized(level_space(validate_density(rho, check_psd=False)[None], [ds])[1], ds)
+    rho = validate_density(rho, check_psd=False)
+    return _normalized(level_space(rho[None], [ds])[1], ds)
 
 
 def _normalized(pops: np.ndarray, ds: DegeneracyStructure) -> LevelDistribution:
-    probs = np.clip(pops, 0.0, None)
+    probs = np.maximum(pops, 0.0)
     return LevelDistribution(probs=probs / probs.sum(), mults=ds.mults, energies=ds.energies)
 
 
@@ -76,19 +82,24 @@ def thermal_level_distribution(ds: DegeneracyStructure, beta: float) -> LevelDis
 def s_gauge(ld: LevelDistribution) -> float:
     """Invariant entropy -sum p ln p + sum p ln n in nats (0 ln 0 = 0)."""
     p = np.asarray(ld.probs, dtype=float)
-    n = np.asarray(ld.mults, dtype=float)
     mask = p > PROB_FLOOR
     p = p[mask]
-    n = n[mask]
-    return float(-(p * np.log(p)).sum() + (p * np.log(n)).sum())
+    return float(-(p * np.log(p)).sum() + (p * np.log(np.asarray(ld.mults)[mask])).sum())
+
+
+def stochastic_entropies(ld: LevelDistribution) -> np.ndarray:
+    """Single-outcome entropies s(k) = -ln(p^k / n^k) of every level: +inf on a
+    level of probability exactly 0, and finite on any positive one, however small."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.log(np.asarray(ld.probs, dtype=float) / np.asarray(ld.mults, dtype=float))
 
 
 def stochastic_entropy(k: int, ld: LevelDistribution) -> float:
-    """Single-outcome entropy s(k) = -ln(p^k / n^k)."""
-    p = float(ld.probs[k])
-    if p <= PROB_FLOOR:
+    """s(k) of stochastic_entropies for one level, which must carry probability
+    above PROB_FLOOR for a trajectory to start or end there."""
+    if float(ld.probs[k]) <= PROB_FLOOR:
         raise ValueError(f"level {k} has zero probability; trajectory undefined")
-    return -float(np.log(p / float(ld.mults[k])))
+    return float(stochastic_entropies(ld)[k])
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,13 @@ BLOCK_BYTES = 2**18
 def node_blocks(n: int, d: int) -> list[slice]:
     """Consecutive slices covering range(n), each BLOCK_BYTES of (d, d) complex matrices."""
     size = max(1, BLOCK_BYTES // max(1, 16 * d * d))
-    return [slice(a, min(a + size, n)) for a in range(0, max(n, 1), size)]
+    if n <= size:
+        return [slice(0, n)]
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
 def _dag(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2).conj()
+    return a.swapaxes(-1, -2).conj()
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -78,20 +80,42 @@ def _named(name: str, bad: np.ndarray, first: int = 0) -> str:
 
 
 @np.errstate(invalid="ignore")  # inf - inf in the skew of a non-finite matrix
+def _hermitian_ok(H: np.ndarray) -> np.ndarray:
+    """Whether max |H - H^dag| <= HERMITICITY_TOL * max(1, max |H_ij|), per
+    matrix. A non-finite entry makes the skew NaN or infinite, which fails, so
+    a passing matrix is finite. One matrix whose skew is within the tolerance
+    at unit scale passes without the reduction for its scale."""
+    if H.ndim == 2:
+        skew = np.abs(H - H.conj().T).max(initial=0.0)
+        return skew <= HERMITICITY_TOL or (
+            skew - HERMITICITY_TOL * max(1.0, np.abs(H).max(initial=0.0)) <= 0.0
+        )
+    scale_skew = _per_matrix(H, _scale_skew)
+    return scale_skew[..., 1] - HERMITICITY_TOL * np.maximum(1.0, scale_skew[..., 0]) <= 0.0
+
+
+def _all(ok: np.ndarray) -> bool:
+    """ok.all(), without a reduction for the one value of a single matrix."""
+    return bool(ok) if ok.ndim == 0 else bool(ok.all())
+
+
 def check_hermitian(H: np.ndarray, name: str, first: int = 0) -> None:
     """validate_hermitian's checks on a complex square matrix or stack whose
     first matrix is number `first` (so that a block of a longer stack is
     reported by its index in that stack)."""
-    scale_skew = _per_matrix(H, _scale_skew)
-    hmax = scale_skew[..., 0]
-    # a non-finite entry makes the skew NaN or infinite, so the difference is
-    # NaN and that matrix fails as well; non-finite entries are named first
-    ok = scale_skew[..., 1] - HERMITICITY_TOL * np.maximum(1.0, hmax) <= 0.0
-    if not ok.all():
-        finite = np.isfinite(hmax)
+    ok = _hermitian_ok(H)
+    if not _all(ok):  # only a failing input is diagnosed: non-finite entries first
+        finite = np.isfinite(max_abs_entry(H))
         if not finite.all():
             raise ValidationError(f"{_named(name, ~finite, first)} has non-finite entries")
         raise ValidationError(f"{_named(name, ~ok, first)} is not Hermitian within tolerance")
+
+
+def _square(H: np.ndarray, name: str) -> np.ndarray:
+    H = np.asarray(H, dtype=complex)
+    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
+        raise ValidationError(f"{name} must be a square matrix, got shape {H.shape}")
+    return H
 
 
 def validate_hermitian(H: np.ndarray, name: str = "operator", first: int = 0) -> np.ndarray:
@@ -99,9 +123,7 @@ def validate_hermitian(H: np.ndarray, name: str = "operator", first: int = 0) ->
     Hermitian entries; each matrix is held to its own scale, and an error
     names the first failing matrix of a stack by its index counted from
     `first`. A stack is checked in node blocks, so temporaries are a few blocks."""
-    H = np.asarray(H, dtype=complex)
-    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {H.shape}")
+    H = _square(H, name)
     check_hermitian(H, name, first)
     return H
 
@@ -110,11 +132,16 @@ def validate_density(
     rho: np.ndarray, name: str = "state", check_psd: bool = True, first: int = 0
 ) -> np.ndarray:
     """validate_hermitian plus unit trace and, optionally, no eigenvalue below
-    EIG_FLOOR; stacks are checked matrix by matrix, and named as there."""
-    rho = validate_hermitian(rho, name, first)
+    EIG_FLOOR; stacks are checked matrix by matrix, and named as there.
+
+    A valid input passes one combined Hermitian-and-trace test; a failing one
+    is diagnosed in that order, so the error is the one the checks would
+    raise one after the other."""
+    rho = _square(rho, name)
     tr = rho.diagonal(0, -2, -1).sum(axis=-1)
-    bad = np.abs(tr - 1.0) > TRACE_TOL
-    if bad.any():
+    if not _all(_hermitian_ok(rho) & (abs(tr - 1.0) <= TRACE_TOL)):
+        check_hermitian(rho, name, first)
+        bad = abs(tr - 1.0) > TRACE_TOL
         tr_bad = complex(np.ravel(tr)[np.argmax(bad)])
         raise ValidationError(f"{_named(name, bad, first)} trace is {tr_bad:.3e}, expected 1")
     if check_psd:

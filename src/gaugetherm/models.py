@@ -31,14 +31,19 @@ def landau_zener(delta: float, v: float, t: float) -> np.ndarray:
     return 0.5 * delta * _SIGMA_X + 0.5 * v * t * _SIGMA_Z
 
 
+def _magnetizations(n_spins: int) -> np.ndarray:
+    """m = -N/2 ... N/2 ascending, the J_z eigenvalues of the maximal-spin sector."""
+    if n_spins < 1:
+        raise ValueError(f"n_spins must be >= 1, got {n_spins}")
+    return np.arange(n_spins + 1) - n_spins / 2.0
+
+
 def curie_weiss(j_coupling: float, n_spins: int, b_field: float) -> np.ndarray:
     """-(J/N) J_z^2 - B J_z in the maximal-spin sector.
 
     Diagonal with entries -(J/N) m^2 - B m for m = -N/2 ... N/2 ascending.
     """
-    if n_spins < 1:
-        raise ValueError(f"n_spins must be >= 1, got {n_spins}")
-    m = np.arange(n_spins + 1) - n_spins / 2.0
+    m = _magnetizations(n_spins)
     return np.diag(-(j_coupling / n_spins) * m * m - b_field * m).astype(complex)
 
 
@@ -51,7 +56,10 @@ def landau_zener_protocol(
     nodes: int = 1001,
 ) -> Protocol:
     times = np.linspace(0.0, t_final, nodes)
-    hams = np.stack([landau_zener(delta, v, t) for t in times])
+    # landau_zener's operations at every node, so each node is bit-equal to it; the
+    # product allocates the only stack and the constant part is added in place
+    hams = np.multiply((0.5 * v * times)[:, None, None], _SIGMA_Z)
+    hams += 0.5 * delta * _SIGMA_X
     return Protocol(times=times, hamiltonians=hams, beta=beta, label="landau_zener")
 
 
@@ -76,7 +84,12 @@ def curie_weiss_protocol(
     """
     times = np.linspace(0.0, t_final, nodes)
     b_grid = b_start + (times / t_final) * (b_end - b_start)
-    hams = np.stack([curie_weiss(j_coupling, n_spins, b) for b in b_grid])
+    # curie_weiss's diagonal at every node, written into one preallocated stack with
+    # the same operations, so each node is bit-equal to curie_weiss
+    m = _magnetizations(n_spins)
+    hams = np.zeros((nodes, n_spins + 1, n_spins + 1), dtype=complex)
+    levels = np.arange(n_spins + 1)
+    hams[:, levels, levels] = -(j_coupling / n_spins) * m * m - b_grid[:, None] * m
     nonzero = np.abs(b_grid) > 0.0
     if np.any(nonzero):
         j_min = int(np.flatnonzero(nonzero)[np.argmin(np.abs(b_grid[nonzero]))])

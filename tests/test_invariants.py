@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import gaugetherm as gt
 from gaugetherm.gauge import cluster_spectrum, default_cluster_tol_abs
 from gaugetherm.invariants import (
     LevelDistribution,
@@ -11,10 +12,18 @@ from gaugetherm.invariants import (
     level_distribution,
     noneq_free_energy,
     s_gauge,
+    stochastic_entropies,
     stochastic_entropy,
     thermal_level_distribution,
 )
-from gaugetherm.linalg import PROB_FLOOR, ValidationError, eigh, gibbs_state, relative_entropy
+from gaugetherm.linalg import (
+    PROB_FLOOR,
+    ValidationError,
+    eigh,
+    gibbs_state,
+    relative_entropy,
+    shannon_entropy,
+)
 
 from test_linalg import random_density
 
@@ -74,6 +83,59 @@ def test_level_distribution_rejects_non_finite(probs, energies):
         LevelDistribution(probs=np.array(probs), mults=np.array([1, 1]), energies=np.array(energies))
 
 
+@pytest.mark.parametrize(
+    "probs, energies, message",
+    [
+        ([np.nan, 1.5, -0.5], [np.inf, 0.0, 1.0], "probabilities must be finite"),
+        ([1.5, -0.5, 0.0], [np.inf, 0.0, 1.0], "energies must be finite"),
+        ([1.5, -0.5, 0.0], [0.0, 1.0, 2.0], "nonnegative and sum to 1"),
+        ([0.5, 0.25, 0.2], [0.0, 1.0, 2.0], "nonnegative and sum to 1"),
+    ],
+)
+def test_level_distribution_validator_precedence(probs, energies, message):
+    # one combined test passes a valid distribution; a failing one is
+    # diagnosed finiteness first, then the sign and the sum
+    with pytest.raises(ValidationError, match=message):
+        LevelDistribution(
+            probs=np.array(probs), mults=np.array([1, 1, 1]), energies=np.array(energies)
+        )
+
+
+def test_level_distribution_passes_within_bounds():
+    # a probability of -1e-13 and a sum 1e-9 above 1 are within the bounds
+    ld = LevelDistribution(
+        probs=np.array([0.5 + 1e-9, 0.5, -1e-13]),
+        mults=np.array([1, 1, 1]),
+        energies=np.array([-1e300, 0.0, 1e300]),
+    )
+    assert ld.n_levels == 3
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_single_state_routes_are_rows_of_the_stacked_kernel(dim, degenerate):
+    # twirl, level_distribution and entropy_report on one state are the
+    # n = 1 case of level_space / level_twirl: bit-equal to a row of a stack
+    from gaugetherm.gauge import level_space, level_twirl, twirl
+
+    rng = np.random.default_rng(100 * dim + degenerate)
+    p = gt.random_protocol(dim, 7, rng, degenerate=degenerate)
+    ev = gt.evolve(p, random_density(dim, rng))
+    diag, pops = level_space(ev.states, ev.structures)
+    twirled = level_twirl(pops, ev.structures)
+    ends = np.cumsum([ds.n_levels for ds in ev.structures])
+    for j, (rho, ds) in enumerate(zip(ev.states, ev.structures)):
+        row = np.maximum(pops[ends[j] - ds.n_levels : ends[j]], 0.0)
+        row /= row.sum()
+        assert np.array_equal(level_distribution(rho, ds).probs, row)
+        assert np.array_equal(twirl(rho, ds), twirled[j])
+        rep = entropy_report(rho, ds)
+        assert rep.s_d == shannon_entropy(np.clip(diag[j], 0.0, 1.0))
+        assert rep.s_gt == s_gauge(LevelDistribution(probs=row, mults=ds.mults, energies=ds.energies))
+    if degenerate:
+        assert ev.structures[0].degenerate and ev.structures[-1].degenerate
+
+
 def test_s_gauge_mixedness_credit():
     # all weight on one doubly degenerate level: -sum p ln p = 0, credit ln 2
     ld = LevelDistribution(
@@ -93,6 +155,24 @@ def test_stochastic_entropy_hand_value():
     # mean of the trajectory entropies is the ensemble entropy
     mean = 0.5 * stochastic_entropy(0, ld) + 0.5 * stochastic_entropy(1, ld)
     assert mean == pytest.approx(s_gauge(ld), abs=1e-12)
+
+
+def test_stochastic_entropies_vectorise_the_single_outcome_form():
+    ld = LevelDistribution(
+        probs=np.array([0.5, 0.5 - 1e-80, 1e-80, 0.0]),
+        mults=np.array([2, 1, 1, 3]),
+        energies=np.array([0.0, 1.0, 2.0, 3.0]),
+    )
+    s = stochastic_entropies(ld)
+    assert s[0] == stochastic_entropy(0, ld) == pytest.approx(math.log(4), abs=1e-12)
+    assert s[1] == stochastic_entropy(1, ld)
+    # below the floor the single-outcome form refuses, the vector stays finite,
+    # and an exact zero is +inf
+    assert s[2] == pytest.approx(80 * math.log(10))
+    assert s[3] == math.inf
+    for k in (2, 3):
+        with pytest.raises(ValueError):
+            stochastic_entropy(k, ld)
 
 
 def test_stochastic_entropy_zero_probability():

@@ -221,6 +221,48 @@ def test_validation_errors():
         validate_hermitian(stack, "stack")
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # a NaN entry is named first, whatever else is wrong
+        ({(0, 0): np.nan, (0, 1): 0.3, (2, 2): 0.9}, "non-finite"),
+        # one infinite entry against a finite transpose: an infinite skew
+        ({(0, 1): np.inf}, "non-finite"),
+        # a skew comes before a trace that misses 1
+        ({(0, 1): 0.3, (2, 2): 0.9}, "not Hermitian"),
+        ({(2, 2): 0.9}, "trace is"),
+    ],
+)
+def test_single_matrix_validator_precedence(entries, message):
+    # a valid matrix passes one combined test; only a failing one is
+    # diagnosed, in the order the checks are listed
+    rho = np.eye(3, dtype=complex) / 3
+    for index, value in entries.items():
+        rho[index] = value
+    with pytest.raises(ValidationError, match=message):
+        validate_density(rho, check_psd=False)
+    if message != "trace is":
+        with pytest.raises(ValidationError, match=message):
+            validate_hermitian(rho)
+    else:
+        validate_hermitian(rho)
+
+
+def test_single_matrix_validators_pass_within_tolerance():
+    rho = np.eye(3, dtype=complex) / 3
+    rho[0, 1] = 1e-13  # skew 1e-13, within HERMITICITY_TOL of the unit scale
+    rho[1, 1] += 5e-11  # trace 1 + 5e-11, within TRACE_TOL
+    assert validate_density(rho, check_psd=False) is not None
+    assert validate_hermitian(np.zeros((0, 0))).shape == (0, 0)
+    # a skew above the tolerance at unit scale is held to the matrix's own
+    # scale, here 1e6: 1e-8 passes, 1e-5 does not
+    h = np.array([[1e6, 1.0], [1.0 + 1e-8, 0.0]], dtype=complex)
+    validate_hermitian(h)
+    h[1, 0] = 1.0 + 1e-5
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        validate_hermitian(h)
+
+
 def test_shannon_entropy_ignores_exact_zeros():
     assert shannon_entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(math.log(2))
 

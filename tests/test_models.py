@@ -1,5 +1,6 @@
 """Model builders, the fuzz-case generator, and the low-temperature scan."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,31 @@ class TestProtocolBuilders:
         assert p.hamiltonians.shape[1] == 51
         assert np.allclose(p.hamiltonians[0], gt.curie_weiss(1.0, 50, 2.0))
         assert np.allclose(p.hamiltonians[-1], gt.curie_weiss(1.0, 50, 0.0))
+
+    def test_stacked_builders_equal_the_per_node_hamiltonians(self):
+        p = gt.landau_zener_protocol(delta=0.3, v=-2.7, t_final=3.3, nodes=57)
+        assert np.array_equal(
+            p.hamiltonians, np.stack([gt.landau_zener(0.3, -2.7, t) for t in p.times])
+        )
+        p = gt.curie_weiss_protocol(
+            j_coupling=0.7, n_spins=7, b_start=-1.0, b_end=3.0, t_final=2.5, nodes=33
+        )
+        b_grid = -1.0 + (p.times / 2.5) * 4.0
+        assert np.array_equal(p.hamiltonians, np.stack([gt.curie_weiss(0.7, 7, b) for b in b_grid]))
+        with pytest.raises(ValueError):
+            gt.curie_weiss_protocol(n_spins=0)
+
+    def test_field_ramp_builds_one_stack(self):
+        # the diagonals are broadcast into one preallocated stack; a list of
+        # per-node matrices joined by np.stack peaked at two stacks
+        stack = 401 * 41 * 41 * 16
+        tracemalloc.start()
+        try:
+            gt.curie_weiss_protocol(n_spins=40, nodes=401)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * stack
 
     def test_field_ramp_rejects_coarse_tolerance(self):
         # a clustering tolerance beating the smallest on-grid splitting would
