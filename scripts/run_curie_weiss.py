@@ -37,7 +37,7 @@ def main() -> None:
     run = gt.stream_run(p, rho0)
     ev, tl = run.ev, run.tl
 
-    merged = [j for j in range(p.n_nodes) if run.structures[j].degenerate]
+    merged = np.flatnonzero(run.degenerate).tolist()
     print(f"grid: {p.n_nodes} nodes; {len(merged)} nodes with merged levels")
     if merged:
         b_vals = sorted({round(float(2.0 * (1 - p.times[j] / p.tau)), 6) for j in merged})

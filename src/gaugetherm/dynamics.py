@@ -9,6 +9,7 @@ so the declared integration tolerance scales as C dt^2.
 """
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
@@ -22,6 +23,7 @@ from .gauge import (
     cluster_spectra,
     default_cluster_tol_abs,
     flat_levels,
+    flat_starts,
     level_space,
     level_twirl,
 )
@@ -112,14 +114,21 @@ def evolve(
     independently per node; levels are never tracked through crossings.
 
     The spectral work is one eigendecomposition per node Hamiltonian, made
-    as one stacked call and clustered into the structures, and one per
+    as one stacked call per node block and clustered into the structures
+    (_decompose, which stream_run runs inside its pass), and one per
     midpoint Hamiltonian, which gives every step propagator. The rest is the
     node-block pass of _propagate, written into the three stacks returned.
     Those stacks are for library callers that read every node; stream_run
     folds the same pass into the ledger, the tolerance and the connection
     check without storing them.
     """
-    rho0, structures = _node_structures(p, rho0, cluster_tol_abs, cluster_tol_rel)
+    rho0 = _initial_state(p, rho0)
+    h = p.hamiltonians
+    structures = [
+        ds
+        for s in node_blocks(p.n_nodes, p.dim)
+        for ds in _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
+    ]
     props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
     for s, *blocks in _propagate(p, rho0, structures):
         props[s], states[s], twirled[s] = blocks[:3]
@@ -127,24 +136,90 @@ def evolve(
     return EvolutionResult(states, twirled, props, structures)
 
 
-def _node_structures(
-    p: Protocol, rho0: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float
-) -> tuple[np.ndarray, list[DegeneracyStructure]]:
-    """The validated rho0 and the clustered structure of every node Hamiltonian,
-    from one stacked eigendecomposition."""
+def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
+    """rho0, validated as a state of the protocol's dimension."""
     rho0 = validate_density(rho0)
     if rho0.shape[0] != p.dim:
         raise ValidationError("initial state dimension does not match the protocol")
-    h = p.hamiltonians
+    return rho0
+
+
+def _decompose(
+    h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float
+) -> list[DegeneracyStructure]:
+    """The clustered structures of a node block (k, d, d) of Hamiltonians,
+    from one stacked eigendecomposition; each basis is a view of the block's
+    eigenvectors."""
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
     w, V = np.linalg.eigh(h)
-    return rho0, cluster_spectra(w, V, tol_abs, cluster_tol_rel)
+    return cluster_spectra(w, V, tol_abs, cluster_tol_rel)
+
+
+class _NodeStructures:
+    """The node structures of a protocol for one pass in node order, indexed
+    like evolve's list by node or by a slice of nodes. A node block
+    (linalg.node_blocks) is decomposed (_decompose) when one of its nodes is
+    first asked for, and its structures are held until released. The levels
+    of every node are kept (levels()).
+
+    The last block is decomposed first, so that `degenerate` is known before
+    the pass for a protocol degenerate at its end, such as every field ramp
+    to B = 0: stream_run then skips the connection check's frames and
+    commutator traces from its first node, which without this early block
+    would add a third to the Curie-Weiss config's stream_run. A fault in
+    that block is raised again, in node order, when the pass asks for it.
+    """
+
+    def __init__(self, h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float):
+        self.h, self.tols = h, (cluster_tol_abs, cluster_tol_rel)
+        self.blocks = node_blocks(*h.shape[:2])
+        self.reached = 0  # the blocks before this one are decomposed
+        self.held: dict[int, DegeneracyStructure] = {}
+        self.flat: dict[int, tuple] = {}  # block start -> (mults, energies) of its nodes
+        self.degenerate = False  # whether a node decomposed so far has a merged level
+        try:
+            self._decompose(self.blocks[-1])
+        except ValidationError:
+            pass
+
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def _decompose(self, s: slice) -> None:
+        block = _decompose(self.h[s], *self.tols)
+        self.held.update(zip(range(s.start, s.stop), block))
+        mults, energies = flat_levels(block)[:2]
+        self.flat[s.start] = mults, energies
+        self.degenerate = self.degenerate or bool(np.any(mults > 1))
+
+    def __getitem__(self, key: int | slice):
+        last = key.stop - 1 if isinstance(key, slice) else key
+        while self.reached < len(self.blocks) and self.blocks[self.reached].start <= last:
+            if self.blocks[self.reached].start not in self.flat:
+                self._decompose(self.blocks[self.reached])
+            self.reached += 1
+        if isinstance(key, slice):
+            return [self.held[j] for j in range(*key.indices(len(self)))]
+        return self.held[key]
+
+    def release(self, stop: int) -> None:
+        """Let the structures of the nodes before stop go."""
+        for j in [j for j in self.held if j < stop]:
+            del self.held[j]
+
+    def levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """flat_levels' multiplicities, energies and node starts of every node,
+        after the pass has asked for every block."""
+        mults, energies = (np.concatenate(x) for x in zip(*(self.flat[s.start] for s in self.blocks)))
+        return mults, energies, flat_starts(mults, self.h.shape[1])[1]
 
 
 def _propagate(
-    p: Protocol, rho0: np.ndarray, structures: list[DegeneracyStructure]
+    p: Protocol, rho0: np.ndarray, structures, stride: int = 1
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """evolve's pass for a validated rho0 and known node structures: for each
+    """evolve's pass for a validated rho0 and the node structures, a list or a
+    _NodeStructures indexed by node, of which p's node j reads number
+    stride * j (the coarse grid's nodes are the even fine nodes): for each
     node block s (linalg.node_blocks) it yields s and the propagators, states
     and twirled states of its nodes, and the level-basis diagonal and level
     populations of its states (gauge.level_space), carrying the running
@@ -161,16 +236,19 @@ def _propagate(
         lo = max(a - 1, 0)  # steps lo .. b - 2 lead into the block's nodes
         props = np.empty((b - a, d, d), dtype=complex)
         props[0] = u  # U_0 = 1; in a later block, step a - 1 overwrites it
-        for j, step in enumerate(_steps(h, lo, b - 1, c), lo):  # node j to node j + 1
-            u = np.matmul(step, u, out=props[j + 1 - a])
+        steps = _steps(h, lo, b - 1, c)
+        for j in range(lo, b - 1):  # node j to node j + 1
+            u = np.matmul(steps[j - lo], u, out=props[j + 1 - a])
         states = np.matmul(props @ rho0, _dag(props))
         if a == 0:
             states[0] = rho0
         validate_density(states, "evolved state at node", check_psd=False, first=a)
-        diag, pops = level_space(states, structures[s], first=a)
-        yield s, props, states, level_twirl(pops, structures[s]), diag, pops
-        u = props[-1].copy()  # carry the last propagator and let the block go
-        del props, states
+        block = structures[stride * a : stride * (b - 1) + 1 : stride]
+        diag, pops = level_space(states, block, first=a)
+        out = [(s, props, states, level_twirl(pops, block), diag, pops)]
+        u = props[-1].copy()  # carry the last propagator
+        del steps, block, props, states, diag, pops
+        yield out.pop()  # so that a suspended pass holds nothing of the block
 
 
 def _steps(h: np.ndarray, lo: int, hi: int, c: complex) -> np.ndarray:
@@ -230,12 +308,11 @@ def _ends(plus: np.ndarray, minus: np.ndarray, same: np.ndarray, dt: float) -> n
     return out
 
 
-def _power_integrands(
-    blocks: Iterable[tuple], h: np.ndarray, dt: float
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+class _PowerIntegrands:
     """Re Tr(S_j Hdot_j), Re Tr(Sdot_j H_j) and Re Tr(S_j H_j) per node, with
-    the derivatives of _central_diff, for each state stack S of a pass whose
-    blocks (s, S[s], S'[s], ...) come from _stored_blocks or _propagate.
+    the derivatives of _central_diff, for each state stack S of a pass, folded
+    a node block at a time: add(s, S[s], S'[s], ...) for the blocks in node
+    order, then integrands(dt).
 
     A central difference is linear, so it moves onto neighbour traces:
     Tr(S_j Hdot_j) = [Tr(S_j H_{j+1}) - Tr(S_j H_{j-1})] / 2dt and
@@ -243,21 +320,36 @@ def _power_integrands(
     them from one transposed copy of its H with a one-node halo on each side,
     Tr(S_{j+1} H_j) in the block of node j + 1, so no state crosses blocks.
     """
-    n = len(h)
-    traces = []
-    for s, *stacks in blocks:
-        a, b = s.start, s.stop
+
+    def __init__(self, h: np.ndarray):
+        self.h, self.traces = h, []
+
+    def add(self, s: slice, *stacks: np.ndarray) -> None:
+        n, a, b = len(self.h), s.start, s.stop
         lo = max(a - 1, 0)
         k = a - lo  # H_j is ht[j - lo], so node a sits at k
-        ht = _transposed(h[lo : b + 1])
+        ht = _transposed(self.h[lo : b + 1])
         m = min(b, n - 1) - a  # the pairs (j, j + 1) with j in this block
-        if not traces:
-            traces = [(np.empty(n), np.empty(n - 1), np.empty(n - 1)) for _ in stacks]
-        for (same, fwd, bwd), x in zip(traces, stacks):
+        if not self.traces:
+            self.traces = [(np.empty(n), np.empty(n - 1), np.empty(n - 1)) for _ in stacks]
+        for (same, fwd, bwd), x in zip(self.traces, stacks):
             same[s] = _flat_traces(x, ht[k : k + b - a])
             fwd[a : a + m] = _flat_traces(x[:m], ht[k + 1 : k + 1 + m])  # Tr(S_j H_{j+1})
             bwd[lo : b - 1] = _flat_traces(x[1 - k :], ht[: b - 1 - lo])  # Tr(S_{j+1} H_j)
-    return [(_ends(f, b, same, dt), _ends(b, f, same, dt), same) for same, f, b in traces]
+
+    def integrands(self, dt: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return [(_ends(f, b, same, dt), _ends(b, f, same, dt), same) for same, f, b in self.traces]
+
+
+def _power_integrands(
+    blocks: Iterable[tuple], h: np.ndarray, dt: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """_PowerIntegrands over blocks (s, S[s], S'[s], ...) from _stored_blocks
+    or _propagate."""
+    fold = _PowerIntegrands(h)
+    for s, *stacks in blocks:
+        fold.add(s, *stacks)
+    return fold.integrands(dt)
 
 
 def _series(integrands: list[tuple], dt: float) -> WorkHeatSeries:
@@ -332,23 +424,26 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     """
     diag, pops = level_space(ev.states, ev.structures)
     s_vn = von_neumann_entropy(ev.states[0])
-    return _ledger(work_heat_series(p, ev), ev.structures, diag, pops, p.beta, s_vn)
+    mults, energies, _, node_starts = flat_levels(ev.structures)
+    levels = mults, energies, node_starts
+    return _ledger(work_heat_series(p, ev), levels, diag, pops, p.beta, s_vn)
 
 
 def _ledger(
     series: WorkHeatSeries,
-    structures: list[DegeneracyStructure],
+    levels: tuple[np.ndarray, np.ndarray, np.ndarray],
     diag: np.ndarray,
     pops: np.ndarray,
     beta: float,
     s_vn: float,
 ) -> ThermoLedger:
-    """ledger's columns from the work/heat series, the level-basis diagonal and
-    level populations of every node (gauge.level_space) and the state's von
-    Neumann entropy."""
-    mults, energies, _, node_starts = flat_levels(structures)
+    """ledger's columns from the work/heat series, the levels of every node
+    (flat_levels' multiplicities, energies and node starts), the level-basis
+    diagonal and level populations of every node (gauge.level_space) and the
+    state's von Neumann entropy."""
+    mults, energies, node_starts = levels
     mults = mults.astype(float)
-    node = np.repeat(np.arange(len(structures)), np.diff(node_starts, append=mults.size))
+    node = np.repeat(np.arange(len(node_starts)), np.diff(node_starts, append=mults.size))
 
     def per_node(x: np.ndarray) -> np.ndarray:
         return np.add.reduceat(x, node_starts)
@@ -402,19 +497,21 @@ def integration_tolerance(
     first order, e.g. a degeneracy jump sitting on a single grid node.
     """
     fine = work_heat_series(p, ev) if tl is None else tl
-    return _tolerance(p, ev.states[0], ev.structures, fine)
+    coarse = _coarse(p)
+    blocks = ((s, st, tw) for s, _, st, tw, *_ in _propagate(coarse, ev.states[0], ev.structures, 2))
+    return _tolerance(fine, _series(_power_integrands(blocks, coarse.hamiltonians, coarse.dt), coarse.dt))
 
 
-def _tolerance(
-    p: Protocol, rho0: np.ndarray, structures: list[DegeneracyStructure], fine
-) -> float:
-    """integration_tolerance from rho0, the structures of every fine node and
-    the fine work/heat series (a WorkHeatSeries or ThermoLedger)."""
+def _coarse(p: Protocol) -> Protocol:
+    """The grid coarsened by two: the fine nodes 0, 2, 4, ... and their Hamiltonians."""
     if p.n_nodes < 5:
         raise ValueError("tolerance estimation needs at least 5 grid nodes")
-    coarse = replace(p, times=p.times[::2], hamiltonians=p.hamiltonians[::2])
-    blocks = ((s, st, tw) for s, _, st, tw, *_ in _propagate(coarse, rho0, structures[::2]))
-    crs = _series(_power_integrands(blocks, coarse.hamiltonians, coarse.dt), coarse.dt)
+    return replace(p, times=p.times[::2], hamiltonians=p.hamiltonians[::2])
+
+
+def _tolerance(fine, crs: WorkHeatSeries) -> float:
+    """integration_tolerance from the fine work/heat series (a WorkHeatSeries
+    or ThermoLedger) and the coarse one."""
     worst = 0.0
     for name in ("w_u", "w_inv", "q_c", "q_u"):
         f = getattr(fine, name)[::2]
@@ -458,28 +555,35 @@ def _aligned(prev: np.ndarray, basis: np.ndarray) -> np.ndarray:
     perm = np.empty(d, dtype=int)
     perm[rows] = cols
     w = basis[:, perm]
-    ov = np.array([overlap[i, perm[i]] for i in range(d)])
+    ov = overlap[np.arange(d), perm]
     phases = np.where(np.abs(ov) > 0, ov / np.maximum(np.abs(ov), 1e-300), 1.0)
     return w * phases.conj()
 
 
-def _degenerate_check(structures: list[DegeneracyStructure]) -> ConnectionCheck | None:
-    """The skipped check when a node is degenerate: the frame derivative is
-    not defined across a merged level."""
-    for j, ds in enumerate(structures):
-        if ds.degenerate:
-            return ConnectionCheck(
-                performed=False,
-                reason=f"degenerate spectrum at node {j}; frame construction undefined",
-            )
-    return None
+def _degenerate_check(degenerate: np.ndarray) -> ConnectionCheck | None:
+    """The skipped check when a node is degenerate (degenerate[j] for node j):
+    the frame derivative is not defined across a merged level."""
+    if not degenerate.any():
+        return None
+    return ConnectionCheck(
+        performed=False,
+        reason=f"degenerate spectrum at node {int(np.argmax(degenerate))}; "
+        "frame construction undefined",
+    )
 
 
-def _connections(structures: list[DegeneracyStructure], dt: float) -> Iterator[np.ndarray]:
+def _merged(mults: np.ndarray, node_starts: np.ndarray) -> np.ndarray:
+    """Whether each node has a level of multiplicity above 1, from flat_levels."""
+    return np.maximum.reduceat(mults, node_starts) > 1
+
+
+def _connections(structures, dt: float) -> Iterator[np.ndarray]:
     """The connection A_j = -Vdot_j V_j^dag of the aligned frame, one node block
-    (linalg.node_blocks) at a time. Frames are aligned in node order, and a
+    (linalg.node_blocks) at a time, from the structures indexed by node (a
+    list, or a _NodeStructures). Frames are aligned in node order, and a
     block's central differences take one frame of halo on each side, so only
-    the last two frames carry over to the next block."""
+    the last two frames carry over to the next block: the block of nodes
+    [a, b) reads node b's structure."""
     n = len(structures)
     frames, first = [structures[0].basis], 0  # aligned frames of nodes first, first + 1, ...
     for s in node_blocks(n, structures[0].dim):
@@ -530,7 +634,8 @@ def connection_cross_check(
     defined across a merged level. The frame and t are taken a node block at
     a time, as stream_run takes them from its pass.
     """
-    skipped = _degenerate_check(ev.structures)
+    mults, _, _, node_starts = flat_levels(ev.structures)
+    skipped = _degenerate_check(_merged(mults, node_starts))
     if skipped is not None:
         return skipped
     if tl is None:
@@ -545,15 +650,26 @@ def connection_cross_check(
 
 @dataclass(frozen=True)
 class StreamedRun:
-    """What stream_run keeps: ev holds only the kept nodes, so its [0] and
-    [-1] are the protocol's ends; connection is None when not asked for."""
+    """What stream_run keeps. ev holds only the kept nodes, their states,
+    twirled states, propagators and structures, so its [0] and [-1] are the
+    protocol's ends. mults and energies hold the levels of every node laid
+    end to end, node j's from node_starts[j] (gauge.flat_levels), which is
+    all the ledger reads of a structure. connection is None when not asked
+    for."""
 
     nodes: list[int]
     ev: EvolutionResult
-    structures: list[DegeneracyStructure]
+    mults: np.ndarray
+    energies: np.ndarray
+    node_starts: np.ndarray
     tl: ThermoLedger
     tol: float
     connection: ConnectionCheck | None
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Whether each node has a level of multiplicity above 1."""
+        return _merged(self.mults, self.node_starts)
 
 
 def stream_run(
@@ -568,47 +684,65 @@ def stream_run(
     connection_cross_check in one pass over node blocks, with the same
     numbers bit for bit.
 
-    The structures come first (one stacked eigendecomposition), then one pass
-    of _propagate whose blocks feed every consumer and are then let go: the
-    neighbour traces of the work/heat series, the level-basis diagonal and
-    populations of the ledger's columns, and the commutator traces of the
-    connection check. So beyond the Hamiltonians and the node bases a run
-    holds a few node blocks, not the (n, d, d) stacks of evolve. The nodes
-    kept are 0, n // 2 and n - 1.
+    The pass decomposes the node Hamiltonians a block at a time
+    (_NodeStructures, with evolve's _decompose) and feeds each block to every consumer
+    before letting it go: the fine run of _propagate, folded into the
+    neighbour traces of the work/heat series and the ledger's level-basis
+    diagonal and populations; the coarse run of the tolerance, whose nodes
+    are the even fine nodes, a coarse block once the fine run has passed its
+    nodes; and the connection check's aligned frames and commutator traces,
+    which read one node of the next block and stop at the first degenerate
+    node, where the check is known to be skipped. So beyond the Hamiltonians
+    a run holds a few node blocks and the levels of every node, not the
+    stacks of evolve or the node bases. The nodes kept are 0, n // 2 and
+    n - 1. Faults are raised a block at a time in node order, and a protocol
+    of fewer than 5 nodes is refused before the pass.
     """
-    rho0, structures = _node_structures(p, rho0, cluster_tol_abs, cluster_tol_rel)
+    rho0 = _initial_state(p, rho0)
     n, d, h, dt = p.n_nodes, p.dim, p.hamiltonians, p.dt
+    coarse = _coarse(p)
+    structures = _NodeStructures(h, cluster_tol_abs, cluster_tol_rel)
     nodes = sorted({0, n // 2, n - 1})
     kept = [np.empty((len(nodes), d, d), dtype=complex) for _ in range(3)]
+    kept_structures = []
     diag, pops = np.empty((n, d)), []
-    check = _degenerate_check(structures) if connection else None
-    conns = _connections(structures, dt) if connection and check is None else None
+    fine, crs = _PowerIntegrands(h), _PowerIntegrands(coarse.hamiltonians)
+    coarse_blocks = deque(node_blocks(coarse.n_nodes, d))
+    coarse_pass = _propagate(coarse, rho0, structures, 2)
+    conns = _connections(structures, dt)
     t = np.empty(n)
+    for s, props, states, twirled, dg, pp in _propagate(p, rho0, structures):
+        for i, j in enumerate(nodes):
+            if s.start <= j < s.stop:
+                kept[0][i], kept[1][i], kept[2][i] = (x[j - s.start] for x in (states, twirled, props))
+                ds = structures[j]  # a copy of its basis lets the block's go
+                kept_structures.append(replace(ds, basis=ds.basis.copy()))
+        diag[s] = dg
+        pops.append(pp)
+        fine.add(s, states, twirled)
+        if connection and not structures.degenerate:
+            t[s] = _commutator_traces(states, next(conns), h[s])
+        del props, states, twirled
+        while coarse_blocks and 2 * coarse_blocks[0].stop - 2 < s.stop:
+            coarse_blocks.popleft()  # its nodes are the even nodes the fine run has passed
+            cs, _, c_states, c_twirled, *_ = next(coarse_pass)
+            crs.add(cs, c_states, c_twirled)
+            del c_states, c_twirled
+        structures.release(min(s.stop, 2 * coarse_blocks[0].start) if coarse_blocks else s.stop)
 
-    def blocks():
-        for s, props, states, twirled, dg, pp in _propagate(p, rho0, structures):
-            for i, j in enumerate(nodes):
-                if s.start <= j < s.stop:
-                    for out, x in zip(kept, (states, twirled, props)):
-                        out[i] = x[j - s.start]
-            diag[s] = dg
-            pops.append(pp)
-            if conns is not None:
-                t[s] = _commutator_traces(states, next(conns), h[s])
-            yield s, states, twirled
-            del props, states, twirled
-
-    integrands = _power_integrands(blocks(), h, dt)
+    mults, energies, node_starts = structures.levels()
+    integrands = fine.integrands(dt)
     tl = _ledger(
-        _series(integrands, dt), structures, diag, np.concatenate(pops), p.beta,
-        von_neumann_entropy(rho0),
+        _series(integrands, dt), (mults, energies, node_starts), diag, np.concatenate(pops),
+        p.beta, von_neumann_entropy(rho0),
     )
-    tol = _tolerance(p, rho0, structures, tl)
-    if conns is not None:
+    tol = _tolerance(tl, _series(crs.integrands(coarse.dt), coarse.dt))
+    check = _degenerate_check(_merged(mults, node_starts)) if connection else None
+    if connection and check is None:
         work, heat, _ = integrands[0]
         check = _connection_check(work, heat, t, tl, dt)
-    ev = EvolutionResult(*kept, [structures[j] for j in nodes])
-    return StreamedRun(nodes, ev, structures, tl, tol, check)
+    ev = EvolutionResult(*kept, kept_structures)
+    return StreamedRun(nodes, ev, mults, energies, node_starts, tl, tol, check)
 
 
 @dataclass(frozen=True)

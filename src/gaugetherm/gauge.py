@@ -155,9 +155,15 @@ def flat_levels(
     if len(structures) == 1:  # one state: the cached arrays save ~6 us a call
         return structures[0].mults, structures[0].energies, structures[0].starts, np.zeros(1, int)
     mults = np.concatenate([ds.mults for ds in structures])
-    level_starts = mults.cumsum() - mults
-    node_starts = np.flatnonzero(level_starts % structures[0].dim == 0)
+    level_starts, node_starts = flat_starts(mults, structures[0].dim)
     return mults, np.concatenate([ds.energies for ds in structures]), level_starts, node_starts
+
+
+def flat_starts(mults: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """flat_levels' level starts and node starts from the multiplicities of
+    consecutive d-level nodes laid end to end."""
+    level_starts = mults.cumsum() - mults
+    return level_starts, np.flatnonzero(level_starts % d == 0)
 
 
 def _bases(structures: list[DegeneracyStructure]) -> np.ndarray:

@@ -43,9 +43,12 @@ def _dag(a: np.ndarray) -> np.ndarray:
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
-    """a^T per matrix as a C-contiguous copy: elementwise work between a and its
-    transpose then reads both in memory order, where a strided view is slow."""
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+    """a^T per matrix as a new C-contiguous array: elementwise work between a
+    and its transpose then reads both in memory order, where a strided view
+    is slow. It is always a copy, never a view of a (as np.ascontiguousarray
+    gives for (k, 1, 1) or an already transposed stack), so that it may be
+    written in place."""
+    return np.swapaxes(a, -1, -2).copy()
 
 
 def _per_matrix(H: np.ndarray, fn) -> np.ndarray:
@@ -61,11 +64,18 @@ def _abs_max(H: np.ndarray) -> np.ndarray:
     return np.abs(H).max(axis=(-2, -1), initial=0.0)
 
 
-def _scale_skew(H: np.ndarray) -> np.ndarray:
-    """max |H_ij| and max |H - H^dag| per matrix, as a last axis of length 2,
-    from one reduction over H and H - H^dag stacked in memory order."""
-    both = np.abs(np.concatenate([H, H - _transposed(H).conj()], axis=-2))
-    return both.reshape(H.shape[:-2] + (2, H.shape[-1] ** 2)).max(axis=-1, initial=0.0)
+def _stack_hermitian_ok(H: np.ndarray) -> np.ndarray:
+    """_hermitian_ok on a stack (k, d, d): max |H - H^dag| per matrix from a
+    transposed copy in memory order, conjugated and subtracted in place, and
+    max |H_ij| only for the matrices whose skew is above HERMITICITY_TOL."""
+    t = _transposed(H)
+    np.conjugate(t, out=t)
+    skew = _abs_max(np.subtract(H, t, out=t))
+    ok = skew <= HERMITICITY_TOL
+    if not ok.all():
+        rest = ~ok
+        ok[rest] = skew[rest] - HERMITICITY_TOL * np.maximum(1.0, _abs_max(H[rest])) <= 0.0
+    return ok
 
 
 def max_abs_entry(H: np.ndarray) -> np.ndarray:
@@ -83,15 +93,15 @@ def _named(name: str, bad: np.ndarray, first: int = 0) -> str:
 def _hermitian_ok(H: np.ndarray) -> np.ndarray:
     """Whether max |H - H^dag| <= HERMITICITY_TOL * max(1, max |H_ij|), per
     matrix. A non-finite entry makes the skew NaN or infinite, which fails, so
-    a passing matrix is finite. One matrix whose skew is within the tolerance
-    at unit scale passes without the reduction for its scale."""
+    a passing matrix is finite. A matrix whose skew is within the tolerance
+    at unit scale passes at any scale, so max |H_ij| is reduced only for the
+    matrices that fail that test."""
     if H.ndim == 2:
         skew = np.abs(H - H.conj().T).max(initial=0.0)
         return skew <= HERMITICITY_TOL or (
             skew - HERMITICITY_TOL * max(1.0, np.abs(H).max(initial=0.0)) <= 0.0
         )
-    scale_skew = _per_matrix(H, _scale_skew)
-    return scale_skew[..., 1] - HERMITICITY_TOL * np.maximum(1.0, scale_skew[..., 0]) <= 0.0
+    return _per_matrix(H, _stack_hermitian_ok)
 
 
 def _all(ok: np.ndarray) -> bool:

@@ -27,6 +27,8 @@ from .fluctuation import build_ensemble, verify_ft
 from .gauge import (
     cluster_spectrum,
     default_cluster_tol_abs,
+    level_space,
+    level_twirl,
     sample_gauge_element,
     twirl,
     twirl_oracle,
@@ -36,7 +38,7 @@ from .invariants import (
     level_distribution,
     thermal_level_distribution,
 )
-from .linalg import eigh, gibbs_state, haar_unitary
+from .linalg import eigh, gibbs_state, haar_unitary, validate_density
 from .models import random_protocol
 
 
@@ -62,14 +64,17 @@ def gauge_conjugates(
 
     Elements are drawn from rng in node order. Returns the conjugated states,
     their twirls, and the largest entry deviation of those twirls from the
-    stored twirled states, which gauge invariance says is round-off.
+    stored twirled states, which gauge invariance says is round-off. The
+    twirls are one pass of the level-space kernel over the conjugated stack,
+    the rows twirl gives state by state.
     """
     conj = np.empty((len(nodes),) + ev.states.shape[1:], dtype=complex)
-    twirled = np.empty_like(conj)
     for i, j in enumerate(nodes):
         v = sample_gauge_element(ev.structures[j], rng)
         conj[i] = v @ ev.states[j] @ v.conj().T
-        twirled[i] = twirl(conj[i], ev.structures[j])
+    structures = [ev.structures[j] for j in nodes]
+    validate_density(conj, check_psd=False)
+    twirled = level_twirl(level_space(conj, structures)[1], structures)
     worst = float(np.max(np.abs(twirled - ev.twirled_states[list(nodes)])))
     return conj, twirled, worst
 

@@ -26,7 +26,8 @@ from gaugetherm.linalg import (
     shannon_entropy,
     validate_density,
 )
-from gaugetherm.cli import cmd_run
+from gaugetherm.cli import cmd_run, constant_protocol
+from gaugetherm.gauge import flat_levels
 from gaugetherm.verify import gauge_conjugates
 
 from test_linalg import SX, random_density
@@ -417,12 +418,17 @@ def test_eigendecomposition_budget(monkeypatch):
     gt.integration_tolerance(p, ev)
     assert counts["eigh"] <= 3 * p.n_nodes
     assert counts["eigvalsh"] <= 3
+    # the streamed run decomposes each node once, inside its pass: one eigh
+    # per node, per fine midpoint and per coarse midpoint
+    counts["eigh"] = 0
+    gt.stream_run(p, rho0, connection=True)
+    assert counts["eigh"] <= 2.5 * p.n_nodes
 
 
 def test_stacked_passes_hold_a_few_blocks(tmp_path):
     """Beyond what they return, evolve, ledger and integration_tolerance hold
     a few node blocks of temporaries, not whole (n, d, d) stacks; a whole
-    `gaugetherm run` holds its Hamiltonians, the node bases and a few blocks."""
+    `gaugetherm run` holds its Hamiltonians and a few blocks."""
     p = gt.curie_weiss_protocol(n_spins=40, nodes=401)
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
     stack = p.n_nodes * p.dim**2 * np.dtype(complex).itemsize
@@ -458,10 +464,11 @@ def test_stacked_passes_hold_a_few_blocks(tmp_path):
     # the coarse run is folded into its neighbour traces a node block at a
     # time, so it keeps no coarse stack
     assert tolerance_peak <= 0.5
-    # the run builds the Hamiltonians and the node bases, and folds its pass
-    # into the ledger, the tolerance and the checks: it stores no state stack
+    # the run builds the Hamiltonians, decomposes them a node block at a time
+    # inside its pass, and folds the pass into the ledger, the tolerance and
+    # the checks: it stores neither a state stack nor the node bases
     assert code == 0
-    assert run_peak <= 2.5
+    assert run_peak <= 1.5
 
 
 def test_neighbour_traces_across_node_blocks():
@@ -577,22 +584,11 @@ class TestPassNamesGlobalIndices:
                 validate_density(stack[s], "state at node", first=s.start)
 
 
-@pytest.mark.parametrize(
-    "protocol",
-    [
-        lambda: _ramp12(3 * BLOCK12 + 5, seed=29),
-        lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801),
-    ],
-    ids=["ramp12", "curie_weiss"],
-)
-def test_stream_run_matches_stored_route(protocol):
-    """stream_run folds one pass over node blocks into the ledger, the
-    tolerance and the connection check; every number equals, bit for bit,
-    what evolve, ledger, integration_tolerance and connection_cross_check
-    give from the stored stacks. Both protocols span four node blocks or
-    more, and the ramp does not commute with itself, so its states move."""
-    p = protocol()
-    assert len(node_blocks(p.n_nodes, p.dim)) >= 4
+def _assert_stream_run_matches_stored_route(p: gt.Protocol):
+    """Every number of stream_run equals, bit for bit, what evolve, ledger,
+    integration_tolerance and connection_cross_check give from the stored
+    stacks: the ledger, the tolerance, the connection check, the kept nodes'
+    states, twirled states, propagators and bases, and every node's levels."""
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
     run = gt.stream_run(p, rho0, connection=True)
     ev = gt.evolve(p, rho0)
@@ -601,7 +597,6 @@ def test_stream_run_matches_stored_route(protocol):
         assert np.array_equal(getattr(run.tl, field.name), getattr(tl, field.name)), field.name
     assert run.tol == gt.integration_tolerance(p, ev, tl)
     cc = gt.connection_cross_check(p, ev, tl)
-    assert cc.performed == (p.dim == 12)
     for field in dataclasses.fields(cc):
         a, b = getattr(run.connection, field.name), getattr(cc, field.name)
         assert (a is None and b is None) or np.array_equal(a, b), field.name
@@ -612,11 +607,87 @@ def test_stream_run_matches_stored_route(protocol):
     assert np.array_equal(run.ev.twirled_states, ev.twirled_states[nodes])
     assert np.array_equal(run.ev.propagators, ev.propagators[nodes])
     assert np.array_equal(run.ev.propagators[-1], ev.propagators[-1])  # U_tau
-    assert [run.structures[j] for j in nodes] == run.ev.structures
-    for ours, theirs in zip(run.structures, ev.structures):
-        assert np.array_equal(ours.basis, theirs.basis)
-        assert np.array_equal(ours.energies, theirs.energies)
+    for ours, j in zip(run.ev.structures, nodes):
+        assert np.array_equal(ours.basis, ev.structures[j].basis)
+        assert np.array_equal(ours.mults, ev.structures[j].mults)
+        assert np.array_equal(ours.energies, ev.structures[j].energies)
+    mults, energies, _, node_starts = flat_levels(ev.structures)
+    assert np.array_equal(run.mults, mults)
+    assert np.array_equal(run.energies, energies)
+    assert np.array_equal(run.node_starts, node_starts)
+    assert np.array_equal(run.degenerate, [ds.degenerate for ds in ev.structures])
     assert gt.stream_run(p, rho0).connection is None
+    return run
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        lambda: _ramp12(3 * BLOCK12 + 5, seed=29),
+        lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801),
+    ],
+    ids=["ramp12", "curie_weiss"],
+)
+def test_stream_run_matches_stored_route(protocol):
+    """stream_run decomposes the node Hamiltonians and folds one pass over
+    node blocks into the ledger, the tolerance and the connection check, with
+    the numbers of the stored route. Both protocols span four node blocks or
+    more, and the ramp does not commute with itself, so its states move;
+    Curie-Weiss is degenerate at its last node, so its check is skipped."""
+    p = protocol()
+    assert len(node_blocks(p.n_nodes, p.dim)) >= 4
+    run = _assert_stream_run_matches_stored_route(p)
+    assert run.connection.performed == (p.dim == 12)
+
+
+def test_stream_run_at_one_node_per_block(monkeypatch):
+    """With one node per block, as for d > 128, every block edge is a node:
+    the connection reads the next block's frame at each, and every odd block
+    has no coarse node. An odd node count ends the fine and the coarse grid
+    on a shared node."""
+    monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * 12 * 12)
+    p = _ramp12(13, seed=37)
+    assert len(node_blocks(p.n_nodes, p.dim)) == p.n_nodes
+    _assert_stream_run_matches_stored_route(p)
+
+
+def test_stream_run_on_one_level():
+    """d = 1, which a matrix file may declare: a constant protocol keeps its
+    Hamiltonians and its state, does no work, and stream_run equals the
+    stored route."""
+    p = constant_protocol(np.array([[0.7]], dtype=complex), beta=1.0, t_final=1.0, nodes=9)
+    h = p.hamiltonians.copy()
+    run = _assert_stream_run_matches_stored_route(p)
+    assert np.array_equal(p.hamiltonians, h)
+    assert np.allclose(run.ev.states, 1.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(run.tl.w_u, 0.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(run.tl.f_eq, 0.7, rtol=0.0, atol=1e-14)
+
+
+def _crossing(nodes: int) -> gt.Protocol:
+    """A d = 3 ramp whose two lower levels cross at the middle node only, in a
+    fixed random basis, so the nodes are not diagonal."""
+    q, _ = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))
+    h0, h1 = (q @ np.diag(e) @ q.T for e in ([-1.0, 1.0, 3.0], [1.0, -1.0, 3.0]))
+    return ramp_protocol(h0.astype(complex), h1.astype(complex), nodes=nodes)
+
+
+@pytest.mark.parametrize("one_node_blocks", [False, True])
+def test_stream_run_names_the_first_degenerate_node(one_node_blocks, monkeypatch):
+    """A protocol degenerate only inside its grid is found degenerate during
+    the pass, not before it: the skipped check names the node that the stored
+    route names."""
+    if one_node_blocks:
+        monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * 3 * 3)
+    p = _crossing(21)
+    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    ev = gt.evolve(p, rho0)
+    assert [j for j, ds in enumerate(ev.structures) if ds.degenerate] == [10]
+    run = gt.stream_run(p, rho0, connection=True)
+    assert not run.connection.performed
+    assert run.connection.reason == gt.connection_cross_check(p, ev).reason
+    assert "node 10;" in run.connection.reason
+    _assert_stream_run_matches_stored_route(p)
 
 
 @pytest.mark.parametrize("one_node_blocks", [False, True])

@@ -195,3 +195,23 @@ def test_structure_from_levels_alone():
     want, got = ensemble(ev.structures), ensemble(rebuilt)
     for name in ("transition", "reverse_transition", "joint_forward", "joint_reverse", "sigma"):
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("dim, nodes", [(5, 201), (8, 3 * node_blocks(10**6, 8)[0].stop + 5)])
+def test_gauge_conjugates_twirl_the_stack_as_twirl_does_each_state(dim, nodes):
+    """gauge_conjugates twirls the conjugated stack in one pass of the
+    level-space kernel (over two node blocks at d = 8); each row is the
+    array twirl gives for that state alone, and the rng draws are unchanged."""
+    from gaugetherm.verify import gauge_conjugates
+
+    rng = np.random.default_rng(dim)
+    p = gt.random_protocol(dim, nodes, rng, degenerate=True, beta=1.0)
+    ev = gt.evolve(p, random_density(dim, rng))
+    picked = range(0, nodes, 2)
+    conj, twirled, worst = gauge_conjugates(ev, picked, np.random.default_rng(1))
+    draws = np.random.default_rng(1)
+    for i, j in enumerate(picked):
+        v = sample_gauge_element(ev.structures[j], draws)
+        assert np.array_equal(conj[i], v @ ev.states[j] @ v.conj().T)
+        assert np.array_equal(twirled[i], twirl(conj[i], ev.structures[j]))
+    assert worst == float(np.max(np.abs(twirled - ev.twirled_states[list(picked)])))

@@ -263,6 +263,47 @@ def test_single_matrix_validators_pass_within_tolerance():
         validate_hermitian(h)
 
 
+@pytest.mark.parametrize("n", [5, 10000])  # one node block, and three
+def test_stack_validators_reduce_the_scale_only_where_the_skew_fails(n):
+    # matrix 2 has a skew of 1e-8, above HERMITICITY_TOL at unit scale but
+    # within it at its own scale of 1e6: it passes, as do the exact ones
+    h = np.repeat(np.diag([1.0, -1.0]).astype(complex)[None], n, axis=0)
+    h[2] = [[1e6, 1.0], [1.0 + 1e-8, 0.0]]
+    validate_hermitian(h)
+    h[n - 2, 1, 0] = 1.0 + 1e-5  # at unit scale, 1e-5 fails
+    with pytest.raises(ValidationError, match=f"operator {n - 2} is not Hermitian"):
+        validate_hermitian(h)
+    # a non-finite matrix is named by its index, before any skew
+    h[n - 1, 0, 0] = np.inf
+    with pytest.raises(ValidationError, match=f"operator {n - 1} has non-finite entries"):
+        validate_hermitian(h)
+    rho = np.repeat(np.eye(2, dtype=complex)[None] / 2, n, axis=0)
+    rho[n - 3, 0, 1] = np.nan
+    with pytest.raises(ValidationError, match=f"state {n - 3} has non-finite entries"):
+        validate_density(rho, check_psd=False)
+
+
+@pytest.mark.parametrize("layout", ["one_by_one", "transposed_view"])
+def test_stack_validators_leave_their_input_unchanged(layout):
+    # a (k, 1, 1) stack is C-contiguous when transposed, and so is the
+    # transposed view of a stack: the skew check must not write into either
+    rng = np.random.default_rng(3)
+    if layout == "one_by_one":
+        h = rng.normal(size=(7, 1, 1)).astype(complex)
+        rho = np.ones((7, 1, 1), dtype=complex)
+    else:
+        a = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
+        h = (a + a.conj().transpose(0, 2, 1)).transpose(0, 2, 1)
+        rho = np.array([random_density(3, rng) for _ in range(7)]).transpose(0, 2, 1)
+    assert np.swapaxes(h, -1, -2).flags.c_contiguous
+    h_before, rho_before = h.copy(), rho.copy()
+    validate_hermitian(h)
+    validate_density(rho)
+    validate_density(rho, check_psd=False)
+    assert np.array_equal(h, h_before)
+    assert np.array_equal(rho, rho_before)
+
+
 def test_shannon_entropy_ignores_exact_zeros():
     assert shannon_entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(math.log(2))
 
