@@ -9,7 +9,6 @@ so the declared integration tolerance scales as C dt^2.
 """
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
@@ -62,6 +61,8 @@ class Protocol:
             raise ValidationError("protocol needs at least two grid nodes")
         if hams.ndim != 3 or hams.shape[0] != times.shape[0] or hams.shape[1] != hams.shape[2]:
             raise ValidationError("hamiltonians must be one square matrix per node")
+        if not np.all(np.isfinite(times)):
+            raise ValidationError("time grid must be finite")
         steps = np.diff(times)
         dt = float(steps[0])
         scale = max(abs(float(times[-1])), dt)
@@ -115,24 +116,21 @@ def evolve(
 
     The spectral work is one eigendecomposition per node Hamiltonian, made
     as one stacked call per node block and clustered into the structures
-    (_decompose, which stream_run runs inside its pass), and one per
-    midpoint Hamiltonian, which gives every step propagator. The rest is the
-    node-block pass of _propagate, written into the three stacks returned.
-    Those stacks are for library callers that read every node; stream_run
-    folds the same pass into the ledger, the tolerance and the connection
-    check without storing them.
+    (_decompose), and one per midpoint Hamiltonian, which gives every step
+    propagator. Each block is decomposed and then propagated
+    (_Propagator.block), and written into the three stacks returned. Those
+    stacks are for library callers that read every node; stream_run folds
+    the same blocks into the ledger, the tolerance and the connection check
+    without storing them.
     """
     rho0 = _initial_state(p, rho0)
     h = p.hamiltonians
-    structures = [
-        ds
-        for s in node_blocks(p.n_nodes, p.dim)
-        for ds in _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
-    ]
+    run = _Propagator(h, p.dt, rho0)
+    structures: list[DegeneracyStructure] = []
     props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
-    for s, *blocks in _propagate(p, rho0, structures):
-        props[s], states[s], twirled[s] = blocks[:3]
-        del blocks  # so that the pass frees them before it makes the next block
+    for s in node_blocks(p.n_nodes, p.dim):
+        structures += _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
+        props[s], states[s], twirled[s] = run.block(s, structures[s])[:3]
     return EvolutionResult(states, twirled, props, structures)
 
 
@@ -155,100 +153,37 @@ def _decompose(
     return cluster_spectra(w, V, tol_abs, cluster_tol_rel)
 
 
-class _NodeStructures:
-    """The node structures of a protocol for one pass in node order, indexed
-    like evolve's list by node or by a slice of nodes. A node block
-    (linalg.node_blocks) is decomposed (_decompose) when one of its nodes is
-    first asked for, and its structures are held until released. The levels
-    of every node are kept (levels()).
-
-    The last block is decomposed first, so that `degenerate` is known before
-    the pass for a protocol degenerate at its end, such as every field ramp
-    to B = 0: stream_run then skips the connection check's frames and
-    commutator traces from its first node, which without this early block
-    would add a third to the Curie-Weiss config's stream_run. A fault in
-    that block is raised again, in node order, when the pass asks for it.
+class _Propagator:
+    """evolve's propagation for the node Hamiltonians h, the step dt and a
+    validated rho0, a node block at a time: block(s, structures) takes the
+    node block s (linalg.node_blocks, or any run of consecutive nodes, in
+    node order) and the structures of its nodes, and gives the propagators,
+    states and twirled states of its nodes, and the level-basis diagonal and
+    level populations of its states (gauge.level_space). It carries the
+    running propagator from block to block. Midpoints, states and level
+    populations are checked a block at a time, and an error names its step
+    or node by its index in h.
     """
 
-    def __init__(self, h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float):
-        self.h, self.tols = h, (cluster_tol_abs, cluster_tol_rel)
-        self.blocks = node_blocks(*h.shape[:2])
-        self.reached = 0  # the blocks before this one are decomposed
-        self.held: dict[int, DegeneracyStructure] = {}
-        self.flat: dict[int, tuple] = {}  # block start -> (mults, energies) of its nodes
-        self.degenerate = False  # whether a node decomposed so far has a merged level
-        try:
-            self._decompose(self.blocks[-1])
-        except ValidationError:
-            pass
+    def __init__(self, h: np.ndarray, dt: float, rho0: np.ndarray):
+        self.h, self.c, self.rho0 = h, -1j * dt, rho0
+        self.u = np.eye(h.shape[1], dtype=complex)  # the propagator into the last node given
 
-    def __len__(self) -> int:
-        return len(self.h)
-
-    def _decompose(self, s: slice) -> None:
-        block = _decompose(self.h[s], *self.tols)
-        self.held.update(zip(range(s.start, s.stop), block))
-        mults, energies = flat_levels(block)[:2]
-        self.flat[s.start] = mults, energies
-        self.degenerate = self.degenerate or bool(np.any(mults > 1))
-
-    def __getitem__(self, key: int | slice):
-        last = key.stop - 1 if isinstance(key, slice) else key
-        while self.reached < len(self.blocks) and self.blocks[self.reached].start <= last:
-            if self.blocks[self.reached].start not in self.flat:
-                self._decompose(self.blocks[self.reached])
-            self.reached += 1
-        if isinstance(key, slice):
-            return [self.held[j] for j in range(*key.indices(len(self)))]
-        return self.held[key]
-
-    def release(self, stop: int) -> None:
-        """Let the structures of the nodes before stop go."""
-        for j in [j for j in self.held if j < stop]:
-            del self.held[j]
-
-    def levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """flat_levels' multiplicities, energies and node starts of every node,
-        after the pass has asked for every block."""
-        mults, energies = (np.concatenate(x) for x in zip(*(self.flat[s.start] for s in self.blocks)))
-        return mults, energies, flat_starts(mults, self.h.shape[1])[1]
-
-
-def _propagate(
-    p: Protocol, rho0: np.ndarray, structures, stride: int = 1
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """evolve's pass for a validated rho0 and the node structures, a list or a
-    _NodeStructures indexed by node, of which p's node j reads number
-    stride * j (the coarse grid's nodes are the even fine nodes): for each
-    node block s (linalg.node_blocks) it yields s and the propagators, states
-    and twirled states of its nodes, and the level-basis diagonal and level
-    populations of its states (gauge.level_space), carrying the running
-    propagator between blocks. Midpoints, states and level populations are
-    checked a block at a time, and an error names its step or node by its
-    index in the protocol.
-    """
-    n, d, dt = p.n_nodes, p.dim, p.dt
-    h = p.hamiltonians
-    c = -1j * dt
-    u = np.eye(d, dtype=complex)  # the propagator into the last node produced
-    for s in node_blocks(n, d):
+    def block(self, s: slice, structures: list[DegeneracyStructure]) -> tuple[np.ndarray, ...]:
         a, b = s.start, s.stop
         lo = max(a - 1, 0)  # steps lo .. b - 2 lead into the block's nodes
-        props = np.empty((b - a, d, d), dtype=complex)
-        props[0] = u  # U_0 = 1; in a later block, step a - 1 overwrites it
-        steps = _steps(h, lo, b - 1, c)
+        props = np.empty((b - a,) + self.u.shape, dtype=complex)
+        props[0] = self.u  # U_0 = 1; in a later block, step a - 1 overwrites it
+        steps = _steps(self.h, lo, b - 1, self.c)
         for j in range(lo, b - 1):  # node j to node j + 1
-            u = np.matmul(steps[j - lo], u, out=props[j + 1 - a])
-        states = np.matmul(props @ rho0, _dag(props))
+            self.u = np.matmul(steps[j - lo], self.u, out=props[j + 1 - a])
+        states = np.matmul(props @ self.rho0, _dag(props))
         if a == 0:
-            states[0] = rho0
+            states[0] = self.rho0
         validate_density(states, "evolved state at node", check_psd=False, first=a)
-        block = structures[stride * a : stride * (b - 1) + 1 : stride]
-        diag, pops = level_space(states, block, first=a)
-        out = [(s, props, states, level_twirl(pops, block), diag, pops)]
-        u = props[-1].copy()  # carry the last propagator
-        del steps, block, props, states, diag, pops
-        yield out.pop()  # so that a suspended pass holds nothing of the block
+        diag, pops = level_space(states, structures, first=a)
+        self.u = props[-1].copy()
+        return props, states, level_twirl(pops, structures), diag, pops
 
 
 def _steps(h: np.ndarray, lo: int, hi: int, c: complex) -> np.ndarray:
@@ -344,8 +279,8 @@ class _PowerIntegrands:
 def _power_integrands(
     blocks: Iterable[tuple], h: np.ndarray, dt: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """_PowerIntegrands over blocks (s, S[s], S'[s], ...) from _stored_blocks
-    or _propagate."""
+    """_PowerIntegrands over the blocks (s, S[s], S'[s], ...) of _stored_blocks;
+    a pass that stores no stacks feeds a _PowerIntegrands itself."""
     fold = _PowerIntegrands(h)
     for s, *stacks in blocks:
         fold.add(s, *stacks)
@@ -489,35 +424,52 @@ def integration_tolerance(
     the same data, no interpolation) and bounds the error by the worst
     cumulative-series difference at shared nodes. The coarse nodes are the
     fine nodes 0, 2, 4, ... with the same clustering tolerances, so they
-    reuse ev.structures[::2] and views of the fine Hamiltonians; the coarse
-    pass of _propagate is folded into its neighbour traces a node block at a
-    time, so its only new work is the coarse midpoint propagators and it
-    stores no coarse stack. The fine series is read from tl, this run's
-    ledger, when given. The 1.5 safety factor covers terms that converge only
-    first order, e.g. a degeneracy jump sitting on a single grid node.
+    reuse the structures of ev and views of the fine Hamiltonians; the coarse
+    run (_CoarseRun) takes the even nodes of each fine node block and folds
+    them into its neighbour traces, so its only new work is the coarse
+    midpoint propagators and it stores no coarse stack. The fine series is
+    read from tl, this run's ledger, when given. The 1.5 safety factor covers
+    terms that converge only first order, e.g. a degeneracy jump sitting on a
+    single grid node.
     """
+    coarse = _CoarseRun(p, ev.states[0])
     fine = work_heat_series(p, ev) if tl is None else tl
-    coarse = _coarse(p)
-    blocks = ((s, st, tw) for s, _, st, tw, *_ in _propagate(coarse, ev.states[0], ev.structures, 2))
-    return _tolerance(fine, _series(_power_integrands(blocks, coarse.hamiltonians, coarse.dt), coarse.dt))
+    for s in node_blocks(p.n_nodes, p.dim):
+        coarse.add(s, ev.structures[s])
+    return coarse.tolerance(fine)
 
 
-def _coarse(p: Protocol) -> Protocol:
-    """The grid coarsened by two: the fine nodes 0, 2, 4, ... and their Hamiltonians."""
-    if p.n_nodes < 5:
-        raise ValueError("tolerance estimation needs at least 5 grid nodes")
-    return replace(p, times=p.times[::2], hamiltonians=p.hamiltonians[::2])
+class _CoarseRun:
+    """The tolerance's run on the grid coarsened by two, whose nodes are the
+    fine nodes 0, 2, 4, ... and their Hamiltonians, from rho0 (validated).
+    add(s, structures) takes a fine node block s, in node order, with the
+    structures of its nodes, and propagates the block's even nodes, the
+    coarse nodes (s.start + 1) // 2 .. (s.stop + 1) // 2 - 1, into the coarse
+    neighbour traces; a one-node block of an odd node has none. A grid of
+    fewer than 5 nodes is refused when the run is made."""
 
+    def __init__(self, p: Protocol, rho0: np.ndarray):
+        if p.n_nodes < 5:
+            raise ValueError("tolerance estimation needs at least 5 grid nodes")
+        h, self.dt = p.hamiltonians[::2], float(p.times[2] - p.times[0])
+        self.run, self.fold = _Propagator(h, self.dt, rho0), _PowerIntegrands(h)
 
-def _tolerance(fine, crs: WorkHeatSeries) -> float:
-    """integration_tolerance from the fine work/heat series (a WorkHeatSeries
-    or ThermoLedger) and the coarse one."""
-    worst = 0.0
-    for name in ("w_u", "w_inv", "q_c", "q_u"):
-        f = getattr(fine, name)[::2]
-        c = getattr(crs, name)
-        worst = max(worst, float(np.max(np.abs(f - c))))
-    return 1.5 * worst + 1e-12
+    def add(self, s: slice, structures: list[DegeneracyStructure]) -> None:
+        cs = slice((s.start + 1) // 2, (s.stop + 1) // 2)
+        if cs.start < cs.stop:
+            _, states, twirled, *_ = self.run.block(cs, structures[s.start % 2 :: 2])
+            self.fold.add(cs, states, twirled)
+
+    def tolerance(self, fine) -> float:
+        """integration_tolerance from the fine work/heat series (a WorkHeatSeries
+        or ThermoLedger) and this run's."""
+        crs = _series(self.fold.integrands(self.dt), self.dt)
+        worst = 0.0
+        for name in ("w_u", "w_inv", "q_c", "q_u"):
+            f = getattr(fine, name)[::2]
+            c = getattr(crs, name)
+            worst = max(worst, float(np.max(np.abs(f - c))))
+        return 1.5 * worst + 1e-12
 
 
 @dataclass(frozen=True)
@@ -577,47 +529,43 @@ def _merged(mults: np.ndarray, node_starts: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(mults, node_starts) > 1
 
 
-def _connections(structures, dt: float) -> Iterator[np.ndarray]:
-    """The connection A_j = -Vdot_j V_j^dag of the aligned frame, one node block
-    (linalg.node_blocks) at a time, from the structures indexed by node (a
-    list, or a _NodeStructures). Frames are aligned in node order, and a
-    block's central differences take one frame of halo on each side, so only
-    the last two frames carry over to the next block: the block of nodes
-    [a, b) reads node b's structure."""
-    n = len(structures)
-    frames, first = [structures[0].basis], 0  # aligned frames of nodes first, first + 1, ...
-    for s in node_blocks(n, structures[0].dim):
-        a, b = s.start, s.stop
-        while first + len(frames) < min(b + 1, n):
-            frames.append(_aligned(frames[-1], structures[first + len(frames)].basis))
+class _Connection:
+    """The commutator traces t_j = Re Tr(rho_j [A_j, H_j]) of the connection
+    A_j = -Vdot_j V_j^dag of the aligned frame, folded a node block at a time:
+    add(s, states, bases) takes the node blocks s in node order, with the
+    states of their nodes and the bases of their nodes and of the next node,
+    if any. Frames are aligned in node order, and a block's central
+    differences take one frame of halo on each side, so only the last two
+    frames carry over to the next block. check(work, heat, tl) then gives the
+    covariant route from the states' work and heat integrands, compared with
+    the ledger's invariant columns."""
+
+    def __init__(self, h: np.ndarray, dt: float):
+        self.h, self.dt, self.t = h, dt, np.empty(len(h))
+        self.frames: list[np.ndarray] = []  # the aligned frames of nodes s.start - 1 and s.start
+
+    def add(self, s: slice, states: np.ndarray, bases: list[np.ndarray]) -> None:
+        frames = self.frames or bases[:1]
+        for basis in bases[1:]:
+            frames.append(_aligned(frames[-1], basis))
         f = np.array(frames)
-        k = a - first  # node a's frame; the frame before it, if any, is halo
-        v_dot = _central_diff(f, dt)[k : k + b - a]
-        yield -np.einsum("nij,nkj->nik", v_dot, f[k : k + b - a].conj())
-        first += len(frames) - 2
-        del frames[:-2]
+        k, m = min(s.start, 1), s.stop - s.start  # f[k] is node s.start's frame
+        conn = -np.einsum("nij,nkj->nik", _central_diff(f, self.dt)[k : k + m], f[k : k + m].conj())
+        h = self.h[s]
+        self.t[s] = _trace_pairs(states, conn @ h - h @ conn)
+        self.frames = frames[-2:]
 
-
-def _commutator_traces(states: np.ndarray, conn: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Re Tr(rho_j [A_j, H_j]) per node of a block."""
-    return _trace_pairs(states, conn @ h - h @ conn)
-
-
-def _connection_check(
-    work: np.ndarray, heat: np.ndarray, t: np.ndarray, tl: ThermoLedger, dt: float
-) -> ConnectionCheck:
-    """The covariant route from the states' work and heat integrands and the
-    commutator traces t, compared with the ledger's invariant columns."""
-    w_cov = _cumtrap(work + t, dt)
-    q_cov = _cumtrap(heat - t, dt)
-    return ConnectionCheck(
-        performed=True,
-        reason="",
-        w_cov=w_cov,
-        q_cov=q_cov,
-        w_deviation=np.abs(w_cov - tl.w_inv),
-        q_deviation=np.abs(q_cov - tl.q_inv),
-    )
+    def check(self, work: np.ndarray, heat: np.ndarray, tl: ThermoLedger) -> ConnectionCheck:
+        w_cov = _cumtrap(work + self.t, self.dt)
+        q_cov = _cumtrap(heat - self.t, self.dt)
+        return ConnectionCheck(
+            performed=True,
+            reason="",
+            w_cov=w_cov,
+            q_cov=q_cov,
+            w_deviation=np.abs(w_cov - tl.w_inv),
+            q_deviation=np.abs(q_cov - tl.q_inv),
+        )
 
 
 def connection_cross_check(
@@ -632,7 +580,7 @@ def connection_cross_check(
     these are the work and heat integrands of work_heat_series plus and minus
     t. Skipped whenever any node is degenerate: the frame derivative is not
     defined across a merged level. The frame and t are taken a node block at
-    a time, as stream_run takes them from its pass.
+    a time by the fold (_Connection) that stream_run runs in its pass.
     """
     mults, _, _, node_starts = flat_levels(ev.structures)
     skipped = _degenerate_check(_merged(mults, node_starts))
@@ -640,12 +588,11 @@ def connection_cross_check(
         return skipped
     if tl is None:
         tl = ledger(p, ev)
-    h, dt = p.hamiltonians, p.dt
-    t = np.empty(p.n_nodes)
-    for (s, states), conn in zip(_stored_blocks(ev.states), _connections(ev.structures, dt)):
-        t[s] = _commutator_traces(states, conn, h[s])
-    [(work, heat, _)] = _power_integrands(_stored_blocks(ev.states), h, dt)
-    return _connection_check(work, heat, t, tl, dt)
+    conn = _Connection(p.hamiltonians, p.dt)
+    for s, states in _stored_blocks(ev.states):
+        conn.add(s, states, [ds.basis for ds in ev.structures[s.start : s.stop + 1]])
+    [(work, heat, _)] = _power_integrands(_stored_blocks(ev.states), p.hamiltonians, p.dt)
+    return conn.check(work, heat, tl)
 
 
 @dataclass(frozen=True)
@@ -684,65 +631,74 @@ def stream_run(
     connection_cross_check in one pass over node blocks, with the same
     numbers bit for bit.
 
-    The pass decomposes the node Hamiltonians a block at a time
-    (_NodeStructures, with evolve's _decompose) and feeds each block to every consumer
-    before letting it go: the fine run of _propagate, folded into the
-    neighbour traces of the work/heat series and the ledger's level-basis
-    diagonal and populations; the coarse run of the tolerance, whose nodes
-    are the even fine nodes, a coarse block once the fine run has passed its
-    nodes; and the connection check's aligned frames and commutator traces,
-    which read one node of the next block and stop at the first degenerate
-    node, where the check is known to be skipped. So beyond the Hamiltonians
-    a run holds a few node blocks and the levels of every node, not the
-    stacks of evolve or the node bases. The nodes kept are 0, n // 2 and
-    n - 1. Faults are raised a block at a time in node order, and a protocol
-    of fewer than 5 nodes is refused before the pass.
+    The pass takes the node blocks (linalg.node_blocks) in order. It
+    decomposes each block's Hamiltonians (evolve's _decompose) and feeds the
+    block to every consumer before letting it go: the fine run
+    (_Propagator), folded into the neighbour traces of the work/heat series
+    and the ledger's level-basis diagonal and populations; the tolerance's
+    run on the grid coarsened by two (_CoarseRun), whose nodes are the
+    block's even nodes; and the connection check (_Connection), one block
+    behind, since a block's frames read the first node of the next block.
+    The connection stops at the first degenerate node, where the check is
+    known to be skipped. The last block is decomposed before the pass, so
+    that a protocol degenerate at its end, such as every field ramp to
+    B = 0, skips the connection from its first node; without it the
+    Curie-Weiss config's run takes a third longer. A fault in that block is
+    raised again in node order. So beyond the Hamiltonians a run holds a few
+    node blocks and the levels of every node, not the stacks of evolve or
+    the node bases. The nodes kept are 0, n // 2 and n - 1. Faults are
+    raised a block at a time in node order, and a protocol of fewer than 5
+    nodes is refused before the pass.
     """
     rho0 = _initial_state(p, rho0)
     n, d, h, dt = p.n_nodes, p.dim, p.hamiltonians, p.dt
-    coarse = _coarse(p)
-    structures = _NodeStructures(h, cluster_tol_abs, cluster_tol_rel)
+    coarse = _CoarseRun(p, rho0)
+    blocks, tols = node_blocks(n, d), (cluster_tol_abs, cluster_tol_rel)
+    try:
+        last = _decompose(h[blocks[-1]], *tols)
+    except ValidationError:
+        last = []  # decomposed again, and the fault raised, when the pass reaches it
+    degenerate = any(ds.degenerate for ds in last)
     nodes = sorted({0, n // 2, n - 1})
     kept = [np.empty((len(nodes), d, d), dtype=complex) for _ in range(3)]
-    kept_structures = []
-    diag, pops = np.empty((n, d)), []
-    fine, crs = _PowerIntegrands(h), _PowerIntegrands(coarse.hamiltonians)
-    coarse_blocks = deque(node_blocks(coarse.n_nodes, d))
-    coarse_pass = _propagate(coarse, rho0, structures, 2)
-    conns = _connections(structures, dt)
-    t = np.empty(n)
-    for s, props, states, twirled, dg, pp in _propagate(p, rho0, structures):
+    kept_structures, levels, pops = [], [], []
+    diag = np.empty((n, d))
+    run, fine, conn = _Propagator(h, dt, rho0), _PowerIntegrands(h), _Connection(h, dt)
+    behind = None  # the connection's arguments for the block before
+    for s in blocks:
+        structures = last if s.stop == n and last else _decompose(h[s], *tols)
+        mults, energies = flat_levels(structures)[:2]
+        levels.append((mults, energies))
+        degenerate = degenerate or bool(np.any(mults > 1))
+        props, states, twirled, diag[s], pp = run.block(s, structures)
+        pops.append(pp)
+        fine.add(s, states, twirled)
+        coarse.add(s, structures)
         for i, j in enumerate(nodes):
             if s.start <= j < s.stop:
                 kept[0][i], kept[1][i], kept[2][i] = (x[j - s.start] for x in (states, twirled, props))
-                ds = structures[j]  # a copy of its basis lets the block's go
+                ds = structures[j - s.start]  # a copy of its basis lets the block's go
                 kept_structures.append(replace(ds, basis=ds.basis.copy()))
-        diag[s] = dg
-        pops.append(pp)
-        fine.add(s, states, twirled)
-        if connection and not structures.degenerate:
-            t[s] = _commutator_traces(states, next(conns), h[s])
-        del props, states, twirled
-        while coarse_blocks and 2 * coarse_blocks[0].stop - 2 < s.stop:
-            coarse_blocks.popleft()  # its nodes are the even nodes the fine run has passed
-            cs, _, c_states, c_twirled, *_ = next(coarse_pass)
-            crs.add(cs, c_states, c_twirled)
-            del c_states, c_twirled
-        structures.release(min(s.stop, 2 * coarse_blocks[0].start) if coarse_blocks else s.stop)
+        if connection and not degenerate:
+            if behind is not None:
+                conn.add(*behind[:2], behind[2] + [structures[0].basis])
+            behind = s, states, [ds.basis for ds in structures]
+        del props, states, twirled, structures
 
-    mults, energies, node_starts = structures.levels()
+    mults, energies = (np.concatenate(x) for x in zip(*levels))
+    node_starts = flat_starts(mults, d)[1]
     integrands = fine.integrands(dt)
     tl = _ledger(
         _series(integrands, dt), (mults, energies, node_starts), diag, np.concatenate(pops),
         p.beta, von_neumann_entropy(rho0),
     )
-    tol = _tolerance(tl, _series(crs.integrands(coarse.dt), coarse.dt))
     check = _degenerate_check(_merged(mults, node_starts)) if connection else None
     if connection and check is None:
+        conn.add(*behind)
         work, heat, _ = integrands[0]
-        check = _connection_check(work, heat, t, tl, dt)
+        check = conn.check(work, heat, tl)
     ev = EvolutionResult(*kept, kept_structures)
-    return StreamedRun(nodes, ev, mults, energies, node_starts, tl, tol, check)
+    return StreamedRun(nodes, ev, mults, energies, node_starts, tl, coarse.tolerance(tl), check)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from gaugetherm.dynamics import (
     _central_diff,
     _cumtrap,
     _power_integrands,
-    _propagate,
+    _Propagator,
     _stored_blocks,
     _trace_pairs,
 )
@@ -91,6 +91,16 @@ class TestProtocolValidation:
         p = gt.Protocol(times=np.linspace(0.0, 1.0, block + 10), hamiltonians=hams, beta=1.0)
         with pytest.raises(ValidationError, match=f"operator {block + 3} is not Hermitian"):
             gt.evolve(p, np.eye(2, dtype=complex) / 2)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("node", [1, 4])
+    def test_rejects_nonfinite_grid(self, bad, node):
+        # every comparison with NaN is false and inf sets its own scale, so
+        # the uniformity test alone lets such a grid through
+        times = np.arange(5.0)
+        times[node] = bad
+        with pytest.raises(ValidationError, match="time grid must be finite"):
+            gt.Protocol(times=times, hamiltonians=np.zeros((5, 2, 2), dtype=complex), beta=1.0)
 
     def test_uniformity_tolerance_is_tight(self):
         times = np.linspace(0.0, 1.0, 11)
@@ -211,6 +221,23 @@ class TestIntegrationTolerance:
     def test_tolerance_covers_identity_residual(self, cw_run):
         tl, tol = cw_run.tl, cw_run.tol
         assert np.max(np.abs(tl.w_u - tl.w_inv - tl.q_c)) <= tol
+
+
+def test_coarse_grid_is_not_validated_again(monkeypatch):
+    """The coarse grid's Hamiltonians are nodes of the protocol, already
+    validated when it was built: neither the streamed nor the stored
+    tolerance checks them again."""
+    p = _ramp12(41, seed=43)
+    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    ev = gt.evolve(p, rho0)
+    calls = []
+    validate = gt.dynamics.validate_hermitian
+    monkeypatch.setattr(
+        gt.dynamics, "validate_hermitian", lambda *a, **k: calls.append(1) or validate(*a, **k)
+    )
+    gt.integration_tolerance(p, ev)
+    gt.stream_run(p, rho0, connection=True)
+    assert calls == []
 
 
 class TestAlignedFrames:
@@ -565,9 +592,10 @@ class TestPassNamesGlobalIndices:
         structures[self.bad] = dataclasses.replace(
             structures[self.bad], basis=2.0 * structures[self.bad].basis
         )
+        run = _Propagator(p.hamiltonians, p.dt, rho0)
         with pytest.raises(ValidationError, match=f"level populations at node {self.bad} "):
-            for _ in _propagate(p, rho0, structures):
-                pass
+            for s in node_blocks(p.n_nodes, p.dim):
+                run.block(s, structures[s])
 
     @pytest.mark.parametrize(
         "state, message",
@@ -582,6 +610,45 @@ class TestPassNamesGlobalIndices:
                     validate_density(stack[s], "state at node", first=s.start)
             else:
                 validate_density(stack[s], "state at node", first=s.start)
+
+
+class TestStreamRunRaisesInNodeOrder:
+    """stream_run decomposes its last node block before the pass and keeps a
+    fault there for the pass to raise when it reaches that block."""
+
+    n = 3 * BLOCK12 + 5
+    last = node_blocks(n, 12)[-1]
+    # a spacing of 0.6 under an absolute clustering tolerance of 1 chains
+    # every level of a node into one wider than the tolerance
+    tols = dict(cluster_tol_abs=1.0, cluster_tol_rel=0.0)
+
+    def _protocol(self, hams: np.ndarray) -> gt.Protocol:
+        hams[self.last] = np.diag(0.6 * np.arange(12))
+        return gt.Protocol(times=np.linspace(0.0, 1.0, self.n), hamiltonians=hams, beta=1.0)
+
+    def test_fault_in_the_last_block(self):
+        hams = np.repeat(np.diag(2.0 * np.arange(12)).astype(complex)[None], self.n, axis=0)
+        p = self._protocol(hams)
+        rho0 = np.eye(12, dtype=complex) / 12
+        with pytest.raises(ValidationError) as stored:
+            gt.evolve(p, rho0, **self.tols)
+        assert "chains eigenvalues" in str(stored.value)
+        with pytest.raises(ValidationError) as streamed:
+            gt.stream_run(p, rho0, connection=True, **self.tols)
+        assert str(streamed.value) == str(stored.value)
+
+    def test_an_earlier_fault_comes_first(self):
+        # the non-Hermitian midpoint of TestPassNamesGlobalIndices.test_midpoint,
+        # in the third of four blocks
+        bad = TestPassNamesGlobalIndices.bad
+        a = np.diag(np.linspace(-1e6, 1e6, 12)).astype(complex)
+        skew = np.zeros((12, 12), dtype=complex)
+        skew[0, 1], skew[1, 0] = 1e-7, -1e-7
+        hams = np.repeat((a + skew)[None], self.n, axis=0)
+        hams[bad] = -a + skew
+        p = self._protocol(hams)
+        with pytest.raises(ValidationError, match=f"operator {bad - 1} is not Hermitian"):
+            gt.stream_run(p, np.eye(12, dtype=complex) / 12, **self.tols)
 
 
 def _assert_stream_run_matches_stored_route(p: gt.Protocol):
