@@ -26,12 +26,13 @@ import numpy as np
 from .dynamics import Protocol, StreamedRun, clausius_report, stream_run
 from .fluctuation import build_ensemble, verify_ft
 from .invariants import level_distribution, s_gauge, thermal_level_distribution
-from .linalg import ValidationError, gibbs_state, validate_hermitian
+from .linalg import ValidationError, gibbs_state
 from .models import (
+    MODELS,
     ModelSpec,
     ThirdLawScan,
     build_protocol,
-    curie_weiss,
+    third_law_hamiltonian,
     third_law_scan,
 )
 from .verify import SUITES, gauge_conjugates
@@ -43,53 +44,56 @@ CSV_HEADER = (
 THIRD_LAW_HEADER = "beta,s_gt,limit_ln_n0"
 EMIT_CHOICES = ("clausius", "ft", "gauge_check", "ledger", "third_law")
 
-# nodes, t_final, beta used when the config leaves them out
-_MODEL_DEFAULTS = {
-    "landau_zener": (1001, 1.0, 2.0),
-    "curie_weiss": (2001, 5.0, 2.0),
-    "random": (201, 1.0, 1.0),
-    "matrix": (101, 1.0, 1.0),
-}
-
-_SECTION_KEYS = {
-    "model": {"name", "nodes", "t_final", "beta", "matrix_path"},
-    "run": {"out", "emit", "seed"},
-    "tolerances": {"cluster_abs", "cluster_rel", "integration_gate"},
-    "third_law": {"points", "beta_min"},
-}
-
 
 class ConfigError(ValueError):
     """Bad or missing configuration; maps to exit code 2."""
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _emit(raw: str) -> tuple[str, ...]:
+    return tuple(sorted({e.strip() for e in raw.split(",") if e.strip()}))
+
+
+# section -> key -> (type, default): the keys a config may give, each typed and,
+# when left out, filled in; the result is the resolved config a report embeds.
+# [model] nodes, t_final and beta default per model (models.MODELS), and an
+# unset cluster tolerance is the one clustering derives. [params] takes any
+# key, each a finite number, and the model checks them (models.ModelSpec).
+_SCHEMA = {
+    "model": {
+        "name": (str, None),
+        "nodes": (int, None),
+        "t_final": (_finite, None),
+        "beta": (_finite, None),
+        "matrix_path": (str, None),
+    },
+    "run": {"out": (str, "out"), "emit": (_emit, ("clausius", "ft", "ledger")), "seed": (int, 0)},
+    "tolerances": {
+        "cluster_abs": (_finite, None),
+        "cluster_rel": (_finite, None),
+        "integration_gate": (_finite, 1e-6),
+    },
+    "third_law": {"points": (int, 40), "beta_min": (_finite, 0.01)},
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    model_name: str
-    spec: ModelSpec | None
-    matrix_path: str | None
-    nodes: int
-    t_final: float
-    beta: float
-    out_dir: str
-    emit: tuple[str, ...]
-    seed: int
-    cluster_tol_abs: float | None
-    cluster_tol_rel: float | None
-    integration_gate: float
-    third_law_points: int
-    third_law_beta_min: float
-    params: dict
+    spec: ModelSpec
+    resolved: dict  # section -> key -> value, as the report embeds it
 
 
-def _get_typed(section, name, key, cast, default):
-    if key not in section:
-        return default
-    raw = section[key]
+def _typed(section: str, key: str, raw: str, cast):
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from None
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
 def load_run_config(path: str, out_override: str | None = None) -> RunConfig:
@@ -104,167 +108,44 @@ def load_run_config(path: str, out_override: str | None = None) -> RunConfig:
         raise ConfigError(f"cannot parse config '{path}': {exc}") from None
 
     for section in parser.sections():
-        if section != "params" and section not in _SECTION_KEYS:
+        if section == "params":
+            continue
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section '{section}'")
-        if section in _SECTION_KEYS:
-            for key in parser[section]:
-                if key not in _SECTION_KEYS[section]:
-                    raise ConfigError(f"unknown key '{key}' in section [{section}]")
-
-    if "model" not in parser or "name" not in parser["model"]:
+        for key in parser[section]:
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+    name = parser.get("model", "name", fallback=None)
+    if name is None:
         raise ConfigError("missing required key 'name' in section [model]")
-    model = parser["model"]
-    name = model["name"].strip()
-    if name not in _MODEL_DEFAULTS:
+    if name not in MODELS:
         raise ConfigError(f"[model] name = '{name}' is not a known model")
-    d_nodes, d_tf, d_beta = _MODEL_DEFAULTS[name]
-    nodes = _get_typed(model, "model", "nodes", int, d_nodes)
-    t_final = _get_typed(model, "model", "t_final", float, d_tf)
-    beta = _get_typed(model, "model", "beta", float, d_beta)
-    matrix_path = model.get("matrix_path")
-    if name == "matrix" and not matrix_path:
-        raise ConfigError("model 'matrix' requires key 'matrix_path' in section [model]")
-    if name != "matrix" and matrix_path:
-        raise ConfigError("key 'matrix_path' is only valid for model 'matrix'")
 
-    params = {}
-    if "params" in parser:
-        for key, raw in parser["params"].items():
-            try:
-                params[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"[params] {key} = {raw!r} is not a number") from None
+    resolved = {}
+    for section, keys in _SCHEMA.items():
+        given = parser[section] if section in parser else {}
+        defaults = MODELS[name] if section == "model" else {}
+        resolved[section] = {
+            key: _typed(section, key, given[key], cast) if key in given else defaults.get(key, default)
+            for key, (cast, default) in keys.items()
+        }
+    given = parser["params"] if "params" in parser else {}
+    resolved["params"] = dict(sorted((k, _typed("params", k, raw, _finite)) for k, raw in given.items()))
 
-    run_sec = parser["run"] if "run" in parser else {}
-    seed = _get_typed(run_sec, "run", "seed", int, 0)
-    if seed < 0:
-        raise ConfigError(f"[run] seed must be nonnegative, got {seed}")
-    out_dir = out_override or (run_sec.get("out") if run_sec else None) or "out"
-    emit_raw = run_sec.get("emit") if run_sec else None
-    if emit_raw is None:
-        emit = ("clausius", "ft", "ledger")
-    else:
-        emit = tuple(sorted({e.strip() for e in emit_raw.split(",") if e.strip()}))
-        for e in emit:
-            if e not in EMIT_CHOICES:
-                raise ConfigError(f"[run] emit contains unknown artifact '{e}'")
-
-    tol_sec = parser["tolerances"] if "tolerances" in parser else {}
-    cluster_abs = _get_typed(tol_sec, "tolerances", "cluster_abs", float, None)
-    cluster_rel = _get_typed(tol_sec, "tolerances", "cluster_rel", float, None)
-    gate = _get_typed(tol_sec, "tolerances", "integration_gate", float, 1e-6)
-
-    tl_sec = parser["third_law"] if "third_law" in parser else {}
-    points = _get_typed(tl_sec, "third_law", "points", int, 40)
-    beta_min = _get_typed(tl_sec, "third_law", "beta_min", float, 0.01)
-    if points < 2:
-        raise ConfigError(f"[third_law] points must be >= 2, got {points}")
-    if beta_min <= 0:
-        raise ConfigError(f"[third_law] beta_min must be positive, got {beta_min}")
-
-    spec = None
-    if name != "matrix":
-        try:
-            spec = ModelSpec(
-                name=name,
-                params=params,
-                nodes=nodes,
-                t_final=t_final,
-                beta=beta,
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    elif params:
-        key = sorted(params)[0]
-        raise ConfigError(f"model 'matrix' got unknown param '{key}'")
-
-    return RunConfig(
-        model_name=name,
-        spec=spec,
-        matrix_path=matrix_path,
-        nodes=nodes,
-        t_final=t_final,
-        beta=beta,
-        out_dir=out_dir,
-        emit=emit,
-        seed=seed,
-        cluster_tol_abs=cluster_abs,
-        cluster_tol_rel=cluster_rel,
-        integration_gate=gate,
-        third_law_points=points,
-        third_law_beta_min=beta_min,
-        params=params,
-    )
-
-
-def read_matrix_file(path: str) -> np.ndarray:
-    """Plain-text Hermitian matrix: first line d, then d rows of 'a+bi' entries."""
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read matrix file '{path}': {exc}") from None
-    if not lines:
-        raise ConfigError(f"matrix file '{path}' is empty")
-    try:
-        dim = int(lines[0])
-    except ValueError:
-        raise ConfigError(f"matrix file '{path}': first line must be the dimension") from None
-    if dim < 1 or len(lines) != dim + 1:
-        raise ConfigError(f"matrix file '{path}': expected {dim} rows after the dimension line")
-    rows = []
-    for i, line in enumerate(lines[1:]):
-        tokens = line.split()
-        if len(tokens) != dim:
-            raise ConfigError(f"matrix file '{path}': row {i + 1} has {len(tokens)} entries, expected {dim}")
-        try:
-            rows.append([complex(tok.replace("i", "j")) for tok in tokens])
-        except ValueError:
-            raise ConfigError(f"matrix file '{path}': row {i + 1} has a malformed entry") from None
-    m = np.array(rows, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise ConfigError(f"matrix file '{path}': entries must be finite")
-    validate_hermitian(m, "matrix file")
-    return m
-
-
-def constant_protocol(h: np.ndarray, beta: float, t_final: float, nodes: int) -> Protocol:
-    times = np.linspace(0.0, t_final, nodes)
-    hams = np.repeat(h[None, :, :], nodes, axis=0)
-    return Protocol(times=times, hamiltonians=hams, beta=beta, label="matrix")
-
-
-def _resolve_protocol(cfg: RunConfig) -> Protocol:
-    if cfg.model_name == "matrix":
-        h = read_matrix_file(cfg.matrix_path)
-        return constant_protocol(h, cfg.beta, cfg.t_final, cfg.nodes)
-    return build_protocol(cfg.spec)
-
-
-def _resolved_config(cfg: RunConfig) -> dict:
-    model = {
-        "name": cfg.model_name,
-        "nodes": cfg.nodes,
-        "t_final": cfg.t_final,
-        "beta": cfg.beta,
-    }
-    if cfg.matrix_path is not None:
-        model["matrix_path"] = cfg.matrix_path
-    return {
-        "model": model,
-        "params": dict(sorted(cfg.params.items())),
-        "run": {"out": cfg.out_dir, "emit": list(cfg.emit), "seed": cfg.seed},
-        "tolerances": {
-            "cluster_abs": cfg.cluster_tol_abs,
-            "cluster_rel": cfg.cluster_tol_rel,
-            "integration_gate": cfg.integration_gate,
-        },
-        "third_law": {
-            "points": cfg.third_law_points,
-            "beta_min": cfg.third_law_beta_min,
-        },
-    }
+    model, run, third_law = resolved["model"], resolved["run"], resolved["third_law"]
+    if model["matrix_path"] is None:
+        del model["matrix_path"]
+    run["out"] = out_override or run["out"] or "out"
+    if run["seed"] < 0:
+        raise ConfigError(f"[run] seed must be nonnegative, got {run['seed']}")
+    for e in run["emit"]:
+        if e not in EMIT_CHOICES:
+            raise ConfigError(f"[run] emit contains unknown artifact '{e}'")
+    if third_law["points"] < 2:
+        raise ConfigError(f"[third_law] points must be >= 2, got {third_law['points']}")
+    if third_law["beta_min"] <= 0:
+        raise ConfigError(f"[third_law] beta_min must be positive, got {third_law['beta_min']}")
+    return RunConfig(ModelSpec(params=resolved["params"], seed=run["seed"], **model), resolved)
 
 
 def _json_ready(obj):
@@ -298,12 +179,10 @@ def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
 
 def _thermal_run(cfg: RunConfig, p: Protocol) -> StreamedRun:
     rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
-    kwargs = {}
-    if cfg.cluster_tol_abs is not None:
-        kwargs["cluster_tol_abs"] = cfg.cluster_tol_abs
-    if cfg.cluster_tol_rel is not None:
-        kwargs["cluster_tol_rel"] = cfg.cluster_tol_rel
-    return stream_run(p, rho0, connection="clausius" in cfg.emit, **kwargs)
+    tol = cfg.resolved["tolerances"]
+    given = {"cluster_tol_abs": tol["cluster_abs"], "cluster_tol_rel": tol["cluster_rel"]}
+    kwargs = {k: v for k, v in given.items() if v is not None}
+    return stream_run(p, rho0, connection="clausius" in cfg.resolved["run"]["emit"], **kwargs)
 
 
 def _ft_section(p: Protocol, ev) -> dict:
@@ -337,38 +216,36 @@ def _gauge_section(run: StreamedRun, seed: int) -> dict:
     return {"nodes_checked": run.nodes, "max_twirl_deviation": worst_twirl, "max_s_gt_deviation": worst_sgt}
 
 
-def _third_law_columns(scan: ThirdLawScan):
-    limit = np.full_like(scan.s_gt, math.log(scan.ground_multiplicity))
-    return [scan.betas, scan.s_gt, limit]
-
-
-def _third_law_betas(cfg: RunConfig, scan_gap: float | None) -> np.ndarray:
-    beta_final = 1e6 / scan_gap if scan_gap else 1e6
-    if cfg.third_law_beta_min >= beta_final:
+def _third_law(cfg: RunConfig, h: np.ndarray) -> ThirdLawScan:
+    """The scan of h from [third_law] beta_min up to 1e6 over its gap, and its CSV."""
+    settings, gap = cfg.resolved["third_law"], third_law_scan(h, np.array([1.0])).gap
+    beta_final = 1e6 / gap if gap else 1e6
+    if settings["beta_min"] >= beta_final:
         raise ConfigError(
-            f"[third_law] beta_min = {cfg.third_law_beta_min} is not below the final beta {beta_final:.6g}"
+            f"[third_law] beta_min = {settings['beta_min']} is not below the final beta {beta_final:.6g}"
         )
-    return np.geomspace(cfg.third_law_beta_min, beta_final, cfg.third_law_points)
-
-
-def _run_third_law_scan(cfg: RunConfig, h: np.ndarray) -> ThirdLawScan:
-    probe = third_law_scan(h, np.array([1.0]))
-    betas = _third_law_betas(cfg, probe.gap)
-    return third_law_scan(h, betas)
+    scan = third_law_scan(h, np.geomspace(settings["beta_min"], beta_final, settings["points"]))
+    out_dir = cfg.resolved["run"]["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    limit = np.full_like(scan.s_gt, math.log(scan.ground_multiplicity))
+    _write_csv(os.path.join(out_dir, "third_law.csv"), THIRD_LAW_HEADER, [scan.betas, scan.s_gt, limit])
+    return scan
 
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
     cfg = load_run_config(config_path, out_override)
-    p = _resolve_protocol(cfg)
+    p = build_protocol(cfg.spec)
     run = _thermal_run(cfg, p)
     ev, tl, tol = run.ev, run.tl, run.tol
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    out_dir, emit = cfg.resolved["run"]["out"], cfg.resolved["run"]["emit"]
+    gate = cfg.resolved["tolerances"]["integration_gate"]
+    os.makedirs(out_dir, exist_ok=True)
 
     beta = p.beta
     report = {
-        "config": _resolved_config(cfg),
+        "config": cfg.resolved,
         "integration_tolerance": tol,
-        "integration_tolerance_exceeds_gate": bool(tol > cfg.integration_gate),
+        "integration_tolerance_exceeds_gate": bool(tol > gate),
         "final": {
             "t": p.tau,
             "w_u": float(tl.w_u[-1]),
@@ -386,19 +263,19 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
             "rel_ent": float(tl.rel_ent[-1]),
         },
     }
-    if tol > cfg.integration_gate:
+    if tol > gate:
         print(
-            f"note: integration tolerance {tol:.3g} exceeds the gate {cfg.integration_gate:.3g} "
+            f"note: integration tolerance {tol:.3g} exceeds the gate {gate:.3g} "
             "(expected when the level structure jumps on the grid)",
             file=sys.stderr,
         )
 
-    if "ledger" in cfg.emit:
+    if "ledger" in emit:
         d_f = tl.f_eq - tl.f_eq[0]
         bound_gen = d_f + (tl.c_rel + tl.s_gamma) / beta
         bound_geo = bound_gen + (8.0 / (math.pi**2 * beta)) * tl.bures**2
         _write_csv(
-            os.path.join(cfg.out_dir, "ledger.csv"),
+            os.path.join(out_dir, "ledger.csv"),
             CSV_HEADER,
             [
                 p.times, tl.w_u, tl.w_inv, tl.q_c, tl.q_u, tl.s_gt, tl.s_d,
@@ -407,7 +284,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
             ],
         )
 
-    if "clausius" in cfg.emit:
+    if "clausius" in emit:
         rep = clausius_report(p, ev, tl)
         section = {"applicable": rep.applicable, "reason": rep.reason}
         if rep.applicable:
@@ -421,19 +298,14 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
             conn["q_deviation_max"] = float(np.max(cc.q_deviation))
         report["connection_check"] = conn
 
-    if "ft" in cfg.emit:
+    if "ft" in emit:
         report["ft"] = _ft_section(p, ev)
 
-    if "gauge_check" in cfg.emit:
-        report["gauge_check"] = _gauge_section(run, cfg.seed)
+    if "gauge_check" in emit:
+        report["gauge_check"] = _gauge_section(run, cfg.spec.seed)
 
-    if "third_law" in cfg.emit:
-        scan = _run_third_law_scan(cfg, p.hamiltonians[-1])
-        _write_csv(
-            os.path.join(cfg.out_dir, "third_law.csv"),
-            THIRD_LAW_HEADER,
-            _third_law_columns(scan),
-        )
+    if "third_law" in emit:
+        scan = _third_law(cfg, p.hamiltonians[-1])
         report["third_law"] = {
             "ground_multiplicity": scan.ground_multiplicity,
             "gap": scan.gap,
@@ -441,28 +313,15 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
             "final_s_gt": float(scan.s_gt[-1]),
         }
 
-    _write_json(os.path.join(cfg.out_dir, "report.json"), report)
-    print(f"wrote {cfg.out_dir}/report.json")
+    _write_json(os.path.join(out_dir, "report.json"), report)
+    print(f"wrote {out_dir}/report.json")
     return 0
 
 
 def cmd_third_law(config_path: str, out_override: str | None = None) -> int:
     cfg = load_run_config(config_path, out_override)
-    if cfg.model_name == "matrix":
-        h = read_matrix_file(cfg.matrix_path)
-    elif cfg.model_name == "curie_weiss":
-        prm = cfg.spec.params
-        h = curie_weiss(prm["j"], int(prm["n_spins"]), prm["b_end"])
-    else:
-        raise ConfigError(
-            f"[model] name = '{cfg.model_name}' does not resolve to a single Hamiltonian; "
-            "use 'matrix' or 'curie_weiss'"
-        )
-    scan = _run_third_law_scan(cfg, h)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "third_law.csv")
-    _write_csv(path, THIRD_LAW_HEADER, _third_law_columns(scan))
-    print(f"wrote {path}")
+    _third_law(cfg, third_law_hamiltonian(cfg.spec))
+    print(f"wrote {os.path.join(cfg.resolved['run']['out'], 'third_law.csv')}")
     return 0
 
 
@@ -530,13 +389,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.suite, args.cases, args.seed, args.out)
         return cmd_third_law(args.config, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and the models' own checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

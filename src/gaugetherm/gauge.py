@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    EigenSystem,
     ValidationError,
     _dag,
     haar_unitaries,
@@ -86,18 +85,18 @@ class DegeneracyStructure:
 
 
 def cluster_spectrum(
-    es: EigenSystem, tol_abs: float, tol_rel: float = CLUSTER_TOL_REL
+    es: tuple[np.ndarray, np.ndarray], tol_abs: float, tol_rel: float = CLUSTER_TOL_REL
 ) -> DegeneracyStructure:
-    """Greedy gap clustering of an ascending spectrum into degenerate levels.
+    """Greedy gap clustering of an ascending spectrum into degenerate levels;
+    es is the pair (eigenvalues, eigenvectors) that linalg.eigh gives.
 
     A new level starts whenever the gap to the previous eigenvalue exceeds
     tol_abs + tol_rel * spectral_radius. Exact model degeneracies sit at
     round-off scale, far below physical gaps, so the split is unambiguous for
     every protocol this library builds; ambiguous inputs fail validation.
     """
-    return cluster_spectra(
-        np.asarray(es.eigenvalues)[None], np.asarray(es.eigenvectors)[None], tol_abs, tol_rel
-    )[0]
+    w, V = es
+    return cluster_spectra(np.asarray(w)[None], np.asarray(V)[None], tol_abs, tol_rel)[0]
 
 
 def cluster_spectra(
@@ -115,8 +114,9 @@ def cluster_spectra(
     w = np.asarray(w, dtype=float)
     n, d = w.shape
     tol_abs = np.broadcast_to(np.asarray(tol_abs, dtype=float), (n,))
-    if np.any(tol_abs < 0) or tol_rel < 0:
-        raise ValueError("clustering tolerances must be nonnegative")
+    # NaN fails both comparisons
+    if not (np.all((tol_abs >= 0) & (tol_abs < np.inf)) and 0 <= tol_rel < np.inf):
+        raise ValueError("clustering tolerances must be finite and nonnegative")
     tol = tol_abs + tol_rel * np.max(np.abs(w), axis=1, initial=0.0)
 
     first = np.ones((n, d), dtype=bool)

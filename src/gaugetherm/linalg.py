@@ -7,8 +7,6 @@ operate on plain complex ndarrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -165,21 +163,10 @@ def validate_density(
     return rho
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns
-    (one row of eigenvalues and one eigenvector matrix per operator of a stack)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh(H: np.ndarray) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian operator, or of every operator
-    of a stack (n, d, d) in one call, eigenvalues ascending."""
-    H = validate_hermitian(H)
-    w, V = np.linalg.eigh(H)
-    return EigenSystem(eigenvalues=w, eigenvectors=V)
+def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh's pair (eigenvalues ascending, eigenvector columns) of a
+    validated Hermitian operator, or of every operator of a stack (n, d, d)."""
+    return np.linalg.eigh(validate_hermitian(H))
 
 
 def gibbs_state(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
@@ -191,8 +178,7 @@ def gibbs_state(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     """
     if not (beta > 0) or not math.isfinite(beta):
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    es = eigh(H)
-    w, V = es.eigenvalues, es.eigenvectors
+    w, V = eigh(H)
     shifted = np.exp(-beta * (w - w[0]))
     Z = float(shifted.sum())
     rho = (V * (shifted / Z)) @ V.conj().T

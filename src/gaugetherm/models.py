@@ -1,4 +1,5 @@
-"""Builders for the two reference experiments and the fuzz-case generator.
+"""The models a config can name (MODELS), their builders, the fuzz-case
+generator and the low-temperature scan.
 
 The avoided-crossing sweep keeps a gap >= delta, so its level structure is
 non-degenerate everywhere and coherence carries the whole story. The
@@ -16,7 +17,7 @@ import numpy as np
 from .dynamics import Protocol
 from .gauge import CLUSTER_TOL_REL, cluster_spectrum, default_cluster_tol_abs
 from .invariants import level_distribution, s_gauge
-from .linalg import ValidationError, eigh, gibbs_state
+from .linalg import ValidationError, eigh, gibbs_state, validate_hermitian
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -24,6 +25,17 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # margin between the smallest field-induced splitting on a grid and the
 # clustering tolerance below which the +-m structure cannot be trusted
 SPLITTING_SAFETY = 10.0
+
+# name -> the params a config must give, and the nodes, t_final and beta it may
+# leave out; the builders' keyword defaults are these same entries
+MODELS = {
+    "landau_zener": {"params": ("delta", "v"), "nodes": 1001, "t_final": 1.0, "beta": 2.0},
+    "curie_weiss": {
+        "params": ("j", "n_spins", "b_start", "b_end"), "nodes": 2001, "t_final": 5.0, "beta": 2.0,
+    },
+    "random": {"params": ("dim", "degenerate"), "nodes": 201, "t_final": 1.0, "beta": 1.0},
+    "matrix": {"params": (), "nodes": 101, "t_final": 1.0, "beta": 1.0},
+}
 
 
 def landau_zener(delta: float, v: float, t: float) -> np.ndarray:
@@ -51,9 +63,9 @@ def landau_zener_protocol(
     *,
     delta: float = 2.0,
     v: float = 1.0,
-    beta: float = 2.0,
-    t_final: float = 1.0,
-    nodes: int = 1001,
+    beta: float = MODELS["landau_zener"]["beta"],
+    t_final: float = MODELS["landau_zener"]["t_final"],
+    nodes: int = MODELS["landau_zener"]["nodes"],
 ) -> Protocol:
     times = np.linspace(0.0, t_final, nodes)
     # landau_zener's operations at every node, so each node is bit-equal to it; the
@@ -69,9 +81,9 @@ def curie_weiss_protocol(
     n_spins: int = 50,
     b_start: float = 2.0,
     b_end: float = 0.0,
-    beta: float = 2.0,
-    t_final: float = 5.0,
-    nodes: int = 2001,
+    beta: float = MODELS["curie_weiss"]["beta"],
+    t_final: float = MODELS["curie_weiss"]["t_final"],
+    nodes: int = MODELS["curie_weiss"]["nodes"],
     cluster_tol_abs: float | None = None,
     cluster_tol_rel: float = CLUSTER_TOL_REL,
 ) -> Protocol:
@@ -111,12 +123,11 @@ def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _with_duplicate_eigenvalues(h: np.ndarray) -> np.ndarray:
-    es = eigh(h)
-    w = es.eigenvalues.copy()
+    w, V = eigh(h)
     w[1] = w[0]
     if len(w) >= 4:
         w[3] = w[2]
-    out = (es.eigenvectors * w) @ es.eigenvectors.conj().T
+    out = (V * w) @ V.conj().T
     return (out + out.conj().T) / 2.0
 
 
@@ -126,8 +137,8 @@ def random_protocol(
     rng: np.random.Generator,
     *,
     degenerate: bool = False,
-    beta: float = 1.0,
-    t_final: float = 1.0,
+    beta: float = MODELS["random"]["beta"],
+    t_final: float = MODELS["random"]["t_final"],
 ) -> Protocol:
     """Linear ramp between two Gaussian Hermitian operators.
 
@@ -187,16 +198,48 @@ def third_law_scan(h: np.ndarray, betas) -> ThirdLawScan:
     )
 
 
-_REQUIRED_PARAMS = {
-    "landau_zener": ("delta", "v"),
-    "curie_weiss": ("j", "n_spins", "b_start", "b_end"),
-    "random": ("dim", "degenerate"),
-}
+def read_matrix_file(path: str) -> np.ndarray:
+    """Plain-text Hermitian matrix: first line d, then d rows of 'a+bi' entries."""
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise ValueError(f"cannot read matrix file '{path}': {exc}") from None
+    if not lines:
+        raise ValueError(f"matrix file '{path}' is empty")
+    try:
+        dim = int(lines[0])
+    except ValueError:
+        raise ValueError(f"matrix file '{path}': first line must be the dimension") from None
+    if dim < 1 or len(lines) != dim + 1:
+        raise ValueError(f"matrix file '{path}': expected {dim} rows after the dimension line")
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        tokens = line.split()
+        if len(tokens) != dim:
+            raise ValueError(f"matrix file '{path}': row {i + 1} has {len(tokens)} entries, expected {dim}")
+        try:
+            rows.append([complex(tok.replace("i", "j")) for tok in tokens])
+        except ValueError:
+            raise ValueError(f"matrix file '{path}': row {i + 1} has a malformed entry") from None
+    m = np.array(rows, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"matrix file '{path}': entries must be finite")
+    validate_hermitian(m, "matrix file")
+    return m
+
+
+def constant_protocol(h: np.ndarray, beta: float, t_final: float, nodes: int) -> Protocol:
+    times = np.linspace(0.0, t_final, nodes)
+    hams = np.repeat(h[None, :, :], nodes, axis=0)
+    return Protocol(times=times, hamiltonians=hams, beta=beta, label="matrix")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Resolved description of one protocol run."""
+    """Resolved description of one protocol run: a model of MODELS with its
+    params, and for the `matrix` model the file of its Hamiltonian
+    (read_matrix_file)."""
 
     name: str
     nodes: int
@@ -204,11 +247,16 @@ class ModelSpec:
     beta: float
     params: dict = field(default_factory=dict)
     seed: int = 0
+    matrix_path: str | None = None
 
     def __post_init__(self):
-        if self.name not in _REQUIRED_PARAMS:
+        if self.name not in MODELS:
             raise ValueError(f"unknown model name '{self.name}'")
-        required = _REQUIRED_PARAMS[self.name]
+        if self.name == "matrix" and not self.matrix_path:
+            raise ValueError("model 'matrix' requires key 'matrix_path' in section [model]")
+        if self.name != "matrix" and self.matrix_path:
+            raise ValueError("key 'matrix_path' is only valid for model 'matrix'")
+        required = MODELS[self.name]["params"]
         for key in required:
             if key not in self.params:
                 raise ValueError(f"model '{self.name}' is missing required param '{key}'")
@@ -226,30 +274,47 @@ class ModelSpec:
 
 
 def build_protocol(spec: ModelSpec) -> Protocol:
+    prm = spec.params
     if spec.name == "landau_zener":
         return landau_zener_protocol(
-            delta=float(spec.params["delta"]),
-            v=float(spec.params["v"]),
+            delta=float(prm["delta"]),
+            v=float(prm["v"]),
             beta=spec.beta,
             t_final=spec.t_final,
             nodes=spec.nodes,
         )
     if spec.name == "curie_weiss":
         return curie_weiss_protocol(
-            j_coupling=float(spec.params["j"]),
-            n_spins=int(spec.params["n_spins"]),
-            b_start=float(spec.params["b_start"]),
-            b_end=float(spec.params["b_end"]),
+            j_coupling=float(prm["j"]),
+            n_spins=int(prm["n_spins"]),
+            b_start=float(prm["b_start"]),
+            b_end=float(prm["b_end"]),
             beta=spec.beta,
             t_final=spec.t_final,
             nodes=spec.nodes,
         )
+    if spec.name == "matrix":
+        return constant_protocol(read_matrix_file(spec.matrix_path), spec.beta, spec.t_final, spec.nodes)
     rng = np.random.default_rng(spec.seed)
     return random_protocol(
-        int(spec.params["dim"]),
+        int(prm["dim"]),
         spec.nodes,
         rng,
-        degenerate=bool(spec.params["degenerate"]),
+        degenerate=bool(prm["degenerate"]),
         beta=spec.beta,
         t_final=spec.t_final,
+    )
+
+
+def third_law_hamiltonian(spec: ModelSpec) -> np.ndarray:
+    """The one Hamiltonian a third-law scan of the model runs on: the matrix
+    file's, or the Curie-Weiss magnet's at the end field b_end."""
+    if spec.name == "matrix":
+        return read_matrix_file(spec.matrix_path)
+    if spec.name == "curie_weiss":
+        prm = spec.params
+        return curie_weiss(prm["j"], int(prm["n_spins"]), prm["b_end"])
+    raise ValueError(
+        f"[model] name = '{spec.name}' does not resolve to a single Hamiltonian; "
+        "use 'matrix' or 'curie_weiss'"
     )

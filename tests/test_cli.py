@@ -178,10 +178,89 @@ class TestConfigErrors:
         assert run_cli(["run", "--config", cfg]) == 2
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("tolerances", "cluster_rel = nan"),
+            ("tolerances", "cluster_abs = inf"),
+            ("tolerances", "integration_gate = nan"),
+            ("third_law", "beta_min = nan"),
+        ],
+    )
+    def test_non_finite_float(self, tmp_path, capsys, section, line):
+        cfg = write_config(tmp_path / "run.ini", LZ_SMALL + f"\n[{section}]\n{line}\n")
+        assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new", [("nodes = 41", "t_final = inf"), ("nodes = 41", "beta = inf"), ("v = 1.0", "v = nan")]
+    )
+    def test_non_finite_model_value(self, tmp_path, capsys, old, new):
+        cfg = write_config(tmp_path / "run.ini", LZ_SMALL.replace(old, new))
+        assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"{new.split()[0]} = '" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["landau_zener", "curie_weiss", "random", "matrix"])
+    @pytest.mark.parametrize("line", ["nodes = 1", "t_final = -1", "beta = -1"])
+    def test_bad_grid_or_temperature(self, tmp_path, capsys, model, line):
+        cfg = write_config(tmp_path / "run.ini", minimal_config(tmp_path, model) + line + "\n")
+        assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"config error: {line.split()[0]}" in capsys.readouterr().err
+
     def test_verify_bad_arguments(self, capsys):
         assert run_cli(["verify", "--suite", "nonesuch"]) == 2
         assert run_cli(["verify", "--suite", "ft", "--cases", "0"]) == 2
         capsys.readouterr()
+
+
+# each model with only its name, its params and, for `matrix`, its file;
+# [model] is the last section, so a line appended to it lands there
+MINIMAL_PARAMS = {
+    "landau_zener": {"delta": 2.0, "v": 1.0},
+    "curie_weiss": {"j": 1.0, "n_spins": 4.0, "b_start": 2.0, "b_end": 0.0},
+    "random": {"degenerate": 0.0, "dim": 3.0},
+    "matrix": {},
+}
+
+
+def minimal_config(tmp_path, model):
+    params = "".join(f"{k} = {v}\n" for k, v in MINIMAL_PARAMS[model].items())
+    body = f"[params]\n{params}\n[model]\nname = {model}\n"
+    if model == "matrix":
+        (tmp_path / "h.txt").write_text("2\n0 0.5-0.5i\n0.5+0.5i 1\n")
+        body += f"matrix_path = {tmp_path / 'h.txt'}\n"
+    return body
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize(
+        "model, nodes, t_final, beta",
+        [
+            ("landau_zener", 1001, 1.0, 2.0),
+            ("curie_weiss", 2001, 5.0, 2.0),
+            ("random", 201, 1.0, 1.0),
+            ("matrix", 101, 1.0, 1.0),
+        ],
+    )
+    def test_defaults_in_report(self, tmp_path, monkeypatch, capsys, model, nodes, t_final, beta):
+        """Every default of [model], [run], [tolerances] and [third_law] lands
+        in the report's resolved config; the run writes to the default out."""
+        cfg = write_config(tmp_path / "run.ini", minimal_config(tmp_path, model))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", "--config", cfg]) == 0
+        capsys.readouterr()
+        expected_model = {"name": model, "nodes": nodes, "t_final": t_final, "beta": beta}
+        if model == "matrix":
+            expected_model["matrix_path"] = str(tmp_path / "h.txt")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"] == {
+            "model": expected_model,
+            "params": MINIMAL_PARAMS[model],
+            "run": {"out": "out", "emit": ["clausius", "ft", "ledger"], "seed": 0},
+            "tolerances": {"cluster_abs": None, "cluster_rel": None, "integration_gate": 1e-6},
+            "third_law": {"points": 40, "beta_min": 0.01},
+        }
 
 
 def matrix_config(tmp_path, matrix_text):

@@ -26,7 +26,8 @@ from gaugetherm.linalg import (
     shannon_entropy,
     validate_density,
 )
-from gaugetherm.cli import cmd_run, constant_protocol
+from gaugetherm.cli import cmd_run
+from gaugetherm.models import constant_protocol
 from gaugetherm.gauge import flat_levels
 from gaugetherm.verify import gauge_conjugates
 

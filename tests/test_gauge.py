@@ -57,10 +57,27 @@ def test_cluster_near_degeneracy_tolerance():
 
 
 def test_cluster_rejects_nonorthonormal_basis():
-    es = eigh(np.diag([0.0, 1.0]).astype(complex))
-    skewed = type(es)(eigenvalues=es.eigenvalues, eigenvectors=es.eigenvectors * 1.5)
+    w, V = eigh(np.diag([0.0, 1.0]).astype(complex))
     with pytest.raises(ValidationError):
-        cluster_spectrum(skewed, 1e-9)
+        cluster_spectrum((w, V * 1.5), 1e-9)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"cluster_tol_abs": np.nan},
+        {"cluster_tol_abs": np.inf},
+        {"cluster_tol_rel": np.nan},
+        {"cluster_tol_rel": np.inf},
+    ],
+)
+def test_cluster_rejects_non_finite_tolerances(kw):
+    """Such a tolerance merged the two Landau-Zener levels (gap >= 2) into one
+    level of multiplicity 2 at every node."""
+    p = gt.landau_zener_protocol(nodes=11)
+    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        gt.evolve(p, rho0, **kw)
 
 
 def test_twirl_block_mixing_hand_value():

@@ -312,11 +312,9 @@ def test_eigh_sorted_and_consistent():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = (a + a.conj().T) / 2
-    es = eigh(h)
-    assert np.all(np.diff(es.eigenvalues) >= 0)
-    assert np.allclose(
-        es.eigenvectors @ np.diag(es.eigenvalues) @ es.eigenvectors.conj().T, h, atol=1e-12
-    )
+    w, V = eigh(h)
+    assert np.all(np.diff(w) >= 0)
+    assert np.allclose(V @ np.diag(w) @ V.conj().T, h, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=25)

@@ -7,7 +7,7 @@ import pytest
 
 import gaugetherm as gt
 from gaugetherm.linalg import eigh
-from gaugetherm.models import _REQUIRED_PARAMS
+from gaugetherm.models import MODELS
 
 
 class TestHamiltonians:
@@ -193,4 +193,26 @@ class TestModelSpec:
         assert np.array_equal(a.hamiltonians, b.hamiltonians)
 
     def test_required_params_registry_is_total(self):
-        assert set(_REQUIRED_PARAMS) == {"landau_zener", "curie_weiss", "random"}
+        assert set(MODELS) == {"landau_zener", "curie_weiss", "random", "matrix"}
+        # the builders' grid and temperature defaults are the table's
+        for name, builder in (
+            ("landau_zener", gt.landau_zener_protocol),
+            ("curie_weiss", gt.curie_weiss_protocol),
+        ):
+            p = builder()
+            assert (p.n_nodes, p.tau, p.beta) == tuple(MODELS[name][k] for k in ("nodes", "t_final", "beta"))
+
+    def test_matrix_model(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("2\n0 1\n1 0\n")
+        spec = gt.ModelSpec(name="matrix", nodes=5, t_final=2.0, beta=1.0, matrix_path=str(path))
+        p = gt.build_protocol(spec)
+        assert p.label == "matrix" and p.n_nodes == 5 and p.tau == 2.0
+        assert np.array_equal(p.hamiltonians[-1], [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="requires key 'matrix_path'"):
+            gt.ModelSpec(name="matrix", nodes=5, t_final=1.0, beta=1.0)
+        with pytest.raises(ValueError, match="only valid for model 'matrix'"):
+            gt.ModelSpec(
+                name="random", nodes=5, t_final=1.0, beta=1.0,
+                params={"dim": 2, "degenerate": 0}, matrix_path=str(path),
+            )
