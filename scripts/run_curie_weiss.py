@@ -13,6 +13,7 @@ import argparse
 import numpy as np
 
 import gaugetherm as gt
+from gaugetherm.verify import thermal_ft
 
 
 def main() -> None:
@@ -50,13 +51,7 @@ def main() -> None:
     rep = gt.clausius_report(p, ev, tl)
     print("worst slacks:", {k: f"{v:+.2e}" for k, v in rep.worst_slacks().items()})
 
-    ens = gt.build_ensemble(
-        p,
-        gt.level_distribution(rho0, ev.structures[0]),
-        gt.thermal_level_distribution(ev.structures[-1], p.beta),
-        ev,
-    )
-    ft = gt.verify_ft(ens)
+    ft = thermal_ft(p, ev)
     print(f"<e^-sigma> - 1 = {ft.ift_value - 1:+.2e}")
     print(f"<sigma> = {ft.mean_sigma:.10f}  via work = {ft.mean_sigma_via_work:.10f}")
 

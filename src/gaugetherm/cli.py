@@ -19,30 +19,27 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dynamics import Protocol, StreamedRun, clausius_report, stream_run
-from .fluctuation import build_ensemble, verify_ft
-from .invariants import level_distribution, s_gauge, thermal_level_distribution
+from .dynamics import Protocol, StreamedRun, _split_bounds, clausius_report, stream_run
+from .invariants import level_distribution, s_gauge
 from .linalg import ValidationError, gibbs_state
 from .models import (
     MODELS,
     ModelSpec,
-    ThirdLawScan,
     build_protocol,
     third_law_hamiltonian,
     third_law_scan,
 )
-from .verify import SUITES, gauge_conjugates
+from .verify import SUITES, gauge_conjugates, thermal_ft
 
 CSV_HEADER = (
     "t,w_u,w_inv,q_c,q_u,s_gt,s_d,c_rel,s_gamma,f_eq,"
     "bound_generalized,bound_geometric,bures,rel_ent"
 )
 THIRD_LAW_HEADER = "beta,s_gt,limit_ln_n0"
-EMIT_CHOICES = ("clausius", "ft", "gauge_check", "ledger", "third_law")
 
 
 class ConfigError(ValueError):
@@ -139,7 +136,7 @@ def load_run_config(path: str, out_override: str | None = None) -> RunConfig:
     if run["seed"] < 0:
         raise ConfigError(f"[run] seed must be nonnegative, got {run['seed']}")
     for e in run["emit"]:
-        if e not in EMIT_CHOICES:
+        if e not in _EMIT_SECTIONS:
             raise ConfigError(f"[run] emit contains unknown artifact '{e}'")
     if third_law["points"] < 2:
         raise ConfigError(f"[third_law] points must be >= 2, got {third_law['points']}")
@@ -177,35 +174,35 @@ def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
             fh.write(",".join("%.12g" % float(c[i]) for c in columns) + "\n")
 
 
-def _thermal_run(cfg: RunConfig, p: Protocol) -> StreamedRun:
-    rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
-    tol = cfg.resolved["tolerances"]
-    given = {"cluster_tol_abs": tol["cluster_abs"], "cluster_tol_rel": tol["cluster_rel"]}
-    kwargs = {k: v for k, v in given.items() if v is not None}
-    return stream_run(p, rho0, connection="clausius" in cfg.resolved["run"]["emit"], **kwargs)
+def _ledger_csv(cfg: RunConfig, p: Protocol, run: StreamedRun) -> dict:
+    bound, tightening = _split_bounds(run.tl, p.beta)
+    columns = {f.name: getattr(run.tl, f.name) for f in fields(run.tl)}
+    columns.update(t=p.times, bound_generalized=bound, bound_geometric=bound + tightening)
+    out = os.path.join(cfg.resolved["run"]["out"], "ledger.csv")
+    _write_csv(out, CSV_HEADER, [columns[name] for name in CSV_HEADER.split(",")])
+    return {}
 
 
-def _ft_section(p: Protocol, ev) -> dict:
-    """Entropy-production FT between the two thermal endpoint references."""
-    fwd = level_distribution(ev.states[0], ev.structures[0])
-    rev = thermal_level_distribution(ev.structures[-1], p.beta)
-    rep = verify_ft(build_ensemble(p, fwd, rev, ev))
-    return {
-        "reference": "thermal",
-        "ift_value": rep.ift_value,
-        "ift_deviation": abs(rep.ift_value - 1.0),
-        "mean_sigma": rep.mean_sigma,
-        "mean_sigma_via_work": rep.mean_sigma_via_work,
-        "mean_sigma_via_entropy": rep.mean_sigma_via_entropy,
-        "mean_sigma_via_endpoints": rep.mean_sigma_via_endpoints,
-        "crooks_max_violation": rep.crooks_max_violation,
-        "microreversibility_max": rep.microreversibility_max,
-    }
+def _clausius(cfg: RunConfig, p: Protocol, run: StreamedRun) -> dict:
+    rep, cc = clausius_report(p, run.ev, run.tl), run.connection
+    section = {"applicable": rep.applicable, "reason": rep.reason, **rep.worst_slacks()}
+    if rep.applicable:
+        section["balance_residual_max"] = float(np.max(np.abs(rep.balance_residual)))
+    conn = {"performed": cc.performed, "reason": cc.reason}
+    if cc.performed:
+        conn["w_deviation_max"] = float(np.max(cc.w_deviation))
+        conn["q_deviation_max"] = float(np.max(cc.q_deviation))
+    return {"clausius": section, "connection_check": conn}
 
 
-def _gauge_section(run: StreamedRun, seed: int) -> dict:
+def _ft(cfg: RunConfig, p: Protocol, run: StreamedRun) -> dict:
+    rep = thermal_ft(p, run.ev)
+    return {"ft": {"reference": "thermal", "ift_deviation": abs(rep.ift_value - 1.0), **asdict(rep)}}
+
+
+def _gauge_check(cfg: RunConfig, p: Protocol, run: StreamedRun) -> dict:
     ev, kept = run.ev, range(len(run.nodes))  # the run keeps the nodes checked
-    conj, _, worst_twirl = gauge_conjugates(ev, kept, np.random.default_rng(seed))
+    conj, _, worst_twirl = gauge_conjugates(ev, kept, np.random.default_rng(cfg.spec.seed))
     worst_sgt = max(
         abs(
             s_gauge(level_distribution(ev.states[i], ev.structures[i]))
@@ -213,11 +210,13 @@ def _gauge_section(run: StreamedRun, seed: int) -> dict:
         )
         for i, c in zip(kept, conj)
     )
-    return {"nodes_checked": run.nodes, "max_twirl_deviation": worst_twirl, "max_s_gt_deviation": worst_sgt}
+    section = {"nodes_checked": run.nodes, "max_twirl_deviation": worst_twirl, "max_s_gt_deviation": worst_sgt}
+    return {"gauge_check": section}
 
 
-def _third_law(cfg: RunConfig, h: np.ndarray) -> ThirdLawScan:
-    """The scan of h from [third_law] beta_min up to 1e6 over its gap, and its CSV."""
+def _third_law(cfg: RunConfig, h: np.ndarray) -> dict:
+    """The scan of h from [third_law] beta_min up to 1e6 over its gap: its CSV,
+    and its section of report.json."""
     settings, gap = cfg.resolved["third_law"], third_law_scan(h, np.array([1.0])).gap
     beta_final = 1e6 / gap if gap else 1e6
     if settings["beta_min"] >= beta_final:
@@ -229,39 +228,39 @@ def _third_law(cfg: RunConfig, h: np.ndarray) -> ThirdLawScan:
     os.makedirs(out_dir, exist_ok=True)
     limit = np.full_like(scan.s_gt, math.log(scan.ground_multiplicity))
     _write_csv(os.path.join(out_dir, "third_law.csv"), THIRD_LAW_HEADER, [scan.betas, scan.s_gt, limit])
-    return scan
+    final = {"final_beta": float(scan.betas[-1]), "final_s_gt": float(scan.s_gt[-1])}
+    return {"third_law": {"ground_multiplicity": scan.ground_multiplicity, "gap": scan.gap, **final}}
+
+
+# [run] emit artifact -> the function that writes its files and returns its keys
+# of report.json; a run calls them in this order, so a fault in one leaves the
+# files of those before it written
+_EMIT_SECTIONS = {
+    "ledger": _ledger_csv,
+    "clausius": _clausius,
+    "ft": _ft,
+    "gauge_check": _gauge_check,
+    "third_law": lambda cfg, p, run: _third_law(cfg, p.hamiltonians[-1]),
+}
 
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
     cfg = load_run_config(config_path, out_override)
-    p = build_protocol(cfg.spec)
-    run = _thermal_run(cfg, p)
-    ev, tl, tol = run.ev, run.tl, run.tol
     out_dir, emit = cfg.resolved["run"]["out"], cfg.resolved["run"]["emit"]
-    gate = cfg.resolved["tolerances"]["integration_gate"]
+    tols = cfg.resolved["tolerances"]
+    cluster = {"cluster_tol_abs": tols["cluster_abs"], "cluster_tol_rel": tols["cluster_rel"]}
+    cluster = {k: v for k, v in cluster.items() if v is not None}  # one left out is the one clustering derives
+    p = build_protocol(cfg.spec, **cluster)
+    rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
+    run = stream_run(p, rho0, connection="clausius" in emit, **cluster)
+    tol, gate = run.tol, tols["integration_gate"]
     os.makedirs(out_dir, exist_ok=True)
 
-    beta = p.beta
     report = {
         "config": cfg.resolved,
         "integration_tolerance": tol,
         "integration_tolerance_exceeds_gate": bool(tol > gate),
-        "final": {
-            "t": p.tau,
-            "w_u": float(tl.w_u[-1]),
-            "w_inv": float(tl.w_inv[-1]),
-            "q_c": float(tl.q_c[-1]),
-            "q_u": float(tl.q_u[-1]),
-            "q_inv": float(tl.q_inv[-1]),
-            "u": float(tl.u[-1]),
-            "f_eq": float(tl.f_eq[-1]),
-            "s_gt": float(tl.s_gt[-1]),
-            "s_d": float(tl.s_d[-1]),
-            "c_rel": float(tl.c_rel[-1]),
-            "s_gamma": float(tl.s_gamma[-1]),
-            "bures": float(tl.bures[-1]),
-            "rel_ent": float(tl.rel_ent[-1]),
-        },
+        "final": {"t": p.tau, **{f.name: float(getattr(run.tl, f.name)[-1]) for f in fields(run.tl)}},
     }
     if tol > gate:
         print(
@@ -269,50 +268,9 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
             "(expected when the level structure jumps on the grid)",
             file=sys.stderr,
         )
-
-    if "ledger" in emit:
-        d_f = tl.f_eq - tl.f_eq[0]
-        bound_gen = d_f + (tl.c_rel + tl.s_gamma) / beta
-        bound_geo = bound_gen + (8.0 / (math.pi**2 * beta)) * tl.bures**2
-        _write_csv(
-            os.path.join(out_dir, "ledger.csv"),
-            CSV_HEADER,
-            [
-                p.times, tl.w_u, tl.w_inv, tl.q_c, tl.q_u, tl.s_gt, tl.s_d,
-                tl.c_rel, tl.s_gamma, tl.f_eq, bound_gen, bound_geo, tl.bures,
-                tl.rel_ent,
-            ],
-        )
-
-    if "clausius" in emit:
-        rep = clausius_report(p, ev, tl)
-        section = {"applicable": rep.applicable, "reason": rep.reason}
-        if rep.applicable:
-            section.update({k: v for k, v in rep.worst_slacks().items()})
-            section["balance_residual_max"] = float(np.max(np.abs(rep.balance_residual)))
-        report["clausius"] = section
-        cc = run.connection
-        conn = {"performed": cc.performed, "reason": cc.reason}
-        if cc.performed:
-            conn["w_deviation_max"] = float(np.max(cc.w_deviation))
-            conn["q_deviation_max"] = float(np.max(cc.q_deviation))
-        report["connection_check"] = conn
-
-    if "ft" in emit:
-        report["ft"] = _ft_section(p, ev)
-
-    if "gauge_check" in emit:
-        report["gauge_check"] = _gauge_section(run, cfg.spec.seed)
-
-    if "third_law" in emit:
-        scan = _third_law(cfg, p.hamiltonians[-1])
-        report["third_law"] = {
-            "ground_multiplicity": scan.ground_multiplicity,
-            "gap": scan.gap,
-            "final_beta": float(scan.betas[-1]),
-            "final_s_gt": float(scan.s_gt[-1]),
-        }
-
+    for name, section in _EMIT_SECTIONS.items():
+        if name in emit:
+            report.update(section(cfg, p, run))
     _write_json(os.path.join(out_dir, "report.json"), report)
     print(f"wrote {out_dir}/report.json")
     return 0

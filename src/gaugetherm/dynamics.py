@@ -734,6 +734,13 @@ class ClausiusReport:
         }
 
 
+def _split_bounds(tl: ThermoLedger, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The generalized bound dF_eq + (c_rel + s_gamma)/beta on w_u per node, and
+    the Bures-angle tightening (8 / (pi^2 beta)) bures^2 the geometric bound adds."""
+    d_f = tl.f_eq - tl.f_eq[0]
+    return d_f + (tl.c_rel + tl.s_gamma) / beta, (8.0 / (np.pi**2 * beta)) * tl.bures**2
+
+
 def clausius_report(p: Protocol, ev: EvolutionResult, tl: ThermoLedger) -> ClausiusReport:
     """Evaluate all four work bounds along a thermal-start protocol."""
     sigma0, _ = gibbs_state(p.hamiltonians[0], p.beta)
@@ -749,8 +756,9 @@ def clausius_report(p: Protocol, ev: EvolutionResult, tl: ThermoLedger) -> Claus
     base = d_f + d_s / beta
     slack_usual = tl.w_u - base
     slack_invariant = tl.w_inv + tl.q_c - base
-    slack_split = tl.w_u - (d_f + (tl.c_rel + tl.s_gamma) / beta)
-    slack_geometric = slack_split - (8.0 / (np.pi**2 * beta)) * tl.bures**2
+    bound, tightening = _split_bounds(tl, beta)
+    slack_split = tl.w_u - bound
+    slack_geometric = slack_split - tightening
     balance = beta * (tl.w_u - d_f) - (d_s + tl.rel_ent)
     return ClausiusReport(
         applicable=True,

@@ -263,6 +263,11 @@ class ModelSpec:
         for key in self.params:
             if key not in required:
                 raise ValueError(f"model '{self.name}' got unknown param '{key}'")
+        for key in ("dim", "n_spins"):
+            if key in self.params and not float(self.params[key]).is_integer():
+                raise ValueError(f"param '{key}' must be an integer, got {self.params[key]}")
+        if self.params.get("degenerate", 0) not in (0, 1):
+            raise ValueError(f"param 'degenerate' must be 0 or 1, got {self.params['degenerate']}")
         if self.nodes < 2:
             raise ValueError(f"nodes must be >= 2, got {self.nodes}")
         if not self.t_final > 0:
@@ -273,7 +278,11 @@ class ModelSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def build_protocol(spec: ModelSpec) -> Protocol:
+def build_protocol(
+    spec: ModelSpec, *, cluster_tol_abs: float | None = None, cluster_tol_rel: float = CLUSTER_TOL_REL
+) -> Protocol:
+    """The model's protocol. The clustering tolerances are those its run will
+    cluster with; the Curie-Weiss builder checks its grid against them."""
     prm = spec.params
     if spec.name == "landau_zener":
         return landau_zener_protocol(
@@ -292,6 +301,8 @@ def build_protocol(spec: ModelSpec) -> Protocol:
             beta=spec.beta,
             t_final=spec.t_final,
             nodes=spec.nodes,
+            cluster_tol_abs=cluster_tol_abs,
+            cluster_tol_rel=cluster_tol_rel,
         )
     if spec.name == "matrix":
         return constant_protocol(read_matrix_file(spec.matrix_path), spec.beta, spec.t_final, spec.nodes)

@@ -23,7 +23,7 @@ from .dynamics import (
     stream_run,
     work_heat_series,
 )
-from .fluctuation import build_ensemble, verify_ft
+from .fluctuation import FtReport, build_ensemble, verify_ft
 from .gauge import (
     cluster_spectrum,
     default_cluster_tol_abs,
@@ -77,6 +77,16 @@ def gauge_conjugates(
     twirled = level_twirl(level_space(conj, structures)[1], structures)
     worst = float(np.max(np.abs(twirled - ev.twirled_states[list(nodes)])))
     return conj, twirled, worst
+
+
+def thermal_ft(p: Protocol, ev: EvolutionResult) -> FtReport:
+    """The fluctuation theorems between the two thermal endpoint references:
+    forward, the populations of ev.states[0] in the levels of
+    ev.structures[0]; reverse, the Gibbs weights of the levels of
+    ev.structures[-1] at p.beta."""
+    fwd = level_distribution(ev.states[0], ev.structures[0])
+    rev = thermal_level_distribution(ev.structures[-1], p.beta)
+    return verify_ft(build_ensemble(p, fwd, rev, ev))
 
 
 def suite_ft(cases: int, seed: int) -> list[dict]:

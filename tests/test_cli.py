@@ -1,6 +1,7 @@
 """Command-line interface: configs, artifacts, exit codes."""
 import json
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ import gaugetherm as gt
 from gaugetherm.cli import (
     CSV_HEADER,
     THIRD_LAW_HEADER,
-    _ft_section,
     _json_ready,
     load_run_config,
     main,
 )
-from gaugetherm.verify import gauge_conjugates
+from gaugetherm.verify import gauge_conjugates, thermal_ft
 
 
 def write_config(path, body):
@@ -101,8 +101,11 @@ class TestRun:
         rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
         ev = gt.evolve(p, rho0)
         tl = gt.ledger(p, ev)
-        final = {k: float(getattr(tl, k)[-1]) for k in report["final"] if k != "t"}
+        ledger_names = {f.name for f in fields(gt.ThermoLedger)}
+        assert set(report["final"]) == {"t"} | ledger_names
+        final = {k: float(getattr(tl, k)[-1]) for k in ledger_names}
         assert report["final"] == _json_ready({"t": p.tau, **final})
+        assert first["ledger.csv"].decode().splitlines()[0] == CSV_HEADER
         nodes = [0, p.n_nodes // 2, p.n_nodes - 1]
         conj, _, worst_twirl = gauge_conjugates(ev, nodes, np.random.default_rng(3))
         worst_sgt = max(
@@ -116,7 +119,11 @@ class TestRun:
             {"nodes_checked": nodes, "max_twirl_deviation": worst_twirl,
              "max_s_gt_deviation": worst_sgt}
         )
-        assert report["ft"] == _json_ready(_ft_section(p, ev))
+        rep = thermal_ft(p, ev)
+        assert set(report["ft"]) == {f.name for f in fields(gt.FtReport)} | {"reference", "ift_deviation"}
+        assert report["ft"] == _json_ready(
+            {"reference": "thermal", "ift_deviation": abs(rep.ift_value - 1.0), **asdict(rep)}
+        )
 
     def test_emit_filtering(self, tmp_path):
         cfg = write_config(
@@ -172,6 +179,32 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "run.ini", LZ_SMALL + "\n[run]\nemit = ledger, csv\n")
         assert run_cli(["run", "--config", cfg]) == 2
         assert "csv" in capsys.readouterr().err
+
+    def test_cluster_tolerance_reaches_field_ramp_check(self, tmp_path, capsys):
+        """[tolerances] cluster_abs is the tolerance the Curie-Weiss grid is
+        checked against: at 201 nodes the last nonzero field splits the +-m
+        pairs by 0.02, which does not clear ten times 0.015."""
+        cfg = write_config(
+            tmp_path / "run.ini",
+            minimal_config(tmp_path, "curie_weiss").replace("n_spins = 4.0", "n_spins = 10")
+            + "nodes = 201\n\n[tolerances]\ncluster_abs = 0.015\n",
+        )
+        assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert "field splitting 2.000e-02 at node 199 does not clear the clustering tolerance 1.500e-02" in err
+
+    @pytest.mark.parametrize(
+        "model, old, new",
+        [
+            ("random", "dim = 3.0", "dim = 3.7"),
+            ("random", "degenerate = 0.0", "degenerate = 0.5"),
+            ("curie_weiss", "n_spins = 4.0", "n_spins = 4.9"),
+        ],
+    )
+    def test_non_integral_param(self, tmp_path, capsys, model, old, new):
+        cfg = write_config(tmp_path / "run.ini", minimal_config(tmp_path, model).replace(old, new))
+        assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"config error: param '{new.split()[0]}'" in capsys.readouterr().err
 
     def test_missing_model_param(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.ini", "[model]\nname = landau_zener\n\n[params]\nv = 1.0\n")

@@ -170,6 +170,22 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             gt.ModelSpec(name="landau_zener", nodes=11, t_final=0.0, beta=1.0, params=good)
 
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            ("random", {"dim": 3.7, "degenerate": 0}, "dim"),
+            ("random", {"dim": 3, "degenerate": 0.5}, "degenerate"),
+            ("random", {"dim": 3, "degenerate": 2}, "degenerate"),
+            ("curie_weiss", {"j": 1.0, "n_spins": 4.9, "b_start": 2.0, "b_end": 0.0}, "n_spins"),
+            ("curie_weiss", {"j": 1.0, "n_spins": math.inf, "b_start": 2.0, "b_end": 0.0}, "n_spins"),
+        ],
+    )
+    def test_integer_params_checked(self, name, params, key):
+        """dim and n_spins must be integers and degenerate 0 or 1, not
+        truncated or read as a truth value."""
+        with pytest.raises(ValueError, match=f"param '{key}'"):
+            gt.ModelSpec(name=name, nodes=11, t_final=1.0, beta=1.0, params=params)
+
     def test_dispatch(self):
         for name, params in (
             ("landau_zener", {"delta": 2.0, "v": 1.0}),
