@@ -167,11 +167,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
-    n = len(columns[0])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(n):
-            fh.write(",".join("%.12g" % float(c[i]) for c in columns) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.12g", delimiter=",", header=header, comments="")
 
 
 def _ledger_csv(cfg: RunConfig, p: Protocol, run: StreamedRun) -> dict:
@@ -214,16 +210,25 @@ def _gauge_check(cfg: RunConfig, p: Protocol, run: StreamedRun) -> dict:
     return {"gauge_check": section}
 
 
+def _cluster(cfg: RunConfig) -> dict:
+    """The clustering keywords of the config's [tolerances]; one left out is the
+    one clustering derives."""
+    tols = cfg.resolved["tolerances"]
+    cluster = {"cluster_tol_abs": tols["cluster_abs"], "cluster_tol_rel": tols["cluster_rel"]}
+    return {k: v for k, v in cluster.items() if v is not None}
+
+
 def _third_law(cfg: RunConfig, h: np.ndarray) -> dict:
-    """The scan of h from [third_law] beta_min up to 1e6 over its gap: its CSV,
-    and its section of report.json."""
-    settings, gap = cfg.resolved["third_law"], third_law_scan(h, np.array([1.0])).gap
+    """The scan of h, clustered with the config's tolerances, from [third_law]
+    beta_min up to 1e6 over its gap: its CSV, and its section of report.json."""
+    settings, cluster = cfg.resolved["third_law"], _cluster(cfg)
+    gap = third_law_scan(h, np.array([1.0]), **cluster).gap
     beta_final = 1e6 / gap if gap else 1e6
     if settings["beta_min"] >= beta_final:
         raise ConfigError(
             f"[third_law] beta_min = {settings['beta_min']} is not below the final beta {beta_final:.6g}"
         )
-    scan = third_law_scan(h, np.geomspace(settings["beta_min"], beta_final, settings["points"]))
+    scan = third_law_scan(h, np.geomspace(settings["beta_min"], beta_final, settings["points"]), **cluster)
     out_dir = cfg.resolved["run"]["out"]
     os.makedirs(out_dir, exist_ok=True)
     limit = np.full_like(scan.s_gt, math.log(scan.ground_multiplicity))
@@ -246,14 +251,11 @@ _EMIT_SECTIONS = {
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
     cfg = load_run_config(config_path, out_override)
-    out_dir, emit = cfg.resolved["run"]["out"], cfg.resolved["run"]["emit"]
-    tols = cfg.resolved["tolerances"]
-    cluster = {"cluster_tol_abs": tols["cluster_abs"], "cluster_tol_rel": tols["cluster_rel"]}
-    cluster = {k: v for k, v in cluster.items() if v is not None}  # one left out is the one clustering derives
+    out_dir, emit, cluster = cfg.resolved["run"]["out"], cfg.resolved["run"]["emit"], _cluster(cfg)
     p = build_protocol(cfg.spec, **cluster)
     rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
     run = stream_run(p, rho0, connection="clausius" in emit, **cluster)
-    tol, gate = run.tol, tols["integration_gate"]
+    tol, gate = run.tol, cfg.resolved["tolerances"]["integration_gate"]
     os.makedirs(out_dir, exist_ok=True)
 
     report = {

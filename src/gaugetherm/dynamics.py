@@ -9,7 +9,6 @@ so the declared integration tolerance scales as C dt^2.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,31 +193,10 @@ def _steps(h: np.ndarray, lo: int, hi: int, c: complex) -> np.ndarray:
     return (V * np.exp(c * w)[..., None, :]) @ _dag(V)
 
 
-def _central_diff(series: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(series)
-    out[1:-1] = (series[2:] - series[:-2]) / (2.0 * dt)
-    out[0] = (series[1] - series[0]) / dt
-    out[-1] = (series[-1] - series[-2]) / dt
-    return out
-
-
 def _flat_traces(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
     """Re Tr(a_j b_j) per node from a contiguous copy bt of b transposed: the flat
     product sum over a_ij (b^T)_ij, which reads both operands in memory order."""
     return np.einsum("nij,nij->n", a, bt).real
-
-
-def _trace_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(a_j b_j) per node, a node block at a time."""
-    out = np.empty(len(a))
-    for s in node_blocks(*a.shape[:2]):
-        out[s] = _flat_traces(a[s], _transposed(b[s]))
-    return out
-
-
-def _stored_blocks(*stacks: np.ndarray) -> Iterator[tuple]:
-    """(s, stack[s], ...) over the node blocks of equally long stored stacks."""
-    return ((s, *(x[s] for x in stacks)) for s in node_blocks(*stacks[0].shape[:2]))
 
 
 def _cumtrap(y: np.ndarray, dt: float) -> np.ndarray:
@@ -245,9 +223,9 @@ def _ends(plus: np.ndarray, minus: np.ndarray, same: np.ndarray, dt: float) -> n
 
 class _PowerIntegrands:
     """Re Tr(S_j Hdot_j), Re Tr(Sdot_j H_j) and Re Tr(S_j H_j) per node, with
-    the derivatives of _central_diff, for each state stack S of a pass, folded
-    a node block at a time: add(s, S[s], S'[s], ...) for the blocks in node
-    order, then integrands(dt).
+    the derivatives of np.gradient (central, and one-sided at the two ends),
+    for each state stack S of a pass, folded a node block at a time:
+    add(s, S[s], S'[s], ...) for the blocks in node order, then integrands(dt).
 
     A central difference is linear, so it moves onto neighbour traces:
     Tr(S_j Hdot_j) = [Tr(S_j H_{j+1}) - Tr(S_j H_{j-1})] / 2dt and
@@ -276,19 +254,8 @@ class _PowerIntegrands:
         return [(_ends(f, b, same, dt), _ends(b, f, same, dt), same) for same, f, b in self.traces]
 
 
-def _power_integrands(
-    blocks: Iterable[tuple], h: np.ndarray, dt: float
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """_PowerIntegrands over the blocks (s, S[s], S'[s], ...) of _stored_blocks;
-    a pass that stores no stacks feeds a _PowerIntegrands itself."""
-    fold = _PowerIntegrands(h)
-    for s, *stacks in blocks:
-        fold.add(s, *stacks)
-    return fold.integrands(dt)
-
-
 def _series(integrands: list[tuple], dt: float) -> WorkHeatSeries:
-    """The work/heat series from _power_integrands of states and twirled states."""
+    """The work/heat series from the _PowerIntegrands of states and twirled states."""
     (w_u, q_u, u), (w_inv, q_c, _) = integrands
     return WorkHeatSeries(
         w_u=_cumtrap(w_u, dt),
@@ -300,8 +267,10 @@ def _series(integrands: list[tuple], dt: float) -> WorkHeatSeries:
 
 
 def work_heat_series(p: Protocol, ev: EvolutionResult) -> WorkHeatSeries:
-    blocks = _stored_blocks(ev.states, ev.twirled_states)
-    return _series(_power_integrands(blocks, p.hamiltonians, p.dt), p.dt)
+    fold = _PowerIntegrands(p.hamiltonians)
+    for s in node_blocks(p.n_nodes, p.dim):
+        fold.add(s, ev.states[s], ev.twirled_states[s])
+    return _series(fold.integrands(p.dt), p.dt)
 
 
 @dataclass(frozen=True)
@@ -490,26 +459,21 @@ def aligned_frames(bases: list[np.ndarray]) -> np.ndarray:
     Columns at each node are matched to the previous node by maximal overlap
     and rotated so the matched overlap is real positive. The output is a
     smooth frame regardless of the per-node phase and ordering freedom of the
-    eigensolver.
+    eigensolver. The first matrix is kept as given, so an aligned frame
+    followed by new bases continues its alignment.
     """
     out = np.empty((len(bases),) + bases[0].shape, dtype=complex)
     out[0] = bases[0]
+    d = out.shape[1]
     for j in range(1, len(bases)):
-        out[j] = _aligned(out[j - 1], bases[j])
+        overlap = out[j - 1].conj().T @ bases[j]
+        rows, cols = linear_sum_assignment(-np.abs(overlap))
+        perm = np.empty(d, dtype=int)
+        perm[rows] = cols
+        ov = overlap[np.arange(d), perm]
+        phases = np.where(np.abs(ov) > 0, ov / np.maximum(np.abs(ov), 1e-300), 1.0)
+        out[j] = bases[j][:, perm] * phases.conj()
     return out
-
-
-def _aligned(prev: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """basis with its columns matched and phased to the aligned frame prev."""
-    d = basis.shape[0]
-    overlap = prev.conj().T @ basis
-    rows, cols = linear_sum_assignment(-np.abs(overlap))
-    perm = np.empty(d, dtype=int)
-    perm[rows] = cols
-    w = basis[:, perm]
-    ov = overlap[np.arange(d), perm]
-    phases = np.where(np.abs(ov) > 0, ov / np.maximum(np.abs(ov), 1e-300), 1.0)
-    return w * phases.conj()
 
 
 def _degenerate_check(degenerate: np.ndarray) -> ConnectionCheck | None:
@@ -533,29 +497,35 @@ class _Connection:
     """The commutator traces t_j = Re Tr(rho_j [A_j, H_j]) of the connection
     A_j = -Vdot_j V_j^dag of the aligned frame, folded a node block at a time:
     add(s, states, bases) takes the node blocks s in node order, with the
-    states of their nodes and the bases of their nodes and of the next node,
-    if any. Frames are aligned in node order, and a block's central
-    differences take one frame of halo on each side, so only the last two
-    frames carry over to the next block. check(work, heat, tl) then gives the
-    covariant route from the states' work and heat integrands, compared with
-    the ledger's invariant columns."""
+    states and bases of their own nodes. Frames are aligned in node order
+    (aligned_frames), and a block's central differences take one frame of halo
+    on each side, so a block is held until the next block's first frame
+    arrives, and check(work, heat, tl) folds the last block. check then gives
+    the covariant route from the states' work and heat integrands, compared
+    with the ledger's invariant columns."""
 
     def __init__(self, h: np.ndarray, dt: float):
         self.h, self.dt, self.t = h, dt, np.empty(len(h))
-        self.frames: list[np.ndarray] = []  # the aligned frames of nodes s.start - 1 and s.start
+        self.held = None  # the last block s given, its states, the frames of max(s.start - 1, 0) .. s.stop - 1
 
     def add(self, s: slice, states: np.ndarray, bases: list[np.ndarray]) -> None:
-        frames = self.frames or bases[:1]
-        for basis in bases[1:]:
-            frames.append(_aligned(frames[-1], basis))
-        f = np.array(frames)
+        if self.held is None:
+            frames = aligned_frames(bases)
+        else:
+            held_s, held_states, held_frames = self.held
+            frames = aligned_frames([held_frames[-1], *bases])
+            self._fold(held_s, held_states, np.concatenate([held_frames, frames[1:2]]))
+        self.held = s, states, frames
+
+    def _fold(self, s: slice, states: np.ndarray, f: np.ndarray) -> None:
+        """t over the block s from the frames f of nodes s.start - 1 (if any) .. s.stop (if any)."""
         k, m = min(s.start, 1), s.stop - s.start  # f[k] is node s.start's frame
-        conn = -np.einsum("nij,nkj->nik", _central_diff(f, self.dt)[k : k + m], f[k : k + m].conj())
+        conn = -np.einsum("nij,nkj->nik", np.gradient(f, self.dt, axis=0)[k : k + m], f[k : k + m].conj())
         h = self.h[s]
-        self.t[s] = _trace_pairs(states, conn @ h - h @ conn)
-        self.frames = frames[-2:]
+        self.t[s] = _flat_traces(states, _transposed(conn @ h - h @ conn))
 
     def check(self, work: np.ndarray, heat: np.ndarray, tl: ThermoLedger) -> ConnectionCheck:
+        self._fold(*self.held)
         w_cov = _cumtrap(work + self.t, self.dt)
         q_cov = _cumtrap(heat - self.t, self.dt)
         return ConnectionCheck(
@@ -588,10 +558,11 @@ def connection_cross_check(
         return skipped
     if tl is None:
         tl = ledger(p, ev)
-    conn = _Connection(p.hamiltonians, p.dt)
-    for s, states in _stored_blocks(ev.states):
-        conn.add(s, states, [ds.basis for ds in ev.structures[s.start : s.stop + 1]])
-    [(work, heat, _)] = _power_integrands(_stored_blocks(ev.states), p.hamiltonians, p.dt)
+    conn, fold = _Connection(p.hamiltonians, p.dt), _PowerIntegrands(p.hamiltonians)
+    for s in node_blocks(p.n_nodes, p.dim):
+        conn.add(s, ev.states[s], [ds.basis for ds in ev.structures[s]])
+        fold.add(s, ev.states[s])
+    [(work, heat, _)] = fold.integrands(p.dt)
     return conn.check(work, heat, tl)
 
 
@@ -637,18 +608,18 @@ def stream_run(
     (_Propagator), folded into the neighbour traces of the work/heat series
     and the ledger's level-basis diagonal and populations; the tolerance's
     run on the grid coarsened by two (_CoarseRun), whose nodes are the
-    block's even nodes; and the connection check (_Connection), one block
-    behind, since a block's frames read the first node of the next block.
-    The connection stops at the first degenerate node, where the check is
-    known to be skipped. The last block is decomposed before the pass, so
-    that a protocol degenerate at its end, such as every field ramp to
-    B = 0, skips the connection from its first node; without it the
-    Curie-Weiss config's run takes a third longer. A fault in that block is
-    raised again in node order. So beyond the Hamiltonians a run holds a few
-    node blocks and the levels of every node, not the stacks of evolve or
-    the node bases. The nodes kept are 0, n // 2 and n - 1. Faults are
-    raised a block at a time in node order, and a protocol of fewer than 5
-    nodes is refused before the pass.
+    block's even nodes; and the connection check (_Connection), which holds
+    a block until the next block's first frame arrives. The connection stops
+    at the first degenerate node, where the check is known to be skipped.
+    The last block is decomposed before the pass, so that a protocol
+    degenerate at its end, such as every field ramp to B = 0, skips the
+    connection from its first node; without it the Curie-Weiss config's run
+    takes a third longer. A fault in that block is raised again in node
+    order. So beyond the Hamiltonians a run holds a few node blocks and the
+    levels of every node, not the stacks of evolve or the node bases. The
+    nodes kept are 0, n // 2 and n - 1. Faults are raised a block at a time
+    in node order, and a protocol of fewer than 5 nodes is refused before
+    the pass.
     """
     rho0 = _initial_state(p, rho0)
     n, d, h, dt = p.n_nodes, p.dim, p.hamiltonians, p.dt
@@ -664,7 +635,6 @@ def stream_run(
     kept_structures, levels, pops = [], [], []
     diag = np.empty((n, d))
     run, fine, conn = _Propagator(h, dt, rho0), _PowerIntegrands(h), _Connection(h, dt)
-    behind = None  # the connection's arguments for the block before
     for s in blocks:
         structures = last if s.stop == n and last else _decompose(h[s], *tols)
         mults, energies = flat_levels(structures)[:2]
@@ -680,9 +650,7 @@ def stream_run(
                 ds = structures[j - s.start]  # a copy of its basis lets the block's go
                 kept_structures.append(replace(ds, basis=ds.basis.copy()))
         if connection and not degenerate:
-            if behind is not None:
-                conn.add(*behind[:2], behind[2] + [structures[0].basis])
-            behind = s, states, [ds.basis for ds in structures]
+            conn.add(s, states, [ds.basis for ds in structures])
         del props, states, twirled, structures
 
     mults, energies = (np.concatenate(x) for x in zip(*levels))
@@ -694,7 +662,6 @@ def stream_run(
     )
     check = _degenerate_check(_merged(mults, node_starts)) if connection else None
     if connection and check is None:
-        conn.add(*behind)
         work, heat, _ = integrands[0]
         check = conn.check(work, heat, tl)
     ev = EvolutionResult(*kept, kept_structures)

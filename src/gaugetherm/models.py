@@ -171,8 +171,12 @@ class ThirdLawScan:
     gap: float | None
 
 
-def third_law_scan(h: np.ndarray, betas) -> ThirdLawScan:
-    """s_gauge(gibbs_state(h, beta)) per beta.
+def third_law_scan(
+    h: np.ndarray, betas, *, cluster_tol_abs: float | None = None, cluster_tol_rel: float = CLUSTER_TOL_REL
+) -> ThirdLawScan:
+    """s_gauge(gibbs_state(h, beta)) per beta, in the levels of h clustered
+    with the given tolerances (evolve's; an unset tol_abs is the one
+    clustering derives from h).
 
     The series decreases in beta and saturates at ln(ground multiplicity)
     once 1/beta is well below the gap.
@@ -184,7 +188,8 @@ def third_law_scan(h: np.ndarray, betas) -> ThirdLawScan:
         raise ValueError("betas must be finite and positive")
     if np.any(np.diff(betas) <= 0):
         raise ValueError("betas must be strictly ascending")
-    ds = cluster_spectrum(eigh(h), default_cluster_tol_abs(h))
+    tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
+    ds = cluster_spectrum(eigh(h), tol_abs, cluster_tol_rel)
     out = np.empty_like(betas)
     for i, beta in enumerate(betas):
         rho, _ = gibbs_state(h, float(beta))

@@ -362,6 +362,27 @@ class TestThirdLawCommand:
         assert float(last[1]) == pytest.approx(math.log(2), abs=1e-6)
         assert float(last[2]) == pytest.approx(math.log(2), abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["run", "third-law"])
+    def test_scan_clusters_with_config_tolerances(self, tmp_path, command):
+        """[tolerances] cluster_abs reaches the scan of both commands: with
+        levels 0, 0.001 and 2 and cluster_abs = 0.01 the two lowest merge into
+        a ground doublet, as they do in the run's own ledger."""
+        cfg = matrix_config(tmp_path, "3\n0 0 0\n0 0.001 0\n0 0 2\n")
+        with open(cfg, "a") as fh:
+            fh.write("\n[run]\nemit = ledger,third_law\n\n[tolerances]\ncluster_abs = 0.01\n")
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 0
+        beta, s_gt, limit = map(float, (out / "third_law.csv").read_text().splitlines()[-1].split(","))
+        assert beta == pytest.approx(1e6 / 1.9995, rel=1e-12)
+        assert s_gt == pytest.approx(math.log(2), abs=1e-11)
+        assert limit == pytest.approx(math.log(2), abs=1e-11)
+        if command == "run":
+            section = json.loads((out / "report.json").read_text())["third_law"]
+            assert section["ground_multiplicity"] == 2
+            assert section["gap"] == pytest.approx(1.9995, abs=1e-12)
+            assert section["final_beta"] == pytest.approx(1e6 / 1.9995, rel=1e-12)
+            assert section["final_s_gt"] == pytest.approx(math.log(2), abs=1e-12)
+
     def test_random_model_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "run.ini",

@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 
 import gaugetherm as gt
 from gaugetherm.dynamics import GRID_UNIFORMITY_TOL
-from gaugetherm.dynamics import (
-    _central_diff,
-    _cumtrap,
-    _power_integrands,
-    _Propagator,
-    _stored_blocks,
-    _trace_pairs,
-)
+from gaugetherm.dynamics import _cumtrap, _PowerIntegrands, _Propagator
 from gaugetherm.linalg import (
     BLOCK_BYTES,
     ValidationError,
@@ -32,6 +25,11 @@ from gaugetherm.gauge import flat_levels
 from gaugetherm.verify import gauge_conjugates
 
 from test_linalg import SX, random_density
+
+
+def traces(a, b):
+    """Re Tr(a_j b_j) per node of two full stacks."""
+    return np.einsum("nij,nji->n", a, b).real
 
 
 def ramp_protocol(h0, h1, nodes=201, beta=1.0, t_final=1.0):
@@ -286,12 +284,12 @@ class TestAlignedFrames:
         # reference: Tr(rho (Hdot + [A,H])) and Tr(H (rhodot + [A,rho])) from
         # central-difference stacks of H and rho
         frames = gt.aligned_frames([ds.basis for ds in ev.structures])
-        conn = -np.einsum("nij,nkj->nik", _central_diff(frames, p.dt), frames.conj())
+        conn = -np.einsum("nij,nkj->nik", np.gradient(frames, p.dt, axis=0), frames.conj())
         h, rho = p.hamiltonians, ev.states
-        h_cov = _central_diff(h, p.dt) + conn @ h - h @ conn
-        rho_cov = _central_diff(rho, p.dt) + conn @ rho - rho @ conn
-        w_ref = _cumtrap(_trace_pairs(rho, h_cov), p.dt)
-        q_ref = _cumtrap(_trace_pairs(rho_cov, h), p.dt)
+        h_cov = np.gradient(h, p.dt, axis=0) + conn @ h - h @ conn
+        rho_cov = np.gradient(rho, p.dt, axis=0) + conn @ rho - rho @ conn
+        w_ref = _cumtrap(traces(rho, h_cov), p.dt)
+        q_ref = _cumtrap(traces(rho_cov, h), p.dt)
         assert np.max(np.abs(cc.w_cov - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
         assert np.max(np.abs(cc.q_cov - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
 
@@ -410,13 +408,13 @@ def test_level_space_ledger_matches_matrix_routes(seed, dim, degenerate, thermal
     rebuilt = dataclasses.replace(ev, states=conj, twirled_states=conj_twirled)
     for run in (ev, rebuilt):
         series = gt.work_heat_series(p, run)
-        h_dot = _central_diff(p.hamiltonians, p.dt)
+        h_dot = np.gradient(p.hamiltonians, p.dt, axis=0)
         reference = {
-            "w_u": _cumtrap(_trace_pairs(run.states, h_dot), p.dt),
-            "w_inv": _cumtrap(_trace_pairs(run.twirled_states, h_dot), p.dt),
-            "q_c": _cumtrap(_trace_pairs(_central_diff(run.twirled_states, p.dt), p.hamiltonians), p.dt),
-            "q_u": _cumtrap(_trace_pairs(_central_diff(run.states, p.dt), p.hamiltonians), p.dt),
-            "u": _trace_pairs(run.states, p.hamiltonians),
+            "w_u": _cumtrap(traces(run.states, h_dot), p.dt),
+            "w_inv": _cumtrap(traces(run.twirled_states, h_dot), p.dt),
+            "q_c": _cumtrap(traces(np.gradient(run.twirled_states, p.dt, axis=0), p.hamiltonians), p.dt),
+            "q_u": _cumtrap(traces(np.gradient(run.states, p.dt, axis=0), p.hamiltonians), p.dt),
+            "u": traces(run.states, p.hamiltonians),
         }
         for name, ref in reference.items():
             err = np.max(np.abs(getattr(series, name) - ref))
@@ -500,9 +498,9 @@ def test_stacked_passes_hold_a_few_blocks(tmp_path):
 
 
 def test_neighbour_traces_across_node_blocks():
-    """_trace_pairs and the work/heat integrands agree with traces of full
-    matrix products, on a stack of several node blocks, so every block edge
-    and its one-node halo is crossed."""
+    """The work/heat integrands, folded over the node blocks, agree with traces
+    of full matrix products, on a stack of several node blocks, so every block
+    edge and its one-node halo is crossed."""
     rng = np.random.default_rng(17)
     d, dt = 12, 0.1
     n = 3 * (BLOCK_BYTES // (16 * d * d)) + 5
@@ -513,11 +511,13 @@ def test_neighbour_traces_across_node_blocks():
     def full(a, b):
         return np.trace(a @ b, axis1=-2, axis2=-1).real
 
-    assert np.allclose(_trace_pairs(s, h), full(s, h), rtol=0.0, atol=1e-11)
-    [(work, heat, same)] = _power_integrands(_stored_blocks(s), h, dt)
+    fold = _PowerIntegrands(h)
+    for b in node_blocks(n, d):
+        fold.add(b, s[b])
+    [(work, heat, same)] = fold.integrands(dt)
     assert np.allclose(same, full(s, h), rtol=0.0, atol=1e-11)
-    assert np.allclose(work, full(s, _central_diff(h, dt)), rtol=0.0, atol=1e-10)
-    assert np.allclose(heat, full(_central_diff(s, dt), h), rtol=0.0, atol=1e-10)
+    assert np.allclose(work, full(s, np.gradient(h, dt, axis=0)), rtol=0.0, atol=1e-10)
+    assert np.allclose(heat, full(np.gradient(s, dt, axis=0), h), rtol=0.0, atol=1e-10)
 
 
 def _ramp12(nodes: int, seed: int) -> gt.Protocol:
@@ -773,10 +773,11 @@ def test_connection_check_across_node_blocks(one_node_blocks, monkeypatch):
     cc = gt.connection_cross_check(p, ev)
     assert cc.performed
     frames = gt.aligned_frames([ds.basis for ds in ev.structures])
-    conn = -np.einsum("nij,nkj->nik", _central_diff(frames, p.dt), frames.conj())
+    conn = -np.einsum("nij,nkj->nik", np.gradient(frames, p.dt, axis=0), frames.conj())
     h = p.hamiltonians
-    t = _trace_pairs(ev.states, conn @ h - h @ conn)
-    [(work, heat, _)] = _power_integrands(_stored_blocks(ev.states), h, p.dt)
+    t = traces(ev.states, conn @ h - h @ conn)
+    work = traces(ev.states, np.gradient(h, p.dt, axis=0))
+    heat = traces(np.gradient(ev.states, p.dt, axis=0), h)
     scale = max(1.0, float(np.max(np.abs(cc.w_cov))), float(np.max(np.abs(cc.q_cov))))
     assert np.allclose(cc.w_cov, _cumtrap(work + t, p.dt), rtol=0.0, atol=1e-12 * scale)
     assert np.allclose(cc.q_cov, _cumtrap(heat - t, p.dt), rtol=0.0, atol=1e-12 * scale)

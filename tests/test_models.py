@@ -123,6 +123,17 @@ class TestThirdLawScan:
         assert scan.ground_multiplicity == 2
         assert scan.s_gt[-1] == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_clustering_tolerances(self):
+        """The scan clusters h with the given tolerances: a 0.001 splitting is
+        two levels by default and one doublet under cluster_tol_abs = 0.01."""
+        h, betas = np.diag([0.0, 0.001, 2.0]), np.geomspace(1.0, 1e6, 13)
+        assert gt.third_law_scan(h, betas).ground_multiplicity == 1
+        merged = gt.third_law_scan(h, betas, cluster_tol_abs=0.01)
+        assert merged.ground_multiplicity == 2
+        assert merged.gap == pytest.approx(1.9995, abs=1e-12)
+        assert merged.s_gt[-1] == pytest.approx(math.log(2), abs=1e-12)
+        assert gt.third_law_scan(h, betas, cluster_tol_rel=0.01).ground_multiplicity == 2
+
     def test_small_magnet_saturates_at_ln2(self):
         h = gt.curie_weiss(1.0, 4, 0.0)
         gap = 0.75
