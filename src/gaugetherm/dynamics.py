@@ -17,11 +17,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .gauge import (
     CLUSTER_TOL_REL,
-    DegeneracyStructure,
+    NodeLevels,
     cluster_spectra,
     default_cluster_tol_abs,
-    flat_levels,
-    flat_starts,
+    join_levels,
     level_space,
     level_twirl,
 )
@@ -92,12 +91,12 @@ class Protocol:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """States, twirled states, cumulative propagators, and the per-node level structure."""
+    """States, twirled states, cumulative propagators, and the levels record of every node."""
 
     states: np.ndarray
     twirled_states: np.ndarray
     propagators: np.ndarray
-    structures: list[DegeneracyStructure]
+    structures: NodeLevels
 
 
 def evolve(
@@ -110,27 +109,29 @@ def evolve(
     """Propagate rho0 through the protocol and twirl at every node.
 
     Cumulative propagators compose on the left: U_{j+1} = U_step U_j, so
-    propagators[j] maps t=0 data to t_j. Degeneracy structures are recomputed
-    independently per node; levels are never tracked through crossings.
+    propagators[j] maps t=0 data to t_j. Levels are clustered independently
+    per node; they are never tracked through crossings.
 
     The spectral work is one eigendecomposition per node Hamiltonian, made
-    as one stacked call per node block and clustered into the structures
+    as one stacked call per node block and clustered into the block's levels
     (_decompose), and one per midpoint Hamiltonian, which gives every step
     propagator. Each block is decomposed and then propagated
-    (_Propagator.block), and written into the three stacks returned. Those
-    stacks are for library callers that read every node; stream_run folds
-    the same blocks into the ledger, the tolerance and the connection check
-    without storing them.
+    (_Propagator.block), and written into the stacks returned, the node
+    bases of the levels record among them. Those stacks are for library
+    callers that read every node; stream_run folds the same blocks into the
+    ledger, the tolerance and the connection check without storing them.
     """
     rho0 = _initial_state(p, rho0)
     h = p.hamiltonians
     run = _Propagator(h, p.dt, rho0)
-    structures: list[DegeneracyStructure] = []
-    props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
+    levels = []
+    props, states, twirled, basis = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(4))
     for s in node_blocks(p.n_nodes, p.dim):
-        structures += _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
-        props[s], states[s], twirled[s] = run.block(s, structures[s])[:3]
-    return EvolutionResult(states, twirled, props, structures)
+        lv = _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
+        basis[s] = lv.basis
+        levels.append(replace(lv, basis=basis[s]))  # so the block's eigenvectors go
+        props[s], states[s], twirled[s] = run.block(s, levels[-1])[:3]
+    return EvolutionResult(states, twirled, props, join_levels(levels, basis))
 
 
 def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
@@ -141,12 +142,9 @@ def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
     return rho0
 
 
-def _decompose(
-    h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float
-) -> list[DegeneracyStructure]:
-    """The clustered structures of a node block (k, d, d) of Hamiltonians,
-    from one stacked eigendecomposition; each basis is a view of the block's
-    eigenvectors."""
+def _decompose(h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float) -> NodeLevels:
+    """The clustered levels of a node block (k, d, d) of Hamiltonians, from one
+    stacked eigendecomposition, whose eigenvectors are the record's basis."""
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
     w, V = np.linalg.eigh(h)
     return cluster_spectra(w, V, tol_abs, cluster_tol_rel)
@@ -154,9 +152,9 @@ def _decompose(
 
 class _Propagator:
     """evolve's propagation for the node Hamiltonians h, the step dt and a
-    validated rho0, a node block at a time: block(s, structures) takes the
-    node block s (linalg.node_blocks, or any run of consecutive nodes, in
-    node order) and the structures of its nodes, and gives the propagators,
+    validated rho0, a node block at a time: block(s, lv) takes the node block
+    s (linalg.node_blocks, or any run of consecutive nodes, in node order)
+    and the levels record of its nodes, and gives the propagators,
     states and twirled states of its nodes, and the level-basis diagonal and
     level populations of its states (gauge.level_space). It carries the
     running propagator from block to block. Midpoints, states and level
@@ -168,7 +166,7 @@ class _Propagator:
         self.h, self.c, self.rho0 = h, -1j * dt, rho0
         self.u = np.eye(h.shape[1], dtype=complex)  # the propagator into the last node given
 
-    def block(self, s: slice, structures: list[DegeneracyStructure]) -> tuple[np.ndarray, ...]:
+    def block(self, s: slice, lv: NodeLevels) -> tuple[np.ndarray, ...]:
         a, b = s.start, s.stop
         lo = max(a - 1, 0)  # steps lo .. b - 2 lead into the block's nodes
         props = np.empty((b - a,) + self.u.shape, dtype=complex)
@@ -180,9 +178,9 @@ class _Propagator:
         if a == 0:
             states[0] = self.rho0
         validate_density(states, "evolved state at node", check_psd=False, first=a)
-        diag, pops = level_space(states, structures, first=a)
+        diag, pops = level_space(states, lv.basis, lv.mults, lv.bounds[:-1], first=a)
         self.u = props[-1].copy()
-        return props, states, level_twirl(pops, structures), diag, pops
+        return props, states, level_twirl(pops, lv.basis, lv.mults), diag, pops
 
 
 def _steps(h: np.ndarray, lo: int, hi: int, c: complex) -> np.ndarray:
@@ -305,8 +303,9 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     in each node's structure basis, so one stacked basis change of the states
     (gauge.level_space, the kernel that twirl, level_distribution and
     entropy_report run on a single state) gives every column. ledger takes
-    it from the stored states; stream_run feeds the same column code the
-    diagonal and populations that its pass computes for the twirl. With level
+    it from the stored states; stream_run runs the same column code
+    (_entropy_columns) a node block at a time, on the diagonal and
+    populations that its pass computes for the twirl. With level
     populations p_k and Gibbs weights q_k = n_k e^{-beta e_k} / Z
     (thermal_level_distribution):
 
@@ -326,28 +325,17 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     general (non-commuting) matrix routes; they agree with these columns to
     round-off.
     """
-    diag, pops = level_space(ev.states, ev.structures)
-    s_vn = von_neumann_entropy(ev.states[0])
-    mults, energies, _, node_starts = flat_levels(ev.structures)
-    levels = mults, energies, node_starts
-    return _ledger(work_heat_series(p, ev), levels, diag, pops, p.beta, s_vn)
+    lv = ev.structures
+    diag, pops = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])
+    rows = _entropy_columns(lv, diag, pops, p.beta)
+    return _ledger(work_heat_series(p, ev), rows, von_neumann_entropy(ev.states[0]))
 
 
-def _ledger(
-    series: WorkHeatSeries,
-    levels: tuple[np.ndarray, np.ndarray, np.ndarray],
-    diag: np.ndarray,
-    pops: np.ndarray,
-    beta: float,
-    s_vn: float,
-) -> ThermoLedger:
-    """ledger's columns from the work/heat series, the levels of every node
-    (flat_levels' multiplicities, energies and node starts), the level-basis
-    diagonal and level populations of every node (gauge.level_space) and the
-    state's von Neumann entropy."""
-    mults, energies, node_starts = levels
-    mults = mults.astype(float)
-    node = np.repeat(np.arange(len(node_starts)), np.diff(node_starts, append=mults.size))
+def _entropy_columns(levels: NodeLevels, diag: np.ndarray, pops: np.ndarray, beta: float) -> np.ndarray:
+    """ledger's f_eq, s_gt, s_d, bures and rel_ent rows (5, k) of k nodes from their levels,
+    level-basis diagonal and level populations (gauge.level_space); entry j reads node j alone."""
+    mults, energies, node_starts = levels.mults.astype(float), levels.energies, levels.bounds[:-1]
+    node = np.repeat(np.arange(len(node_starts)), np.diff(levels.bounds))
 
     def per_node(x: np.ndarray) -> np.ndarray:
         return np.add.reduceat(x, node_starts)
@@ -367,6 +355,13 @@ def _ledger(
     x = np.clip(diag, 0.0, 1.0)
     x = np.where(x > PROB_FLOOR, x, 1.0)  # 1 ln 1 = 0 stands in for 0 ln 0
     s_d = -np.sum(x * np.log(x), axis=1)
+    return np.array([-ln_z / beta, s_gt, s_d, bures, rel])
+
+
+def _ledger(series: WorkHeatSeries, rows: np.ndarray, s_vn: float) -> ThermoLedger:
+    """ledger's columns from the work/heat series, the entropy rows of every
+    node (_entropy_columns) and the state's von Neumann entropy."""
+    f_eq, s_gt, s_d, bures, rel_ent = rows
     return ThermoLedger(
         w_u=series.w_u,
         w_inv=series.w_inv,
@@ -374,13 +369,13 @@ def _ledger(
         q_u=series.q_u,
         q_inv=series.q_u + series.q_c,
         u=series.u,
-        f_eq=-ln_z / beta,
+        f_eq=f_eq,
         s_gt=s_gt,
         s_d=s_d,
         c_rel=s_d - s_vn,
         s_gamma=s_gt - s_d,
         bures=bures,
-        rel_ent=rel,
+        rel_ent=rel_ent,
     )
 
 
@@ -393,7 +388,7 @@ def integration_tolerance(
     the same data, no interpolation) and bounds the error by the worst
     cumulative-series difference at shared nodes. The coarse nodes are the
     fine nodes 0, 2, 4, ... with the same clustering tolerances, so they
-    reuse the structures of ev and views of the fine Hamiltonians; the coarse
+    reuse the levels of ev and views of the fine Hamiltonians; the coarse
     run (_CoarseRun) takes the even nodes of each fine node block and folds
     them into its neighbour traces, so its only new work is the coarse
     midpoint propagators and it stores no coarse stack. The fine series is
@@ -411,8 +406,8 @@ def integration_tolerance(
 class _CoarseRun:
     """The tolerance's run on the grid coarsened by two, whose nodes are the
     fine nodes 0, 2, 4, ... and their Hamiltonians, from rho0 (validated).
-    add(s, structures) takes a fine node block s, in node order, with the
-    structures of its nodes, and propagates the block's even nodes, the
+    add(s, lv) takes a fine node block s, in node order, with the levels
+    record of its nodes, and propagates the block's even nodes, the
     coarse nodes (s.start + 1) // 2 .. (s.stop + 1) // 2 - 1, into the coarse
     neighbour traces; a one-node block of an odd node has none. A grid of
     fewer than 5 nodes is refused when the run is made."""
@@ -423,10 +418,10 @@ class _CoarseRun:
         h, self.dt = p.hamiltonians[::2], float(p.times[2] - p.times[0])
         self.run, self.fold = _Propagator(h, self.dt, rho0), _PowerIntegrands(h)
 
-    def add(self, s: slice, structures: list[DegeneracyStructure]) -> None:
+    def add(self, s: slice, lv: NodeLevels) -> None:
         cs = slice((s.start + 1) // 2, (s.stop + 1) // 2)
         if cs.start < cs.stop:
-            _, states, twirled, *_ = self.run.block(cs, structures[s.start % 2 :: 2])
+            _, states, twirled, *_ = self.run.block(cs, lv[s.start % 2 :: 2])
             self.fold.add(cs, states, twirled)
 
     def tolerance(self, fine) -> float:
@@ -488,16 +483,11 @@ def _degenerate_check(degenerate: np.ndarray) -> ConnectionCheck | None:
     )
 
 
-def _merged(mults: np.ndarray, node_starts: np.ndarray) -> np.ndarray:
-    """Whether each node has a level of multiplicity above 1, from flat_levels."""
-    return np.maximum.reduceat(mults, node_starts) > 1
-
-
 class _Connection:
     """The commutator traces t_j = Re Tr(rho_j [A_j, H_j]) of the connection
     A_j = -Vdot_j V_j^dag of the aligned frame, folded a node block at a time:
-    add(s, states, bases) takes the node blocks s in node order, with the
-    states and bases of their own nodes. Frames are aligned in node order
+    add(s, states, basis) takes the node blocks s in node order, with the
+    states and bases (k, d, d) of their own nodes. Frames are aligned in node order
     (aligned_frames), and a block's central differences take one frame of halo
     on each side, so a block is held until the next block's first frame
     arrives, and check(work, heat, tl) folds the last block. check then gives
@@ -508,12 +498,12 @@ class _Connection:
         self.h, self.dt, self.t = h, dt, np.empty(len(h))
         self.held = None  # the last block s given, its states, the frames of max(s.start - 1, 0) .. s.stop - 1
 
-    def add(self, s: slice, states: np.ndarray, bases: list[np.ndarray]) -> None:
+    def add(self, s: slice, states: np.ndarray, basis: np.ndarray) -> None:
         if self.held is None:
-            frames = aligned_frames(bases)
+            frames = aligned_frames(basis)
         else:
             held_s, held_states, held_frames = self.held
-            frames = aligned_frames([held_frames[-1], *bases])
+            frames = aligned_frames([held_frames[-1], *basis])
             self._fold(held_s, held_states, np.concatenate([held_frames, frames[1:2]]))
         self.held = s, states, frames
 
@@ -552,15 +542,14 @@ def connection_cross_check(
     defined across a merged level. The frame and t are taken a node block at
     a time by the fold (_Connection) that stream_run runs in its pass.
     """
-    mults, _, _, node_starts = flat_levels(ev.structures)
-    skipped = _degenerate_check(_merged(mults, node_starts))
+    skipped = _degenerate_check(ev.structures.degenerate)
     if skipped is not None:
         return skipped
     if tl is None:
         tl = ledger(p, ev)
     conn, fold = _Connection(p.hamiltonians, p.dt), _PowerIntegrands(p.hamiltonians)
     for s in node_blocks(p.n_nodes, p.dim):
-        conn.add(s, ev.states[s], [ds.basis for ds in ev.structures[s]])
+        conn.add(s, ev.states[s], ev.structures.basis[s])
         fold.add(s, ev.states[s])
     [(work, heat, _)] = fold.integrands(p.dt)
     return conn.check(work, heat, tl)
@@ -569,25 +558,16 @@ def connection_cross_check(
 @dataclass(frozen=True)
 class StreamedRun:
     """What stream_run keeps. ev holds only the kept nodes, their states,
-    twirled states, propagators and structures, so its [0] and [-1] are the
-    protocol's ends. mults and energies hold the levels of every node laid
-    end to end, node j's from node_starts[j] (gauge.flat_levels), which is
-    all the ledger reads of a structure. connection is None when not asked
-    for."""
+    twirled states, propagators and levels, so its [0] and [-1] are the
+    protocol's ends. degenerate[j] says whether node j has a level of
+    multiplicity above 1. connection is None when not asked for."""
 
     nodes: list[int]
     ev: EvolutionResult
-    mults: np.ndarray
-    energies: np.ndarray
-    node_starts: np.ndarray
+    degenerate: np.ndarray
     tl: ThermoLedger
     tol: float
     connection: ConnectionCheck | None
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        """Whether each node has a level of multiplicity above 1."""
-        return _merged(self.mults, self.node_starts)
 
 
 def stream_run(
@@ -604,22 +584,22 @@ def stream_run(
 
     The pass takes the node blocks (linalg.node_blocks) in order. It
     decomposes each block's Hamiltonians (evolve's _decompose) and feeds the
-    block to every consumer before letting it go: the fine run
-    (_Propagator), folded into the neighbour traces of the work/heat series
-    and the ledger's level-basis diagonal and populations; the tolerance's
-    run on the grid coarsened by two (_CoarseRun), whose nodes are the
-    block's even nodes; and the connection check (_Connection), which holds
-    a block until the next block's first frame arrives. The connection stops
-    at the first degenerate node, where the check is known to be skipped.
-    The last block is decomposed before the pass, so that a protocol
-    degenerate at its end, such as every field ramp to B = 0, skips the
-    connection from its first node; without it the Curie-Weiss config's run
-    takes a third longer. A fault in that block is raised again in node
+    block's levels record to every consumer before letting it go: the fine
+    run (_Propagator), folded into the neighbour traces of the work/heat
+    series and into the ledger's entropy rows (_entropy_columns); the
+    tolerance's run on the grid coarsened by two (_CoarseRun), whose nodes
+    are the block's even nodes; and the connection check (_Connection),
+    which holds a block until the next block's first frame arrives. The
+    connection stops at the first degenerate node, where the check is known
+    to be skipped. The last block is decomposed before the pass, so that a
+    protocol degenerate at its end, such as every field ramp to B = 0, skips
+    the connection from its first node; without it the Curie-Weiss config's
+    run takes a third longer. A fault in that block is raised again in node
     order. So beyond the Hamiltonians a run holds a few node blocks and the
-    levels of every node, not the stacks of evolve or the node bases. The
-    nodes kept are 0, n // 2 and n - 1. Faults are raised a block at a time
-    in node order, and a protocol of fewer than 5 nodes is refused before
-    the pass.
+    ledger rows and degenerate flags of every node, not the stacks of evolve
+    or the levels of every node. The nodes kept are 0, n // 2 and n - 1.
+    Faults are raised a block at a time in node order, and a protocol of
+    fewer than 5 nodes is refused before the pass.
     """
     rho0 = _initial_state(p, rho0)
     n, d, h, dt = p.n_nodes, p.dim, p.hamiltonians, p.dt
@@ -628,44 +608,36 @@ def stream_run(
     try:
         last = _decompose(h[blocks[-1]], *tols)
     except ValidationError:
-        last = []  # decomposed again, and the fault raised, when the pass reaches it
-    degenerate = any(ds.degenerate for ds in last)
-    nodes = sorted({0, n // 2, n - 1})
-    kept = [np.empty((len(nodes), d, d), dtype=complex) for _ in range(3)]
-    kept_structures, levels, pops = [], [], []
-    diag = np.empty((n, d))
+        last = None  # decomposed again, and the fault raised, when the pass reaches it
+    skip = last is not None and bool(last.degenerate.any())
+    nodes, kept = sorted({0, n // 2, n - 1}), []
+    degenerate, rows = np.empty(n, dtype=bool), np.empty((5, n))
     run, fine, conn = _Propagator(h, dt, rho0), _PowerIntegrands(h), _Connection(h, dt)
     for s in blocks:
-        structures = last if s.stop == n and last else _decompose(h[s], *tols)
-        mults, energies = flat_levels(structures)[:2]
-        levels.append((mults, energies))
-        degenerate = degenerate or bool(np.any(mults > 1))
-        props, states, twirled, diag[s], pp = run.block(s, structures)
-        pops.append(pp)
+        lv = last if s.stop == n and last is not None else _decompose(h[s], *tols)
+        degenerate[s] = lv.degenerate
+        skip = skip or bool(degenerate[s].any())
+        props, states, twirled, diag, pops = run.block(s, lv)
+        rows[:, s] = _entropy_columns(lv, diag, pops, p.beta)
         fine.add(s, states, twirled)
-        coarse.add(s, structures)
-        for i, j in enumerate(nodes):
-            if s.start <= j < s.stop:
-                kept[0][i], kept[1][i], kept[2][i] = (x[j - s.start] for x in (states, twirled, props))
-                ds = structures[j - s.start]  # a copy of its basis lets the block's go
-                kept_structures.append(replace(ds, basis=ds.basis.copy()))
-        if connection and not degenerate:
-            conn.add(s, states, [ds.basis for ds in structures])
-        del props, states, twirled, structures
+        coarse.add(s, lv)
+        here = [j - s.start for j in nodes if s.start <= j < s.stop]
+        if here:  # copies, which let the block go
+            kept.append((states[here], twirled[here], props[here], lv[here]))
+        if connection and not skip:
+            conn.add(s, states, lv.basis)
+        del props, states, twirled, lv
 
-    mults, energies = (np.concatenate(x) for x in zip(*levels))
-    node_starts = flat_starts(mults, d)[1]
     integrands = fine.integrands(dt)
-    tl = _ledger(
-        _series(integrands, dt), (mults, energies, node_starts), diag, np.concatenate(pops),
-        p.beta, von_neumann_entropy(rho0),
-    )
-    check = _degenerate_check(_merged(mults, node_starts)) if connection else None
+    tl = _ledger(_series(integrands, dt), rows, von_neumann_entropy(rho0))
+    check = _degenerate_check(degenerate) if connection else None
     if connection and check is None:
         work, heat, _ = integrands[0]
         check = conn.check(work, heat, tl)
-    ev = EvolutionResult(*kept, kept_structures)
-    return StreamedRun(nodes, ev, mults, energies, node_starts, tl, coarse.tolerance(tl), check)
+    states, twirled, props, levels = zip(*kept)
+    levels = join_levels(levels, np.concatenate([lv.basis for lv in levels]))
+    ev = EvolutionResult(np.concatenate(states), np.concatenate(twirled), np.concatenate(props), levels)
+    return StreamedRun(nodes, ev, degenerate, tl, coarse.tolerance(tl), check)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,15 @@ U(n^1) x ... x U(n^L) acting inside the degenerate eigenspaces. Twirling
 averages a state over that group: the result keeps only the level populations
 and spreads each uniformly across its eigenspace.
 
+One spectrum clusters into a DegeneracyStructure (cluster_spectrum), a stack
+of node spectra into one NodeLevels record (cluster_spectra): the levels of
+every node laid end to end and the eigenvector stack, from which a node's
+DegeneracyStructure is a view.
+
 The level-space kernel, level_space and level_twirl, gives the level-basis
 diagonal, the level populations p^k = Tr(Pi_k rho) and the twirled states of
-a stack of states; twirl, level_distribution and entropy_report run it on one.
+a stack of states from the node bases and level multiplicities; twirl,
+level_distribution and entropy_report run it on one.
 """
 from __future__ import annotations
 
@@ -99,17 +105,69 @@ def cluster_spectrum(
     return cluster_spectra(np.asarray(w)[None], np.asarray(V)[None], tol_abs, tol_rel)[0]
 
 
+@dataclass(frozen=True)
+class NodeLevels:
+    """The clustered levels of a run of nodes, as one record.
+
+    energies and mults hold the levels of every node laid end to end, node j's
+    being bounds[j]:bounds[j + 1], and basis (n, d, d) the eigenvector stack
+    whose node j columns hold them in order. An int (negative too) gives node
+    j's DegeneracyStructure, a view of these arrays; a slice or an index list
+    gives the record of those nodes as a contiguous copy.
+    """
+
+    energies: np.ndarray
+    mults: np.ndarray
+    bounds: np.ndarray
+    basis: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    @cached_property
+    def _nodes(self) -> tuple[DegeneracyStructure, ...]:
+        cuts = self.bounds[1:-1]
+        energies, mults = np.split(self.energies, cuts), np.split(self.mults, cuts)
+        return tuple(map(DegeneracyStructure, energies, mults, self.basis))
+
+    def __iter__(self):
+        return iter(self._nodes)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self._nodes[key]
+        nodes = np.arange(len(self))[key]
+        a, counts = self.bounds[nodes], np.diff(self.bounds)[nodes]
+        bounds = np.append(0, np.cumsum(counts))
+        levels = np.repeat(a - bounds[:-1], counts) + np.arange(bounds[-1])
+        return NodeLevels(self.energies[levels], self.mults[levels], bounds, self.basis[nodes])
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Whether each node has a level of multiplicity above 1."""
+        return np.maximum.reduceat(self.mults, self.bounds[:-1]) > 1
+
+
+def join_levels(records: list[NodeLevels], basis: np.ndarray) -> NodeLevels:
+    """The records of consecutive runs of nodes as one, whose basis is their
+    bases stacked (n, d, d), which the caller has filled."""
+    counts = np.concatenate([np.diff(lv.bounds) for lv in records])
+    energies = np.concatenate([lv.energies for lv in records])
+    mults = np.concatenate([lv.mults for lv in records])
+    return NodeLevels(energies, mults, np.append(0, np.cumsum(counts)), basis)
+
+
 def cluster_spectra(
     w: np.ndarray,
     V: np.ndarray,
     tol_abs: float | np.ndarray,
     tol_rel: float = CLUSTER_TOL_REL,
-) -> list[DegeneracyStructure]:
+) -> NodeLevels:
     """cluster_spectrum over a stack of eigensystems in one vectorised pass.
 
     w (n, d) holds ascending spectra and V (n, d, d) their eigenvectors, as
     np.linalg.eigh returns them for a stack; tol_abs is one tolerance or one
-    per spectrum. Structure j keeps the view V[j] as its basis.
+    per spectrum. The record keeps V as its basis.
     """
     w = np.asarray(w, dtype=float)
     n, d = w.shape
@@ -139,70 +197,40 @@ def cluster_spectra(
     level_starts = np.flatnonzero(first)
     mults = np.diff(np.append(level_starts, n * d))
     energies = np.add.reduceat(w.ravel(), level_starts) / mults
-    ends = np.cumsum(n_levels).tolist()
-    return [
-        DegeneracyStructure(energies=energies[a:b], mults=mults[a:b], basis=V[j])
-        for j, (a, b) in enumerate(zip([0] + ends[:-1], ends))
-    ]
-
-
-def flat_levels(
-    structures: list[DegeneracyStructure],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The levels of all nodes laid end to end: multiplicities, energies, the first
-    column of each in the flat (n * d) diagonal, and the index of each node's first
-    level, the one starting at a multiple of d (a node's multiplicities sum to d)."""
-    if len(structures) == 1:  # one state: the cached arrays save ~6 us a call
-        return structures[0].mults, structures[0].energies, structures[0].starts, np.zeros(1, int)
-    mults = np.concatenate([ds.mults for ds in structures])
-    level_starts, node_starts = flat_starts(mults, structures[0].dim)
-    return mults, np.concatenate([ds.energies for ds in structures]), level_starts, node_starts
-
-
-def flat_starts(mults: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """flat_levels' level starts and node starts from the multiplicities of
-    consecutive d-level nodes laid end to end."""
-    level_starts = mults.cumsum() - mults
-    return level_starts, np.flatnonzero(level_starts % d == 0)
-
-
-def _bases(structures: list[DegeneracyStructure]) -> np.ndarray:
-    """The node bases (k, d, d) of consecutive structures: a view of the one
-    basis for a single node, a stacked copy for a node block."""
-    if len(structures) == 1:
-        return structures[0].basis[None]
-    return np.array([ds.basis for ds in structures])
-
-
-def _level_diagonal(states: np.ndarray, structures: list[DegeneracyStructure]) -> np.ndarray:
-    """Re diag(B_j^dag rho_j B_j) (k, d) of one node block, from the one product rho B."""
-    b = _bases(structures)
-    return (b.conj() * (states @ b)).real.sum(axis=-2)
+    return NodeLevels(energies, mults, np.append(0, np.cumsum(n_levels)), V)
 
 
 def level_space(
-    states: np.ndarray, structures: list[DegeneracyStructure], first: int = 0
+    states: np.ndarray,
+    basis: np.ndarray,
+    mults: np.ndarray,
+    node_starts: np.ndarray,
+    first: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of B_j^dag rho_j B_j (n, d), formed from the one product
-    rho B as Re sum_i conj(B_ia) (rho B)_ia a node block at a time, and the
-    level populations Tr(Pi_k rho_j) of all nodes laid end to end.
+    """Diagonal of B_j^dag rho_j B_j (n, d) for the node bases B_j, formed from
+    the one product rho B as Re sum_i conj(B_ia) (rho B)_ia a node block at a
+    time, and the level populations Tr(Pi_k rho_j) of all nodes laid end to
+    end, of multiplicities mults, node j's first at node_starts[j] (a
+    NodeLevels' mults and bounds[:-1]).
 
-    A single state is the n = 1 case: one block, read through a view of its
-    basis, so a one-state call costs a few numpy calls (twirl,
-    level_distribution and entropy_report validate the state and call this).
+    A single state is the n = 1 case (basis[None], node_starts [0]), so a
+    one-state call costs a few numpy calls (twirl, level_distribution and
+    entropy_report validate the state and call this).
 
     Raises when the clipped populations of a node miss 1 by more than
-    LEVEL_NORM_TOL, or are not finite: the state and the structure do not
+    LEVEL_NORM_TOL, or are not finite: the state and the levels do not
     belong together; the node is named by its index counted from `first`, as
     in check_hermitian.
     """
     n, d = states.shape[:2]
-    dim = structures[0].dim
+    dim = basis.shape[-1]
     if states.shape[1:] != (dim, dim):
         raise ValidationError(f"state dimension {d} does not match structure dimension {dim}")
-    diag = np.concatenate([_level_diagonal(states[s], structures[s]) for s in node_blocks(n, d)])
-    _, _, level_starts, node_starts = flat_levels(structures)
-    pops = np.add.reduceat(diag.ravel(), level_starts)
+    diag = np.empty((n, d))
+    for s in node_blocks(n, d):
+        b = basis[s]
+        diag[s] = (b.conj() * (states[s] @ b)).real.sum(axis=-2)
+    pops = np.add.reduceat(diag.ravel(), np.cumsum(mults) - mults)
     total = np.add.reduceat(np.maximum(pops, 0.0), node_starts)
     miss = abs(total - 1.0)
     if not miss.max() <= LEVEL_NORM_TOL:  # one test, which a NaN fails as well
@@ -211,14 +239,14 @@ def level_space(
     return diag, pops
 
 
-def level_twirl(pops: np.ndarray, structures: list[DegeneracyStructure]) -> np.ndarray:
-    """The twirled states B_j diag(p/n) B_j^dag (n, d, d) from level_space's populations."""
-    n, d = len(structures), structures[0].dim
-    mults = flat_levels(structures)[0]
+def level_twirl(pops: np.ndarray, basis: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """The twirled states B_j diag(p/n) B_j^dag (n, d, d) from level_space's
+    populations, for the node bases B_j (n, d, d) and level multiplicities."""
+    n, d = basis.shape[:2]
     cols = np.repeat(pops / mults, mults).reshape(n, 1, d)
     out = np.empty((n, d, d), dtype=complex)
     for s in node_blocks(n, d):
-        b = _bases(structures[s])
+        b = basis[s]
         np.matmul(b * cols[s], _dag(b), out=out[s])
     return out
 
@@ -231,7 +259,8 @@ def twirl(rho: np.ndarray, ds: DegeneracyStructure) -> np.ndarray:
     Haar averaging lives only in twirl_oracle.
     """
     rho = validate_density(rho, check_psd=False)
-    return level_twirl(level_space(rho[None], [ds])[1], [ds])[0]
+    basis = ds.basis[None]
+    return level_twirl(level_space(rho[None], basis, ds.mults, [0])[1], basis, ds.mults)[0]
 
 
 def twirl_oracle(

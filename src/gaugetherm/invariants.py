@@ -62,7 +62,7 @@ def level_distribution(rho: np.ndarray, ds: DegeneracyStructure) -> LevelDistrib
     something to paper over (raised by level_space).
     """
     rho = validate_density(rho, check_psd=False)
-    return _normalized(level_space(rho[None], [ds])[1], ds)
+    return _normalized(level_space(rho[None], ds.basis[None], ds.mults, [0])[1], ds)
 
 
 def _normalized(pops: np.ndarray, ds: DegeneracyStructure) -> LevelDistribution:
@@ -121,7 +121,7 @@ class EntropyReport:
 def entropy_report(rho: np.ndarray, ds: DegeneracyStructure) -> EntropyReport:
     """The entropy split of one state from one validation and one level_space call."""
     rho = validate_density(rho, check_psd=False)
-    diag, pops = level_space(rho[None], [ds])
+    diag, pops = level_space(rho[None], ds.basis[None], ds.mults, [0])
     s_vn = von_neumann_entropy(rho)
     s_d = shannon_entropy(np.clip(diag[0], 0.0, 1.0))
     s_gt = s_gauge(_normalized(pops, ds))

@@ -72,9 +72,9 @@ def gauge_conjugates(
     for i, j in enumerate(nodes):
         v = sample_gauge_element(ev.structures[j], rng)
         conj[i] = v @ ev.states[j] @ v.conj().T
-    structures = [ev.structures[j] for j in nodes]
+    lv = ev.structures[list(nodes)]
     validate_density(conj, check_psd=False)
-    twirled = level_twirl(level_space(conj, structures)[1], structures)
+    twirled = level_twirl(level_space(conj, lv.basis, lv.mults, lv.bounds[:-1])[1], lv.basis, lv.mults)
     worst = float(np.max(np.abs(twirled - ev.twirled_states[list(nodes)])))
     return conj, twirled, worst
 

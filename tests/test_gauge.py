@@ -232,3 +232,45 @@ def test_gauge_conjugates_twirl_the_stack_as_twirl_does_each_state(dim, nodes):
         assert np.array_equal(conj[i], v @ ev.states[j] @ v.conj().T)
         assert np.array_equal(twirled[i], twirl(conj[i], ev.structures[j]))
     assert worst == float(np.max(np.abs(twirled - ev.twirled_states[list(picked)])))
+
+
+def test_node_levels_indexing():
+    """An evolve run's levels record, over several node blocks at d = 8: an int
+    (negative too) gives that node's structure, and a slice, a stride-2 slice
+    or an index list gives the record of those nodes, each field equal to the
+    node's own levels and basis; degenerate flags each node."""
+    rng = np.random.default_rng(31)
+    n = 3 * node_blocks(10**6, 8)[0].stop + 5
+    p = gt.random_protocol(8, n, rng, degenerate=True, beta=1.0)
+    lv = gt.evolve(p, random_density(8, rng)).structures
+    assert len(lv) == n and len(lv.bounds) == n + 1
+    ref = [
+        (lv.energies[a:b], lv.mults[a:b], lv.basis[j])
+        for j, (a, b) in enumerate(zip(lv.bounds[:-1], lv.bounds[1:]))
+    ]
+    block = node_blocks(n, 8)[0].stop
+    for j in (0, block - 1, block, n - 1):  # each node's own clustering, block edges included
+        ds = structure_of(p.hamiltonians[j])
+        assert np.array_equal(ds.mults, ref[j][1])
+        assert np.allclose(ds.energies, ref[j][0], atol=1e-12)
+
+    def same(ds, j):
+        energies, mults, basis = ref[j]
+        return (
+            np.array_equal(ds.energies, energies)
+            and np.array_equal(ds.mults, mults)
+            and np.array_equal(ds.basis, basis)
+        )
+
+    assert all(same(lv[j], j) and same(lv[j - n], j) for j in range(n))
+    assert all(same(ds, j) for j, ds in enumerate(lv))
+    assert lv[7] is lv[7]
+    for key in (slice(block - 3, block + 4), slice(1, None, 2), slice(0, None, 2), [n - 1, 0, block, 0]):
+        nodes = np.arange(n)[key]
+        sub = lv[key]
+        assert len(sub) == len(nodes)
+        assert all(same(sub[i], j) for i, j in enumerate(nodes))
+        assert np.array_equal(sub.degenerate, lv.degenerate[nodes])
+    flags = [ds.degenerate for ds in lv]
+    assert np.array_equal(lv.degenerate, flags)
+    assert flags[0] and flags[-1] and not any(flags[1:-1])

@@ -121,11 +121,11 @@ def test_single_state_routes_are_rows_of_the_stacked_kernel(dim, degenerate):
     rng = np.random.default_rng(100 * dim + degenerate)
     p = gt.random_protocol(dim, 7, rng, degenerate=degenerate)
     ev = gt.evolve(p, random_density(dim, rng))
-    diag, pops = level_space(ev.states, ev.structures)
-    twirled = level_twirl(pops, ev.structures)
-    ends = np.cumsum([ds.n_levels for ds in ev.structures])
+    lv = ev.structures
+    diag, pops = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])
+    twirled = level_twirl(pops, lv.basis, lv.mults)
     for j, (rho, ds) in enumerate(zip(ev.states, ev.structures)):
-        row = np.maximum(pops[ends[j] - ds.n_levels : ends[j]], 0.0)
+        row = np.maximum(pops[lv.bounds[j] : lv.bounds[j + 1]], 0.0)
         row /= row.sum()
         assert np.array_equal(level_distribution(rho, ds).probs, row)
         assert np.array_equal(twirl(rho, ds), twirled[j])
