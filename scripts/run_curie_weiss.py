@@ -41,7 +41,8 @@ def main() -> None:
     merged = np.flatnonzero(run.degenerate).tolist()
     print(f"grid: {p.n_nodes} nodes; {len(merged)} nodes with merged levels")
     if merged:
-        b_vals = sorted({round(float(args.b_start + (args.b_end - args.b_start) * p.times[j] / p.tau), 6) for j in merged})
+        # distinct fields in node order, so the first are the first merges along the ramp
+        b_vals = list(dict.fromkeys(round(float(args.b_start + (args.b_end - args.b_start) * p.times[j] / p.tau), 6) for j in merged))
         print(f"first merges at B = {b_vals[:4]} ...")
     print(f"c_rel max    = {np.max(tl.c_rel):.2e}  (diagonal dynamics, no coherence)")
     print(f"s_gamma(tau) = {tl.s_gamma[-1]:.12f}   ln 2 = {np.log(2):.12f}")

@@ -28,6 +28,7 @@ from .linalg import (
     PROB_FLOOR,
     ValidationError,
     _dag,
+    _eigh,
     _transposed,
     check_hermitian,
     gibbs_state,
@@ -115,7 +116,9 @@ def evolve(
     The spectral work is one eigendecomposition per node Hamiltonian, made
     as one stacked call per node block and clustered into the block's levels
     (_decompose), and one per midpoint Hamiltonian, which gives every step
-    propagator. Each block is decomposed and then propagated
+    propagator; a block whose Hamiltonians are exactly real takes the
+    real-symmetric solver (linalg._eigh), which may pick another basis
+    inside a degenerate level. Each block is decomposed and then propagated
     (_Propagator.block), and written into the stacks returned, the node
     bases of the levels record among them. Those stacks are for library
     callers that read every node; stream_run folds the same blocks into the
@@ -144,9 +147,11 @@ def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
 
 def _decompose(h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float) -> NodeLevels:
     """The clustered levels of a node block (k, d, d) of Hamiltonians, from one
-    stacked eigendecomposition, whose eigenvectors are the record's basis."""
+    stacked eigendecomposition, whose eigenvectors are the record's basis; a
+    block whose Hamiltonians are exactly real takes the real-symmetric solver
+    (linalg._eigh)."""
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
-    w, V = np.linalg.eigh(h)
+    w, V = _eigh(h)
     return cluster_spectra(w, V, tol_abs, cluster_tol_rel)
 
 
@@ -184,10 +189,12 @@ class _Propagator:
 
 
 def _steps(h: np.ndarray, lo: int, hi: int, c: complex) -> np.ndarray:
-    """exp(c H_mid) for the steps lo .. hi - 1, one eigendecomposition per midpoint."""
+    """exp(c H_mid) for the steps lo .. hi - 1, one eigendecomposition per
+    midpoint; midpoints that are exactly real take the real-symmetric solver
+    (linalg._eigh)."""
     mid = (h[lo:hi] + h[lo + 1 : hi + 1]) / 2.0
     check_hermitian(mid, "operator", lo)
-    w, V = np.linalg.eigh(mid)
+    w, V = _eigh(mid)
     return (V * np.exp(c * w)[..., None, :]) @ _dag(V)
 
 

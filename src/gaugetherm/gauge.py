@@ -112,8 +112,9 @@ class NodeLevels:
     energies and mults hold the levels of every node laid end to end, node j's
     being bounds[j]:bounds[j + 1], and basis (n, d, d) the eigenvector stack
     whose node j columns hold them in order. An int (negative too) gives node
-    j's DegeneracyStructure, a view of these arrays; a slice or an index list
-    gives the record of those nodes as a contiguous copy.
+    j's DegeneracyStructure, a view of these arrays built for that node alone,
+    and iteration gives every node's from one cached tuple; a slice or an
+    index list gives the record of those nodes as a contiguous copy.
     """
 
     energies: np.ndarray
@@ -135,7 +136,9 @@ class NodeLevels:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return self._nodes[key]
+            j = range(len(self))[key]
+            a, b = self.bounds[j], self.bounds[j + 1]
+            return DegeneracyStructure(self.energies[a:b], self.mults[a:b], self.basis[j])
         nodes = np.arange(len(self))[key]
         a, counts = self.bounds[nodes], np.diff(self.bounds)[nodes]
         bounds = np.append(0, np.cumsum(counts))

@@ -23,7 +23,7 @@ from gaugetherm.cli import cmd_run
 from gaugetherm.models import constant_protocol
 from gaugetherm.verify import gauge_conjugates
 
-from test_linalg import SX, random_density
+from test_linalg import SX, eigh_inputs, random_density
 
 
 def traces(a, b):
@@ -773,3 +773,87 @@ def test_connection_check_across_node_blocks(one_node_blocks, monkeypatch):
     run = gt.stream_run(p, rho0, connection=True)
     assert np.array_equal(run.connection.w_cov, cc.w_cov)
     assert np.array_equal(run.connection.q_cov, cc.q_cov)
+
+
+def _real_ramp12(nodes: int, seed: int) -> gt.Protocol:
+    """A d = 12 ramp between two random real-symmetric endpoints that do not
+    commute: every Hamiltonian is exactly real, the states are not."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2, 12, 12))
+    g = (g + np.swapaxes(g, -1, -2)) / 2
+    return ramp_protocol(g[0].astype(complex), g[1].astype(complex), nodes=nodes, beta=0.7)
+
+
+class TestRealSolverSwitch:
+    """A stack whose imaginary parts are exactly zero takes the real-symmetric
+    solver; any other the complex one. The switch reads only the block it is
+    handed, and every consumer sees complex eigenvectors either way."""
+
+    def test_curie_weiss_decomposes_real_stacks_only(self, monkeypatch):
+        p = gt.curie_weiss_protocol(n_spins=20, nodes=401)
+        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        calls = eigh_inputs(monkeypatch)
+        run = gt.stream_run(p, rho0, connection=True)
+        assert calls and {dtype for dtype, _ in calls} == {np.dtype(np.float64)}
+        assert run.ev.structures.basis.dtype == np.complex128
+
+    def test_random_protocol_decomposes_complex_stacks_only(self, monkeypatch):
+        p = gt.random_protocol(5, 301, np.random.default_rng(3), beta=1.0)
+        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        calls = eigh_inputs(monkeypatch)
+        gt.stream_run(p, rho0, connection=True)
+        assert calls and {dtype for dtype, _ in calls} == {np.dtype(np.complex128)}
+
+    def test_one_complex_node_makes_only_its_block_complex(self, monkeypatch):
+        """A real ramp over four node blocks with a Hermitian imaginary part on
+        one node inside the second block: that block's decomposition and its
+        midpoints, the two that touch the node among them, run complex."""
+        p = _real_ramp12(3 * BLOCK12 + 5, seed=43)
+        k = BLOCK12 + BLOCK12 // 2
+        a = np.random.default_rng(47).normal(size=(12, 12))
+        hams = p.hamiltonians.copy()
+        hams[k] += 0.1j * (a - a.T)
+        p = gt.Protocol(times=p.times, hamiltonians=hams, beta=p.beta)
+        rho0, _ = gt.gibbs_state(hams[0], p.beta)
+        calls = eigh_inputs(monkeypatch)
+        ev = gt.evolve(p, rho0)
+        blocks = node_blocks(p.n_nodes, p.dim)
+        assert len(blocks) == 4 and blocks[1].start < k < blocks[1].stop - 1
+        real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
+        # per block: its nodes, then the midpoints that lead into its nodes
+        expected = [real, real, cplx, cplx, real, real, real, real]
+        assert [dtype for dtype, _ in calls] == expected
+        assert [count for _, count in calls[::2]] == [s.stop - s.start for s in blocks]
+        assert ev.structures.basis.dtype == np.complex128
+
+    def test_real_pass_matches_expm_product_and_complex_solver(self, monkeypatch):
+        """On a real, non-commuting ramp over four node blocks, the real
+        solver's propagators and states match a product of scipy step
+        exponentials, and stream_run matches the same run through the
+        complex solver."""
+        p = _real_ramp12(3 * BLOCK12 + 5, seed=53)
+        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        calls = eigh_inputs(monkeypatch)
+        ev = gt.evolve(p, rho0)
+        assert {dtype for dtype, _ in calls} == {np.dtype(np.float64)}
+        h, u = p.hamiltonians, np.eye(12, dtype=complex)
+        for j in range(p.n_nodes):
+            assert np.allclose(ev.propagators[j], u, rtol=0.0, atol=1e-10), j
+            assert np.allclose(ev.states[j], u @ rho0 @ u.conj().T, rtol=0.0, atol=1e-10), j
+            if j + 1 < p.n_nodes:
+                u = scipy.linalg.expm(-1j * p.dt * (h[j] + h[j + 1]) / 2.0) @ u
+
+        real = gt.stream_run(p, rho0, connection=True)
+        monkeypatch.setattr(gt.dynamics, "_eigh", np.linalg.eigh)  # the complex solver only
+        calls.clear()
+        cplx = gt.stream_run(p, rho0, connection=True)
+        assert {dtype for dtype, _ in calls} == {np.dtype(np.complex128)}
+        assert real.connection.performed and cplx.connection.performed
+        for run in (real, cplx):
+            assert run.ev.structures.basis.dtype == np.complex128
+        pairs = [(getattr(real.tl, f.name), getattr(cplx.tl, f.name)) for f in dataclasses.fields(real.tl)]
+        pairs += [(real.connection.w_cov, cplx.connection.w_cov), (real.connection.q_cov, cplx.connection.q_cov)]
+        pairs += [(real.ev.states, cplx.ev.states), (real.ev.twirled_states, cplx.ev.twirled_states)]
+        pairs += [(real.ev.propagators, cplx.ev.propagators), (real.tol, cplx.tol)]
+        for a, b in pairs:
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12)

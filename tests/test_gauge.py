@@ -264,7 +264,7 @@ def test_node_levels_indexing():
 
     assert all(same(lv[j], j) and same(lv[j - n], j) for j in range(n))
     assert all(same(ds, j) for j, ds in enumerate(lv))
-    assert lv[7] is lv[7]
+    assert all(a is b for a, b in zip(lv, lv))  # iteration reads one cached tuple
     for key in (slice(block - 3, block + 4), slice(1, None, 2), slice(0, None, 2), [n - 1, 0, block, 0]):
         nodes = np.arange(n)[key]
         sub = lv[key]
@@ -274,3 +274,21 @@ def test_node_levels_indexing():
     flags = [ds.degenerate for ds in lv]
     assert np.array_equal(lv.degenerate, flags)
     assert flags[0] and flags[-1] and not any(flags[1:-1])
+
+
+def test_node_levels_endpoint_reads_build_one_node(cw_run):
+    """rec[0] and rec[-1] of a 2001-node record build only their own node's
+    structure, a view of the record, equal to the one iteration gives; the
+    per-node tuple is not built by an int access."""
+    rec = dataclasses.replace(cw_run.ev.structures)  # a fresh record, with no cached tuple
+    assert len(rec) == 2001
+    ends = rec[0], rec[-1]
+    assert "_nodes" not in rec.__dict__
+    views = tuple(rec)
+    for ds, j in zip(ends, (0, len(rec) - 1)):
+        assert np.array_equal(ds.energies, views[j].energies)
+        assert np.array_equal(ds.mults, views[j].mults)
+        assert np.array_equal(ds.basis, rec.basis[j]) and np.shares_memory(ds.basis, rec.basis)
+    assert ends[1].degenerate and not ends[0].degenerate
+    with pytest.raises(IndexError):
+        rec[len(rec)]

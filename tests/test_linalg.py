@@ -317,6 +317,39 @@ def test_eigh_sorted_and_consistent():
     assert np.allclose(V @ np.diag(w) @ V.conj().T, h, atol=1e-12)
 
 
+def eigh_inputs(monkeypatch) -> list[tuple[np.dtype, int]]:
+    """Wrap np.linalg.eigh; the list fills with each call's input dtype and
+    its number of matrices."""
+    calls = []
+    solver = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.dtype, int(np.prod(a.shape[:-2]))))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def test_eigh_of_real_entries_takes_the_real_solver(monkeypatch):
+    """A complex matrix or stack whose entries are exactly real is decomposed
+    by the real-symmetric solver, and its eigenvectors come back complex; a
+    nonzero imaginary part anywhere in the stack keeps the complex solver."""
+    calls = eigh_inputs(monkeypatch)
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(3, 6, 6))
+    h = ((a + np.swapaxes(a, -1, -2)) / 2).astype(complex)
+    for m in (h[0], h):
+        w, V = eigh(m)
+        assert calls.pop()[0] == np.float64 and V.dtype == np.complex128
+        assert np.max(np.abs(m @ V - V * w[..., None, :])) <= 1e-12
+    h[1, 0, 1] += 1e-3j
+    h[1, 1, 0] -= 1e-3j
+    w, V = eigh(h)
+    assert calls.pop()[0] == np.complex128 and V.dtype == np.complex128
+    assert np.max(np.abs(h @ V - V * w[..., None, :])) <= 1e-12
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10_000), dim=st.integers(2, 6))
 def test_entropy_bounds_property(seed, dim):
