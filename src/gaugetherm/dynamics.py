@@ -25,14 +25,16 @@ from .gauge import (
     level_twirl,
 )
 from .linalg import (
-    PROB_FLOOR,
     ValidationError,
     _dag,
+    _divergence,
     _eigh,
+    _log_gibbs,
     _transposed,
     check_hermitian,
     gibbs_state,
     node_blocks,
+    shannon_entropy,
     validate_density,
     validate_hermitian,
     von_neumann_entropy,
@@ -283,8 +285,7 @@ class ThermoLedger:
     """Per-node cumulative thermodynamic series for one protocol run.
 
     Work/heat/energy columns are in energy units, entropies in nats, bures in
-    radians. rel_ent is S(rho^E_j || gibbs(H_j)); it is computed from
-    log-weights and so stays finite even where e^{-beta H} underflows.
+    radians; s_gamma and rel_ent are divergences (ledger).
     """
 
     w_u: np.ndarray
@@ -306,31 +307,26 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     """Integrate all work/heat functionals and evaluate the entropy columns.
 
     The entropy, free-energy, Bures and relative-entropy columns are computed
-    in level space. The twirled state and the Gibbs state are both diagonal
-    in each node's structure basis, so one stacked basis change of the states
-    (gauge.level_space, the kernel that twirl, level_distribution and
-    entropy_report run on a single state) gives every column. ledger takes
-    it from the stored states; stream_run runs the same column code
-    (_entropy_columns) a node block at a time, on the diagonal and
-    populations that its pass computes for the twirl. With level
-    populations p_k and Gibbs weights q_k = n_k e^{-beta e_k} / Z
-    (thermal_level_distribution):
+    in level space from one stacked basis change of the states
+    (gauge.level_space): ledger takes it from the stored states, and
+    stream_run runs the same column code (_entropy_columns) a node block at a
+    time on what its pass computes for the twirl. Over each node's d
+    eigenvalues, with the level-basis diagonal x, the twirled spectrum t (each
+    level's p_k / n_k repeated n_k times) and the Gibbs spectrum q of the
+    level energies (linalg._log_gibbs, from log-weights):
 
-    - f_eq = -ln Z / beta, with ln Z = log_partition(energies, mults, beta);
-    - rel_ent = sum_k p_k ln(p_k / q_k), the classical KL divergence, which
-      equals S(rho^E || gibbs(H)) and is evaluated from log-weights;
-    - bures = arccos(sum_k sqrt(p_k q_k)), the Bhattacharyya coefficient
-      being the square root of the fidelity of two commuting states; it is
-      evaluated as 2 arcsin(||sqrt(p) - sqrt(q)|| / 2), which is the same
-      angle for normalised p and q and keeps its digits as the fidelity
-      approaches 1;
-    - s_d is the Shannon entropy of the basis-changed diagonal;
-    - s_vn is computed once, from states[0]: unitary evolution keeps the
-      spectrum, so it is the same at every node.
+    - f_eq = -ln Z / beta; s_gt and s_d are the Shannon entropies of t and x;
+    - s_gamma = KL(x || t) = s_gt - s_d and rel_ent = KL(t || q) =
+      S(rho^E || gibbs(H)) are divergences, summed from terms clipped at 0
+      (linalg._divergence), and rel_ent stays finite where q underflows;
+    - bures = arccos(sum sqrt(t q)), the sum being the root fidelity of two
+      commuting states, evaluated as 2 arcsin(||sqrt(t) - sqrt(q)|| / 2),
+      which keeps its digits as the fidelity approaches 1;
+    - s_vn is taken once, from states[0]: unitary evolution keeps the spectrum.
 
     gibbs_state, fidelity, bures_angle and relative_entropy remain the
-    general (non-commuting) matrix routes; they agree with these columns to
-    round-off.
+    general (non-commuting) matrix routes, equal to these columns to
+    round-off; gibbs_state keeps its own weights (see there).
     """
     lv = ev.structures
     diag, pops = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])
@@ -339,36 +335,24 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
 
 
 def _entropy_columns(levels: NodeLevels, diag: np.ndarray, pops: np.ndarray, beta: float) -> np.ndarray:
-    """ledger's f_eq, s_gt, s_d, bures and rel_ent rows (5, k) of k nodes from their levels,
-    level-basis diagonal and level populations (gauge.level_space); entry j reads node j alone."""
-    mults, energies, node_starts = levels.mults.astype(float), levels.energies, levels.bounds[:-1]
-    node = np.repeat(np.arange(len(node_starts)), np.diff(levels.bounds))
-
-    def per_node(x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(x, node_starts)
-
-    pops = np.clip(pops, 0.0, None)
-    pops /= per_node(pops)[node]
-    e0 = energies[node_starts]  # levels ascend, so each node's first is its lowest
-    ln_z = np.log(per_node(mults * np.exp(-beta * (energies - e0[node])))) - beta * e0
-    ln_q = np.log(mults) - beta * energies - ln_z[node]
-    live = pops > PROB_FLOOR
-    ln_p = np.log(np.where(live, pops, 1.0))
-    s_gt = per_node(np.where(live, pops * np.log(mults), 0.0)) - per_node(pops * ln_p)
-    rel = per_node(np.where(live, pops * (ln_p - ln_q), 0.0))
-    hellinger = per_node((np.sqrt(pops) - np.exp(ln_q / 2.0)) ** 2)
+    """ledger's f_eq, s_gt, s_d, s_gamma, bures and rel_ent rows (6, k) of k nodes from their
+    levels, level-basis diagonal (k, d) and level populations (gauge.level_space), each a
+    sum over the node's d eigenvalues of the spectra t and q that ledger describes."""
+    k, d = diag.shape
+    t = np.repeat(np.clip(pops, 0.0, None) / levels.mults, levels.mults).reshape(k, d)
+    t /= t.sum(axis=1, keepdims=True)
+    ln_q, ln_z = _log_gibbs(np.repeat(levels.energies, levels.mults).reshape(k, d), beta)
+    x, q = np.clip(diag, 0.0, 1.0), np.exp(ln_q)
+    hellinger = np.sum((np.sqrt(t) - np.sqrt(q)) ** 2, axis=1)
     bures = 2.0 * np.arcsin(np.minimum(np.sqrt(hellinger) / 2.0, 1.0))
-
-    x = np.clip(diag, 0.0, 1.0)
-    x = np.where(x > PROB_FLOOR, x, 1.0)  # 1 ln 1 = 0 stands in for 0 ln 0
-    s_d = -np.sum(x * np.log(x), axis=1)
-    return np.array([-ln_z / beta, s_gt, s_d, bures, rel])
+    s_gamma, rel = _divergence(x, t), _divergence(t, q, ln_q)
+    return np.array([-ln_z / beta, shannon_entropy(t), shannon_entropy(x), s_gamma, bures, rel])
 
 
 def _ledger(series: WorkHeatSeries, rows: np.ndarray, s_vn: float) -> ThermoLedger:
     """ledger's columns from the work/heat series, the entropy rows of every
     node (_entropy_columns) and the state's von Neumann entropy."""
-    f_eq, s_gt, s_d, bures, rel_ent = rows
+    f_eq, s_gt, s_d, s_gamma, bures, rel_ent = rows
     return ThermoLedger(
         w_u=series.w_u,
         w_inv=series.w_inv,
@@ -380,7 +364,7 @@ def _ledger(series: WorkHeatSeries, rows: np.ndarray, s_vn: float) -> ThermoLedg
         s_gt=s_gt,
         s_d=s_d,
         c_rel=s_d - s_vn,
-        s_gamma=s_gt - s_d,
+        s_gamma=s_gamma,
         bures=bures,
         rel_ent=rel_ent,
     )
@@ -618,7 +602,7 @@ def stream_run(
         last = None  # decomposed again, and the fault raised, when the pass reaches it
     skip = last is not None and bool(last.degenerate.any())
     nodes, kept = sorted({0, n // 2, n - 1}), []
-    degenerate, rows = np.empty(n, dtype=bool), np.empty((5, n))
+    degenerate, rows = np.empty(n, dtype=bool), np.empty((6, n))
     run, fine, conn = _Propagator(h, dt, rho0), _PowerIntegrands(h), _Connection(h, dt)
     for s in blocks:
         lv = last if s.stop == n and last is not None else _decompose(h[s], *tols)

@@ -23,7 +23,7 @@ from .invariants import (
     stochastic_entropies,
     thermal_level_distribution,
 )
-from .linalg import PROB_FLOOR, ValidationError, log_partition
+from .linalg import PROB_FLOOR, ValidationError, _divergence, log_partition
 
 ROW_SUM_TOL = 1e-10
 DETAILED_RELATION_TOL = 1e-10
@@ -66,7 +66,8 @@ class FtReport:
     mean_sigma_via_work is beta*(<w> - dF_eq) and is NaN unless both endpoint
     distributions are thermal. mean_sigma_via_entropy adds the relative
     entropy between the evolved final distribution and the reverse reference
-    to dS_gt and agrees with mean_sigma for every ensemble;
+    (linalg._divergence, finite on reference weights below the probability
+    floor) to dS_gt and agrees with mean_sigma for every ensemble;
     mean_sigma_via_endpoints drops that relative-entropy term and agrees only
     when the evolved distribution equals the reference.
     microreversibility_max is the largest |p(l|k) n^k - p(k|l) n^l| between
@@ -234,14 +235,7 @@ def verify_ft(ens: TwoPointEnsemble) -> FtReport:
         energies=ens.structure_tau.energies,
     )
     d_s = s_gauge(ld_evolved) - s_gauge(ens.forward_init)
-    ev_mask = evolved > PROB_FLOOR
-    q = np.asarray(ens.reverse_ref.probs)[ev_mask]
-    pm = evolved[ev_mask]
-    if np.any(q <= PROB_FLOOR):
-        kl = math.inf
-    else:
-        kl = float((pm * np.log(pm / q)).sum())
-    via_entropy = d_s + kl
+    via_entropy = d_s + float(_divergence(evolved, np.asarray(ens.reverse_ref.probs, dtype=float)))
     via_endpoints = s_gauge(ens.reverse_ref) - s_gauge(ens.forward_init)
 
     beta = ens.beta

@@ -2,10 +2,12 @@
 nonequilibrium free energy.
 
 Level populations p^k = Tr(Pi_k rho) are the only data an energy-restricted
-observer can extract, so the invariant entropy is the entropy of the twirled
-state: s_gt = -sum p^k ln p^k + sum p^k ln n^k. Its gap to the diagonal
-entropy (s_gamma) measures population imbalance inside degenerate levels; the
-gap between diagonal and von Neumann entropy (c_rel) measures coherence.
+observer can extract, so the invariant entropy s_gt is the entropy of the
+twirled state, whose spectrum repeats each level's p^k / n^k n^k times:
+s_gt = -sum p^k ln p^k + sum p^k ln n^k. Its gap to the diagonal entropy
+(s_gamma, the divergence KL(diagonal || twirled spectrum)) measures population
+imbalance inside degenerate levels; the gap between diagonal and von Neumann
+entropy (c_rel) measures coherence.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .gauge import LEVEL_NORM_TOL, DegeneracyStructure, level_space
 from .linalg import (
     PROB_FLOOR,
     ValidationError,
+    _divergence,
     log_partition,
     shannon_entropy,
     validate_density,
@@ -74,17 +77,14 @@ def thermal_level_distribution(ds: DegeneracyStructure, beta: float) -> LevelDis
     """Gibbs-weighted level populations p^k = n^k e^{-beta e^k} / Z."""
     if not (beta > 0 and np.isfinite(beta)):
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    ln_z = log_partition(ds.energies, ds.mults, beta)
-    ln_p = np.log(np.asarray(ds.mults, dtype=float)) - beta * np.asarray(ds.energies) - ln_z
+    ln_p = np.log(ds.mults) - beta * np.asarray(ds.energies) - log_partition(ds.energies, ds.mults, beta)
     return LevelDistribution(probs=np.exp(ln_p), mults=ds.mults, energies=ds.energies)
 
 
 def s_gauge(ld: LevelDistribution) -> float:
-    """Invariant entropy -sum p ln p + sum p ln n in nats (0 ln 0 = 0)."""
-    p = np.asarray(ld.probs, dtype=float)
-    mask = p > PROB_FLOOR
-    p = p[mask]
-    return float(-(p * np.log(p)).sum() + (p * np.log(np.asarray(ld.mults)[mask])).sum())
+    """Invariant entropy s_gt = -sum p ln p + sum p ln n in nats: the Shannon
+    entropy of the twirled spectrum, each level's p^k / n^k repeated n^k times."""
+    return shannon_entropy(np.repeat(np.asarray(ld.probs, dtype=float) / ld.mults, ld.mults))
 
 
 def stochastic_entropies(ld: LevelDistribution) -> np.ndarray:
@@ -106,9 +106,9 @@ def stochastic_entropy(k: int, ld: LevelDistribution) -> float:
 class EntropyReport:
     """The invariant entropy split three ways.
 
-    s_gt = s_d + s_gamma and s_gt = s_vn + c_rel + s_gamma hold by
-    construction; the substantive content is that every component is
-    nonnegative (twirling and dephasing never reduce entropy).
+    s_gt = s_d + s_gamma and s_gt = s_vn + c_rel + s_gamma hold to round-off;
+    the substantive content is that every component is nonnegative (twirling
+    and dephasing never reduce entropy), which the divergence s_gamma keeps.
     """
 
     s_gt: float
@@ -119,13 +119,13 @@ class EntropyReport:
 
 
 def entropy_report(rho: np.ndarray, ds: DegeneracyStructure) -> EntropyReport:
-    """The entropy split of one state from one validation and one level_space call."""
+    """The entropy split of one state from one validation and one level_space
+    call; s_gamma = KL(level-basis diagonal || twirled spectrum) = s_gt - s_d."""
     rho = validate_density(rho, check_psd=False)
     diag, pops = level_space(rho[None], ds.basis[None], ds.mults, [0])
-    s_vn = von_neumann_entropy(rho)
-    s_d = shannon_entropy(np.clip(diag[0], 0.0, 1.0))
-    s_gt = s_gauge(_normalized(pops, ds))
-    return EntropyReport(s_gt=s_gt, s_vn=s_vn, s_d=s_d, c_rel=s_d - s_vn, s_gamma=s_gt - s_d)
+    x, t = np.clip(diag[0], 0.0, 1.0), np.repeat(_normalized(pops, ds).probs / ds.mults, ds.mults)
+    s_vn, s_d, s_gt = von_neumann_entropy(rho), shannon_entropy(x), shannon_entropy(t)
+    return EntropyReport(s_gt, s_vn, s_d, c_rel=s_d - s_vn, s_gamma=float(_divergence(x, t)))
 
 
 def noneq_free_energy(

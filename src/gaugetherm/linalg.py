@@ -184,11 +184,12 @@ def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gibbs_state(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Thermal state e^{-beta H}/Z and ln Z.
+    """Thermal state e^{-beta H}/Z and ln Z, the matrix route.
 
     Eigenvalues are shifted by their minimum before exponentiating so that
     beta up to ~1e6 (third-law scans) cannot overflow; ln Z is returned with
-    the shift restored.
+    the shift restored. It builds every run's initial state, so it keeps
+    these weights: _log_gibbs's differ in the last bit.
     """
     if not (beta > 0) or not math.isfinite(beta):
         raise ValueError(f"beta must be positive and finite, got {beta}")
@@ -200,12 +201,20 @@ def gibbs_state(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     return rho, ln_z
 
 
+def _log_gibbs(e: np.ndarray, beta) -> tuple[np.ndarray, np.ndarray]:
+    """ln(e^{-beta e_i} / Z) per entry and ln Z over the last axis of e, shifted by
+    the lowest entry so that nothing overflows and an underflowing weight keeps
+    its finite log; beta is one value or one per row of e's leading axes."""
+    e, beta = np.asarray(e, dtype=float), np.asarray(beta, dtype=float)[..., None]
+    e0 = e.min(axis=-1, keepdims=True)
+    x = beta * (e0 - e)
+    ln_sum = np.log(np.exp(x).sum(axis=-1, keepdims=True))
+    return x - ln_sum, (ln_sum - beta * e0)[..., 0]
+
+
 def log_partition(energies: np.ndarray, mults: np.ndarray, beta: float) -> float:
-    """ln Z from a clustered (energy, multiplicity) spectrum, shift-protected."""
-    e = np.asarray(energies, dtype=float)
-    n = np.asarray(mults, dtype=float)
-    e0 = float(e.min())
-    return math.log(float((n * np.exp(-beta * (e - e0))).sum())) - beta * e0
+    """ln Z from a clustered (energy, multiplicity) spectrum (_log_gibbs)."""
+    return float(_log_gibbs(np.repeat(energies, mults), beta)[1])
 
 
 def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -234,23 +243,30 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(n, 1, rng)[0]
 
 
-def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(rho)
-    return np.clip(w, 0.0, 1.0)
-
-
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S_vN = -Tr(rho ln rho) in nats, with 0 ln 0 = 0."""
-    w = _clamped_spectrum(rho)
-    w = w[w > PROB_FLOOR]
-    return float(-(w * np.log(w)).sum())
+    """S_vN = -Tr(rho ln rho) in nats: shannon_entropy of the spectrum clipped to [0, 1]."""
+    return shannon_entropy(np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0))
 
 
-def shannon_entropy(p: np.ndarray) -> float:
-    """Classical -sum p ln p with the 0 ln 0 = 0 convention."""
+def shannon_entropy(p: np.ndarray) -> float | np.ndarray:
+    """Classical -sum p ln p over the last axis, an entry at or below PROB_FLOOR
+    counting as 0 ln 0 = 0: a vector gives a float, a stack (n, d) n values."""
     p = np.asarray(p, dtype=float)
-    p = p[p > PROB_FLOOR]
-    return float(-(p * np.log(p)).sum())
+    x = np.where(p > PROB_FLOOR, p, 1.0)  # 1 ln 1 = 0 stands in for 0 ln 0
+    s = 0.0 - (x * np.log(x)).sum(axis=-1)  # not -sum, which is -0.0 on one certain outcome
+    return float(s) if s.ndim == 0 else s
+
+
+def _divergence(p: np.ndarray, q: np.ndarray, ln_q: np.ndarray | None = None) -> np.ndarray:
+    """KL(p || q) over the last axis: the sum of the terms p ln(p/q) - p + q, each
+    nonnegative and clipped at 0 so that the sum keeps its sign at round-off; p at
+    or below PROB_FLOOR adds only q - p. ln_q is ln q from log-weights, finite
+    where q underflows; left out, it is ln q, -inf where q = 0."""
+    if ln_q is None:
+        ln_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0)
+    live = p > PROB_FLOOR
+    ln_ratio = np.where(live, np.log(np.where(live, p, 1.0)) - ln_q, 0.0)
+    return np.maximum(p * ln_ratio - p + q, 0.0).sum(axis=-1)
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -263,10 +279,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     positive eigenvalue keeps its mass*ln(sigma) term, which cancels the
     matching rho ln rho term, so S(sigma||sigma) = 0 to round-off.
     """
-    wr = _clamped_spectrum(rho)
-    wr_pos = wr[wr > PROB_FLOOR]
-    tr_rho_ln_rho = float((wr_pos * np.log(wr_pos)).sum())
-
+    tr_rho_ln_rho = -von_neumann_entropy(rho)
     ws, Vs = np.linalg.eigh(sigma)
     ws = np.clip(ws, 0.0, 1.0)
     # probability mass of rho in each sigma eigendirection

@@ -16,8 +16,7 @@ import numpy as np
 
 from .dynamics import Protocol
 from .gauge import CLUSTER_TOL_REL, cluster_spectrum, default_cluster_tol_abs
-from .invariants import s_gauge, thermal_level_distribution
-from .linalg import ValidationError, eigh, validate_hermitian
+from .linalg import ValidationError, _log_gibbs, eigh, shannon_entropy, validate_hermitian
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -174,10 +173,10 @@ class ThirdLawScan:
 def third_law_scan(
     h: np.ndarray, betas, *, cluster_tol_abs: float | None = None, cluster_tol_rel: float = CLUSTER_TOL_REL
 ) -> ThirdLawScan:
-    """The invariant entropy of the thermal state of h per beta, s_gauge of the
-    Gibbs weights n^k e^{-beta e^k} / Z of the levels of h
-    (thermal_level_distribution), clustered with the given tolerances
-    (evolve's; an unset tol_abs is the one clustering derives from h).
+    """s_gauge of thermal_level_distribution of h per beta: the Shannon entropy of
+    the weights e^{-beta e^k}/Z of the levels of h, each repeated n^k times, with
+    every beta in one linalg._log_gibbs call. h is clustered with the given
+    tolerances (evolve's; an unset tol_abs is the one clustering derives from h).
 
     The series decreases in beta and saturates at ln(ground multiplicity)
     once 1/beta is well below the gap.
@@ -191,11 +190,11 @@ def third_law_scan(
         raise ValueError("betas must be strictly ascending")
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
     ds = cluster_spectrum(eigh(h), tol_abs, cluster_tol_rel)
-    s_gt = np.array([s_gauge(thermal_level_distribution(ds, float(beta))) for beta in betas])
+    ln_w, _ = _log_gibbs(np.repeat(ds.energies, ds.mults), betas)
     gap = float(ds.energies[1] - ds.energies[0]) if ds.n_levels > 1 else None
     return ThirdLawScan(
         betas=betas,
-        s_gt=s_gt,
+        s_gt=shannon_entropy(np.exp(ln_w)),
         ground_multiplicity=int(ds.mults[0]),
         gap=gap,
     )

@@ -241,10 +241,38 @@ class TestConfigErrors:
         assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert f"config error: {line.split()[0]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("name = landau_zener\n", "cannot parse config"),
+            ("[model]\nnodes = 41\n", "missing required key 'name' in section [model]"),
+            (LZ_SMALL + "\n[run]\nseed = -1\n", "[run] seed must be nonnegative, got -1"),
+            (LZ_SMALL + "\n[third_law]\npoints = 1\n", "[third_law] points must be >= 2, got 1"),
+            (LZ_SMALL + "\n[third_law]\nbeta_min = 0\n", "[third_law] beta_min must be positive, got 0.0"),
+        ],
+        ids=["unparseable", "no_name", "seed", "points", "beta_min"],
+    )
+    def test_rejected_before_the_run(self, tmp_path, capsys, body, message):
+        cfg = write_config(tmp_path / "run.ini", body)
+        assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_beta_min_above_the_final_beta(self, tmp_path, capsys):
+        # levels 0 and 2: the scan ends at 1e6 / 2
+        cfg = matrix_config(tmp_path, "2\n0 0\n0 2\n")
+        with open(cfg, "a") as fh:
+            fh.write("\n[third_law]\nbeta_min = 1e6\n")
+        assert run_cli(["third-law", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [third_law] beta_min = 1000000.0 is not below the final beta 500000" in err
+
     def test_verify_bad_arguments(self, capsys):
         assert run_cli(["verify", "--suite", "nonesuch"]) == 2
         assert run_cli(["verify", "--suite", "ft", "--cases", "0"]) == 2
         capsys.readouterr()
+        assert run_cli(["verify", "--suite", "ft", "--seed", "-1"]) == 2
+        assert "config error: --seed must be nonnegative, got -1" in capsys.readouterr().err
 
 
 # each model with only its name, its params and, for `matrix`, its file;
@@ -382,6 +410,20 @@ class TestThirdLawCommand:
             assert section["gap"] == pytest.approx(1.9995, abs=1e-12)
             assert section["final_beta"] == pytest.approx(1e6 / 1.9995, rel=1e-12)
             assert section["final_s_gt"] == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_curie_weiss_scan(self, tmp_path, capsys):
+        """third-law on a Curie-Weiss config scans the magnet at b_end: at B = 0
+        the ground level is the m = +-2 doublet, 0.75 below the next."""
+        cfg = write_config(tmp_path / "run.ini", minimal_config(tmp_path, "curie_weiss"))
+        out = tmp_path / "out"
+        assert run_cli(["third-law", "--config", cfg, "--out", out]) == 0
+        assert "wrote" in capsys.readouterr().out
+        lines = (out / "third_law.csv").read_text().splitlines()
+        assert lines[0] == THIRD_LAW_HEADER and len(lines) == 41
+        beta, s_gt, limit = map(float, lines[-1].split(","))
+        assert beta == pytest.approx(1e6 / 0.75, rel=1e-11)  # written to 12 digits
+        assert s_gt == pytest.approx(math.log(2), abs=1e-12)
+        assert limit == pytest.approx(math.log(2), abs=1e-12)
 
     def test_random_model_rejected(self, tmp_path, capsys):
         cfg = write_config(

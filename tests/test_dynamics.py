@@ -414,6 +414,23 @@ def test_level_space_ledger_matches_matrix_routes(seed, dim, degenerate, thermal
             assert err <= 1e-10 * max(np.max(np.abs(ref)), energy), name
 
 
+def test_divergence_columns_keep_their_sign():
+    """rel_ent and s_gamma are divergences, summed from termwise-nonnegative
+    terms, so they keep their sign at round-off: a constant protocol of a
+    real degenerate H (levels of multiplicity 2, 3 and 1 in a random
+    orthogonal basis) from its thermal state, where both vanish exactly.
+    Summed as p ln(p/q) and as s_gt - s_d they read -2.5e-16 and -4.3e-14."""
+    from scipy.stats import ortho_group
+
+    q = ortho_group.rvs(6, random_state=0)
+    h = q @ np.diag([0.0, 0.0, 0.7, 0.7, 0.7, 1.9]) @ q.T
+    p = constant_protocol((h + h.T) / 2, 1.0, 1.0, 101)
+    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    tl = gt.stream_run(p, rho0).tl
+    assert tl.rel_ent.min() >= 0.0 and tl.s_gamma.min() >= 0.0
+    assert tl.rel_ent.max() < 1e-14 and tl.s_gamma.max() < 1e-14
+
+
 def test_eigendecomposition_budget(monkeypatch):
     rng = np.random.default_rng(5)
     p = gt.random_protocol(4, 41, rng, degenerate=True, beta=1.0)

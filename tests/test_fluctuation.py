@@ -8,6 +8,7 @@ import pytest
 import gaugetherm as gt
 from gaugetherm.fluctuation import ORPHAN_MASS_TOL
 from gaugetherm.invariants import LevelDistribution
+from gaugetherm.linalg import PROB_FLOOR
 
 from test_dynamics import ramp_protocol
 from test_linalg import random_density
@@ -159,6 +160,20 @@ def test_via_entropy_routes(lz_run):
     assert math.isnan(rep.mean_sigma_via_work)  # evolved reference is not thermal
 
 
+def test_via_entropy_finite_on_reference_weights_below_the_floor():
+    """A diagonal ramp of the gap from 1 to 40 at beta = 1 keeps the start's
+    populations, and the end's thermal weight of the upper level, 4.2e-18,
+    is below PROB_FLOOR: the relative-entropy route still agrees with
+    mean_sigma (it read inf when the reference was cut at the floor)."""
+    h0, h1 = np.diag([0.0, 1.0]).astype(complex), np.diag([0.0, 40.0]).astype(complex)
+    p = ramp_protocol(h0, h1, nodes=21, beta=1.0)
+    _, ev, fwd, rev = thermal_ends(p)
+    assert 0.0 < rev.probs[1] < PROB_FLOOR
+    rep = gt.verify_ft(gt.build_ensemble(p, fwd, rev, ev))
+    assert rep.mean_sigma == pytest.approx(rep.mean_sigma_via_work, abs=1e-9)
+    assert rep.mean_sigma_via_entropy == pytest.approx(rep.mean_sigma, abs=1e-9)
+
+
 def test_via_work_requires_thermal_endpoints():
     rng = np.random.default_rng(33)
     p = gt.random_protocol(3, 61, rng, beta=1.0)
@@ -218,6 +233,15 @@ def test_misaligned_distribution_rejected(lz_run):
     )
     with pytest.raises(gt.ValidationError):
         gt.build_ensemble(p, fwd, bad, ev)
+
+
+def test_reference_energies_must_match_levels(lz_run):
+    p, ev = lz_run.p, lz_run.ev
+    fwd = gt.level_distribution(lz_run.rho0, ev.structures[0])
+    rev = gt.thermal_level_distribution(ev.structures[-1], p.beta)
+    shifted = dataclasses.replace(rev, energies=rev.energies + 1.0)
+    with pytest.raises(gt.ValidationError, match="reverse_ref energies do not match the level structure"):
+        gt.build_ensemble(p, fwd, shifted, ev)
 
 
 class TestSampling:

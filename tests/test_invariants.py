@@ -101,6 +101,21 @@ def test_level_distribution_validator_precedence(probs, energies, message):
         )
 
 
+def test_level_distribution_rejects_unequal_lengths():
+    with pytest.raises(ValidationError, match="level distribution arrays must share length"):
+        LevelDistribution(probs=np.array([0.5, 0.5]), mults=np.array([1, 1]), energies=np.array([0.0]))
+
+
+@pytest.mark.parametrize("beta", [0.0, math.nan])
+def test_non_positive_beta_rejected(beta):
+    h = np.diag([0.0, 1.0]).astype(complex)
+    ds = structure_of(h)
+    with pytest.raises(ValueError, match=f"beta must be positive and finite, got {beta}"):
+        thermal_level_distribution(ds, beta)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        noneq_free_energy(np.eye(2, dtype=complex) / 2, h, ds, beta)
+
+
 def test_level_distribution_passes_within_bounds():
     # a probability of -1e-13 and a sum 1e-9 above 1 are within the bounds
     ld = LevelDistribution(

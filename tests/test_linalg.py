@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from gaugetherm.linalg import (
     BLOCK_BYTES,
+    PROB_FLOOR,
     ValidationError,
+    _divergence,
+    _log_gibbs,
     bures_angle,
     eigh,
     fidelity,
@@ -195,6 +198,13 @@ def test_haar_unitary_pinned_values():
                           haar_unitaries(4, 1, np.random.default_rng(7))[0])
 
 
+def test_shape_errors():
+    with pytest.raises(ValidationError, match=r"operator must be a square matrix, got shape \(2, 3\)"):
+        validate_hermitian(np.zeros((2, 3), dtype=complex))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        haar_unitaries(0, 1, np.random.default_rng(0))
+
+
 def test_validation_errors():
     with pytest.raises(ValidationError):
         validate_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
@@ -306,6 +316,51 @@ def test_stack_validators_leave_their_input_unchanged(layout):
 
 def test_shannon_entropy_ignores_exact_zeros():
     assert shannon_entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(math.log(2))
+
+
+def test_shannon_entropy_reduces_over_the_last_axis():
+    # a stack gives each row's value bit for bit; entries at or below the
+    # floor, negative round-off included, count as 0 ln 0
+    rng = np.random.default_rng(5)
+    p = rng.dirichlet(np.ones(9), size=4)
+    p[1, 3], p[2, 0] = 0.0, -1e-17
+    rows = shannon_entropy(p)
+    assert rows.shape == (4,)
+    for row, value in zip(p, rows):
+        assert isinstance(shannon_entropy(row), float)
+        assert shannon_entropy(row) == value
+        assert value == pytest.approx(-sum(x * math.log(x) for x in row if x > PROB_FLOOR), rel=1e-14)
+
+
+def test_log_gibbs_keeps_underflowing_weights_finite():
+    e = np.array([0.0, 0.0, 1.0, 800.0])
+    ln_w, ln_z = _log_gibbs(e, 2.0)
+    assert ln_z == pytest.approx(math.log(2.0 + math.exp(-2.0)), rel=1e-15)
+    assert np.exp(ln_w)[3] == 0.0 and np.isfinite(ln_w).all()
+    assert ln_w[3] == pytest.approx(-1600.0 - ln_z, rel=1e-15)
+    # one beta per row of a stack, and one row per beta of a single spectrum
+    betas = np.array([0.5, 2.0, 1e6])
+    stacked_w, stacked_z = _log_gibbs(np.tile(e, (3, 1)), betas)
+    spread_w, spread_z = _log_gibbs(e, betas)
+    for b, row_w, row_z in zip(betas, stacked_w, stacked_z):
+        one_w, one_z = _log_gibbs(e, b)
+        assert np.array_equal(row_w, one_w) and row_z == one_z
+    assert np.array_equal(stacked_w, spread_w) and np.array_equal(stacked_z, spread_z)
+    assert log_partition(np.array([0.0, 1.0, 800.0]), np.array([2, 1, 1]), 2.0) == ln_z
+
+
+def test_divergence_keeps_its_sign():
+    # p = q up to round-off: every term is clipped at 0, so the sum cannot go negative
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        p = rng.dirichlet(np.ones(7))
+        assert 0.0 <= _divergence(p, p * (1.0 + 1e-16 * rng.standard_normal(7))) < 1e-15
+    p, q = np.array([0.5, 0.5, 0.0]), np.array([0.25, 0.25, 0.5])
+    assert _divergence(p, q) == pytest.approx(math.log(2.0), rel=1e-15)
+    # p where q = 0 makes it infinite, unless ln q comes from a log-weight
+    p, q = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+    assert _divergence(p, q) == math.inf
+    assert _divergence(p, q, np.array([0.0, -800.0])) == pytest.approx(400.0 + math.log(0.5), rel=1e-15)
 
 
 def test_eigh_sorted_and_consistent():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import gaugetherm as gt
+from gaugetherm.gauge import cluster_spectrum, default_cluster_tol_abs
 from gaugetherm.linalg import eigh
-from gaugetherm.models import MODELS
+from gaugetherm.models import MODELS, read_matrix_file
 
 
 class TestHamiltonians:
@@ -143,6 +144,19 @@ class TestThirdLawScan:
         assert abs(scan.s_gt[-1] - math.log(2)) < 1e-4
         assert np.all(np.diff(scan.s_gt) <= 1e-12)
 
+    def test_matches_s_gauge_of_the_thermal_levels(self):
+        """The scan takes every beta in one call; it equals s_gauge of
+        thermal_level_distribution beta by beta, on the Curie-Weiss end
+        Hamiltonian up to 1e6 over its gap."""
+        h = gt.curie_weiss(1.0, 50, 0.0)
+        ds = cluster_spectrum(eigh(h), default_cluster_tol_abs(h))
+        gap = float(ds.energies[1] - ds.energies[0])
+        betas = np.geomspace(0.01, 1e6 / gap, 40)
+        scan = gt.third_law_scan(h, betas)
+        reference = [gt.s_gauge(gt.thermal_level_distribution(ds, float(b))) for b in betas]
+        assert np.max(np.abs(scan.s_gt - reference)) <= 1e-14
+        assert scan.s_gt[-1] == pytest.approx(math.log(2), abs=1e-14)
+
     def test_beta_grid_validation(self):
         h = np.diag([0.0, 1.0])
         with pytest.raises(ValueError):
@@ -197,6 +211,12 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=f"param '{key}'"):
             gt.ModelSpec(name=name, nodes=11, t_final=1.0, beta=1.0, params=params)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            gt.ModelSpec(
+                name="random", nodes=11, t_final=1.0, beta=1.0, params={"dim": 3, "degenerate": 0}, seed=-1
+            )
+
     def test_dispatch(self):
         for name, params in (
             ("landau_zener", {"delta": 2.0, "v": 1.0}),
@@ -243,3 +263,22 @@ class TestModelSpec:
                 name="random", nodes=5, t_final=1.0, beta=1.0,
                 params={"dim": 2, "degenerate": 0}, matrix_path=str(path),
             )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read matrix file"),
+        ("\n\n", "is empty"),
+        ("two\n0 1\n1 0\n", "first line must be the dimension"),
+        ("2\n0 1\n1\n", "row 2 has 1 entries, expected 2"),
+        ("2\n0 nan\nnan 0\n", "entries must be finite"),
+    ],
+    ids=["missing", "empty", "dimension", "short_row", "non_finite"],
+)
+def test_read_matrix_file_errors(tmp_path, text, message):
+    path = tmp_path / "h.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_matrix_file(str(path))
