@@ -15,7 +15,6 @@ from .dynamics import (
     StreamedRun,
     ThermoLedger,
     WorkHeatSeries,
-    aligned_frames,
     clausius_report,
     connection_cross_check,
     evolve,
@@ -94,7 +93,6 @@ __all__ = [
     "TwoPointEnsemble",
     "ValidationError",
     "WorkHeatSeries",
-    "aligned_frames",
     "build_ensemble",
     "build_protocol",
     "bures_angle",

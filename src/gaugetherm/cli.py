@@ -254,7 +254,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     out_dir, emit, cluster = cfg.resolved["run"]["out"], cfg.resolved["run"]["emit"], _cluster(cfg)
     p = build_protocol(cfg.spec, **cluster)
     rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
-    run = stream_run(p, rho0, connection="clausius" in emit, **cluster)
+    run = stream_run(p, rho0, **cluster)
     tol, gate = run.tol, cfg.resolved["tolerances"]["integration_gate"]
     os.makedirs(out_dir, exist_ok=True)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import linear_sum_assignment
 
 from .gauge import (
     CLUSTER_TOL_REL,
@@ -338,10 +337,9 @@ def _entropy_columns(levels: NodeLevels, diag: np.ndarray, pops: np.ndarray, bet
     """ledger's f_eq, s_gt, s_d, s_gamma, bures and rel_ent rows (6, k) of k nodes from their
     levels, level-basis diagonal (k, d) and level populations (gauge.level_space), each a
     sum over the node's d eigenvalues of the spectra t and q that ledger describes."""
-    k, d = diag.shape
-    t = np.repeat(np.clip(pops, 0.0, None) / levels.mults, levels.mults).reshape(k, d)
+    t = np.repeat(np.clip(pops, 0.0, None) / levels.mults, levels.mults).reshape(diag.shape)
     t /= t.sum(axis=1, keepdims=True)
-    ln_q, ln_z = _log_gibbs(np.repeat(levels.energies, levels.mults).reshape(k, d), beta)
+    ln_q, ln_z = _log_gibbs(levels.spectra, beta)
     x, q = np.clip(diag, 0.0, 1.0), np.exp(ln_q)
     hellinger = np.sum((np.sqrt(t) - np.sqrt(q)) ** 2, axis=1)
     bures = 2.0 * np.arcsin(np.minimum(np.sqrt(hellinger) / 2.0, 1.0))
@@ -429,7 +427,9 @@ class _CoarseRun:
 
 @dataclass(frozen=True)
 class ConnectionCheck:
-    """Covariant-derivative route for invariant work/heat vs the twirl route."""
+    """Covariant-derivative route for invariant work/heat vs the twirl route,
+    from D_t H = V Edot V^dag (connection_cross_check); not performed, with the
+    first degenerate node named in reason, when any node is degenerate."""
 
     performed: bool
     reason: str
@@ -439,84 +439,43 @@ class ConnectionCheck:
     q_deviation: np.ndarray | None = None
 
 
-def aligned_frames(bases: list[np.ndarray]) -> np.ndarray:
-    """Continuity-align a sequence of eigenvector matrices.
-
-    Columns at each node are matched to the previous node by maximal overlap
-    and rotated so the matched overlap is real positive. The output is a
-    smooth frame regardless of the per-node phase and ordering freedom of the
-    eigensolver. The first matrix is kept as given, so an aligned frame
-    followed by new bases continues its alignment.
-    """
-    out = np.empty((len(bases),) + bases[0].shape, dtype=complex)
-    out[0] = bases[0]
-    d = out.shape[1]
-    for j in range(1, len(bases)):
-        overlap = out[j - 1].conj().T @ bases[j]
-        rows, cols = linear_sum_assignment(-np.abs(overlap))
-        perm = np.empty(d, dtype=int)
-        perm[rows] = cols
-        ov = overlap[np.arange(d), perm]
-        phases = np.where(np.abs(ov) > 0, ov / np.maximum(np.abs(ov), 1e-300), 1.0)
-        out[j] = bases[j][:, perm] * phases.conj()
-    return out
-
-
 def _degenerate_check(degenerate: np.ndarray) -> ConnectionCheck | None:
     """The skipped check when a node is degenerate (degenerate[j] for node j):
     the frame derivative is not defined across a merged level."""
-    if not degenerate.any():
-        return None
-    return ConnectionCheck(
-        performed=False,
-        reason=f"degenerate spectrum at node {int(np.argmax(degenerate))}; "
-        "frame construction undefined",
-    )
+    if degenerate.any():
+        j = int(np.argmax(degenerate))
+        return ConnectionCheck(False, f"degenerate spectrum at node {j}; frame construction undefined")
+    return None
 
 
-class _Connection:
-    """The commutator traces t_j = Re Tr(rho_j [A_j, H_j]) of the connection
-    A_j = -Vdot_j V_j^dag of the aligned frame, folded a node block at a time:
-    add(s, states, basis) takes the node blocks s in node order, with the
-    states and bases (k, d, d) of their own nodes. Frames are aligned in node order
-    (aligned_frames), and a block's central differences take one frame of halo
-    on each side, so a block is held until the next block's first frame
-    arrives, and check(work, heat, tl) folds the last block. check then gives
-    the covariant route from the states' work and heat integrands, compared
-    with the ledger's invariant columns."""
+class _LevelWork:
+    """sum_a x_a edot_a per node from each node's level-basis diagonal x and
+    eigenvalues e, edot as np.gradient takes it, folded a node block at a time:
+    add(s, x[s], e[s]) for the blocks in node order, then check(...). As in
+    _PowerIntegrands, the central difference moves onto the neighbour products
+    x_j . e_{j+1} and x_{j+1} . e_j, so a block's halo is the row before it."""
 
-    def __init__(self, h: np.ndarray, dt: float):
-        self.h, self.dt, self.t = h, dt, np.empty(len(h))
-        self.held = None  # the last block s given, its states, the frames of max(s.start - 1, 0) .. s.stop - 1
+    def __init__(self, n: int):
+        self.same, self.fwd, self.bwd = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        self.halo = None  # the last x and e row given
 
-    def add(self, s: slice, states: np.ndarray, basis: np.ndarray) -> None:
-        if self.held is None:
-            frames = aligned_frames(basis)
-        else:
-            held_s, held_states, held_frames = self.held
-            frames = aligned_frames([held_frames[-1], *basis])
-            self._fold(held_s, held_states, np.concatenate([held_frames, frames[1:2]]))
-        self.held = s, states, frames
+    def add(self, s: slice, x: np.ndarray, e: np.ndarray) -> None:
+        self.same[s] = np.einsum("ij,ij->i", x, e)
+        if self.halo is not None:
+            x, e = np.vstack([self.halo[0], x]), np.vstack([self.halo[1], e])
+        lo = s.stop - len(x)  # the node of x[0]
+        self.fwd[lo : s.stop - 1] = np.einsum("ij,ij->i", x[:-1], e[1:])
+        self.bwd[lo : s.stop - 1] = np.einsum("ij,ij->i", x[1:], e[:-1])
+        self.halo = x[-1:], e[-1:]
 
-    def _fold(self, s: slice, states: np.ndarray, f: np.ndarray) -> None:
-        """t over the block s from the frames f of nodes s.start - 1 (if any) .. s.stop (if any)."""
-        k, m = min(s.start, 1), s.stop - s.start  # f[k] is node s.start's frame
-        conn = -np.einsum("nij,nkj->nik", np.gradient(f, self.dt, axis=0)[k : k + m], f[k : k + m].conj())
-        h = self.h[s]
-        self.t[s] = _flat_traces(states, _transposed(conn @ h - h @ conn))
-
-    def check(self, work: np.ndarray, heat: np.ndarray, tl: ThermoLedger) -> ConnectionCheck:
-        self._fold(*self.held)
-        w_cov = _cumtrap(work + self.t, self.dt)
-        q_cov = _cumtrap(heat - self.t, self.dt)
-        return ConnectionCheck(
-            performed=True,
-            reason="",
-            w_cov=w_cov,
-            q_cov=q_cov,
-            w_deviation=np.abs(w_cov - tl.w_inv),
-            q_deviation=np.abs(q_cov - tl.q_inv),
-        )
+    def check(self, integrands: tuple[np.ndarray, ...], dt: float, tl: ThermoLedger) -> ConnectionCheck:
+        """The check from the states' work and heat integrands (_PowerIntegrands)
+        against the ledger: t = Re Tr(rho [A,H]) = sum x edot - Re Tr(rho Hdot)."""
+        work, heat, _ = integrands
+        t = _ends(self.fwd, self.bwd, self.same, dt) - work
+        w_cov, q_cov = _cumtrap(work + t, dt), _cumtrap(heat - t, dt)
+        w_dev, q_dev = np.abs(w_cov - tl.w_inv), np.abs(q_cov - tl.q_inv)
+        return ConnectionCheck(True, "", w_cov, q_cov, w_dev, q_dev)
 
 
 def connection_cross_check(
@@ -524,26 +483,28 @@ def connection_cross_check(
 ) -> ConnectionCheck:
     """Recompute W_inv and Q_inv from the frame connection and compare.
 
-    Builds the aligned eigenframe V_t, the connection A = -Vdot V^dag (the
-    sign that makes the covariant derivative annihilate every spectral
-    projector), and integrates Tr(rho (Hdot + [A,H])) and
-    Tr(H (rhodot + [A,rho])): with t = Re Tr(rho [A,H]) = -Re Tr(H [A,rho]),
-    these are the work and heat integrands of work_heat_series plus and minus
-    t. Skipped whenever any node is degenerate: the frame derivative is not
-    defined across a merged level. The frame and t are taken a node block at
-    a time by the fold (_Connection) that stream_run runs in its pass.
+    The eigenframe V_t has the connection A = -Vdot V^dag (the sign that
+    makes the covariant derivative annihilate every spectral projector), and
+    D_t H = Hdot + [A,H] = V Edot V^dag, so Tr(rho D_t H) = sum_a x_a edot_a
+    over the level-basis diagonal x and the eigenvalues e (Hellmann-Feynman).
+    With t = Re Tr(rho [A,H]) = -Re Tr(H [A,rho]), the covariant work and heat
+    integrands are those of work_heat_series plus and minus t. Skipped
+    whenever any node is degenerate: the eigenframe is not defined across a
+    merged level. The sums are folded a node block at a time (_LevelWork),
+    as stream_run does in its pass.
     """
     skipped = _degenerate_check(ev.structures.degenerate)
     if skipped is not None:
         return skipped
     if tl is None:
         tl = ledger(p, ev)
-    conn, fold = _Connection(p.hamiltonians, p.dt), _PowerIntegrands(p.hamiltonians)
+    lv = ev.structures
+    x, e = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])[0], lv.spectra
+    fold, work = _PowerIntegrands(p.hamiltonians), _LevelWork(p.n_nodes)
     for s in node_blocks(p.n_nodes, p.dim):
-        conn.add(s, ev.states[s], ev.structures.basis[s])
         fold.add(s, ev.states[s])
-    [(work, heat, _)] = fold.integrands(p.dt)
-    return conn.check(work, heat, tl)
+        work.add(s, x[s], e[s])
+    return work.check(fold.integrands(p.dt)[0], p.dt, tl)
 
 
 @dataclass(frozen=True)
@@ -551,27 +512,26 @@ class StreamedRun:
     """What stream_run keeps. ev holds only the kept nodes, their states,
     twirled states, propagators and levels, so its [0] and [-1] are the
     protocol's ends. degenerate[j] says whether node j has a level of
-    multiplicity above 1. connection is None when not asked for."""
+    multiplicity above 1. connection is the check from D_t H = V Edot V^dag,
+    not performed when any node is degenerate."""
 
     nodes: list[int]
     ev: EvolutionResult
     degenerate: np.ndarray
     tl: ThermoLedger
     tol: float
-    connection: ConnectionCheck | None
+    connection: ConnectionCheck
 
 
 def stream_run(
     p: Protocol,
     rho0: np.ndarray,
     *,
-    connection: bool = False,
     cluster_tol_abs: float | None = None,
     cluster_tol_rel: float = CLUSTER_TOL_REL,
 ) -> StreamedRun:
-    """evolve, ledger, integration_tolerance and, with connection=True,
-    connection_cross_check in one pass over node blocks, with the same
-    numbers bit for bit.
+    """evolve, ledger, integration_tolerance and connection_cross_check in
+    one pass over node blocks, with the same numbers bit for bit.
 
     The pass takes the node blocks (linalg.node_blocks) in order. It
     decomposes each block's Hamiltonians (evolve's _decompose) and feeds the
@@ -579,52 +539,38 @@ def stream_run(
     run (_Propagator), folded into the neighbour traces of the work/heat
     series and into the ledger's entropy rows (_entropy_columns); the
     tolerance's run on the grid coarsened by two (_CoarseRun), whose nodes
-    are the block's even nodes; and the connection check (_Connection),
-    which holds a block until the next block's first frame arrives. The
-    connection stops at the first degenerate node, where the check is known
-    to be skipped. The last block is decomposed before the pass, so that a
-    protocol degenerate at its end, such as every field ramp to B = 0, skips
-    the connection from its first node; without it the Curie-Weiss config's
-    run takes a third longer. A fault in that block is raised again in node
-    order. So beyond the Hamiltonians a run holds a few node blocks and the
-    ledger rows and degenerate flags of every node, not the stacks of evolve
-    or the levels of every node. The nodes kept are 0, n // 2 and n - 1.
-    Faults are raised a block at a time in node order, and a protocol of
-    fewer than 5 nodes is refused before the pass.
+    are the block's even nodes; and the connection check (_LevelWork), which
+    takes D_t H = V Edot V^dag from the block's level-basis diagonal and
+    eigenvalues and holds one node of halo. The check is skipped when any
+    node is degenerate. So beyond the Hamiltonians a run holds a few node
+    blocks and the ledger rows, connection sums and degenerate flags of
+    every node, not the stacks of evolve or the levels of every node. The
+    nodes kept are 0, n // 2 and n - 1. Faults are raised a block at a time
+    in node order, and a protocol of fewer than 5 nodes is refused before
+    the pass.
     """
     rho0 = _initial_state(p, rho0)
     n, d, h, dt = p.n_nodes, p.dim, p.hamiltonians, p.dt
     coarse = _CoarseRun(p, rho0)
-    blocks, tols = node_blocks(n, d), (cluster_tol_abs, cluster_tol_rel)
-    try:
-        last = _decompose(h[blocks[-1]], *tols)
-    except ValidationError:
-        last = None  # decomposed again, and the fault raised, when the pass reaches it
-    skip = last is not None and bool(last.degenerate.any())
     nodes, kept = sorted({0, n // 2, n - 1}), []
     degenerate, rows = np.empty(n, dtype=bool), np.empty((6, n))
-    run, fine, conn = _Propagator(h, dt, rho0), _PowerIntegrands(h), _Connection(h, dt)
-    for s in blocks:
-        lv = last if s.stop == n and last is not None else _decompose(h[s], *tols)
+    run, fine, work = _Propagator(h, dt, rho0), _PowerIntegrands(h), _LevelWork(n)
+    for s in node_blocks(n, d):
+        lv = _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
         degenerate[s] = lv.degenerate
-        skip = skip or bool(degenerate[s].any())
         props, states, twirled, diag, pops = run.block(s, lv)
         rows[:, s] = _entropy_columns(lv, diag, pops, p.beta)
         fine.add(s, states, twirled)
+        work.add(s, diag, lv.spectra)
         coarse.add(s, lv)
         here = [j - s.start for j in nodes if s.start <= j < s.stop]
         if here:  # copies, which let the block go
             kept.append((states[here], twirled[here], props[here], lv[here]))
-        if connection and not skip:
-            conn.add(s, states, lv.basis)
         del props, states, twirled, lv
 
     integrands = fine.integrands(dt)
     tl = _ledger(_series(integrands, dt), rows, von_neumann_entropy(rho0))
-    check = _degenerate_check(degenerate) if connection else None
-    if connection and check is None:
-        work, heat, _ = integrands[0]
-        check = conn.check(work, heat, tl)
+    check = _degenerate_check(degenerate) or work.check(integrands[0], dt, tl)
     states, twirled, props, levels = zip(*kept)
     levels = join_levels(levels, np.concatenate([lv.basis for lv in levels]))
     ev = EvolutionResult(np.concatenate(states), np.concatenate(twirled), np.concatenate(props), levels)

@@ -146,6 +146,11 @@ class NodeLevels:
         return NodeLevels(self.energies[levels], self.mults[levels], bounds, self.basis[nodes])
 
     @property
+    def spectra(self) -> np.ndarray:
+        """Every node's level energies, each repeated over its multiplicity (n, d)."""
+        return np.repeat(self.energies, self.mults).reshape(len(self), -1)
+
+    @property
     def degenerate(self) -> np.ndarray:
         """Whether each node has a level of multiplicity above 1."""
         return np.maximum.reduceat(self.mults, self.bounds[:-1]) > 1

@@ -19,6 +19,7 @@ from .gauge import LEVEL_NORM_TOL, DegeneracyStructure, level_space
 from .linalg import (
     PROB_FLOOR,
     ValidationError,
+    _check_beta,
     _divergence,
     log_partition,
     shannon_entropy,
@@ -75,8 +76,7 @@ def _normalized(pops: np.ndarray, ds: DegeneracyStructure) -> LevelDistribution:
 
 def thermal_level_distribution(ds: DegeneracyStructure, beta: float) -> LevelDistribution:
     """Gibbs-weighted level populations p^k = n^k e^{-beta e^k} / Z."""
-    if not (beta > 0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)  # before beta meets the energies
     ln_p = np.log(ds.mults) - beta * np.asarray(ds.energies) - log_partition(ds.energies, ds.mults, beta)
     return LevelDistribution(probs=np.exp(ln_p), mults=ds.mults, energies=ds.energies)
 
@@ -136,7 +136,6 @@ def noneq_free_energy(
     Exceeds the equilibrium value by S(rho^E || sigma)/beta, so it is minimal
     exactly at thermal equilibrium.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     u = float(np.real(np.trace(rho @ H)))
     return u - s_gauge(level_distribution(rho, ds)) / beta

@@ -183,6 +183,11 @@ def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _eigh(validate_hermitian(H))
 
 
+def _check_beta(beta: float) -> None:
+    if not (beta > 0 and math.isfinite(beta)):  # NaN fails both
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 def gibbs_state(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     """Thermal state e^{-beta H}/Z and ln Z, the matrix route.
 
@@ -191,8 +196,7 @@ def gibbs_state(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     the shift restored. It builds every run's initial state, so it keeps
     these weights: _log_gibbs's differ in the last bit.
     """
-    if not (beta > 0) or not math.isfinite(beta):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     w, V = eigh(H)
     shifted = np.exp(-beta * (w - w[0]))
     Z = float(shifted.sum())
@@ -214,6 +218,7 @@ def _log_gibbs(e: np.ndarray, beta) -> tuple[np.ndarray, np.ndarray]:
 
 def log_partition(energies: np.ndarray, mults: np.ndarray, beta: float) -> float:
     """ln Z from a clustered (energy, multiplicity) spectrum (_log_gibbs)."""
+    _check_beta(beta)
     return float(_log_gibbs(np.repeat(energies, mults), beta)[1])
 
 
@@ -245,6 +250,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S_vN = -Tr(rho ln rho) in nats: shannon_entropy of the spectrum clipped to [0, 1]."""
+    rho = validate_density(rho, "rho", check_psd=False)
     return shannon_entropy(np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0))
 
 
@@ -279,8 +285,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     positive eigenvalue keeps its mass*ln(sigma) term, which cancels the
     matching rho ln rho term, so S(sigma||sigma) = 0 to round-off.
     """
-    tr_rho_ln_rho = -von_neumann_entropy(rho)
-    ws, Vs = np.linalg.eigh(sigma)
+    tr_rho_ln_rho = -von_neumann_entropy(rho)  # which validates rho
+    ws, Vs = np.linalg.eigh(validate_density(sigma, "sigma", check_psd=False))
     ws = np.clip(ws, 0.0, 1.0)
     # probability mass of rho in each sigma eigendirection
     mass = np.real(np.einsum("ij,jk,ki->i", Vs.conj().T, rho, Vs))
@@ -302,7 +308,8 @@ def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
 def _root_svd(rho: np.ndarray, sigma: np.ndarray):
     """sqrt(rho), sqrt(sigma) and the SVD W S V^dag of sqrt(sigma) sqrt(rho): sum(S) is
     the root fidelity, W V^dag the polar unitary taking sqrt(sigma) closest to sqrt(rho)."""
-    sr, ss = _sqrtm_psd(rho), _sqrtm_psd(sigma)
+    sr = _sqrtm_psd(validate_density(rho, "rho", check_psd=False))
+    ss = _sqrtm_psd(validate_density(sigma, "sigma", check_psd=False))
     w, sv, vh = np.linalg.svd(ss @ sr)
     return sr, ss, w, sv, vh
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,42 @@ from test_linalg import SX, eigh_inputs, random_density
 def traces(a, b):
     """Re Tr(a_j b_j) per node of two full stacks."""
     return np.einsum("nij,nji->n", a, b).real
+
+
+def closed_form_route(p, ev):
+    """w_cov and q_cov over whole stacks from D_t H = V Edot V^dag:
+    Tr(rho D_t H) = sum x . np.gradient(e), for the diagonal x of V^dag rho V
+    and the eigenvalues e, and Tr(H D_t rho) = Tr(d(rho H)/dt) - Tr(rho D_t H)."""
+    lv, h, rho = ev.structures, p.hamiltonians, ev.states
+    x = np.einsum("nia,nij,nja->na", lv.basis.conj(), rho, lv.basis).real
+    e = np.repeat(lv.energies, lv.mults).reshape(p.n_nodes, p.dim)
+    cov = np.sum(x * np.gradient(e, p.dt, axis=0), axis=1)
+    work = traces(rho, np.gradient(h, p.dt, axis=0))
+    heat = traces(np.gradient(rho, p.dt, axis=0), h)
+    return _cumtrap(cov, p.dt), _cumtrap(work + heat - cov, p.dt)
+
+
+def frame_route(p, ev):
+    """w_cov and q_cov over whole stacks from the eigenframe itself: each
+    node's basis matched to the previous frame by maximal overlap
+    (linear_sum_assignment) and rotated so the matched overlap is real
+    positive, A = -Vdot V^dag by central differences, and
+    Tr(rho (Hdot + [A,H])), Tr(H (rhodot + [A,rho]))."""
+    bases, d = ev.structures.basis, p.dim
+    frames = bases.copy()
+    for j in range(1, p.n_nodes):
+        overlap = frames[j - 1].conj().T @ bases[j]
+        rows, cols = linear_sum_assignment(-np.abs(overlap))
+        perm = np.empty(d, dtype=int)
+        perm[rows] = cols
+        ov = overlap[np.arange(d), perm]
+        frames[j] = bases[j][:, perm] * (ov / np.abs(ov)).conj()
+    conn = -np.einsum("nij,nkj->nik", np.gradient(frames, p.dt, axis=0), frames.conj())
+    h, rho = p.hamiltonians, ev.states
+    t = traces(rho, conn @ h - h @ conn)
+    work = traces(rho, np.gradient(h, p.dt, axis=0))
+    heat = traces(np.gradient(rho, p.dt, axis=0), h)
+    return _cumtrap(work + t, p.dt), _cumtrap(heat - t, p.dt)
 
 
 def ramp_protocol(h0, h1, nodes=201, beta=1.0, t_final=1.0):
@@ -234,24 +271,30 @@ def test_coarse_grid_is_not_validated_again(monkeypatch):
         gt.dynamics, "validate_hermitian", lambda *a, **k: calls.append(1) or validate(*a, **k)
     )
     gt.integration_tolerance(p, ev)
-    gt.stream_run(p, rho0, connection=True)
+    gt.stream_run(p, rho0)
     assert calls == []
 
 
 class TestAlignedFrames:
-    def test_alignment_smooths_random_phases(self):
-        rng = np.random.default_rng(6)
-        p = gt.random_protocol(3, 81, rng, beta=1.0)
-        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
-        ev = gt.evolve(p, rho0)
-        bases = [
-            ev.structures[j].basis * np.exp(2j * np.pi * rng.random(3))
-            for j in range(p.n_nodes)
-        ]
-        frames = gt.aligned_frames(bases)
-        steps = np.max(np.abs(np.diff(frames, axis=0)), axis=(1, 2))
-        # scrambled inputs jump O(1); the aligned frame moves O(dt)
-        assert np.max(steps) < 0.1
+    @pytest.mark.parametrize("case", ["landau_zener", "ramp12"])
+    def test_closed_form_matches_aligned_frame_route(self, case, request):
+        """D_t H = V Edot V^dag: the check's level-space sums give, within the
+        run's integration tolerance, what the connection of the aligned
+        eigenframe gives, on the Landau-Zener run and on a non-commuting
+        ramp over four node blocks."""
+        if case == "landau_zener":
+            run = request.getfixturevalue("lz_run")
+            p, ev, tol = run.p, run.ev, run.tol
+        else:
+            p = _ramp12(3 * BLOCK12 + 5, seed=31)
+            rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+            ev = gt.evolve(p, rho0)
+            tol = gt.integration_tolerance(p, ev)
+        cc = gt.connection_cross_check(p, ev)
+        assert cc.performed
+        w_ref, q_ref = frame_route(p, ev)
+        assert np.max(np.abs(cc.w_cov - w_ref)) < tol
+        assert np.max(np.abs(cc.q_cov - q_ref)) < tol
 
     def test_connection_invariant_under_eigenvector_gauge(self):
         rng = np.random.default_rng(7)
@@ -274,15 +317,7 @@ class TestAlignedFrames:
         assert cc.performed
         assert np.max(cc.w_deviation) < 10 * lz_run.tol
         assert np.max(cc.q_deviation) < 10 * lz_run.tol
-        # reference: Tr(rho (Hdot + [A,H])) and Tr(H (rhodot + [A,rho])) from
-        # central-difference stacks of H and rho
-        frames = gt.aligned_frames([ds.basis for ds in ev.structures])
-        conn = -np.einsum("nij,nkj->nik", np.gradient(frames, p.dt, axis=0), frames.conj())
-        h, rho = p.hamiltonians, ev.states
-        h_cov = np.gradient(h, p.dt, axis=0) + conn @ h - h @ conn
-        rho_cov = np.gradient(rho, p.dt, axis=0) + conn @ rho - rho @ conn
-        w_ref = _cumtrap(traces(rho, h_cov), p.dt)
-        q_ref = _cumtrap(traces(rho_cov, h), p.dt)
+        w_ref, q_ref = closed_form_route(p, ev)
         assert np.max(np.abs(cc.w_cov - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
         assert np.max(np.abs(cc.q_cov - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
 
@@ -457,7 +492,7 @@ def test_eigendecomposition_budget(monkeypatch):
     # the streamed run decomposes each node once, inside its pass: one eigh
     # per node, per fine midpoint and per coarse midpoint
     counts["eigh"] = 0
-    gt.stream_run(p, rho0, connection=True)
+    gt.stream_run(p, rho0)
     assert counts["eigh"] <= 2.5 * p.n_nodes
 
 
@@ -624,8 +659,8 @@ class TestPassNamesGlobalIndices:
 
 
 class TestStreamRunRaisesInNodeOrder:
-    """stream_run decomposes its last node block before the pass and keeps a
-    fault there for the pass to raise when it reaches that block."""
+    """stream_run raises a fault in its last node block as the stored route
+    does, and a fault in an earlier block first."""
 
     n = 3 * BLOCK12 + 5
     last = node_blocks(n, 12)[-1]
@@ -645,7 +680,7 @@ class TestStreamRunRaisesInNodeOrder:
             gt.evolve(p, rho0, **self.tols)
         assert "chains eigenvalues" in str(stored.value)
         with pytest.raises(ValidationError) as streamed:
-            gt.stream_run(p, rho0, connection=True, **self.tols)
+            gt.stream_run(p, rho0, **self.tols)
         assert str(streamed.value) == str(stored.value)
 
     def test_an_earlier_fault_comes_first(self):
@@ -669,7 +704,7 @@ def _assert_stream_run_matches_stored_route(p: gt.Protocol):
     states, twirled states, propagators and levels, and every node's
     degenerate flag."""
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
-    run = gt.stream_run(p, rho0, connection=True)
+    run = gt.stream_run(p, rho0)
     ev = gt.evolve(p, rho0)
     tl = gt.ledger(p, ev)
     for field in dataclasses.fields(tl):
@@ -690,7 +725,6 @@ def _assert_stream_run_matches_stored_route(p: gt.Protocol):
     for field in dataclasses.fields(kept):
         assert np.array_equal(getattr(run.ev.structures, field.name), getattr(kept, field.name)), field.name
     assert np.array_equal(run.degenerate, [ds.degenerate for ds in ev.structures])
-    assert gt.stream_run(p, rho0).connection is None
     return run
 
 
@@ -716,7 +750,7 @@ def test_stream_run_matches_stored_route(protocol):
 
 def test_stream_run_at_one_node_per_block(monkeypatch):
     """With one node per block, as for d > 128, every block edge is a node:
-    the connection reads the next block's frame at each, and every odd block
+    the connection check's halo is the previous node at each, and every odd block
     has no coarse node. An odd node count ends the fine and the coarse grid
     on a shared node."""
     monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * 12 * 12)
@@ -757,7 +791,7 @@ def test_stream_run_names_the_first_degenerate_node(one_node_blocks, monkeypatch
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
     ev = gt.evolve(p, rho0)
     assert [j for j, ds in enumerate(ev.structures) if ds.degenerate] == [10]
-    run = gt.stream_run(p, rho0, connection=True)
+    run = gt.stream_run(p, rho0)
     assert not run.connection.performed
     assert run.connection.reason == gt.connection_cross_check(p, ev).reason
     assert "node 10;" in run.connection.reason
@@ -766,10 +800,9 @@ def test_stream_run_names_the_first_degenerate_node(one_node_blocks, monkeypatch
 
 @pytest.mark.parametrize("one_node_blocks", [False, True])
 def test_connection_check_across_node_blocks(one_node_blocks, monkeypatch):
-    """The connection check aligns its frames and takes their central
-    differences a node block at a time; across four blocks, or with one node
-    per block (as for d > 128), it agrees with the whole-stack formula:
-    frames aligned over every node, A = -Vdot V^dag."""
+    """The connection check takes its central differences a node block at a
+    time; across four blocks, or with one node per block (as for d > 128), it
+    agrees with the whole-stack closed form sum x . np.gradient(e)."""
     p = _ramp12(9 if one_node_blocks else 3 * BLOCK12 + 5, seed=31)
     if one_node_blocks:
         monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * 12 * 12)
@@ -778,16 +811,11 @@ def test_connection_check_across_node_blocks(one_node_blocks, monkeypatch):
     ev = gt.evolve(p, rho0)
     cc = gt.connection_cross_check(p, ev)
     assert cc.performed
-    frames = gt.aligned_frames([ds.basis for ds in ev.structures])
-    conn = -np.einsum("nij,nkj->nik", np.gradient(frames, p.dt, axis=0), frames.conj())
-    h = p.hamiltonians
-    t = traces(ev.states, conn @ h - h @ conn)
-    work = traces(ev.states, np.gradient(h, p.dt, axis=0))
-    heat = traces(np.gradient(ev.states, p.dt, axis=0), h)
+    w_ref, q_ref = closed_form_route(p, ev)
     scale = max(1.0, float(np.max(np.abs(cc.w_cov))), float(np.max(np.abs(cc.q_cov))))
-    assert np.allclose(cc.w_cov, _cumtrap(work + t, p.dt), rtol=0.0, atol=1e-12 * scale)
-    assert np.allclose(cc.q_cov, _cumtrap(heat - t, p.dt), rtol=0.0, atol=1e-12 * scale)
-    run = gt.stream_run(p, rho0, connection=True)
+    assert np.allclose(cc.w_cov, w_ref, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(cc.q_cov, q_ref, rtol=0.0, atol=1e-12 * scale)
+    run = gt.stream_run(p, rho0)
     assert np.array_equal(run.connection.w_cov, cc.w_cov)
     assert np.array_equal(run.connection.q_cov, cc.q_cov)
 
@@ -810,7 +838,7 @@ class TestRealSolverSwitch:
         p = gt.curie_weiss_protocol(n_spins=20, nodes=401)
         rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
         calls = eigh_inputs(monkeypatch)
-        run = gt.stream_run(p, rho0, connection=True)
+        run = gt.stream_run(p, rho0)
         assert calls and {dtype for dtype, _ in calls} == {np.dtype(np.float64)}
         assert run.ev.structures.basis.dtype == np.complex128
 
@@ -818,7 +846,7 @@ class TestRealSolverSwitch:
         p = gt.random_protocol(5, 301, np.random.default_rng(3), beta=1.0)
         rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
         calls = eigh_inputs(monkeypatch)
-        gt.stream_run(p, rho0, connection=True)
+        gt.stream_run(p, rho0)
         assert calls and {dtype for dtype, _ in calls} == {np.dtype(np.complex128)}
 
     def test_one_complex_node_makes_only_its_block_complex(self, monkeypatch):
@@ -860,10 +888,10 @@ class TestRealSolverSwitch:
             if j + 1 < p.n_nodes:
                 u = scipy.linalg.expm(-1j * p.dt * (h[j] + h[j + 1]) / 2.0) @ u
 
-        real = gt.stream_run(p, rho0, connection=True)
+        real = gt.stream_run(p, rho0)
         monkeypatch.setattr(gt.dynamics, "_eigh", np.linalg.eigh)  # the complex solver only
         calls.clear()
-        cplx = gt.stream_run(p, rho0, connection=True)
+        cplx = gt.stream_run(p, rho0)
         assert {dtype for dtype, _ in calls} == {np.dtype(np.complex128)}
         assert real.connection.performed and cplx.connection.performed
         for run in (real, cplx):

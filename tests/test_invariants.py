@@ -21,6 +21,7 @@ from gaugetherm.linalg import (
     ValidationError,
     eigh,
     gibbs_state,
+    log_partition,
     relative_entropy,
     shannon_entropy,
 )
@@ -114,6 +115,19 @@ def test_non_positive_beta_rejected(beta):
         thermal_level_distribution(ds, beta)
     with pytest.raises(ValueError, match="beta must be positive"):
         noneq_free_energy(np.eye(2, dtype=complex) / 2, h, ds, beta)
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan])
+def test_non_finite_beta_rejected(beta):
+    """At beta = inf the free energy would be Tr(rho H) and ln Z NaN; both
+    refuse it, as gibbs_state does."""
+    h = np.diag([0.0, 1.0]).astype(complex)
+    ds = structure_of(h)
+    message = f"beta must be positive and finite, got {beta}"
+    with pytest.raises(ValueError, match=message):
+        noneq_free_energy(np.eye(2, dtype=complex) / 2, h, ds, beta)
+    with pytest.raises(ValueError, match=message):
+        log_partition(ds.energies, ds.mults, beta)
 
 
 def test_level_distribution_passes_within_bounds():

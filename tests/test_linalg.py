@@ -68,6 +68,21 @@ def test_log_partition_matches_direct_sum():
     assert log_partition(e, n, beta) == pytest.approx(direct, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "bad", [np.array([[math.nan, 0.0], [0.0, 1.0]]), np.diag([0.9, 0.9])], ids=["nan", "trace_1.8"]
+)
+def test_matrix_routes_validate_their_operands(bad):
+    """The general matrix routes refuse a non-finite or non-unit-trace operand
+    in either slot, where they would clip its spectrum into a number."""
+    good = np.eye(2, dtype=complex) / 2
+    calls = [lambda: von_neumann_entropy(bad)]
+    for fn in (relative_entropy, fidelity, bures_angle):
+        calls += [lambda fn=fn: fn(bad, good), lambda fn=fn: fn(good, bad)]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+
+
 def test_von_neumann_hand_value():
     s = von_neumann_entropy(np.diag([2 / 3, 1 / 3]).astype(complex))
     assert s == pytest.approx(math.log(3) - (2 / 3) * math.log(2), abs=1e-12)
