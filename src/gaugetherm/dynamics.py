@@ -5,7 +5,17 @@ A protocol is a uniform time grid with a Hamiltonian at every node. Evolution
 uses the midpoint propagator exp(-i H((t_j+t_{j+1})/2) dt) per step; all
 work and heat functionals are trapezoid quadratures of trace integrands with
 grid derivatives taken by central differences. Both pieces are second order,
-so the declared integration tolerance scales as C dt^2.
+so the declared integration tolerance scales as C dt^2. It compares the run
+with one on the grid coarsened by two, whose step from fine node 2k to
+2k + 2 is taken at the middle fine node, exp(-2i dt H_{2k+1}), from that
+node's eigendecomposition. For the four models H is affine in t, so H_{2k+1}
+is the average of the end Hamiltonians to round-off; for a protocol that is
+not affine, it is a different second-order midpoint rule.
+
+The spectral work of a protocol whose Hamiltonians are all exactly real is
+real: the real-symmetric solver, real eigenvectors in every levels record
+(gauge.NodeLevels), and real products in the level space, the twirl and the
+step propagators.
 """
 from __future__ import annotations
 
@@ -117,24 +127,28 @@ def evolve(
     The spectral work is one eigendecomposition per node Hamiltonian, made
     as one stacked call per node block and clustered into the block's levels
     (_decompose), and one per midpoint Hamiltonian, which gives every step
-    propagator; a block whose Hamiltonians are exactly real takes the
-    real-symmetric solver (linalg._eigh), which may pick another basis
-    inside a degenerate level. Each block is decomposed and then propagated
+    propagator (_steps). A protocol whose Hamiltonians are all exactly real
+    takes the real-symmetric solver and keeps real bases, half the bytes of
+    complex ones; in any other, a block whose Hamiltonians are exactly real
+    still takes that solver, its eigenvectors cast to complex (linalg._eigh).
+    The real solver may pick another basis inside a degenerate level than
+    the complex one. Each block is decomposed and then propagated
     (_Propagator.block), and written into the stacks returned, the node
     bases of the levels record among them. Those stacks are for library
     callers that read every node; stream_run folds the same blocks into the
     ledger, the tolerance and the connection check without storing them.
     """
     rho0 = _initial_state(p, rho0)
-    h = p.hamiltonians
-    run = _Propagator(h, p.dt, rho0)
+    h, c = _spectral_hamiltonians(p), -1j * p.dt
+    run = _Propagator(rho0)
     levels = []
-    props, states, twirled, basis = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(4))
+    props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
+    basis = np.empty((p.n_nodes, p.dim, p.dim), h.dtype)
     for s in node_blocks(p.n_nodes, p.dim):
         lv = _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
         basis[s] = lv.basis
         levels.append(replace(lv, basis=basis[s]))  # so the block's eigenvectors go
-        props[s], states[s], twirled[s] = run.block(s, levels[-1])[:3]
+        props[s], states[s], twirled[s] = run.block(s, levels[-1], _steps(h, s, c))[:3]
     return EvolutionResult(states, twirled, props, join_levels(levels, basis))
 
 
@@ -146,10 +160,19 @@ def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
     return rho0
 
 
+def _spectral_hamiltonians(p: Protocol) -> np.ndarray:
+    """p's Hamiltonians as the spectral work of a pass reads them: their real
+    parts, a view, when every entry is exactly real, so that every levels
+    record and step of the pass is real; else the complex stack."""
+    h = p.hamiltonians
+    return h if h.imag.any() else h.real
+
+
 def _decompose(h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float) -> NodeLevels:
     """The clustered levels of a node block (k, d, d) of Hamiltonians, from one
-    stacked eigendecomposition, whose eigenvectors are the record's basis; a
-    block whose Hamiltonians are exactly real takes the real-symmetric solver
+    stacked eigendecomposition, whose eigenvalues and eigenvectors the record
+    keeps: real for a real block; a complex block whose Hamiltonians are
+    exactly real takes the real-symmetric solver and casts its eigenvectors
     (linalg._eigh)."""
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
     w, V = _eigh(h)
@@ -157,27 +180,26 @@ def _decompose(h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: fl
 
 
 class _Propagator:
-    """evolve's propagation for the node Hamiltonians h, the step dt and a
-    validated rho0, a node block at a time: block(s, lv) takes the node block
-    s (linalg.node_blocks, or any run of consecutive nodes, in node order)
-    and the levels record of its nodes, and gives the propagators,
-    states and twirled states of its nodes, and the level-basis diagonal and
-    level populations of its states (gauge.level_space). It carries the
-    running propagator from block to block. Midpoints, states and level
-    populations are checked a block at a time, and an error names its step
-    or node by its index in h.
+    """evolve's propagation from a validated rho0, a node block at a time:
+    block(s, lv, steps) takes the node block s (linalg.node_blocks, or any run
+    of consecutive nodes, in node order), the levels record of its nodes and
+    the step propagators into them, steps max(s.start - 1, 0) .. s.stop - 2
+    (_steps), and gives the propagators, states and twirled states of its
+    nodes, and the level-basis diagonal and level populations of its states
+    (gauge.level_space). It carries the running propagator from block to
+    block. States and level populations are checked a block at a time, and
+    an error names its node by its index in the grid.
     """
 
-    def __init__(self, h: np.ndarray, dt: float, rho0: np.ndarray):
-        self.h, self.c, self.rho0 = h, -1j * dt, rho0
-        self.u = np.eye(h.shape[1], dtype=complex)  # the propagator into the last node given
+    def __init__(self, rho0: np.ndarray):
+        self.rho0 = rho0
+        self.u = np.eye(rho0.shape[0], dtype=complex)  # the propagator into the last node given
 
-    def block(self, s: slice, lv: NodeLevels) -> tuple[np.ndarray, ...]:
+    def block(self, s: slice, lv: NodeLevels, steps: np.ndarray) -> tuple[np.ndarray, ...]:
         a, b = s.start, s.stop
         lo = max(a - 1, 0)  # steps lo .. b - 2 lead into the block's nodes
         props = np.empty((b - a,) + self.u.shape, dtype=complex)
         props[0] = self.u  # U_0 = 1; in a later block, step a - 1 overwrites it
-        steps = _steps(self.h, lo, b - 1, self.c)
         for j in range(lo, b - 1):  # node j to node j + 1
             self.u = np.matmul(steps[j - lo], self.u, out=props[j + 1 - a])
         states = np.matmul(props @ self.rho0, _dag(props))
@@ -189,14 +211,26 @@ class _Propagator:
         return props, states, level_twirl(pops, lv.basis, lv.mults), diag, pops
 
 
-def _steps(h: np.ndarray, lo: int, hi: int, c: complex) -> np.ndarray:
-    """exp(c H_mid) for the steps lo .. hi - 1, one eigendecomposition per
-    midpoint; midpoints that are exactly real take the real-symmetric solver
-    (linalg._eigh)."""
+def _steps(h: np.ndarray, s: slice, c: complex) -> np.ndarray:
+    """exp(c H_mid) for the steps into the nodes of the block s, steps
+    max(s.start - 1, 0) .. s.stop - 2, one eigendecomposition per midpoint
+    (linalg._eigh), each midpoint checked and named by its step."""
+    lo, hi = max(s.start - 1, 0), s.stop - 1
     mid = (h[lo:hi] + h[lo + 1 : hi + 1]) / 2.0
     check_hermitian(mid, "operator", lo)
-    w, V = _eigh(mid)
-    return (V * np.exp(c * w)[..., None, :]) @ _dag(V)
+    return _exponentials(*_eigh(mid), c)
+
+
+def _exponentials(w: np.ndarray, V: np.ndarray, c: complex) -> np.ndarray:
+    """exp(c H) = V e^{c w} V^dag of each Hamiltonian from its eigenvalues w
+    (k, d) and eigenvectors V (k, d, d); a real V takes two real products,
+    one for each part of e^{c w}."""
+    z = np.exp(c * w)[..., None, :]
+    if np.iscomplexobj(V):
+        return (V * z) @ _dag(V)
+    out = np.empty(V.shape, dtype=complex)
+    out.real, out.imag = (V * z.real) @ _dag(V), (V * z.imag) @ _dag(V)
+    return out
 
 
 def _flat_traces(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
@@ -377,13 +411,18 @@ def integration_tolerance(
     the same data, no interpolation) and bounds the error by the worst
     cumulative-series difference at shared nodes. The coarse nodes are the
     fine nodes 0, 2, 4, ... with the same clustering tolerances, so they
-    reuse the levels of ev and views of the fine Hamiltonians; the coarse
-    run (_CoarseRun) takes the even nodes of each fine node block and folds
-    them into its neighbour traces, so its only new work is the coarse
-    midpoint propagators and it stores no coarse stack. The fine series is
-    read from tl, this run's ledger, when given. The 1.5 safety factor covers
-    terms that converge only first order, e.g. a degeneracy jump sitting on a
-    single grid node.
+    reuse the levels of ev and views of the fine Hamiltonians. Coarse step k,
+    from fine node 2k to 2k + 2, is exp(-2i dt H_{2k+1}), taken at the middle
+    fine node from the eigenvalues and basis that ev's levels record already
+    holds, so the coarse run (_CoarseRun) makes no eigendecomposition and
+    stores no coarse stack: it folds the even nodes of each fine node block
+    into its neighbour traces. For the four models H is affine in t, so
+    H_{2k+1} is the average of the end Hamiltonians H_2k and H_2k+2 to
+    round-off, which a midpoint step of the coarse grid would take; for a
+    protocol that is not affine it is a different second-order midpoint rule.
+    The fine series is read from tl, this run's ledger, when given. The 1.5
+    safety factor covers terms that converge only first order, e.g. a
+    degeneracy jump sitting on a single grid node.
     """
     coarse = _CoarseRun(p, ev.states[0])
     fine = work_heat_series(p, ev) if tl is None else tl
@@ -398,19 +437,33 @@ class _CoarseRun:
     add(s, lv) takes a fine node block s, in node order, with the levels
     record of its nodes, and propagates the block's even nodes, the
     coarse nodes (s.start + 1) // 2 .. (s.stop + 1) // 2 - 1, into the coarse
-    neighbour traces; a one-node block of an odd node has none. A grid of
-    fewer than 5 nodes is refused when the run is made."""
+    neighbour traces; a one-node block of an odd node has none. Coarse step
+    k is taken at the middle fine node, exp(-2i dt H_{2k+1}), from the
+    eigenvalues and basis of fine node 2k + 1 in lv, real or complex as the
+    pass keeps them; for an affine H it is the coarse midpoint step to
+    round-off (integration_tolerance). The step into a block's first even
+    node may need the previous block's last node, which the run holds as a
+    one-node halo. A grid of fewer than 5 nodes is refused when the run is
+    made."""
 
     def __init__(self, p: Protocol, rho0: np.ndarray):
         if p.n_nodes < 5:
             raise ValueError("tolerance estimation needs at least 5 grid nodes")
-        h, self.dt = p.hamiltonians[::2], float(p.times[2] - p.times[0])
-        self.run, self.fold = _Propagator(h, self.dt, rho0), _PowerIntegrands(h)
+        self.dt = float(p.times[2] - p.times[0])
+        self.run, self.fold = _Propagator(rho0), _PowerIntegrands(p.hamiltonians[::2])
+        self.halo = None  # eigenvalues and basis of the last fine node given, if it is odd
 
     def add(self, s: slice, lv: NodeLevels) -> None:
+        odd = (s.start + 1) % 2  # the block's first odd node, counted from s.start
+        w, V = lv.eigenvalues[odd::2], lv.basis[odd::2]
+        if self.halo is not None:
+            w, V = np.concatenate([self.halo[0], w]), np.concatenate([self.halo[1], V])
+        self.halo = (w[-1:].copy(), V[-1:].copy()) if s.stop % 2 == 0 else None
         cs = slice((s.start + 1) // 2, (s.stop + 1) // 2)
         if cs.start < cs.stop:
-            _, states, twirled, *_ = self.run.block(cs, lv[s.start % 2 :: 2])
+            m = cs.stop - max(cs.start, 1)  # the steps into the block's coarse nodes
+            steps = _exponentials(w[:m], V[:m], -1j * self.dt)
+            _, states, twirled, *_ = self.run.block(cs, lv[s.start % 2 :: 2], steps)
             self.fold.add(cs, states, twirled)
 
     def tolerance(self, fine) -> float:
@@ -539,26 +592,30 @@ def stream_run(
     run (_Propagator), folded into the neighbour traces of the work/heat
     series and into the ledger's entropy rows (_entropy_columns); the
     tolerance's run on the grid coarsened by two (_CoarseRun), whose nodes
-    are the block's even nodes; and the connection check (_LevelWork), which
-    takes D_t H = V Edot V^dag from the block's level-basis diagonal and
-    eigenvalues and holds one node of halo. The check is skipped when any
-    node is degenerate. So beyond the Hamiltonians a run holds a few node
-    blocks and the ledger rows, connection sums and degenerate flags of
-    every node, not the stacks of evolve or the levels of every node. The
-    nodes kept are 0, n // 2 and n - 1. Faults are raised a block at a time
-    in node order, and a protocol of fewer than 5 nodes is refused before
-    the pass.
+    are the block's even nodes and whose steps are taken at its odd nodes,
+    from their eigenvalues and basis (integration_tolerance); and the
+    connection check (_LevelWork), which takes D_t H = V Edot V^dag from the
+    block's level-basis diagonal and eigenvalues and holds one node of halo.
+    So the pass decomposes 2n - 1 matrices, the n nodes and the n - 1 fine
+    midpoints, and the check is skipped when any node is degenerate. Beyond
+    the Hamiltonians a run holds a few node blocks and the ledger rows,
+    connection sums and degenerate flags of every node, not the stacks of
+    evolve or the levels of every node. The nodes kept are 0, n // 2 and
+    n - 1; their bases are real when the protocol's Hamiltonians are, as in
+    the pass. Faults are raised a block at a time in node order, and a
+    protocol of fewer than 5 nodes is refused before the pass.
     """
     rho0 = _initial_state(p, rho0)
-    n, d, h, dt = p.n_nodes, p.dim, p.hamiltonians, p.dt
+    n, d, dt = p.n_nodes, p.dim, p.dt
+    h = _spectral_hamiltonians(p)
     coarse = _CoarseRun(p, rho0)
     nodes, kept = sorted({0, n // 2, n - 1}), []
     degenerate, rows = np.empty(n, dtype=bool), np.empty((6, n))
-    run, fine, work = _Propagator(h, dt, rho0), _PowerIntegrands(h), _LevelWork(n)
+    run, fine, work = _Propagator(rho0), _PowerIntegrands(p.hamiltonians), _LevelWork(n)
     for s in node_blocks(n, d):
         lv = _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
         degenerate[s] = lv.degenerate
-        props, states, twirled, diag, pops = run.block(s, lv)
+        props, states, twirled, diag, pops = run.block(s, lv, _steps(h, s, -1j * dt))
         rows[:, s] = _entropy_columns(lv, diag, pops, p.beta)
         fine.add(s, states, twirled)
         work.add(s, diag, lv.spectra)

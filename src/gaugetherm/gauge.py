@@ -8,13 +8,14 @@ and spreads each uniformly across its eigenspace.
 
 One spectrum clusters into a DegeneracyStructure (cluster_spectrum), a stack
 of node spectra into one NodeLevels record (cluster_spectra): the levels of
-every node laid end to end and the eigenvector stack, from which a node's
-DegeneracyStructure is a view.
+every node laid end to end, the raw eigenvalues and the eigenvector stack,
+from which a node's DegeneracyStructure is a view.
 
 The level-space kernel, level_space and level_twirl, gives the level-basis
 diagonal, the level populations p^k = Tr(Pi_k rho) and the twirled states of
 a stack of states from the node bases and level multiplicities; twirl,
-level_distribution and entropy_report run it on one.
+level_distribution and entropy_report run it on one. A real basis (the
+eigenvectors of real Hamiltonians) takes real products throughout.
 """
 from __future__ import annotations
 
@@ -110,16 +111,23 @@ class NodeLevels:
     """The clustered levels of a run of nodes, as one record.
 
     energies and mults hold the levels of every node laid end to end, node j's
-    being bounds[j]:bounds[j + 1], and basis (n, d, d) the eigenvector stack
-    whose node j columns hold them in order. An int (negative too) gives node
-    j's DegeneracyStructure, a view of these arrays built for that node alone,
-    and iteration gives every node's from one cached tuple; a slice or an
-    index list gives the record of those nodes as a contiguous copy.
+    being bounds[j]:bounds[j + 1]; eigenvalues (n, d) holds every node's raw
+    ascending eigenvalues, as the solver gave them, and basis (n, d, d) the
+    eigenvector stack whose node j columns hold the levels in order. So the
+    record gives exp(c H_j) without a new decomposition: the coarse run of
+    dynamics.integration_tolerance takes its step from fine node 2k to
+    2k + 2 at the middle node 2k + 1 from it. The basis is real when the
+    Hamiltonians are, and then stays real through the pass, and complex
+    otherwise. An int (negative too) gives node j's DegeneracyStructure, a
+    view of these arrays built for that node alone, and iteration gives every
+    node's from one cached tuple; a slice or an index list gives the record
+    of those nodes as a contiguous copy.
     """
 
     energies: np.ndarray
     mults: np.ndarray
     bounds: np.ndarray
+    eigenvalues: np.ndarray
     basis: np.ndarray
 
     def __len__(self) -> int:
@@ -143,7 +151,9 @@ class NodeLevels:
         a, counts = self.bounds[nodes], np.diff(self.bounds)[nodes]
         bounds = np.append(0, np.cumsum(counts))
         levels = np.repeat(a - bounds[:-1], counts) + np.arange(bounds[-1])
-        return NodeLevels(self.energies[levels], self.mults[levels], bounds, self.basis[nodes])
+        return NodeLevels(
+            self.energies[levels], self.mults[levels], bounds, self.eigenvalues[nodes], self.basis[nodes]
+        )
 
     @property
     def spectra(self) -> np.ndarray:
@@ -162,7 +172,8 @@ def join_levels(records: list[NodeLevels], basis: np.ndarray) -> NodeLevels:
     counts = np.concatenate([np.diff(lv.bounds) for lv in records])
     energies = np.concatenate([lv.energies for lv in records])
     mults = np.concatenate([lv.mults for lv in records])
-    return NodeLevels(energies, mults, np.append(0, np.cumsum(counts)), basis)
+    eigenvalues = np.concatenate([lv.eigenvalues for lv in records])
+    return NodeLevels(energies, mults, np.append(0, np.cumsum(counts)), eigenvalues, basis)
 
 
 def cluster_spectra(
@@ -175,7 +186,8 @@ def cluster_spectra(
 
     w (n, d) holds ascending spectra and V (n, d, d) their eigenvectors, as
     np.linalg.eigh returns them for a stack; tol_abs is one tolerance or one
-    per spectrum. The record keeps V as its basis.
+    per spectrum. The record keeps w as its eigenvalues and V, real or
+    complex, as its basis; a real V's Gram check is a real product.
     """
     w = np.asarray(w, dtype=float)
     n, d = w.shape
@@ -205,7 +217,7 @@ def cluster_spectra(
     level_starts = np.flatnonzero(first)
     mults = np.diff(np.append(level_starts, n * d))
     energies = np.add.reduceat(w.ravel(), level_starts) / mults
-    return NodeLevels(energies, mults, np.append(0, np.cumsum(n_levels)), V)
+    return NodeLevels(energies, mults, np.append(0, np.cumsum(n_levels)), w, V)
 
 
 def level_space(
@@ -219,7 +231,8 @@ def level_space(
     the one product rho B as Re sum_i conj(B_ia) (rho B)_ia a node block at a
     time, and the level populations Tr(Pi_k rho_j) of all nodes laid end to
     end, of multiplicities mults, node j's first at node_starts[j] (a
-    NodeLevels' mults and bounds[:-1]).
+    NodeLevels' mults and bounds[:-1]). A real basis drops Im(rho), whose
+    diagonal in it is 0: the diagonal is that of B^T Re(rho) B, a real product.
 
     A single state is the n = 1 case (basis[None], node_starts [0]), so a
     one-state call costs a few numpy calls (twirl, level_distribution and
@@ -235,9 +248,13 @@ def level_space(
     if states.shape[1:] != (dim, dim):
         raise ValidationError(f"state dimension {d} does not match structure dimension {dim}")
     diag = np.empty((n, d))
+    real = basis.dtype.kind == "f"  # np.isrealobj, without its call on every one-state call
     for s in node_blocks(n, d):
         b = basis[s]
-        diag[s] = (b.conj() * (states[s] @ b)).real.sum(axis=-2)
+        if real:
+            diag[s] = (b * (states[s].real @ b)).sum(axis=-2)
+        else:
+            diag[s] = (b.conj() * (states[s] @ b)).real.sum(axis=-2)
     pops = np.add.reduceat(diag.ravel(), np.cumsum(mults) - mults)
     total = np.add.reduceat(np.maximum(pops, 0.0), node_starts)
     miss = abs(total - 1.0)
@@ -248,8 +265,9 @@ def level_space(
 
 
 def level_twirl(pops: np.ndarray, basis: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """The twirled states B_j diag(p/n) B_j^dag (n, d, d) from level_space's
-    populations, for the node bases B_j (n, d, d) and level multiplicities."""
+    """The twirled states B_j diag(p/n) B_j^dag (n, d, d), complex, from
+    level_space's populations, for the node bases B_j (n, d, d) and level
+    multiplicities; a real basis takes a real product."""
     n, d = basis.shape[:2]
     cols = np.repeat(pops / mults, mults).reshape(n, 1, d)
     out = np.empty((n, d, d), dtype=complex)

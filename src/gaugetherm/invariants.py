@@ -15,15 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import LEVEL_NORM_TOL, DegeneracyStructure, level_space
+from .gauge import (
+    CLUSTER_TOL_REL,
+    LEVEL_NORM_TOL,
+    DegeneracyStructure,
+    default_cluster_tol_abs,
+    level_space,
+)
 from .linalg import (
     PROB_FLOOR,
     ValidationError,
     _check_beta,
+    _dag,
     _divergence,
     log_partition,
     shannon_entropy,
     validate_density,
+    validate_hermitian,
     von_neumann_entropy,
 )
 
@@ -134,8 +142,21 @@ def noneq_free_energy(
     """Invariant free energy F_inv = Tr(rho H) - s_gt / beta.
 
     Exceeds the equilibrium value by S(rho^E || sigma)/beta, so it is minimal
-    exactly at thermal equilibrium.
+    exactly at thermal equilibrium. H is validated, and ds must be its level
+    structure: B^dag H B must be diagonal, with the level energies, within
+    the default clustering tolerance of H (gauge.cluster_spectra).
     """
     _check_beta(beta)
-    u = float(np.real(np.trace(rho @ H)))
-    return u - s_gauge(level_distribution(rho, ds)) / beta
+    H = validate_hermitian(H, "H")
+    if H.shape != (ds.dim, ds.dim):
+        raise ValidationError(f"H dimension {H.shape[-1]} does not match structure dimension {ds.dim}")
+    e = np.repeat(ds.energies, ds.mults)
+    dev = float(np.max(np.abs(_dag(ds.basis) @ H @ ds.basis - np.diag(e))))
+    tol = default_cluster_tol_abs(H) + CLUSTER_TOL_REL * float(np.max(np.abs(e)))
+    if not dev <= tol:
+        raise ValidationError(
+            f"H is not diagonal with the structure's level energies in its basis: "
+            f"off by {dev:.3e}, above the clustering tolerance {tol:.3e}"
+        )
+    s_gt = s_gauge(level_distribution(rho, ds))  # which validates rho against ds
+    return float(np.real(np.trace(rho @ H))) - s_gt / beta

@@ -164,22 +164,23 @@ def validate_density(
 
 
 def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh's pair of a complex Hermitian matrix or stack (n, d, d),
-    with complex eigenvectors. A stack whose imaginary parts are all exactly
-    zero takes the real-symmetric solver, about twice as fast, and its
-    eigenvectors are cast to complex once; any other takes the complex one.
-    Inside a degenerate level the two solvers may pick different bases."""
-    if H.imag.any():
-        return np.linalg.eigh(H)
-    w, V = np.linalg.eigh(H.real)
-    return w, V.astype(complex)
+    """np.linalg.eigh's pair of a Hermitian matrix or stack (n, d, d), whose
+    eigenvectors have H's dtype. A real H takes the real-symmetric solver, and
+    so does a complex stack whose imaginary parts are all exactly zero, about
+    twice as fast as the complex one, its eigenvectors cast to complex once;
+    any other complex stack takes the complex solver. Inside a degenerate
+    level the two solvers may pick different bases."""
+    if np.iscomplexobj(H) and not H.imag.any():
+        w, V = np.linalg.eigh(H.real)
+        return w, V.astype(complex)
+    return np.linalg.eigh(H)
 
 
 def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh's pair (eigenvalues ascending, eigenvector columns) of a
     validated Hermitian operator, or of every operator of a stack (n, d, d);
     the eigenvectors are complex, and an operator whose entries are exactly
-    real takes the real-symmetric solver (_eigh)."""
+    real takes the real-symmetric solver and casts them (_eigh)."""
     return _eigh(validate_hermitian(H))
 
 

@@ -130,6 +130,37 @@ def test_non_finite_beta_rejected(beta):
         log_partition(ds.energies, ds.mults, beta)
 
 
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        (np.diag([0.0, np.nan]).astype(complex), "H has non-finite entries"),
+        (np.diag([5.0, 7.0]).astype(complex), "H is not diagonal with the structure's level energies"),
+        (np.diag([0.0, 1.0, 2.0]).astype(complex), "H dimension 3 does not match structure dimension 2"),
+    ],
+    ids=["nan_entry", "other_levels", "other_dimension"],
+)
+def test_free_energy_checks_h_against_its_structure(h, message):
+    """F_inv reads Tr(rho H) from H and s_gt from ds, so H must be a valid
+    operator whose levels are those of ds: a NaN entry returned NaN, and
+    H = diag(5, 7) with the levels of diag(0, 1) returned 5.31."""
+    ds = structure_of(np.diag([0.0, 1.0]).astype(complex))
+    with pytest.raises(ValidationError, match=message):
+        noneq_free_energy(np.eye(2, dtype=complex) / 2, h, ds, 1.0)
+
+
+def test_free_energy_accepts_h_in_a_rotated_degenerate_basis():
+    """A structure clustered from H itself passes the check in any basis,
+    with a degenerate level whose eigenvectors the solver picked."""
+    q, _ = np.linalg.qr(np.random.default_rng(23).normal(size=(4, 4)))
+    h = (q @ np.diag([0.0, 0.0, 1.0, 2.5]) @ q.T).astype(complex)
+    h = (h + h.conj().T) / 2
+    ds = structure_of(h)
+    assert tuple(ds.mults) == (2, 1, 1)
+    rho = np.eye(4, dtype=complex) / 4
+    expected = float(np.trace(h).real) / 4 - s_gauge(level_distribution(rho, ds)) / 1.3
+    assert noneq_free_energy(rho, h, ds, 1.3) == pytest.approx(expected, abs=1e-14)
+
+
 def test_level_distribution_passes_within_bounds():
     # a probability of -1e-13 and a sum 1e-9 above 1 are within the bounds
     ld = LevelDistribution(
