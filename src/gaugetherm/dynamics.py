@@ -12,17 +12,17 @@ node's eigendecomposition. For the four models H is affine in t, so H_{2k+1}
 is the average of the end Hamiltonians to round-off; for a protocol that is
 not affine, it is a different second-order midpoint rule.
 
-The spectral work of a protocol whose Hamiltonians are all exactly real is
-real: the real-symmetric solver, real eigenvectors in every levels record
-(gauge.NodeLevels), and real products in the level space, the twirl and the
-step propagators.
+A protocol stores its Hamiltonians as given, float64 if real and complex128
+if complex, and the dtype picks the solver. The spectral work of a real
+protocol is real: the real-symmetric solver, real eigenvectors in every
+levels record (gauge.NodeLevels), and real products in the level space, the
+twirl and the step propagators. States and propagators are complex.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .gauge import (
     CLUSTER_TOL_REL,
@@ -37,8 +37,8 @@ from .linalg import (
     ValidationError,
     _dag,
     _divergence,
-    _eigh,
     _log_gibbs,
+    _stored,
     _transposed,
     check_hermitian,
     gibbs_state,
@@ -55,7 +55,8 @@ THERMAL_START_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Protocol:
-    """Uniform grid t_0 = 0 ... t_N = tau with one Hamiltonian per node."""
+    """Uniform grid t_0 = 0 ... t_N = tau with one Hamiltonian per node, the
+    stack stored float64 if real and complex128 if complex (linalg._stored)."""
 
     times: np.ndarray
     hamiltonians: np.ndarray
@@ -64,7 +65,7 @@ class Protocol:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        hams = np.asarray(self.hamiltonians, dtype=complex)
+        hams = _stored(self.hamiltonians)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "hamiltonians", hams)
         if times.ndim != 1 or times.shape[0] < 2:
@@ -127,19 +128,18 @@ def evolve(
     The spectral work is one eigendecomposition per node Hamiltonian, made
     as one stacked call per node block and clustered into the block's levels
     (_decompose), and one per midpoint Hamiltonian, which gives every step
-    propagator (_steps). A protocol whose Hamiltonians are all exactly real
-    takes the real-symmetric solver and keeps real bases, half the bytes of
-    complex ones; in any other, a block whose Hamiltonians are exactly real
-    still takes that solver, its eigenvectors cast to complex (linalg._eigh).
-    The real solver may pick another basis inside a degenerate level than
-    the complex one. Each block is decomposed and then propagated
-    (_Propagator.block), and written into the stacks returned, the node
+    propagator (_steps). The dtype of the protocol's stack picks the solver:
+    a real protocol takes the real-symmetric one and keeps real bases, half
+    the bytes of complex ones, and a complex protocol takes the complex one
+    in every block. The real solver may pick another basis inside a
+    degenerate level than the complex one. Each block is decomposed and
+    then propagated (_Propagator.block), and written into the stacks returned, the node
     bases of the levels record among them. Those stacks are for library
     callers that read every node; stream_run folds the same blocks into the
     ledger, the tolerance and the connection check without storing them.
     """
     rho0 = _initial_state(p, rho0)
-    h, c = _spectral_hamiltonians(p), -1j * p.dt
+    h, c = p.hamiltonians, -1j * p.dt
     run = _Propagator(rho0)
     levels = []
     props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
@@ -153,29 +153,21 @@ def evolve(
 
 
 def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
-    """rho0, validated as a state of the protocol's dimension."""
-    rho0 = validate_density(rho0)
+    """rho0, validated as a state of the protocol's dimension, as complex: the
+    evolved states are, and so every route reads one state of one dtype (a
+    real rho0's entropy from the real solver could differ in the last bit)."""
+    rho0 = validate_density(rho0).astype(complex, copy=False)
     if rho0.shape[0] != p.dim:
         raise ValidationError("initial state dimension does not match the protocol")
     return rho0
 
 
-def _spectral_hamiltonians(p: Protocol) -> np.ndarray:
-    """p's Hamiltonians as the spectral work of a pass reads them: their real
-    parts, a view, when every entry is exactly real, so that every levels
-    record and step of the pass is real; else the complex stack."""
-    h = p.hamiltonians
-    return h if h.imag.any() else h.real
-
-
 def _decompose(h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float) -> NodeLevels:
     """The clustered levels of a node block (k, d, d) of Hamiltonians, from one
     stacked eigendecomposition, whose eigenvalues and eigenvectors the record
-    keeps: real for a real block; a complex block whose Hamiltonians are
-    exactly real takes the real-symmetric solver and casts its eigenvectors
-    (linalg._eigh)."""
+    keeps; the dtype picks the solver, so a real block has a real basis."""
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
-    w, V = _eigh(h)
+    w, V = np.linalg.eigh(h)
     return cluster_spectra(w, V, tol_abs, cluster_tol_rel)
 
 
@@ -214,11 +206,12 @@ class _Propagator:
 def _steps(h: np.ndarray, s: slice, c: complex) -> np.ndarray:
     """exp(c H_mid) for the steps into the nodes of the block s, steps
     max(s.start - 1, 0) .. s.stop - 2, one eigendecomposition per midpoint
-    (linalg._eigh), each midpoint checked and named by its step."""
+    (the dtype of h picks the solver), each midpoint checked and named by
+    its step."""
     lo, hi = max(s.start - 1, 0), s.stop - 1
     mid = (h[lo:hi] + h[lo + 1 : hi + 1]) / 2.0
     check_hermitian(mid, "operator", lo)
-    return _exponentials(*_eigh(mid), c)
+    return _exponentials(*np.linalg.eigh(mid), c)
 
 
 def _exponentials(w: np.ndarray, V: np.ndarray, c: complex) -> np.ndarray:
@@ -240,7 +233,12 @@ def _flat_traces(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
 
 
 def _cumtrap(y: np.ndarray, dt: float) -> np.ndarray:
-    return cumulative_trapezoid(y, dx=dt, initial=0.0)
+    """The cumulative trapezoid integral of y on a grid of step dt, from 0 at
+    the first node, with the operations of scipy's cumulative_trapezoid."""
+    out = np.empty(len(y))
+    out[0] = 0.0
+    np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -601,13 +599,13 @@ def stream_run(
     the Hamiltonians a run holds a few node blocks and the ledger rows,
     connection sums and degenerate flags of every node, not the stacks of
     evolve or the levels of every node. The nodes kept are 0, n // 2 and
-    n - 1; their bases are real when the protocol's Hamiltonians are, as in
-    the pass. Faults are raised a block at a time in node order, and a
+    n - 1; their bases are real when the protocol's stack is, as in the
+    pass. Faults are raised a block at a time in node order, and a
     protocol of fewer than 5 nodes is refused before the pass.
     """
     rho0 = _initial_state(p, rho0)
     n, d, dt = p.n_nodes, p.dim, p.dt
-    h = _spectral_hamiltonians(p)
+    h = p.hamiltonians
     coarse = _CoarseRun(p, rho0)
     nodes, kept = sorted({0, n // 2, n - 1}), []
     degenerate, rows = np.empty(n, dtype=bool), np.empty((6, n))

@@ -116,12 +116,13 @@ class NodeLevels:
     eigenvector stack whose node j columns hold the levels in order. So the
     record gives exp(c H_j) without a new decomposition: the coarse run of
     dynamics.integration_tolerance takes its step from fine node 2k to
-    2k + 2 at the middle node 2k + 1 from it. The basis is real when the
-    Hamiltonians are, and then stays real through the pass, and complex
-    otherwise. An int (negative too) gives node j's DegeneracyStructure, a
-    view of these arrays built for that node alone, and iteration gives every
-    node's from one cached tuple; a slice or an index list gives the record
-    of those nodes as a contiguous copy.
+    2k + 2 at the middle node 2k + 1 from it. The dtype of the Hamiltonians
+    picks the solver, so the basis is real when their stack is, and then
+    stays real through the pass, and complex otherwise. An int (negative
+    too) gives node j's DegeneracyStructure, a view of these arrays built
+    for that node alone, and iteration gives every node's from one cached
+    tuple; a slice or an index list gives the record of those nodes as a
+    contiguous copy.
     """
 
     energies: np.ndarray
@@ -186,8 +187,9 @@ def cluster_spectra(
 
     w (n, d) holds ascending spectra and V (n, d, d) their eigenvectors, as
     np.linalg.eigh returns them for a stack; tol_abs is one tolerance or one
-    per spectrum. The record keeps w as its eigenvalues and V, real or
-    complex, as its basis; a real V's Gram check is a real product.
+    per spectrum. The record keeps w as its eigenvalues and V as its basis,
+    real or complex as the solver gave it (the dtype of the Hamiltonians
+    picks the solver); a real V's Gram check is a real product.
     """
     w = np.asarray(w, dtype=float)
     n, d = w.shape
@@ -312,7 +314,7 @@ def twirl_oracle(
         )
     B = ds.basis
     R = _dag(B) @ rho @ B
-    acc = np.zeros_like(R)
+    acc = np.zeros(R.shape, dtype=complex)  # R is real for a real rho and basis
     for s in node_blocks(samples, ds.dim):
         D = _level_elements(ds, s.stop - s.start, rng)
         acc += (D @ R @ _dag(D)).sum(axis=0)

@@ -2,7 +2,9 @@
 Haar unitaries, and the quantum-information distances used by the entropy bounds.
 
 Conventions: hbar = k_B = 1, entropies in nats. All functions are pure and
-operate on plain complex ndarrays.
+operate on plain ndarrays. An operator keeps the dtype it is given, float64 if
+real and complex128 if complex, and the dtype picks the solver: a real
+operator takes the real-symmetric one (np.linalg.eigh).
 """
 from __future__ import annotations
 
@@ -29,7 +31,9 @@ BLOCK_BYTES = 2**18
 
 
 def node_blocks(n: int, d: int) -> list[slice]:
-    """Consecutive slices covering range(n), each BLOCK_BYTES of (d, d) complex matrices."""
+    """Consecutive slices covering range(n), each BLOCK_BYTES of (d, d) complex
+    matrices: 16 bytes an entry, whatever the dtype of the stack, so that a
+    real stack has the blocks of a complex one and the same digits."""
     size = max(1, BLOCK_BYTES // max(1, 16 * d * d))
     if n <= size:
         return [slice(0, n)]
@@ -108,9 +112,9 @@ def _all(ok: np.ndarray) -> bool:
 
 
 def check_hermitian(H: np.ndarray, name: str, first: int = 0) -> None:
-    """validate_hermitian's checks on a complex square matrix or stack whose
-    first matrix is number `first` (so that a block of a longer stack is
-    reported by its index in that stack)."""
+    """validate_hermitian's checks on a real or complex square matrix or
+    stack whose first matrix is number `first` (so that a block of a longer
+    stack is reported by its index in that stack)."""
     ok = _hermitian_ok(H)
     if not _all(ok):  # only a failing input is diagnosed: non-finite entries first
         finite = np.isfinite(max_abs_entry(H))
@@ -119,8 +123,14 @@ def check_hermitian(H: np.ndarray, name: str, first: int = 0) -> None:
         raise ValidationError(f"{_named(name, ~ok, first)} is not Hermitian within tolerance")
 
 
+def _stored(a) -> np.ndarray:
+    """The stored form of an operator: float64 if it is real (int and bool
+    too), complex128 if it is complex, even when every imaginary part is 0."""
+    return np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+
+
 def _square(H: np.ndarray, name: str) -> np.ndarray:
-    H = np.asarray(H, dtype=complex)
+    H = _stored(H)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {H.shape}")
     return H
@@ -163,25 +173,14 @@ def validate_density(
     return rho
 
 
-def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh's pair of a Hermitian matrix or stack (n, d, d), whose
-    eigenvectors have H's dtype. A real H takes the real-symmetric solver, and
-    so does a complex stack whose imaginary parts are all exactly zero, about
-    twice as fast as the complex one, its eigenvectors cast to complex once;
-    any other complex stack takes the complex solver. Inside a degenerate
-    level the two solvers may pick different bases."""
-    if np.iscomplexobj(H) and not H.imag.any():
-        w, V = np.linalg.eigh(H.real)
-        return w, V.astype(complex)
-    return np.linalg.eigh(H)
-
-
 def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh's pair (eigenvalues ascending, eigenvector columns) of a
-    validated Hermitian operator, or of every operator of a stack (n, d, d);
-    the eigenvectors are complex, and an operator whose entries are exactly
-    real takes the real-symmetric solver and casts them (_eigh)."""
-    return _eigh(validate_hermitian(H))
+    validated Hermitian operator, or of every operator of a stack (n, d, d).
+    The dtype picks the solver: a real H takes the real-symmetric one and has
+    real eigenvectors, a complex H the complex one, even when its imaginary
+    parts are all 0. Inside a degenerate level the two may pick different
+    bases."""
+    return np.linalg.eigh(validate_hermitian(H))
 
 
 def _check_beta(beta: float) -> None:

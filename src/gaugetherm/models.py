@@ -18,8 +18,8 @@ from .dynamics import Protocol
 from .gauge import CLUSTER_TOL_REL, cluster_spectrum, default_cluster_tol_abs
 from .linalg import ValidationError, _log_gibbs, eigh, shannon_entropy, validate_hermitian
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 # margin between the smallest field-induced splitting on a grid and the
 # clustering tolerance below which the +-m structure cannot be trusted
@@ -55,7 +55,7 @@ def curie_weiss(j_coupling: float, n_spins: int, b_field: float) -> np.ndarray:
     Diagonal with entries -(J/N) m^2 - B m for m = -N/2 ... N/2 ascending.
     """
     m = _magnetizations(n_spins)
-    return np.diag(-(j_coupling / n_spins) * m * m - b_field * m).astype(complex)
+    return np.diag(-(j_coupling / n_spins) * m * m - b_field * m)
 
 
 def landau_zener_protocol(
@@ -98,7 +98,7 @@ def curie_weiss_protocol(
     # curie_weiss's diagonal at every node, written into one preallocated stack with
     # the same operations, so each node is bit-equal to curie_weiss
     m = _magnetizations(n_spins)
-    hams = np.zeros((nodes, n_spins + 1, n_spins + 1), dtype=complex)
+    hams = np.zeros((nodes, n_spins + 1, n_spins + 1))
     levels = np.arange(n_spins + 1)
     hams[:, levels, levels] = -(j_coupling / n_spins) * m * m - b_grid[:, None] * m
     nonzero = np.abs(b_grid) > 0.0
@@ -106,7 +106,7 @@ def curie_weiss_protocol(
         j_min = int(np.flatnonzero(nonzero)[np.argmin(np.abs(b_grid[nonzero]))])
         h_min = hams[j_min]
         tol_abs = cluster_tol_abs if cluster_tol_abs is not None else default_cluster_tol_abs(h_min)
-        tol = tol_abs + cluster_tol_rel * float(np.max(np.abs(np.diag(h_min).real)))
+        tol = tol_abs + cluster_tol_rel * float(np.max(np.abs(np.diag(h_min))))
         splitting = 2.0 * float(np.min(np.abs(b_grid[nonzero])))
         if splitting <= SPLITTING_SAFETY * tol:
             raise ValidationError(
@@ -201,7 +201,8 @@ def third_law_scan(
 
 
 def read_matrix_file(path: str) -> np.ndarray:
-    """Plain-text Hermitian matrix: first line d, then d rows of 'a+bi' entries."""
+    """Plain-text Hermitian matrix: first line d, then d rows of 'a+bi' entries;
+    float64 when no entry has a nonzero imaginary part, else complex128."""
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -227,8 +228,7 @@ def read_matrix_file(path: str) -> np.ndarray:
     m = np.array(rows, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"matrix file '{path}': entries must be finite")
-    validate_hermitian(m, "matrix file")
-    return m
+    return validate_hermitian(m if m.imag.any() else m.real.copy(), "matrix file")
 
 
 def constant_protocol(h: np.ndarray, beta: float, t_final: float, nodes: int) -> Protocol:

@@ -1,7 +1,11 @@
 """Command-line interface: configs, artifacts, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,3 +436,12 @@ class TestThirdLawCommand:
         )
         assert run_cli(["third-law", "--config", cfg]) == 2
         capsys.readouterr()
+
+
+def test_import_loads_no_scipy():
+    """The runtime is numpy only: a fresh interpreter that imports
+    gaugetherm.cli has no scipy module loaded."""
+    code = "import sys, gaugetherm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

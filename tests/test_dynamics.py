@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import linear_sum_assignment
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,30 @@ class TestProtocolValidation:
         times[5] += 100 * GRID_UNIFORMITY_TOL
         with pytest.raises(ValidationError):
             gt.Protocol(times=times, hamiltonians=np.zeros((11, 2, 2), dtype=complex), beta=1.0)
+
+
+@pytest.mark.parametrize(
+    "dtype, stored",
+    [(np.float64, np.float64), (np.float32, np.float64), (np.int64, np.float64),
+     (np.complex128, np.complex128), (np.complex64, np.complex128)],
+)
+def test_protocol_keeps_real_stacks_real(dtype, stored):
+    """A protocol stores its stack float64 if it is real and complex128 if it
+    is complex, here with every imaginary part 0."""
+    hams = np.repeat(np.diag([1, -1])[None], 3, axis=0).astype(dtype)
+    p = gt.Protocol(times=np.array([0.0, 0.5, 1.0]), hamiltonians=hams, beta=1.0)
+    assert p.hamiltonians.dtype == stored
+    assert np.array_equal(p.hamiltonians, hams)
+
+
+def test_cumtrap_matches_scipy_bit_for_bit():
+    """_cumtrap takes scipy's cumulative_trapezoid operations in its order, so
+    the series agree bit for bit, from two nodes up and over wide scales."""
+    rng = np.random.default_rng(5)
+    for n in (2, 3, *rng.integers(4, 10002, size=40)):
+        scale = 10.0 ** rng.uniform(-10, 10)
+        y, dt = scale * rng.normal(size=n), float(10.0 ** rng.uniform(-4, 0))
+        assert np.array_equal(_cumtrap(y, dt), cumulative_trapezoid(y, dx=dt, initial=0.0)), (n, scale)
 
 
 class TestEvolve:
@@ -813,6 +838,20 @@ def test_stream_run_on_one_level():
     assert np.allclose(run.tl.f_eq, 0.7, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("d", range(4, 13))
+def test_stream_run_matches_stored_route_on_real_thermal_start(d):
+    """A real, non-diagonal ramp from its Gibbs state: gibbs_state gives a
+    real state, which both routes take as complex, so stream_run's von
+    Neumann entropy (c_rel) and everything else equal the stored route's bit
+    for bit."""
+    rng = np.random.default_rng(d)
+    g = rng.normal(size=(2, d, d))
+    g = (g + np.swapaxes(g, -1, -2)) / 2
+    p = ramp_protocol(g[0], g[1], nodes=41, beta=0.7)
+    assert p.hamiltonians.dtype == gt.gibbs_state(p.hamiltonians[0], p.beta)[0].dtype == np.float64
+    _assert_stream_run_matches_stored_route(p)
+
+
 def _crossing(nodes: int) -> gt.Protocol:
     """A d = 3 ramp whose two lower levels cross at the middle node only, in a
     fixed random basis, so the nodes are not diagonal."""
@@ -863,20 +902,20 @@ def test_connection_check_across_node_blocks(one_node_blocks, monkeypatch):
 
 def _real_ramp12(nodes: int, seed: int) -> gt.Protocol:
     """A d = 12 ramp between two random real-symmetric endpoints that do not
-    commute: every Hamiltonian is exactly real, the states are not."""
+    commute: the protocol's stack is float64, the states are complex."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(2, 12, 12))
     g = (g + np.swapaxes(g, -1, -2)) / 2
-    return ramp_protocol(g[0].astype(complex), g[1].astype(complex), nodes=nodes, beta=0.7)
+    return ramp_protocol(g[0], g[1], nodes=nodes, beta=0.7)
 
 
 class TestRealSolverSwitch:
-    """A protocol whose Hamiltonians are all exactly real is decomposed by the
-    real-symmetric solver and keeps real eigenvectors in every levels record:
-    the pass's blocks, evolve's stack and stream_run's kept nodes. A protocol
-    with any complex entry keeps complex bases; in it, a block whose entries
-    are exactly real still takes the real solver, its eigenvectors cast to
-    complex, and any other block the complex one."""
+    """The dtype of a protocol's stack picks the solver. A real (float64)
+    protocol is decomposed by the real-symmetric solver and keeps real
+    eigenvectors in every levels record: the pass's blocks, evolve's stack
+    and stream_run's kept nodes. A complex protocol takes the complex solver
+    in every block and keeps complex bases, even where its entries are
+    exactly real."""
 
     def test_curie_weiss_decomposes_real_stacks_only(self, monkeypatch):
         p = gt.curie_weiss_protocol(n_spins=20, nodes=401)
@@ -895,15 +934,14 @@ class TestRealSolverSwitch:
         assert calls and {dtype for dtype, _ in calls} == {np.dtype(np.complex128)}
         assert run.ev.structures.basis.dtype == np.complex128
 
-    def test_one_complex_node_makes_only_its_block_complex(self, monkeypatch):
+    def test_one_complex_node_makes_every_block_complex(self, monkeypatch):
         """A real ramp over four node blocks with a Hermitian imaginary part on
-        one node inside the second block: that block's decomposition and its
-        midpoints, the two that touch the node among them, run complex, and
-        the other blocks real; every basis of the protocol is complex."""
+        one node inside the second block is a complex protocol: every block's
+        decomposition and midpoints run complex, and every basis is complex."""
         p = _real_ramp12(3 * BLOCK12 + 5, seed=43)
         k = BLOCK12 + BLOCK12 // 2
         a = np.random.default_rng(47).normal(size=(12, 12))
-        hams = p.hamiltonians.copy()
+        hams = p.hamiltonians.astype(complex)
         hams[k] += 0.1j * (a - a.T)
         p = gt.Protocol(times=p.times, hamiltonians=hams, beta=p.beta)
         rho0, _ = gt.gibbs_state(hams[0], p.beta)
@@ -911,10 +949,9 @@ class TestRealSolverSwitch:
         ev = gt.evolve(p, rho0)
         blocks = node_blocks(p.n_nodes, p.dim)
         assert len(blocks) == 4 and blocks[1].start < k < blocks[1].stop - 1
-        real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
+        assert p.hamiltonians.dtype == np.complex128
         # per block: its nodes, then the midpoints that lead into its nodes
-        expected = [real, real, cplx, cplx, real, real, real, real]
-        assert [dtype for dtype, _ in calls] == expected
+        assert [dtype for dtype, _ in calls] == [np.dtype(np.complex128)] * 8
         assert [count for _, count in calls[::2]] == [s.stop - s.start for s in blocks]
         assert ev.structures.basis.dtype == np.complex128
         assert gt.stream_run(p, rho0).ev.structures.basis.dtype == np.complex128
@@ -922,8 +959,9 @@ class TestRealSolverSwitch:
     def test_real_pass_matches_expm_product_and_complex_solver(self, monkeypatch):
         """On a real, non-commuting ramp over four node blocks, the real
         pass's propagators and states match a product of scipy step
-        exponentials, its bases are real, and stream_run matches the same run
-        through the complex solver and complex bases."""
+        exponentials, its bases are real, and stream_run matches the same
+        protocol stored complex, which takes the complex solver and keeps
+        complex bases."""
         p = _real_ramp12(3 * BLOCK12 + 5, seed=53)
         rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
         calls = eigh_inputs(monkeypatch)
@@ -938,11 +976,8 @@ class TestRealSolverSwitch:
                 u = scipy.linalg.expm(-1j * p.dt * (h[j] + h[j + 1]) / 2.0) @ u
 
         real = gt.stream_run(p, rho0)
-        # the complex stack and the complex solver only
-        monkeypatch.setattr(gt.dynamics, "_spectral_hamiltonians", lambda p: p.hamiltonians)
-        monkeypatch.setattr(gt.dynamics, "_eigh", np.linalg.eigh)
         calls.clear()
-        cplx = gt.stream_run(p, rho0)
+        cplx = gt.stream_run(dataclasses.replace(p, hamiltonians=p.hamiltonians.astype(complex)), rho0)
         assert {dtype for dtype, _ in calls} == {np.dtype(np.complex128)}
         assert real.connection.performed and cplx.connection.performed
         assert real.ev.structures.basis.dtype == np.float64

@@ -116,6 +116,21 @@ def test_twirl_oracle_matches_exact():
     assert dev < 3 / np.sqrt(samples) + 1e-3
 
 
+def test_twirl_oracle_of_real_operands():
+    """A real state and a real level basis sum complex gauge elements: the
+    oracle's average is complex, and it meets the oracle bound."""
+    rng = np.random.default_rng(23)
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    ds = structure_of(q @ np.diag([0.0, 0.0, 1.0, 1.0]) @ q.T)
+    rho = q @ np.diag([0.4, 0.3, 0.2, 0.1]) @ q.T
+    rho = (rho + rho.T) / 2
+    assert ds.basis.dtype == rho.dtype == np.float64
+    samples = 4000
+    mc = twirl_oracle(rho, ds, samples, rng)
+    assert mc.dtype == np.complex128
+    assert np.max(np.abs(mc - twirl(rho, ds))) < 3 / np.sqrt(samples) + 1e-3
+
+
 def _oracle_case(seed: int, dim: int):
     rng = np.random.default_rng(seed)
     u = haar_unitary(dim, rng)

@@ -402,22 +402,26 @@ def eigh_inputs(monkeypatch) -> list[tuple[np.dtype, int]]:
 
 
 def test_eigh_of_real_entries_takes_the_real_solver(monkeypatch):
-    """A complex matrix or stack whose entries are exactly real is decomposed
-    by the real-symmetric solver, and its eigenvectors come back complex; a
-    nonzero imaginary part anywhere in the stack keeps the complex solver."""
+    """The dtype picks the solver: a real matrix or stack (int too) is
+    decomposed by the real-symmetric solver and has real eigenvectors; the
+    same entries stored complex, every imaginary part 0, take the complex
+    solver and have complex eigenvectors. gibbs_state's state and the
+    validated operator keep the dtype too."""
     calls = eigh_inputs(monkeypatch)
     rng = np.random.default_rng(17)
     a = rng.normal(size=(3, 6, 6))
-    h = ((a + np.swapaxes(a, -1, -2)) / 2).astype(complex)
-    for m in (h[0], h):
+    h = (a + np.swapaxes(a, -1, -2)) / 2
+    for m in (h[0], h, np.diag([2, 1, 0]), h.astype(complex), h[0].astype(complex)):
+        dtype = np.complex128 if np.iscomplexobj(m) else np.float64
+        assert validate_hermitian(m).dtype == dtype
         w, V = eigh(m)
-        assert calls.pop()[0] == np.float64 and V.dtype == np.complex128
+        assert calls.pop()[0] == dtype and V.dtype == dtype
         assert np.max(np.abs(m @ V - V * w[..., None, :])) <= 1e-12
-    h[1, 0, 1] += 1e-3j
-    h[1, 1, 0] -= 1e-3j
-    w, V = eigh(h)
-    assert calls.pop()[0] == np.complex128 and V.dtype == np.complex128
-    assert np.max(np.abs(h @ V - V * w[..., None, :])) <= 1e-12
+        if m.ndim == 2:
+            rho, _ = gibbs_state(m, 1.0)
+            assert calls.pop()[0] == dtype and rho.dtype == dtype
+            assert validate_density(rho).dtype == dtype
+    assert np.allclose(eigh(h)[0], eigh(h.astype(complex))[0], rtol=0.0, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=25)

@@ -69,9 +69,9 @@ class TestProtocolBuilders:
             gt.curie_weiss_protocol(n_spins=0)
 
     def test_field_ramp_builds_one_stack(self):
-        # the diagonals are broadcast into one preallocated stack; a list of
-        # per-node matrices joined by np.stack peaked at two stacks
-        stack = 401 * 41 * 41 * 16
+        # the diagonals are broadcast into one preallocated real stack; a list
+        # of per-node matrices joined by np.stack peaked at two stacks
+        stack = 401 * 41 * 41 * 8
         tracemalloc.start()
         try:
             gt.curie_weiss_protocol(n_spins=40, nodes=401)
@@ -79,6 +79,12 @@ class TestProtocolBuilders:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * stack
+
+    def test_builders_are_real(self):
+        assert gt.landau_zener(2.0, 1.0, 0.3).dtype == np.float64
+        assert gt.curie_weiss(1.0, 4, 0.5).dtype == np.float64
+        assert gt.landau_zener_protocol(nodes=11).hamiltonians.dtype == np.float64
+        assert gt.curie_weiss_protocol(n_spins=4, nodes=11).hamiltonians.dtype == np.float64
 
     def test_field_ramp_rejects_coarse_tolerance(self):
         # a clustering tolerance beating the smallest on-grid splitting would
@@ -263,6 +269,23 @@ class TestModelSpec:
                 name="random", nodes=5, t_final=1.0, beta=1.0,
                 params={"dim": 2, "degenerate": 0}, matrix_path=str(path),
             )
+
+
+@pytest.mark.parametrize(
+    "text, dtype",
+    [
+        ("2\n0 1\n1 -2\n", np.float64),
+        ("2\n0+0i 1-0i\n1+0i -2\n", np.float64),
+        ("2\n0 1+0.5i\n1-0.5i -2\n", np.complex128),
+    ],
+    ids=["real", "zero_imaginary_parts", "complex"],
+)
+def test_read_matrix_file_is_real_without_an_imaginary_part(tmp_path, text, dtype):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    h = read_matrix_file(str(path))
+    assert h.dtype == dtype
+    assert h[0, 1] == (1.0 + 0.5j if dtype == np.complex128 else 1.0)
 
 
 @pytest.mark.parametrize(
