@@ -13,8 +13,11 @@ from which a node's DegeneracyStructure is a view.
 
 The level-space kernel, level_space and level_twirl, gives the level-basis
 diagonal, the level populations p^k = Tr(Pi_k rho) and the twirled states of
-a stack of states from the node bases and level multiplicities; twirl,
-level_distribution and entropy_report run it on one. A real basis (the
+a stack of states from the node bases and level multiplicities. twirl,
+level_distribution and entropy_report take one state, which has its own
+kernel (_state_levels): the same products on 2-D arrays, bit for bit a row
+of a stacked call, without the stack's per-call overhead (node blocks, level
+starts, a second reduction), which dominates at d of a few. A real basis (the
 eigenvectors of real Hamiltonians) takes real products throughout.
 """
 from __future__ import annotations
@@ -222,6 +225,14 @@ def cluster_spectra(
     return NodeLevels(energies, mults, np.append(0, np.cumsum(n_levels)), w, V)
 
 
+def _level_diagonal(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """level_space's diagonal Re diag(B^dag rho B) of one state (d, d) or of
+    a node block (k, d, d), with its basis or bases."""
+    if b.dtype.kind == "f":  # np.isrealobj, without its call on every one-state call
+        return (b * (rho.real @ b)).sum(axis=-2)
+    return (b.conj() * (rho @ b)).real.sum(axis=-2)
+
+
 def level_space(
     states: np.ndarray,
     basis: np.ndarray,
@@ -236,10 +247,6 @@ def level_space(
     NodeLevels' mults and bounds[:-1]). A real basis drops Im(rho), whose
     diagonal in it is 0: the diagonal is that of B^T Re(rho) B, a real product.
 
-    A single state is the n = 1 case (basis[None], node_starts [0]), so a
-    one-state call costs a few numpy calls (twirl, level_distribution and
-    entropy_report validate the state and call this).
-
     Raises when the clipped populations of a node miss 1 by more than
     LEVEL_NORM_TOL, or are not finite: the state and the levels do not
     belong together; the node is named by its index counted from `first`, as
@@ -250,13 +257,8 @@ def level_space(
     if states.shape[1:] != (dim, dim):
         raise ValidationError(f"state dimension {d} does not match structure dimension {dim}")
     diag = np.empty((n, d))
-    real = basis.dtype.kind == "f"  # np.isrealobj, without its call on every one-state call
     for s in node_blocks(n, d):
-        b = basis[s]
-        if real:
-            diag[s] = (b * (states[s].real @ b)).sum(axis=-2)
-        else:
-            diag[s] = (b.conj() * (states[s] @ b)).real.sum(axis=-2)
+        diag[s] = _level_diagonal(states[s], basis[s])
     pops = np.add.reduceat(diag.ravel(), np.cumsum(mults) - mults)
     total = np.add.reduceat(np.maximum(pops, 0.0), node_starts)
     miss = abs(total - 1.0)
@@ -279,16 +281,39 @@ def level_twirl(pops: np.ndarray, basis: np.ndarray, mults: np.ndarray) -> np.nd
     return out
 
 
+def _state_levels(
+    rho: np.ndarray, ds: DegeneracyStructure
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """level_space on one state: the validated rho's level-basis diagonal (d,),
+    its level populations (L,) and their distribution, the populations
+    clamped at zero and renormalized. The products and sums are those of a
+    stacked call on 2-D arrays, so each is bit for bit a row of one; the
+    checks and their messages are the same too."""
+    rho = validate_density(rho, check_psd=False)
+    if rho.shape != (ds.dim, ds.dim):
+        raise ValidationError(
+            f"state dimension {rho.shape[-1]} does not match structure dimension {ds.dim}"
+        )
+    diag = _level_diagonal(rho, ds.basis)
+    pops = np.add.reduceat(diag, ds.starts)
+    probs = np.maximum(pops, 0.0)
+    total = probs.sum()
+    if not abs(total - 1.0) <= LEVEL_NORM_TOL:  # which a NaN fails as well
+        raise ValidationError(f"level populations at node 0 sum to {total}, expected 1")
+    return diag, pops, probs / total
+
+
 def twirl(rho: np.ndarray, ds: DegeneracyStructure) -> np.ndarray:
     """Average rho over the gauge group: level populations spread uniformly.
 
     Computed from the projector formula sum_k Tr(Pi_k rho) Pi_k / n^k in the
-    level basis (level_space, then level_twirl), which is exact and O(d^3);
-    Haar averaging lives only in twirl_oracle.
+    level basis (level_twirl's product on one state), which is exact and
+    O(d^3); Haar averaging lives only in twirl_oracle.
     """
-    rho = validate_density(rho, check_psd=False)
-    basis = ds.basis[None]
-    return level_twirl(level_space(rho[None], basis, ds.mults, [0])[1], basis, ds.mults)[0]
+    pops = _state_levels(rho, ds)[1]
+    b = ds.basis
+    out = np.empty(b.shape, dtype=complex)
+    return np.matmul(b * np.repeat(pops / ds.mults, ds.mults), _dag(b), out=out)
 
 
 def twirl_oracle(

@@ -19,8 +19,8 @@ from .gauge import (
     CLUSTER_TOL_REL,
     LEVEL_NORM_TOL,
     DegeneracyStructure,
+    _state_levels,
     default_cluster_tol_abs,
-    level_space,
 )
 from .linalg import (
     PROB_FLOOR,
@@ -30,7 +30,6 @@ from .linalg import (
     _divergence,
     log_partition,
     shannon_entropy,
-    validate_density,
     validate_hermitian,
     von_neumann_entropy,
 )
@@ -71,15 +70,9 @@ def level_distribution(rho: np.ndarray, ds: DegeneracyStructure) -> LevelDistrib
 
     A total-probability defect beyond LEVEL_NORM_TOL means the state and the
     structure do not belong together, which is a validation error rather than
-    something to paper over (raised by level_space).
+    something to paper over (raised by gauge._state_levels).
     """
-    rho = validate_density(rho, check_psd=False)
-    return _normalized(level_space(rho[None], ds.basis[None], ds.mults, [0])[1], ds)
-
-
-def _normalized(pops: np.ndarray, ds: DegeneracyStructure) -> LevelDistribution:
-    probs = np.maximum(pops, 0.0)
-    return LevelDistribution(probs=probs / probs.sum(), mults=ds.mults, energies=ds.energies)
+    return LevelDistribution(probs=_state_levels(rho, ds)[2], mults=ds.mults, energies=ds.energies)
 
 
 def thermal_level_distribution(ds: DegeneracyStructure, beta: float) -> LevelDistribution:
@@ -127,11 +120,11 @@ class EntropyReport:
 
 
 def entropy_report(rho: np.ndarray, ds: DegeneracyStructure) -> EntropyReport:
-    """The entropy split of one state from one validation and one level_space
-    call; s_gamma = KL(level-basis diagonal || twirled spectrum) = s_gt - s_d."""
-    rho = validate_density(rho, check_psd=False)
-    diag, pops = level_space(rho[None], ds.basis[None], ds.mults, [0])
-    x, t = np.clip(diag[0], 0.0, 1.0), np.repeat(_normalized(pops, ds).probs / ds.mults, ds.mults)
+    """The entropy split of one state from one level-space pass
+    (gauge._state_levels, which validates rho first) and its spectrum;
+    s_gamma = KL(level-basis diagonal || twirled spectrum) = s_gt - s_d."""
+    diag, _, probs = _state_levels(rho, ds)
+    x, t = np.clip(diag, 0.0, 1.0), np.repeat(probs / ds.mults, ds.mults)
     s_vn, s_d, s_gt = von_neumann_entropy(rho), shannon_entropy(x), shannon_entropy(t)
     return EntropyReport(s_gt, s_vn, s_d, c_rel=s_d - s_vn, s_gamma=float(_divergence(x, t)))
 

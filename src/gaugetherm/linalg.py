@@ -106,17 +106,13 @@ def _hermitian_ok(H: np.ndarray) -> np.ndarray:
     return _per_matrix(H, _stack_hermitian_ok)
 
 
-def _all(ok: np.ndarray) -> bool:
-    """ok.all(), without a reduction for the one value of a single matrix."""
-    return bool(ok) if ok.ndim == 0 else bool(ok.all())
-
-
 def check_hermitian(H: np.ndarray, name: str, first: int = 0) -> None:
     """validate_hermitian's checks on a real or complex square matrix or
     stack whose first matrix is number `first` (so that a block of a longer
     stack is reported by its index in that stack)."""
     ok = _hermitian_ok(H)
-    if not _all(ok):  # only a failing input is diagnosed: non-finite entries first
+    # only a failing input is diagnosed: non-finite entries first
+    if not (ok if H.ndim == 2 else ok.all()):
         finite = np.isfinite(max_abs_entry(H))
         if not finite.all():
             raise ValidationError(f"{_named(name, ~finite, first)} has non-finite entries")
@@ -152,12 +148,16 @@ def validate_density(
     """validate_hermitian plus unit trace and, optionally, no eigenvalue below
     EIG_FLOOR; stacks are checked matrix by matrix, and named as there.
 
-    A valid input passes one combined Hermitian-and-trace test; a failing one
-    is diagnosed in that order, so the error is the one the checks would
-    raise one after the other."""
+    A valid input passes one combined Hermitian-and-trace test, scalar on a
+    single matrix; a failing one is diagnosed in that order, so the error is
+    the one the checks would raise one after the other."""
     rho = _square(rho, name)
     tr = rho.diagonal(0, -2, -1).sum(axis=-1)
-    if not _all(_hermitian_ok(rho) & (abs(tr - 1.0) <= TRACE_TOL)):
+    if rho.ndim == 2:
+        ok = abs(complex(tr) - 1) <= TRACE_TOL and _hermitian_ok(rho)
+    else:
+        ok = bool((_hermitian_ok(rho) & (abs(tr - 1.0) <= TRACE_TOL)).all())
+    if not ok:
         check_hermitian(rho, name, first)
         bad = abs(tr - 1.0) > TRACE_TOL
         tr_bad = complex(np.ravel(tr)[np.argmax(bad)])

@@ -171,29 +171,58 @@ def test_level_distribution_passes_within_bounds():
     assert ld.n_levels == 3
 
 
+def _real_ramp(dim: int, rng: np.random.Generator, degenerate: bool) -> gt.Protocol:
+    """A ramp between two random real-symmetric endpoints; degenerate ones
+    repeat their lowest eigenvalue (and their third, for dim >= 4), rotated
+    by a random orthogonal matrix. The stack is float64, so are the bases."""
+    ends = []
+    for _ in range(2):
+        g = rng.normal(size=(dim, dim))
+        h = (g + g.T) / 2.0
+        if degenerate:
+            w = np.sort(rng.normal(size=dim))
+            w[1] = w[0]
+            if dim >= 4:
+                w[3] = w[2]
+            q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            h = (q * w) @ q.T
+            h = (h + h.T) / 2.0
+        ends.append(h)
+    times = np.linspace(0.0, 1.0, 7)
+    hams = ends[0] + times[:, None, None] * (ends[1] - ends[0])
+    return gt.Protocol(times=times, hamiltonians=hams, beta=0.9)
+
+
 @pytest.mark.parametrize("degenerate", [False, True])
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_single_state_routes_are_rows_of_the_stacked_kernel(dim, degenerate):
-    # twirl, level_distribution and entropy_report on one state are the
-    # n = 1 case of level_space / level_twirl: bit-equal to a row of a stack
+    # twirl, level_distribution and entropy_report on one state are bit-equal
+    # to a row of level_space / level_twirl on a stack: on a complex protocol's
+    # bases and on a real one's (real products), for complex states and for
+    # real (float64) ones
     from gaugetherm.gauge import level_space, level_twirl, twirl
 
     rng = np.random.default_rng(100 * dim + degenerate)
-    p = gt.random_protocol(dim, 7, rng, degenerate=degenerate)
-    ev = gt.evolve(p, random_density(dim, rng))
-    lv = ev.structures
-    diag, pops = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])
-    twirled = level_twirl(pops, lv.basis, lv.mults)
-    for j, (rho, ds) in enumerate(zip(ev.states, ev.structures)):
-        row = np.maximum(pops[lv.bounds[j] : lv.bounds[j + 1]], 0.0)
-        row /= row.sum()
-        assert np.array_equal(level_distribution(rho, ds).probs, row)
-        assert np.array_equal(twirl(rho, ds), twirled[j])
-        rep = entropy_report(rho, ds)
-        assert rep.s_d == shannon_entropy(np.clip(diag[j], 0.0, 1.0))
-        assert rep.s_gt == s_gauge(LevelDistribution(probs=row, mults=ds.mults, energies=ds.energies))
-    if degenerate:
-        assert ev.structures[0].degenerate and ev.structures[-1].degenerate
+    real = _real_ramp(dim, rng, degenerate)
+    assert real.hamiltonians.dtype == np.float64
+    for p in (gt.random_protocol(dim, 7, rng, degenerate=degenerate), real):
+        ev = gt.evolve(p, random_density(dim, rng))
+        lv = ev.structures
+        assert lv.basis.dtype == p.hamiltonians.dtype
+        if degenerate:
+            assert ev.structures[0].degenerate and ev.structures[-1].degenerate
+        for states in (ev.states, ev.states.real.copy()):
+            diag, pops = level_space(states, lv.basis, lv.mults, lv.bounds[:-1])
+            twirled = level_twirl(pops, lv.basis, lv.mults)
+            for j, (rho, ds) in enumerate(zip(states, lv)):
+                row = np.maximum(pops[lv.bounds[j] : lv.bounds[j + 1]], 0.0)
+                row /= row.sum()
+                assert np.array_equal(level_distribution(rho, ds).probs, row)
+                assert np.array_equal(twirl(rho, ds), twirled[j])
+                rep = entropy_report(rho, ds)
+                assert rep.s_d == shannon_entropy(np.clip(diag[j], 0.0, 1.0))
+                probs = LevelDistribution(probs=row, mults=ds.mults, energies=ds.energies)
+                assert rep.s_gt == s_gauge(probs)
 
 
 def test_s_gauge_mixedness_credit():
@@ -249,12 +278,24 @@ def test_single_state_routes_share_the_kernel_checks():
     from gaugetherm.gauge import twirl
 
     ds = structure_of(np.diag([0.0, 1.0]).astype(complex))
+    # each bad state also has trace 1.8, which is diagnosed last
+    nan = np.diag([0.9, 0.9]).astype(complex)
+    nan[0, 1] = np.nan
+    skew = np.array([[0.9, 0.3], [0.1, 0.9]], dtype=complex)
     for route in (twirl, level_distribution, entropy_report):
         with pytest.raises(ValidationError, match="dimension 3"):
             route(np.eye(3, dtype=complex) / 3, ds)
         # Hermitian with unit trace but no state: the clipped populations sum to 1.5
-        with pytest.raises(ValidationError, match="sum to 1.5"):
+        with pytest.raises(ValidationError, match="at node 0 sum to 1.5"):
             route(np.diag([1.5, -0.5]).astype(complex), ds)
+        # the state's own checks come first, in validate_density's order:
+        # non-finite entries, skew, trace
+        with pytest.raises(ValidationError, match="state has non-finite entries"):
+            route(nan, ds)
+        with pytest.raises(ValidationError, match="state is not Hermitian within tolerance"):
+            route(skew, ds)
+        with pytest.raises(ValidationError, match="state trace is 1.800e\\+00"):
+            route(np.diag([0.9, 0.9]).astype(complex), ds)
 
 
 def test_entropy_report_pure_superposition():
