@@ -34,7 +34,7 @@ def main() -> None:
         beta=args.beta,
         nodes=args.nodes,
     )
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     run = gt.stream_run(p, rho0)
     ev, tl = run.ev, run.tl
 

@@ -27,7 +27,7 @@ def main() -> None:
     p = gt.landau_zener_protocol(
         delta=args.delta, v=args.v, beta=args.beta, nodes=args.nodes
     )
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     run = gt.stream_run(p, rho0)
     ev, tl, tol = run.ev, run.tl, run.tol
 

@@ -245,7 +245,7 @@ _EMIT_SECTIONS = {
     "clausius": _clausius,
     "ft": _ft,
     "gauge_check": _gauge_check,
-    "third_law": lambda cfg, p, run: _third_law(cfg, p.hamiltonians[-1]),
+    "third_law": lambda cfg, p, run: _third_law(cfg, p.block(-1)),
 }
 
 
@@ -253,7 +253,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     cfg = load_run_config(config_path, out_override)
     out_dir, emit, cluster = cfg.resolved["run"]["out"], cfg.resolved["run"]["emit"], _cluster(cfg)
     p = build_protocol(cfg.spec, **cluster)
-    rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gibbs_state(p.block(0), p.beta)
     run = stream_run(p, rho0, **cluster)
     tol, gate = run.tol, cfg.resolved["tolerances"]["integration_gate"]
     os.makedirs(out_dir, exist_ok=True)

@@ -12,7 +12,10 @@ node's eigendecomposition. For the four models H is affine in t, so H_{2k+1}
 is the average of the end Hamiltonians to round-off; for a protocol that is
 not affine, it is a different second-order midpoint rule.
 
-A protocol stores its Hamiltonians as given, float64 if real and complex128
+A protocol holds its Hamiltonians as a stored stack, or as a function that
+makes the nodes of a node range, as the model builders give them; every
+pass reads them a node block at a time (Protocol.block), so a protocol made
+by a function is never held whole. They are float64 if real and complex128
 if complex, and the dtype picks the solver. The spectral work of a real
 protocol is real: the real-symmetric solver, real eigenvectors in every
 levels record (gauge.NodeLevels), and real products in the level space, the
@@ -21,6 +24,7 @@ twirl and the step propagators. States and propagators are complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .linalg import (
     _transposed,
     check_hermitian,
     gibbs_state,
+    max_abs_entry,
     node_blocks,
     shannon_entropy,
     validate_density,
@@ -53,24 +58,48 @@ GRID_UNIFORMITY_TOL = 1e-12
 THERMAL_START_TOL = 1e-8
 
 
+class _Hamiltonians:
+    """Protocol.hamiltonians. Set, it takes a stack (n, d, d), which the
+    protocol stores, or a function that makes the stack (k, d, d) of the
+    nodes of a slice of step 1; read, it gives the stored stack, or a copy of
+    every node made by the function. The pass reads neither, only node
+    ranges (Protocol.block)."""
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            raise AttributeError("hamiltonians")  # so that the field has no default
+        return p.block(slice(None))
+
+    def __set__(self, p, value):
+        p.__dict__["_given"] = value
+
+
 @dataclass(frozen=True)
 class Protocol:
-    """Uniform grid t_0 = 0 ... t_N = tau with one Hamiltonian per node, the
-    stack stored float64 if real and complex128 if complex (linalg._stored)."""
+    """Uniform grid t_0 = 0 ... t_N = tau with one Hamiltonian per node,
+    float64 if every node is real and complex128 if one is complex
+    (linalg._stored). hamiltonians is a stack, which the protocol stores, or
+    a function that makes the nodes of a slice, as the model builders give
+    it; either way the nodes are checked a node block at a time when the
+    protocol is made, and handed out by block(s)."""
 
     times: np.ndarray
-    hamiltonians: np.ndarray
+    hamiltonians: np.ndarray = _Hamiltonians()  # a descriptor, not a default
     beta: float
     label: str = ""
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        hams = _stored(self.hamiltonians)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "hamiltonians", hams)
         if times.ndim != 1 or times.shape[0] < 2:
             raise ValidationError("protocol needs at least two grid nodes")
-        if hams.ndim != 3 or hams.shape[0] != times.shape[0] or hams.shape[1] != hams.shape[2]:
+        n, given = times.shape[0], self.__dict__.pop("_given")
+        if callable(given):
+            nodes, shape, count = given, np.shape(given(slice(0, 1))), 1
+        else:
+            given = _stored(given)
+            nodes, shape, count = given.__getitem__, given.shape, n
+        if len(shape) != 3 or shape[0] != count or shape[1] != shape[2]:
             raise ValidationError("hamiltonians must be one square matrix per node")
         if not np.all(np.isfinite(times)):
             raise ValidationError("time grid must be finite")
@@ -83,7 +112,22 @@ class Protocol:
             raise ValidationError("time grid must start at 0")
         if not (self.beta > 0 and np.isfinite(self.beta)):
             raise ValidationError(f"beta must be positive and finite, got {self.beta}")
-        validate_hermitian(hams, "hamiltonian at node")
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_dim", shape[-1])
+        object.__setattr__(self, "_dtype", _check_nodes(nodes, n, shape[-1]))
+
+    def block(self, s: int | slice) -> np.ndarray:
+        """The Hamiltonians of nodes s, as a stack h gives h[s]: node s (d, d)
+        for an int, negative ones counted from the end, and a stack (k, d, d)
+        for a slice of step 1; a view of a stored stack, made on each call
+        by the function of a made one."""
+        if not isinstance(s, slice):
+            j = range(self.n_nodes)[s]
+            return self.block(slice(j, j + 1))[0]
+        a, b, step = s.indices(self.n_nodes)
+        if step != 1:
+            raise ValueError(f"a node range has step 1, got {step}")
+        return np.asarray(self._nodes(slice(a, b)), dtype=self._dtype)
 
     @property
     def n_nodes(self) -> int:
@@ -91,7 +135,12 @@ class Protocol:
 
     @property
     def dim(self) -> int:
-        return self.hamiltonians.shape[1]
+        return self._dim
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 for a real protocol, complex128 for a complex one."""
+        return self._dtype
 
     @property
     def dt(self) -> float:
@@ -100,6 +149,30 @@ class Protocol:
     @property
     def tau(self) -> float:
         return float(self.times[-1])
+
+
+def _check_nodes(nodes, n: int, d: int) -> np.dtype:
+    """Check the n Hamiltonians that nodes makes (Protocol), a node block at a
+    time: each block a stack (k, d, d), finite and Hermitian, with the error
+    that linalg.validate_hermitian gives on the whole stack, so a non-finite node
+    is named before an earlier node that is only not Hermitian. The dtype of
+    the protocol: complex128 if a block is complex, else float64."""
+    cplx, skew = False, None
+    for s in node_blocks(n, d):
+        h = nodes(s)
+        if np.shape(h) != (s.stop - s.start, d, d):
+            raise ValidationError("hamiltonians must be one square matrix per node")
+        cplx = cplx or np.iscomplexobj(h)
+        try:
+            validate_hermitian(h, "hamiltonian at node", s.start)
+        except ValidationError as exc:
+            if not np.isfinite(max_abs_entry(h)).all():
+                raise
+            skew = exc if skew is None else skew
+        del h  # so that the next block is made without this one
+    if skew is not None:
+        raise skew
+    return np.dtype(complex if cplx else float)
 
 
 @dataclass(frozen=True)
@@ -128,10 +201,11 @@ def evolve(
     The spectral work is one eigendecomposition per node Hamiltonian, made
     as one stacked call per node block and clustered into the block's levels
     (_decompose), and one per midpoint Hamiltonian, which gives every step
-    propagator (_steps). The dtype of the protocol's stack picks the solver:
-    a real protocol takes the real-symmetric one and keeps real bases, half
-    the bytes of complex ones, and a complex protocol takes the complex one
-    in every block. The real solver may pick another basis inside a
+    propagator (_steps), both from the block's window of Hamiltonians
+    (_window). The dtype of the protocol picks the solver: a real protocol
+    takes the real-symmetric one and keeps real bases, half the bytes of
+    complex ones, and a complex protocol takes the complex one in every
+    block. The real solver may pick another basis inside a
     degenerate level than the complex one. Each block is decomposed and
     then propagated (_Propagator.block), and written into the stacks returned, the node
     bases of the levels record among them. Those stacks are for library
@@ -139,17 +213,41 @@ def evolve(
     ledger, the tolerance and the connection check without storing them.
     """
     rho0 = _initial_state(p, rho0)
-    h, c = p.hamiltonians, -1j * p.dt
-    run = _Propagator(rho0)
+    run, c = _Propagator(rho0), -1j * p.dt
     levels = []
     props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
-    basis = np.empty((p.n_nodes, p.dim, p.dim), h.dtype)
+    basis = np.empty((p.n_nodes, p.dim, p.dim), p.dtype)
     for s in node_blocks(p.n_nodes, p.dim):
-        lv = _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
+        win = _window(p, s)
+        lv = _decompose(win.nodes(s.start, s.stop), cluster_tol_abs, cluster_tol_rel)
         basis[s] = lv.basis
         levels.append(replace(lv, basis=basis[s]))  # so the block's eigenvectors go
-        props[s], states[s], twirled[s] = run.block(s, levels[-1], _steps(h, s, c))[:3]
+        props[s], states[s], twirled[s] = run.block(s, levels[-1], _steps(win, s, c))[:3]
     return EvolutionResult(states, twirled, props, join_levels(levels, basis))
+
+
+class _Window(NamedTuple):
+    """Consecutive node Hamiltonians h, node `first` the first: h[j - first]
+    is node j."""
+
+    h: np.ndarray
+    first: int
+
+    def nodes(self, a: int, b: int) -> np.ndarray:
+        """Nodes a .. b - 1, a view; b past the window's last node stops there."""
+        return self.h[a - self.first : b - self.first]
+
+
+def _window(p: Protocol, s: slice) -> _Window:
+    """The Hamiltonians that a pass reads for node block s, made once
+    (Protocol.block) and read as views by every consumer: the block, one node
+    of halo on each side (the steps into it, _steps, and the neighbour
+    traces, _PowerIntegrands), widened at each end to an even node, so the
+    coarse grid's neighbours of the block's even nodes are in it too
+    (_CoarseRun). Its first node is even."""
+    a, b = s.start, s.stop
+    first = max(a - 2 + a % 2, 0)
+    return _Window(p.block(slice(first, b + 1 + b % 2)), first)
 
 
 def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
@@ -203,13 +301,14 @@ class _Propagator:
         return props, states, level_twirl(pops, lv.basis, lv.mults), diag, pops
 
 
-def _steps(h: np.ndarray, s: slice, c: complex) -> np.ndarray:
+def _steps(win: _Window, s: slice, c: complex) -> np.ndarray:
     """exp(c H_mid) for the steps into the nodes of the block s, steps
-    max(s.start - 1, 0) .. s.stop - 2, one eigendecomposition per midpoint
-    (the dtype of h picks the solver), each midpoint checked and named by
-    its step."""
-    lo, hi = max(s.start - 1, 0), s.stop - 1
-    mid = (h[lo:hi] + h[lo + 1 : hi + 1]) / 2.0
+    max(s.start - 1, 0) .. s.stop - 2, from the block's window, one
+    eigendecomposition per midpoint (the dtype of the nodes picks the
+    solver), each midpoint checked and named by its step."""
+    lo = max(s.start - 1, 0)
+    h = win.nodes(lo, s.stop)
+    mid = (h[:-1] + h[1:]) / 2.0
     check_hermitian(mid, "operator", lo)
     return _exponentials(*np.linalg.eigh(mid), c)
 
@@ -262,8 +361,9 @@ def _ends(plus: np.ndarray, minus: np.ndarray, same: np.ndarray, dt: float) -> n
 class _PowerIntegrands:
     """Re Tr(S_j Hdot_j), Re Tr(Sdot_j H_j) and Re Tr(S_j H_j) per node, with
     the derivatives of np.gradient (central, and one-sided at the two ends),
-    for each state stack S of a pass, folded a node block at a time:
-    add(s, S[s], S'[s], ...) for the blocks in node order, then integrands(dt).
+    for each state stack S of a pass over n nodes, folded a node block at a
+    time: add(s, win, S[s], S'[s], ...) for the blocks in node order, with
+    each block's window of Hamiltonians (_window), then integrands(dt).
 
     A central difference is linear, so it moves onto neighbour traces:
     Tr(S_j Hdot_j) = [Tr(S_j H_{j+1}) - Tr(S_j H_{j-1})] / 2dt and
@@ -272,14 +372,14 @@ class _PowerIntegrands:
     Tr(S_{j+1} H_j) in the block of node j + 1, so no state crosses blocks.
     """
 
-    def __init__(self, h: np.ndarray):
-        self.h, self.traces = h, []
+    def __init__(self, n: int):
+        self.n, self.traces = n, []
 
-    def add(self, s: slice, *stacks: np.ndarray) -> None:
-        n, a, b = len(self.h), s.start, s.stop
+    def add(self, s: slice, win: _Window, *stacks: np.ndarray) -> None:
+        n, a, b = self.n, s.start, s.stop
         lo = max(a - 1, 0)
         k = a - lo  # H_j is ht[j - lo], so node a sits at k
-        ht = _transposed(self.h[lo : b + 1])
+        ht = _transposed(win.nodes(lo, b + 1))
         m = min(b, n - 1) - a  # the pairs (j, j + 1) with j in this block
         if not self.traces:
             self.traces = [(np.empty(n), np.empty(n - 1), np.empty(n - 1)) for _ in stacks]
@@ -305,9 +405,9 @@ def _series(integrands: list[tuple], dt: float) -> WorkHeatSeries:
 
 
 def work_heat_series(p: Protocol, ev: EvolutionResult) -> WorkHeatSeries:
-    fold = _PowerIntegrands(p.hamiltonians)
+    fold = _PowerIntegrands(p.n_nodes)
     for s in node_blocks(p.n_nodes, p.dim):
-        fold.add(s, ev.states[s], ev.twirled_states[s])
+        fold.add(s, _window(p, s), ev.states[s], ev.twirled_states[s])
     return _series(fold.integrands(p.dt), p.dt)
 
 
@@ -340,8 +440,8 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     The entropy, free-energy, Bures and relative-entropy columns are computed
     in level space from one stacked basis change of the states
     (gauge.level_space): ledger takes it from the stored states, and
-    stream_run runs the same column code (_entropy_columns) a node block at a
-    time on what its pass computes for the twirl. Over each node's d
+    stream_run keeps what its pass computes for the twirl; either runs the
+    same column code (_entropy_columns) once on every node. Over each node's d
     eigenvalues, with the level-basis diagonal x, the twirled spectrum t (each
     level's p_k / n_k repeated n_k times) and the Gibbs spectrum q of the
     level energies (linalg._log_gibbs, from log-weights):
@@ -361,17 +461,21 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     """
     lv = ev.structures
     diag, pops = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])
-    rows = _entropy_columns(lv, diag, pops, p.beta)
+    rows = _entropy_columns(lv.mults, lv.spectra, diag, pops, p.beta)
     return _ledger(work_heat_series(p, ev), rows, von_neumann_entropy(ev.states[0]))
 
 
-def _entropy_columns(levels: NodeLevels, diag: np.ndarray, pops: np.ndarray, beta: float) -> np.ndarray:
-    """ledger's f_eq, s_gt, s_d, s_gamma, bures and rel_ent rows (6, k) of k nodes from their
-    levels, level-basis diagonal (k, d) and level populations (gauge.level_space), each a
-    sum over the node's d eigenvalues of the spectra t and q that ledger describes."""
-    t = np.repeat(np.clip(pops, 0.0, None) / levels.mults, levels.mults).reshape(diag.shape)
+def _entropy_columns(
+    mults: np.ndarray, spectra: np.ndarray, diag: np.ndarray, pops: np.ndarray, beta: float
+) -> np.ndarray:
+    """ledger's f_eq, s_gt, s_d, s_gamma, bures and rel_ent rows (6, k) of k nodes from the
+    multiplicities of their levels laid end to end, their spectra (k, d) (NodeLevels.spectra),
+    level-basis diagonal (k, d) and level populations (gauge.level_space), each a sum over
+    the node's d eigenvalues of the spectra t and q that ledger describes; every operation
+    is row by row, so a node's row does not depend on the other nodes given with it."""
+    t = np.repeat(np.clip(pops, 0.0, None) / mults, mults).reshape(diag.shape)
     t /= t.sum(axis=1, keepdims=True)
-    ln_q, ln_z = _log_gibbs(levels.spectra, beta)
+    ln_q, ln_z = _log_gibbs(spectra, beta)
     x, q = np.clip(diag, 0.0, 1.0), np.exp(ln_q)
     hellinger = np.sum((np.sqrt(t) - np.sqrt(q)) ** 2, axis=1)
     bures = 2.0 * np.arcsin(np.minimum(np.sqrt(hellinger) / 2.0, 1.0))
@@ -409,7 +513,7 @@ def integration_tolerance(
     the same data, no interpolation) and bounds the error by the worst
     cumulative-series difference at shared nodes. The coarse nodes are the
     fine nodes 0, 2, 4, ... with the same clustering tolerances, so they
-    reuse the levels of ev and views of the fine Hamiltonians. Coarse step k,
+    reuse the levels of ev and the fine Hamiltonians. Coarse step k,
     from fine node 2k to 2k + 2, is exp(-2i dt H_{2k+1}), taken at the middle
     fine node from the eigenvalues and basis that ev's levels record already
     holds, so the coarse run (_CoarseRun) makes no eigendecomposition and
@@ -425,15 +529,16 @@ def integration_tolerance(
     coarse = _CoarseRun(p, ev.states[0])
     fine = work_heat_series(p, ev) if tl is None else tl
     for s in node_blocks(p.n_nodes, p.dim):
-        coarse.add(s, ev.structures[s])
+        coarse.add(s, ev.structures[s], _window(p, s))
     return coarse.tolerance(fine)
 
 
 class _CoarseRun:
     """The tolerance's run on the grid coarsened by two, whose nodes are the
     fine nodes 0, 2, 4, ... and their Hamiltonians, from rho0 (validated).
-    add(s, lv) takes a fine node block s, in node order, with the levels
-    record of its nodes, and propagates the block's even nodes, the
+    add(s, lv, win) takes a fine node block s, in node order, with the
+    levels record of its nodes and its window (_window), whose even nodes
+    are the coarse grid's, and propagates the block's even nodes, the
     coarse nodes (s.start + 1) // 2 .. (s.stop + 1) // 2 - 1, into the coarse
     neighbour traces; a one-node block of an odd node has none. Coarse step
     k is taken at the middle fine node, exp(-2i dt H_{2k+1}), from the
@@ -448,10 +553,10 @@ class _CoarseRun:
         if p.n_nodes < 5:
             raise ValueError("tolerance estimation needs at least 5 grid nodes")
         self.dt = float(p.times[2] - p.times[0])
-        self.run, self.fold = _Propagator(rho0), _PowerIntegrands(p.hamiltonians[::2])
+        self.run, self.fold = _Propagator(rho0), _PowerIntegrands((p.n_nodes + 1) // 2)
         self.halo = None  # eigenvalues and basis of the last fine node given, if it is odd
 
-    def add(self, s: slice, lv: NodeLevels) -> None:
+    def add(self, s: slice, lv: NodeLevels, win: _Window) -> None:
         odd = (s.start + 1) % 2  # the block's first odd node, counted from s.start
         w, V = lv.eigenvalues[odd::2], lv.basis[odd::2]
         if self.halo is not None:
@@ -462,7 +567,7 @@ class _CoarseRun:
             m = cs.stop - max(cs.start, 1)  # the steps into the block's coarse nodes
             steps = _exponentials(w[:m], V[:m], -1j * self.dt)
             _, states, twirled, *_ = self.run.block(cs, lv[s.start % 2 :: 2], steps)
-            self.fold.add(cs, states, twirled)
+            self.fold.add(cs, _Window(win.h[::2], win.first // 2), states, twirled)
 
     def tolerance(self, fine) -> float:
         """integration_tolerance from the fine work/heat series (a WorkHeatSeries
@@ -551,9 +656,9 @@ def connection_cross_check(
         tl = ledger(p, ev)
     lv = ev.structures
     x, e = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])[0], lv.spectra
-    fold, work = _PowerIntegrands(p.hamiltonians), _LevelWork(p.n_nodes)
+    fold, work = _PowerIntegrands(p.n_nodes), _LevelWork(p.n_nodes)
     for s in node_blocks(p.n_nodes, p.dim):
-        fold.add(s, ev.states[s])
+        fold.add(s, _window(p, s), ev.states[s])
         work.add(s, x[s], e[s])
     return work.check(fold.integrands(p.dt)[0], p.dt, tl)
 
@@ -584,45 +689,59 @@ def stream_run(
     """evolve, ledger, integration_tolerance and connection_cross_check in
     one pass over node blocks, with the same numbers bit for bit.
 
-    The pass takes the node blocks (linalg.node_blocks) in order. It
-    decomposes each block's Hamiltonians (evolve's _decompose) and feeds the
-    block's levels record to every consumer before letting it go: the fine
-    run (_Propagator), folded into the neighbour traces of the work/heat
-    series and into the ledger's entropy rows (_entropy_columns); the
-    tolerance's run on the grid coarsened by two (_CoarseRun), whose nodes
-    are the block's even nodes and whose steps are taken at its odd nodes,
-    from their eigenvalues and basis (integration_tolerance); and the
-    connection check (_LevelWork), which takes D_t H = V Edot V^dag from the
-    block's level-basis diagonal and eigenvalues and holds one node of halo.
-    So the pass decomposes 2n - 1 matrices, the n nodes and the n - 1 fine
-    midpoints, and the check is skipped when any node is degenerate. Beyond
-    the Hamiltonians a run holds a few node blocks and the ledger rows,
-    connection sums and degenerate flags of every node, not the stacks of
-    evolve or the levels of every node. The nodes kept are 0, n // 2 and
-    n - 1; their bases are real when the protocol's stack is, as in the
-    pass. Faults are raised a block at a time in node order, and a
-    protocol of fewer than 5 nodes is refused before the pass.
+    The pass takes the node blocks (linalg.node_blocks) in order. It makes
+    each block's window of Hamiltonians once (_window, Protocol.block),
+    decomposes the block's nodes (evolve's _decompose) and feeds views of the
+    window and the block's levels record to every consumer before letting
+    them go: the fine run (_Propagator), folded into the neighbour traces of
+    the work/heat series; the tolerance's run on the grid coarsened by two
+    (_CoarseRun), whose nodes are the block's even nodes and whose steps are
+    taken at its odd nodes, from their eigenvalues and basis
+    (integration_tolerance); and the connection check (_LevelWork), which
+    takes D_t H = V Edot V^dag from the block's level-basis diagonal and
+    eigenvalues and holds one node of halo. The ledger's entropy rows are
+    one _entropy_columns call after the pass, on the level-basis diagonal,
+    level spectra and populations the pass keeps of every node. So the pass
+    decomposes 2n - 1 matrices, the n nodes and the n - 1 fine midpoints,
+    and the check is skipped when any node is degenerate. A run holds a few
+    node blocks, and of every node its level-basis diagonal and spectrum
+    (n, d), its level populations, ledger rows, connection sums and
+    degenerate flag: not the Hamiltonians of every node when the protocol
+    makes them (the model builders' protocols), nor the stacks of evolve or
+    the levels of every node. The nodes kept are 0, n // 2 and n - 1; their
+    bases are real when the protocol is, as in the pass. Faults are raised a
+    block at a time in node order, and a protocol of fewer than 5 nodes is
+    refused before the pass.
     """
     rho0 = _initial_state(p, rho0)
     n, d, dt = p.n_nodes, p.dim, p.dt
-    h = p.hamiltonians
     coarse = _CoarseRun(p, rho0)
     nodes, kept = sorted({0, n // 2, n - 1}), []
-    degenerate, rows = np.empty(n, dtype=bool), np.empty((6, n))
-    run, fine, work = _Propagator(rho0), _PowerIntegrands(p.hamiltonians), _LevelWork(n)
+    # every node's level-basis diagonal and spectrum as one allocation: glibc's malloc
+    # serves a buffer this large by mmap, and once it is freed keeps the pass's block
+    # temporaries on its heap, where two (n, d) arrays left the heap trimmed and the
+    # next block refaulting it (about 10^5 page faults a Curie-Weiss run)
+    degenerate, (diag, spectra) = np.empty(n, dtype=bool), np.empty((2, n, d))
+    pops, mults = [], []
+    run, fine, work = _Propagator(rho0), _PowerIntegrands(n), _LevelWork(n)
     for s in node_blocks(n, d):
-        lv = _decompose(h[s], cluster_tol_abs, cluster_tol_rel)
-        degenerate[s] = lv.degenerate
-        props, states, twirled, diag, pops = run.block(s, lv, _steps(h, s, -1j * dt))
-        rows[:, s] = _entropy_columns(lv, diag, pops, p.beta)
-        fine.add(s, states, twirled)
-        work.add(s, diag, lv.spectra)
-        coarse.add(s, lv)
+        win = _window(p, s)
+        lv = _decompose(win.nodes(s.start, s.stop), cluster_tol_abs, cluster_tol_rel)
+        degenerate[s], spectra[s] = lv.degenerate, lv.spectra
+        props, states, twirled, diag[s], block_pops = run.block(s, lv, _steps(win, s, -1j * dt))
+        pops.append(block_pops)
+        mults.append(lv.mults)
+        fine.add(s, win, states, twirled)
+        work.add(s, diag[s], spectra[s])
         here = [j - s.start for j in nodes if s.start <= j < s.stop]
         if here:  # copies, which let the block go
             kept.append((states[here], twirled[here], props[here], lv[here]))
-        del props, states, twirled, lv
+        del props, states, twirled  # before the coarse run makes its own
+        coarse.add(s, lv, win)
+        del lv, win
 
+    pops, mults = np.concatenate(pops), np.concatenate(mults)  # which lets the blocks' arrays go
+    rows = _entropy_columns(mults, spectra, diag, pops, p.beta)
     integrands = fine.integrands(dt)
     tl = _ledger(_series(integrands, dt), rows, von_neumann_entropy(rho0))
     check = _degenerate_check(degenerate) or work.check(integrands[0], dt, tl)
@@ -674,7 +793,7 @@ def _split_bounds(tl: ThermoLedger, beta: float) -> tuple[np.ndarray, np.ndarray
 
 def clausius_report(p: Protocol, ev: EvolutionResult, tl: ThermoLedger) -> ClausiusReport:
     """Evaluate all four work bounds along a thermal-start protocol."""
-    sigma0, _ = gibbs_state(p.hamiltonians[0], p.beta)
+    sigma0, _ = gibbs_state(p.block(0), p.beta)
     dev = float(np.max(np.abs(ev.states[0] - sigma0)))
     if dev > THERMAL_START_TOL:
         return ClausiusReport(

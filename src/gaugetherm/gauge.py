@@ -283,9 +283,9 @@ def level_twirl(pops: np.ndarray, basis: np.ndarray, mults: np.ndarray) -> np.nd
 
 def _state_levels(
     rho: np.ndarray, ds: DegeneracyStructure
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """level_space on one state: the validated rho's level-basis diagonal (d,),
-    its level populations (L,) and their distribution, the populations
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """level_space on one state: the validated rho, its level-basis diagonal
+    (d,), its level populations (L,) and their distribution, the populations
     clamped at zero and renormalized. The products and sums are those of a
     stacked call on 2-D arrays, so each is bit for bit a row of one; the
     checks and their messages are the same too."""
@@ -300,7 +300,7 @@ def _state_levels(
     total = probs.sum()
     if not abs(total - 1.0) <= LEVEL_NORM_TOL:  # which a NaN fails as well
         raise ValidationError(f"level populations at node 0 sum to {total}, expected 1")
-    return diag, pops, probs / total
+    return rho, diag, pops, probs / total
 
 
 def twirl(rho: np.ndarray, ds: DegeneracyStructure) -> np.ndarray:
@@ -310,7 +310,7 @@ def twirl(rho: np.ndarray, ds: DegeneracyStructure) -> np.ndarray:
     level basis (level_twirl's product on one state), which is exact and
     O(d^3); Haar averaging lives only in twirl_oracle.
     """
-    pops = _state_levels(rho, ds)[1]
+    pops = _state_levels(rho, ds)[2]
     b = ds.basis
     out = np.empty(b.shape, dtype=complex)
     return np.matmul(b * np.repeat(pops / ds.mults, ds.mults), _dag(b), out=out)

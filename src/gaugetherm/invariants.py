@@ -28,10 +28,10 @@ from .linalg import (
     _check_beta,
     _dag,
     _divergence,
+    _spectral_entropy,
     log_partition,
     shannon_entropy,
     validate_hermitian,
-    von_neumann_entropy,
 )
 
 
@@ -72,7 +72,7 @@ def level_distribution(rho: np.ndarray, ds: DegeneracyStructure) -> LevelDistrib
     structure do not belong together, which is a validation error rather than
     something to paper over (raised by gauge._state_levels).
     """
-    return LevelDistribution(probs=_state_levels(rho, ds)[2], mults=ds.mults, energies=ds.energies)
+    return LevelDistribution(probs=_state_levels(rho, ds)[3], mults=ds.mults, energies=ds.energies)
 
 
 def thermal_level_distribution(ds: DegeneracyStructure, beta: float) -> LevelDistribution:
@@ -121,11 +121,12 @@ class EntropyReport:
 
 def entropy_report(rho: np.ndarray, ds: DegeneracyStructure) -> EntropyReport:
     """The entropy split of one state from one level-space pass
-    (gauge._state_levels, which validates rho first) and its spectrum;
-    s_gamma = KL(level-basis diagonal || twirled spectrum) = s_gt - s_d."""
-    diag, _, probs = _state_levels(rho, ds)
+    (gauge._state_levels, which validates rho, once) and the spectrum of the
+    validated state; s_gamma = KL(level-basis diagonal || twirled spectrum)
+    = s_gt - s_d."""
+    rho, diag, _, probs = _state_levels(rho, ds)
     x, t = np.clip(diag, 0.0, 1.0), np.repeat(probs / ds.mults, ds.mults)
-    s_vn, s_d, s_gt = von_neumann_entropy(rho), shannon_entropy(x), shannon_entropy(t)
+    s_vn, s_d, s_gt = _spectral_entropy(rho), shannon_entropy(x), shannon_entropy(t)
     return EntropyReport(s_gt, s_vn, s_d, c_rel=s_d - s_vn, s_gamma=float(_divergence(x, t)))
 
 

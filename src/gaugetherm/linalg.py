@@ -68,11 +68,16 @@ def _abs_max(H: np.ndarray) -> np.ndarray:
 
 def _stack_hermitian_ok(H: np.ndarray) -> np.ndarray:
     """_hermitian_ok on a stack (k, d, d): max |H - H^dag| per matrix from a
-    transposed copy in memory order, conjugated and subtracted in place, and
-    max |H_ij| only for the matrices whose skew is above HERMITICITY_TOL."""
+    transposed copy in memory order, conjugated and subtracted in place (and
+    for a real stack made absolute in place), and max |H_ij| only for the
+    matrices whose skew is above HERMITICITY_TOL."""
     t = _transposed(H)
     np.conjugate(t, out=t)
-    skew = _abs_max(np.subtract(H, t, out=t))
+    np.subtract(H, t, out=t)
+    if np.iscomplexobj(t):
+        skew = _abs_max(t)
+    else:
+        skew = np.abs(t, out=t).max(axis=(-2, -1), initial=0.0)
     ok = skew <= HERMITICITY_TOL
     if not ok.all():
         rest = ~ok
@@ -250,7 +255,11 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S_vN = -Tr(rho ln rho) in nats: shannon_entropy of the spectrum clipped to [0, 1]."""
-    rho = validate_density(rho, "rho", check_psd=False)
+    return _spectral_entropy(validate_density(rho, "rho", check_psd=False))
+
+
+def _spectral_entropy(rho: np.ndarray) -> float:
+    """von_neumann_entropy of a state that is already validated."""
     return shannon_entropy(np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0))
 
 

@@ -11,6 +11,7 @@ values B = (J/N)|m1+m2| on the way down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -67,11 +68,17 @@ def landau_zener_protocol(
     nodes: int = MODELS["landau_zener"]["nodes"],
 ) -> Protocol:
     times = np.linspace(0.0, t_final, nodes)
-    # landau_zener's operations at every node, so each node is bit-equal to it; the
-    # product allocates the only stack and the constant part is added in place
-    hams = np.multiply((0.5 * v * times)[:, None, None], _SIGMA_Z)
-    hams += 0.5 * delta * _SIGMA_X
+    hams = partial(_landau_zener_nodes, delta, v, times)
     return Protocol(times=times, hamiltonians=hams, beta=beta, label="landau_zener")
+
+
+def _landau_zener_nodes(delta: float, v: float, times: np.ndarray, s: slice) -> np.ndarray:
+    """The Landau-Zener Hamiltonians of the nodes s of the grid times, with
+    landau_zener's operations at every node, so each node is bit-equal to it:
+    the product allocates the block and the constant part is added in place."""
+    h = np.multiply((0.5 * v * times[s])[:, None, None], _SIGMA_Z)
+    h += 0.5 * delta * _SIGMA_X
+    return h
 
 
 def curie_weiss_protocol(
@@ -95,18 +102,11 @@ def curie_weiss_protocol(
     """
     times = np.linspace(0.0, t_final, nodes)
     b_grid = b_start + (times / t_final) * (b_end - b_start)
-    # curie_weiss's diagonal at every node, written into one preallocated stack with
-    # the same operations, so each node is bit-equal to curie_weiss
-    m = _magnetizations(n_spins)
-    hams = np.zeros((nodes, n_spins + 1, n_spins + 1))
-    levels = np.arange(n_spins + 1)
-    hams[:, levels, levels] = -(j_coupling / n_spins) * m * m - b_grid[:, None] * m
+    hams = partial(_curie_weiss_nodes, j_coupling, n_spins, b_grid)
     nonzero = np.abs(b_grid) > 0.0
     if np.any(nonzero):
         j_min = int(np.flatnonzero(nonzero)[np.argmin(np.abs(b_grid[nonzero]))])
-        h_min = hams[j_min]
-        tol_abs = cluster_tol_abs if cluster_tol_abs is not None else default_cluster_tol_abs(h_min)
-        tol = tol_abs + cluster_tol_rel * float(np.max(np.abs(np.diag(h_min))))
+        tol = _diagonal_cluster_tol(hams(slice(j_min, j_min + 1))[0], cluster_tol_abs, cluster_tol_rel)
         splitting = 2.0 * float(np.min(np.abs(b_grid[nonzero])))
         if splitting <= SPLITTING_SAFETY * tol:
             raise ValidationError(
@@ -114,6 +114,23 @@ def curie_weiss_protocol(
                 f"the clustering tolerance {tol:.3e}; refine the tolerance or coarsen the grid"
             )
     return Protocol(times=times, hamiltonians=hams, beta=beta, label="curie_weiss")
+
+
+def _diagonal_cluster_tol(h: np.ndarray, tol_abs: float | None, tol_rel: float) -> float:
+    """The gap that clustering allows on the diagonal h: tol_abs (unset, the
+    one clustering derives from h) plus tol_rel times the spectral radius."""
+    tol_abs = default_cluster_tol_abs(h) if tol_abs is None else tol_abs
+    return tol_abs + tol_rel * float(np.max(np.abs(np.diag(h))))
+
+
+def _curie_weiss_nodes(j_coupling: float, n_spins: int, b_grid: np.ndarray, s: slice) -> np.ndarray:
+    """The Curie-Weiss Hamiltonians of the nodes s of the field grid b_grid:
+    curie_weiss's diagonal at every node, written into a preallocated block
+    with the same operations, so each node is bit-equal to curie_weiss."""
+    m, levels = _magnetizations(n_spins), np.arange(n_spins + 1)
+    h = np.zeros((len(b_grid[s]), n_spins + 1, n_spins + 1))
+    h[:, levels, levels] = -(j_coupling / n_spins) * m * m - b_grid[s, None] * m
+    return h
 
 
 def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,9 +172,14 @@ def random_protocol(
         h_a = _with_duplicate_eigenvalues(h_a)
         h_end = _with_duplicate_eigenvalues(h_end)
     times = np.linspace(0.0, t_final, nodes)
-    ramp = (times / t_final)[:, None, None]
-    hams = h_a[None, :, :] + ramp * (h_end - h_a)[None, :, :]
+    hams = partial(_ramp_nodes, h_a, h_end - h_a, times / t_final)
     return Protocol(times=times, hamiltonians=hams, beta=beta, label="random")
+
+
+def _ramp_nodes(h_a: np.ndarray, h_step: np.ndarray, ramp: np.ndarray, s: slice) -> np.ndarray:
+    """h_a + ramp_j h_step at the nodes s, the operations of random_protocol's
+    ramp at every node."""
+    return h_a[None, :, :] + ramp[s, None, None] * h_step[None, :, :]
 
 
 @dataclass(frozen=True)
@@ -233,8 +255,13 @@ def read_matrix_file(path: str) -> np.ndarray:
 
 def constant_protocol(h: np.ndarray, beta: float, t_final: float, nodes: int) -> Protocol:
     times = np.linspace(0.0, t_final, nodes)
-    hams = np.repeat(h[None, :, :], nodes, axis=0)
+    hams = partial(_constant_nodes, np.asarray(h))
     return Protocol(times=times, hamiltonians=hams, beta=beta, label="matrix")
+
+
+def _constant_nodes(h: np.ndarray, s: slice) -> np.ndarray:
+    """h at every node of the range s, one copy a node."""
+    return np.repeat(h[None, :, :], len(range(s.start, s.stop)), axis=0)
 
 
 @dataclass(frozen=True)

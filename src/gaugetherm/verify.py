@@ -107,7 +107,7 @@ def _suite(case):
 def suite_ft(i: int, rng: np.random.Generator) -> dict:
     p = _case_protocol(rng, i, max_dim=8, nodes=81)
     if i % 2 == 0:
-        rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
+        rho0, _ = gibbs_state(p.block(0), p.beta)
     else:
         rho0 = _random_density(p.dim, rng)
     ev = evolve(p, rho0)
@@ -154,7 +154,7 @@ def suite_ft(i: int, rng: np.random.Generator) -> dict:
 @_suite
 def suite_clausius(i: int, rng: np.random.Generator) -> dict:
     p = _case_protocol(rng, i, max_dim=6, nodes=301)
-    rho0, _ = gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gibbs_state(p.block(0), p.beta)
     run = stream_run(p, rho0)
     tl, tol = run.tl, run.tol
     rep = clausius_report(p, run.ev, tl)

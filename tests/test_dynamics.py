@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import gaugetherm as gt
 from gaugetherm.dynamics import GRID_UNIFORMITY_TOL
-from gaugetherm.dynamics import _cumtrap, _PowerIntegrands, _Propagator, _steps
+from gaugetherm.dynamics import _cumtrap, _PowerIntegrands, _Propagator, _steps, _Window, _window
 from gaugetherm.gauge import level_space, level_twirl
 from gaugetherm.linalg import (
     BLOCK_BYTES,
@@ -527,7 +527,8 @@ def test_eigendecomposition_budget(monkeypatch):
 def test_stacked_passes_hold_a_few_blocks(tmp_path):
     """Beyond what they return, evolve, ledger and integration_tolerance hold
     a few node blocks of temporaries, not whole (n, d, d) stacks; a whole
-    `gaugetherm run` holds its Hamiltonians and a few blocks."""
+    `gaugetherm run` holds a few blocks and per-node rows, not its
+    Hamiltonians, which its protocol makes a node block at a time."""
     p = gt.curie_weiss_protocol(n_spins=40, nodes=401)
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
     stack = p.n_nodes * p.dim**2 * np.dtype(complex).itemsize
@@ -564,11 +565,12 @@ def test_stacked_passes_hold_a_few_blocks(tmp_path):
     # the coarse run is folded into its neighbour traces a node block at a
     # time, so it keeps no coarse stack
     assert tolerance_peak <= 0.5
-    # the run builds the Hamiltonians, decomposes them a node block at a time
-    # inside its pass, and folds the pass into the ledger, the tolerance and
-    # the checks: it stores neither a state stack nor the node bases
+    # the run makes the Hamiltonians and decomposes them a node block at a
+    # time inside its pass, and folds the pass into the ledger, the tolerance
+    # and the checks: it stores no Hamiltonian stack, no state stack and no
+    # node bases, only (n, d) rows such as the level-basis diagonals
     assert code == 0
-    assert run_peak <= 1.5
+    assert run_peak <= 0.25
 
 
 def test_neighbour_traces_across_node_blocks():
@@ -585,9 +587,9 @@ def test_neighbour_traces_across_node_blocks():
     def full(a, b):
         return np.trace(a @ b, axis1=-2, axis2=-1).real
 
-    fold = _PowerIntegrands(h)
+    fold = _PowerIntegrands(n)
     for b in node_blocks(n, d):
-        fold.add(b, s[b])
+        fold.add(b, _Window(h, 0), s[b])
     [(work, heat, same)] = fold.integrands(dt)
     assert np.allclose(same, full(s, h), rtol=0.0, atol=1e-11)
     assert np.allclose(work, full(s, np.gradient(h, dt, axis=0)), rtol=0.0, atol=1e-10)
@@ -707,7 +709,7 @@ class TestPassNamesGlobalIndices:
         run = _Propagator(rho0)
         with pytest.raises(ValidationError, match=f"level populations at node {self.bad} "):
             for s in node_blocks(p.n_nodes, p.dim):
-                run.block(s, lv[s], _steps(p.hamiltonians, s, -1j * p.dt))
+                run.block(s, lv[s], _steps(_window(p, s), s, -1j * p.dt))
 
     @pytest.mark.parametrize(
         "state, message",

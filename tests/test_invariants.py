@@ -298,6 +298,27 @@ def test_single_state_routes_share_the_kernel_checks():
             route(np.diag([0.9, 0.9]).astype(complex), ds)
 
 
+def test_entropy_report_validates_its_state_once(monkeypatch):
+    """entropy_report validates rho once (gauge._state_levels) and takes s_vn
+    from that validated state, with von_neumann_entropy's digits."""
+    import gaugetherm.gauge
+    import gaugetherm.linalg
+
+    rng = np.random.default_rng(21)
+    rho = random_density(4, rng)
+    ds = structure_of(np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex))
+    s_vn = gt.von_neumann_entropy(rho)
+    calls = []
+    for module in (gaugetherm.gauge, gaugetherm.linalg):
+        validate = module.validate_density
+        monkeypatch.setattr(
+            module, "validate_density", lambda *a, _v=validate, **k: calls.append(1) or _v(*a, **k)
+        )
+    rep = entropy_report(rho, ds)
+    assert len(calls) == 1
+    assert rep.s_vn == s_vn
+
+
 def test_entropy_report_pure_superposition():
     # (|0> + |1>)/sqrt(2) across two nondegenerate levels: all coherence
     h = np.diag([0.0, 1.0]).astype(complex)

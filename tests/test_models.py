@@ -1,4 +1,5 @@
 """Model builders, the fuzz-case generator, and the low-temperature scan."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +8,8 @@ import pytest
 
 import gaugetherm as gt
 from gaugetherm.gauge import cluster_spectrum, default_cluster_tol_abs
-from gaugetherm.linalg import eigh
-from gaugetherm.models import MODELS, read_matrix_file
+from gaugetherm.linalg import eigh, node_blocks
+from gaugetherm.models import MODELS, _random_hermitian, constant_protocol, read_matrix_file
 
 
 class TestHamiltonians:
@@ -68,9 +69,10 @@ class TestProtocolBuilders:
         with pytest.raises(ValueError):
             gt.curie_weiss_protocol(n_spins=0)
 
-    def test_field_ramp_builds_one_stack(self):
-        # the diagonals are broadcast into one preallocated real stack; a list
-        # of per-node matrices joined by np.stack peaked at two stacks
+    def test_field_ramp_builder_holds_no_stack(self):
+        # the protocol makes its Hamiltonians a node block at a time, and its
+        # checks hold one block and one transposed copy of it (9 of the 401
+        # nodes here); the stacked builder peaked at one real stack
         stack = 401 * 41 * 41 * 8
         tracemalloc.start()
         try:
@@ -78,7 +80,7 @@ class TestProtocolBuilders:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * stack
+        assert peak <= 0.05 * stack
 
     def test_builders_are_real(self):
         assert gt.landau_zener(2.0, 1.0, 0.3).dtype == np.float64
@@ -91,6 +93,110 @@ class TestProtocolBuilders:
         # silently merge +-m pairs before the field vanishes
         with pytest.raises(gt.ValidationError):
             gt.curie_weiss_protocol(nodes=101, cluster_tol_abs=1.0)
+
+
+def _landau_zener_case():
+    p = gt.landau_zener_protocol(delta=0.3, v=-2.7, t_final=3.3, nodes=4100)
+    return p, lambda j: gt.landau_zener(0.3, -2.7, p.times[j])
+
+
+def _curie_weiss_case():
+    p = gt.curie_weiss_protocol(n_spins=20, nodes=801)
+    fields = 2.0 + (p.times / p.tau) * (0.0 - 2.0)
+    return p, lambda j: gt.curie_weiss(1.0, 20, fields[j])
+
+
+def _random_case():
+    rng = np.random.default_rng(5)
+    h_a, h_end = _random_hermitian(8, rng), _random_hermitian(8, rng)  # random_protocol's draws
+    p = gt.random_protocol(8, 773, np.random.default_rng(5), beta=1.0)
+    return p, lambda j: h_a + (p.times[j] / p.tau) * (h_end - h_a)
+
+
+def _matrix_case():
+    h = _random_hermitian(12, np.random.default_rng(9))
+    return constant_protocol(h, 1.0, 1.0, 344), lambda j: h
+
+
+@pytest.mark.parametrize(
+    "case, blocks",
+    [(_landau_zener_case, 2), (_curie_weiss_case, 22), (_random_case, 4), (_matrix_case, 4)],
+    ids=["landau_zener", "curie_weiss", "random", "matrix"],
+)
+def test_builders_make_every_node_block_bit_equal(case, blocks):
+    """The builders' protocols make their nodes a block at a time with the
+    single-node builder's operations: over several node blocks, every node
+    of every block equals the single-node Hamiltonian bit for bit, and
+    stream_run gives the same numbers bit for bit as on the protocol that
+    stores the materialized stack."""
+    p, node = case()
+    assert len(node_blocks(p.n_nodes, p.dim)) == blocks
+    for s in node_blocks(p.n_nodes, p.dim):
+        h = p.block(s)
+        assert h.dtype == p.dtype
+        for j in range(s.start, s.stop):
+            assert np.array_equal(h[j - s.start], node(j)), j
+    stored = gt.Protocol(times=p.times, hamiltonians=p.hamiltonians, beta=p.beta)
+    assert stored.dtype == p.dtype
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
+    made, kept = gt.stream_run(p, rho0), gt.stream_run(stored, rho0)
+    for f in dataclasses.fields(made.tl):
+        assert np.array_equal(getattr(made.tl, f.name), getattr(kept.tl, f.name)), f.name
+    for f in dataclasses.fields(made.connection):
+        a, b = getattr(made.connection, f.name), getattr(kept.connection, f.name)
+        assert (a is None and b is None) or np.array_equal(a, b), f.name
+    assert made.tol == kept.tol
+    assert np.array_equal(made.degenerate, kept.degenerate)
+    for f in dataclasses.fields(made.ev):
+        a, b = getattr(made.ev, f.name), getattr(kept.ev, f.name)
+        if f.name == "structures":
+            for g in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, g.name), getattr(b, g.name)), g.name
+        else:
+            assert np.array_equal(a, b), f.name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gt.landau_zener_protocol(delta=math.nan),
+        lambda: gt.curie_weiss_protocol(j_coupling=math.nan, n_spins=20, nodes=801),
+        lambda: gt.curie_weiss_protocol(b_end=math.nan, n_spins=20, nodes=801),
+        lambda: constant_protocol(np.array([[0.0, math.nan], [math.nan, 1.0]]), 1.0, 1.0, 11),
+    ],
+    ids=["landau_zener_delta", "curie_weiss_j", "curie_weiss_b_end", "matrix"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_model_parameter_names_the_node(build):
+    """A NaN model parameter is refused as the stored stack was: the same
+    ValidationError, naming node 0, whose Hamiltonian is not finite."""
+    with pytest.raises(gt.ValidationError) as err:
+        build()
+    assert str(err.value) == "hamiltonian at node 0 has non-finite entries"
+
+
+def test_made_protocol_names_the_node_the_stored_one_names():
+    """A protocol made by a function is checked a node block at a time, with
+    the stored stack's errors: a non-finite node in the fourth block is named
+    before a node of the second block that is only not Hermitian, and that
+    node when every node is finite."""
+    d = 12
+    n, block = 3 * node_blocks(10**6, d)[0].stop + 5, node_blocks(10**6, d)[0].stop
+    skew, bad = block + 3, 3 * block + 2
+    hams = np.repeat(np.eye(d)[None], n, axis=0)
+    hams[skew, 0, 1] = 1.0
+    times = np.linspace(0.0, 1.0, n)
+    for entry, node, what in (
+        (math.nan, bad, "has non-finite entries"),
+        (1.0, skew, "is not Hermitian within tolerance"),
+    ):
+        hams[bad, 2, 2] = entry
+        messages = []
+        for given in (hams, lambda s: hams[s].copy()):
+            with pytest.raises(gt.ValidationError) as err:
+                gt.Protocol(times=times, hamiltonians=given, beta=1.0)
+            messages.append(str(err.value))
+        assert messages == [f"hamiltonian at node {node} {what}"] * 2
 
 
 class TestRandomProtocol:
