@@ -202,27 +202,26 @@ def evolve(
     as one stacked call per node block and clustered into the block's levels
     (_decompose), and one per midpoint Hamiltonian, which gives every step
     propagator (_steps), both from the block's window of Hamiltonians
-    (_window). The dtype of the protocol picks the solver: a real protocol
+    (_windows). The dtype of the protocol picks the solver: a real protocol
     takes the real-symmetric one and keeps real bases, half the bytes of
     complex ones, and a complex protocol takes the complex one in every
     block. The real solver may pick another basis inside a
-    degenerate level than the complex one. Each block is decomposed and
-    then propagated (_Propagator.block), and written into the stacks returned, the node
-    bases of the levels record among them. Those stacks are for library
-    callers that read every node; stream_run folds the same blocks into the
-    ledger, the tolerance and the connection check without storing them.
+    degenerate level than the complex one. The pass over node blocks
+    (_pass) decomposes and propagates each block, and evolve writes it into
+    the stacks returned, the node bases of the levels record among them.
+    Those stacks are for library callers that read every node; stream_run
+    folds the same pass into the ledger, the tolerance and the connection
+    check without storing it.
     """
     rho0 = _initial_state(p, rho0)
-    run, c = _Propagator(rho0), -1j * p.dt
     levels = []
     props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
     basis = np.empty((p.n_nodes, p.dim, p.dim), p.dtype)
-    for s in node_blocks(p.n_nodes, p.dim):
-        win = _window(p, s)
-        lv = _decompose(win.nodes(s.start, s.stop), cluster_tol_abs, cluster_tol_rel)
+    for s, win, lv, block in _pass(p, rho0, cluster_tol_abs, cluster_tol_rel):
+        props[s], states[s], twirled[s] = block[:3]
         basis[s] = lv.basis
         levels.append(replace(lv, basis=basis[s]))  # so the block's eigenvectors go
-        props[s], states[s], twirled[s] = run.block(s, levels[-1], _steps(win, s, c))[:3]
+        del win, lv, block  # before the pass makes the next block
     return EvolutionResult(states, twirled, props, join_levels(levels, basis))
 
 
@@ -238,16 +237,31 @@ class _Window(NamedTuple):
         return self.h[a - self.first : b - self.first]
 
 
-def _window(p: Protocol, s: slice) -> _Window:
-    """The Hamiltonians that a pass reads for node block s, made once
-    (Protocol.block) and read as views by every consumer: the block, one node
-    of halo on each side (the steps into it, _steps, and the neighbour
-    traces, _PowerIntegrands), widened at each end to an even node, so the
-    coarse grid's neighbours of the block's even nodes are in it too
-    (_CoarseRun). Its first node is even."""
-    a, b = s.start, s.stop
-    first = max(a - 2 + a % 2, 0)
-    return _Window(p.block(slice(first, b + 1 + b % 2)), first)
+def _windows(p: Protocol):
+    """Each node block s (linalg.node_blocks), in node order, with the
+    Hamiltonians that a pass reads for it, made once (Protocol.block) and
+    read as views by every consumer: the block, one node of halo on each side
+    (the steps into it, _steps, and the neighbour traces, _PowerIntegrands),
+    widened at each end to an even node, so the coarse grid's neighbours of
+    the block's even nodes are in it too (_CoarseRun). Its first node is
+    even."""
+    for s in node_blocks(p.n_nodes, p.dim):
+        a, b = s.start, s.stop
+        first = max(a - 2 + a % 2, 0)
+        yield s, _Window(p.block(slice(first, b + 1 + b % 2)), first)
+
+
+def _pass(p: Protocol, rho0: np.ndarray, tol_abs: float | None, tol_rel: float):
+    """The pass over node blocks that evolve stores and stream_run folds,
+    from a validated rho0: each node block s in node order, with its window
+    (_windows), the levels record of its nodes (_decompose) and the arrays
+    that _Propagator.block gives for it. It lets the window and the levels
+    go before it makes the next block; so must a consumer."""
+    run, c = _Propagator(rho0), -1j * p.dt
+    for s, win in _windows(p):
+        lv = _decompose(win.nodes(s.start, s.stop), tol_abs, tol_rel)
+        yield s, win, lv, run.block(s, lv, _steps(win, s, c))
+        del win, lv
 
 
 def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
@@ -363,7 +377,7 @@ class _PowerIntegrands:
     the derivatives of np.gradient (central, and one-sided at the two ends),
     for each state stack S of a pass over n nodes, folded a node block at a
     time: add(s, win, S[s], S'[s], ...) for the blocks in node order, with
-    each block's window of Hamiltonians (_window), then integrands(dt).
+    each block's window of Hamiltonians (_windows), then integrands(dt).
 
     A central difference is linear, so it moves onto neighbour traces:
     Tr(S_j Hdot_j) = [Tr(S_j H_{j+1}) - Tr(S_j H_{j-1})] / 2dt and
@@ -406,8 +420,8 @@ def _series(integrands: list[tuple], dt: float) -> WorkHeatSeries:
 
 def work_heat_series(p: Protocol, ev: EvolutionResult) -> WorkHeatSeries:
     fold = _PowerIntegrands(p.n_nodes)
-    for s in node_blocks(p.n_nodes, p.dim):
-        fold.add(s, _window(p, s), ev.states[s], ev.twirled_states[s])
+    for s, win in _windows(p):
+        fold.add(s, win, ev.states[s], ev.twirled_states[s])
     return _series(fold.integrands(p.dt), p.dt)
 
 
@@ -528,8 +542,8 @@ def integration_tolerance(
     """
     coarse = _CoarseRun(p, ev.states[0])
     fine = work_heat_series(p, ev) if tl is None else tl
-    for s in node_blocks(p.n_nodes, p.dim):
-        coarse.add(s, ev.structures[s], _window(p, s))
+    for s, win in _windows(p):
+        coarse.add(s, ev.structures[s], win)
     return coarse.tolerance(fine)
 
 
@@ -537,7 +551,7 @@ class _CoarseRun:
     """The tolerance's run on the grid coarsened by two, whose nodes are the
     fine nodes 0, 2, 4, ... and their Hamiltonians, from rho0 (validated).
     add(s, lv, win) takes a fine node block s, in node order, with the
-    levels record of its nodes and its window (_window), whose even nodes
+    levels record of its nodes and its window (_windows), whose even nodes
     are the coarse grid's, and propagates the block's even nodes, the
     coarse nodes (s.start + 1) // 2 .. (s.stop + 1) // 2 - 1, into the coarse
     neighbour traces; a one-node block of an odd node has none. Coarse step
@@ -604,34 +618,22 @@ def _degenerate_check(degenerate: np.ndarray) -> ConnectionCheck | None:
     return None
 
 
-class _LevelWork:
-    """sum_a x_a edot_a per node from each node's level-basis diagonal x and
-    eigenvalues e, edot as np.gradient takes it, folded a node block at a time:
-    add(s, x[s], e[s]) for the blocks in node order, then check(...). As in
-    _PowerIntegrands, the central difference moves onto the neighbour products
-    x_j . e_{j+1} and x_{j+1} . e_j, so a block's halo is the row before it."""
+def _connection(
+    x: np.ndarray, e: np.ndarray, integrands: tuple[np.ndarray, ...], dt: float, tl: ThermoLedger
+) -> ConnectionCheck:
+    """The performed check from every node's level-basis diagonal x and
+    spectrum e (n, d) and the states' work and heat integrands
+    (_PowerIntegrands), against the ledger. sum_a x_a edot_a takes edot as
+    np.gradient does; as in _PowerIntegrands, the central difference moves
+    onto the neighbour sums x_j . e_{j+1} and x_{j+1} . e_j. Then
+    t = Re Tr(rho [A,H]) = sum x edot - Re Tr(rho Hdot)."""
+    def dot(a, b):
+        return np.einsum("ij,ij->i", a, b)
 
-    def __init__(self, n: int):
-        self.same, self.fwd, self.bwd = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-        self.halo = None  # the last x and e row given
-
-    def add(self, s: slice, x: np.ndarray, e: np.ndarray) -> None:
-        self.same[s] = np.einsum("ij,ij->i", x, e)
-        if self.halo is not None:
-            x, e = np.vstack([self.halo[0], x]), np.vstack([self.halo[1], e])
-        lo = s.stop - len(x)  # the node of x[0]
-        self.fwd[lo : s.stop - 1] = np.einsum("ij,ij->i", x[:-1], e[1:])
-        self.bwd[lo : s.stop - 1] = np.einsum("ij,ij->i", x[1:], e[:-1])
-        self.halo = x[-1:], e[-1:]
-
-    def check(self, integrands: tuple[np.ndarray, ...], dt: float, tl: ThermoLedger) -> ConnectionCheck:
-        """The check from the states' work and heat integrands (_PowerIntegrands)
-        against the ledger: t = Re Tr(rho [A,H]) = sum x edot - Re Tr(rho Hdot)."""
-        work, heat, _ = integrands
-        t = _ends(self.fwd, self.bwd, self.same, dt) - work
-        w_cov, q_cov = _cumtrap(work + t, dt), _cumtrap(heat - t, dt)
-        w_dev, q_dev = np.abs(w_cov - tl.w_inv), np.abs(q_cov - tl.q_inv)
-        return ConnectionCheck(True, "", w_cov, q_cov, w_dev, q_dev)
+    work, heat, _ = integrands
+    t = _ends(dot(x[:-1], e[1:]), dot(x[1:], e[:-1]), dot(x, e), dt) - work
+    w_cov, q_cov = _cumtrap(work + t, dt), _cumtrap(heat - t, dt)
+    return ConnectionCheck(True, "", w_cov, q_cov, np.abs(w_cov - tl.w_inv), np.abs(q_cov - tl.q_inv))
 
 
 def connection_cross_check(
@@ -646,21 +648,19 @@ def connection_cross_check(
     With t = Re Tr(rho [A,H]) = -Re Tr(H [A,rho]), the covariant work and heat
     integrands are those of work_heat_series plus and minus t. Skipped
     whenever any node is degenerate: the eigenframe is not defined across a
-    merged level. The sums are folded a node block at a time (_LevelWork),
-    as stream_run does in its pass.
+    merged level. The sums are taken on every node at once (_connection),
+    as stream_run takes them after its pass.
     """
     skipped = _degenerate_check(ev.structures.degenerate)
     if skipped is not None:
         return skipped
     if tl is None:
         tl = ledger(p, ev)
-    lv = ev.structures
-    x, e = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])[0], lv.spectra
-    fold, work = _PowerIntegrands(p.n_nodes), _LevelWork(p.n_nodes)
-    for s in node_blocks(p.n_nodes, p.dim):
-        fold.add(s, _window(p, s), ev.states[s])
-        work.add(s, x[s], e[s])
-    return work.check(fold.integrands(p.dt)[0], p.dt, tl)
+    fold, lv = _PowerIntegrands(p.n_nodes), ev.structures
+    for s, win in _windows(p):
+        fold.add(s, win, ev.states[s])
+    x = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])[0]
+    return _connection(x, lv.spectra, fold.integrands(p.dt)[0], p.dt, tl)
 
 
 @dataclass(frozen=True)
@@ -689,29 +689,28 @@ def stream_run(
     """evolve, ledger, integration_tolerance and connection_cross_check in
     one pass over node blocks, with the same numbers bit for bit.
 
-    The pass takes the node blocks (linalg.node_blocks) in order. It makes
-    each block's window of Hamiltonians once (_window, Protocol.block),
-    decomposes the block's nodes (evolve's _decompose) and feeds views of the
-    window and the block's levels record to every consumer before letting
-    them go: the fine run (_Propagator), folded into the neighbour traces of
-    the work/heat series; the tolerance's run on the grid coarsened by two
-    (_CoarseRun), whose nodes are the block's even nodes and whose steps are
-    taken at its odd nodes, from their eigenvalues and basis
-    (integration_tolerance); and the connection check (_LevelWork), which
-    takes D_t H = V Edot V^dag from the block's level-basis diagonal and
-    eigenvalues and holds one node of halo. The ledger's entropy rows are
-    one _entropy_columns call after the pass, on the level-basis diagonal,
-    level spectra and populations the pass keeps of every node. So the pass
-    decomposes 2n - 1 matrices, the n nodes and the n - 1 fine midpoints,
-    and the check is skipped when any node is degenerate. A run holds a few
-    node blocks, and of every node its level-basis diagonal and spectrum
-    (n, d), its level populations, ledger rows, connection sums and
-    degenerate flag: not the Hamiltonians of every node when the protocol
-    makes them (the model builders' protocols), nor the stacks of evolve or
-    the levels of every node. The nodes kept are 0, n // 2 and n - 1; their
-    bases are real when the protocol is, as in the pass. Faults are raised a
-    block at a time in node order, and a protocol of fewer than 5 nodes is
-    refused before the pass.
+    The pass is evolve's (_pass): it takes the node blocks in order, makes
+    each block's window of Hamiltonians once (_windows, Protocol.block),
+    decomposes the block's nodes and propagates them. stream_run feeds views
+    of the window and the block's levels record to every consumer before
+    letting them go: the fine run's states, folded into the neighbour traces
+    of the work/heat series; and the tolerance's run on the grid coarsened
+    by two (_CoarseRun), whose nodes are the block's even nodes and whose
+    steps are taken at its odd nodes, from their eigenvalues and basis
+    (integration_tolerance). The ledger's entropy rows are one
+    _entropy_columns call after the pass, on the level-basis diagonal, level
+    spectra and populations the pass keeps of every node; the connection
+    check takes D_t H = V Edot V^dag from the same diagonal and spectra
+    after the pass too (_connection), unless a node is degenerate. So the
+    pass decomposes 2n - 1 matrices, the n nodes and the n - 1 fine
+    midpoints. A run holds a few node blocks, and of every node its
+    level-basis diagonal and spectrum (n, d), its level populations, ledger
+    rows and degenerate flag: not the Hamiltonians of every node when the
+    protocol makes them (the model builders' protocols), nor the stacks of
+    evolve or the levels of every node. The nodes kept are 0, n // 2 and
+    n - 1; their bases are real when the protocol is, as in the pass. Faults
+    are raised a block at a time in node order, and a protocol of fewer than
+    5 nodes is refused before the pass.
     """
     rho0 = _initial_state(p, rho0)
     n, d, dt = p.n_nodes, p.dim, p.dt
@@ -722,29 +721,25 @@ def stream_run(
     # temporaries on its heap, where two (n, d) arrays left the heap trimmed and the
     # next block refaulting it (about 10^5 page faults a Curie-Weiss run)
     degenerate, (diag, spectra) = np.empty(n, dtype=bool), np.empty((2, n, d))
-    pops, mults = [], []
-    run, fine, work = _Propagator(rho0), _PowerIntegrands(n), _LevelWork(n)
-    for s in node_blocks(n, d):
-        win = _window(p, s)
-        lv = _decompose(win.nodes(s.start, s.stop), cluster_tol_abs, cluster_tol_rel)
-        degenerate[s], spectra[s] = lv.degenerate, lv.spectra
-        props, states, twirled, diag[s], block_pops = run.block(s, lv, _steps(win, s, -1j * dt))
+    pops, mults, fine = [], [], _PowerIntegrands(n)
+    blocks = _pass(p, rho0, cluster_tol_abs, cluster_tol_rel)
+    for s, win, lv, (props, states, twirled, x, block_pops) in blocks:
+        degenerate[s], spectra[s], diag[s] = lv.degenerate, lv.spectra, x
         pops.append(block_pops)
         mults.append(lv.mults)
         fine.add(s, win, states, twirled)
-        work.add(s, diag[s], spectra[s])
         here = [j - s.start for j in nodes if s.start <= j < s.stop]
         if here:  # copies, which let the block go
             kept.append((states[here], twirled[here], props[here], lv[here]))
         del props, states, twirled  # before the coarse run makes its own
         coarse.add(s, lv, win)
-        del lv, win
+        del lv, win  # before the pass makes the next block
 
     pops, mults = np.concatenate(pops), np.concatenate(mults)  # which lets the blocks' arrays go
     rows = _entropy_columns(mults, spectra, diag, pops, p.beta)
     integrands = fine.integrands(dt)
     tl = _ledger(_series(integrands, dt), rows, von_neumann_entropy(rho0))
-    check = _degenerate_check(degenerate) or work.check(integrands[0], dt, tl)
+    check = _degenerate_check(degenerate) or _connection(diag, spectra, integrands[0], dt, tl)
     states, twirled, props, levels = zip(*kept)
     levels = join_levels(levels, np.concatenate([lv.basis for lv in levels]))
     ev = EvolutionResult(np.concatenate(states), np.concatenate(twirled), np.concatenate(props), levels)

@@ -51,6 +51,13 @@ def default_cluster_tol_abs(H: np.ndarray) -> float | np.ndarray:
     return float(tol) if tol.ndim == 0 else tol
 
 
+def cluster_tol(w: np.ndarray, tol_abs: float | np.ndarray, tol_rel: float = CLUSTER_TOL_REL):
+    """The widest gap that clustering keeps inside a level of the spectrum w
+    (d,), or of each spectrum of a stack (n, d): tol_abs plus tol_rel times
+    the spectral radius."""
+    return tol_abs + tol_rel * np.max(np.abs(w), axis=-1, initial=0.0)
+
+
 @dataclass(frozen=True)
 class DegeneracyStructure:
     """Clustered levels of a Hermitian spectrum.
@@ -200,7 +207,7 @@ def cluster_spectra(
     # NaN fails both comparisons
     if not (np.all((tol_abs >= 0) & (tol_abs < np.inf)) and 0 <= tol_rel < np.inf):
         raise ValueError("clustering tolerances must be finite and nonnegative")
-    tol = tol_abs + tol_rel * np.max(np.abs(w), axis=1, initial=0.0)
+    tol = cluster_tol(w, tol_abs, tol_rel)
 
     first = np.ones((n, d), dtype=bool)
     first[:, 1:] = np.diff(w, axis=1) > tol[:, None]
@@ -328,15 +335,12 @@ def twirl_oracle(
     projector formula, not to replace it. Sampled in the level basis, a
     block of elements at a time (linalg.node_blocks): with R = B^dag rho B,
     each block adds the sum of D R D^dag over its block-diagonal elements D,
-    and the average is rotated back by the basis B once.
+    and the average is rotated back by the basis B once. rho is checked as
+    twirl checks it (_state_levels).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rho = validate_density(rho, check_psd=False)
-    if rho.shape != (ds.dim, ds.dim):
-        raise ValidationError(
-            f"state dimension {rho.shape[-1]} does not match structure dimension {ds.dim}"
-        )
+    rho = _state_levels(rho, ds)[0]
     B = ds.basis
     R = _dag(B) @ rho @ B
     acc = np.zeros(R.shape, dtype=complex)  # R is real for a real rho and basis

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import (
-    CLUSTER_TOL_REL,
     LEVEL_NORM_TOL,
     DegeneracyStructure,
     _state_levels,
+    cluster_tol,
     default_cluster_tol_abs,
 )
 from .linalg import (
@@ -146,7 +146,7 @@ def noneq_free_energy(
         raise ValidationError(f"H dimension {H.shape[-1]} does not match structure dimension {ds.dim}")
     e = np.repeat(ds.energies, ds.mults)
     dev = float(np.max(np.abs(_dag(ds.basis) @ H @ ds.basis - np.diag(e))))
-    tol = default_cluster_tol_abs(H) + CLUSTER_TOL_REL * float(np.max(np.abs(e)))
+    tol = float(cluster_tol(e, default_cluster_tol_abs(H)))
     if not dev <= tol:
         raise ValidationError(
             f"H is not diagonal with the structure's level energies in its basis: "

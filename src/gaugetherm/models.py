@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .dynamics import Protocol
-from .gauge import CLUSTER_TOL_REL, cluster_spectrum, default_cluster_tol_abs
+from .gauge import CLUSTER_TOL_REL, cluster_spectrum, cluster_tol, default_cluster_tol_abs
 from .linalg import ValidationError, _log_gibbs, eigh, shannon_entropy, validate_hermitian
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -106,7 +106,10 @@ def curie_weiss_protocol(
     nonzero = np.abs(b_grid) > 0.0
     if np.any(nonzero):
         j_min = int(np.flatnonzero(nonzero)[np.argmin(np.abs(b_grid[nonzero]))])
-        tol = _diagonal_cluster_tol(hams(slice(j_min, j_min + 1))[0], cluster_tol_abs, cluster_tol_rel)
+        h = hams(slice(j_min, j_min + 1))[0]
+        tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
+        tol = float(cluster_tol(np.diag(h), tol_abs, cluster_tol_rel))
+        del h  # so that the protocol checks its nodes without this one
         splitting = 2.0 * float(np.min(np.abs(b_grid[nonzero])))
         if splitting <= SPLITTING_SAFETY * tol:
             raise ValidationError(
@@ -114,13 +117,6 @@ def curie_weiss_protocol(
                 f"the clustering tolerance {tol:.3e}; refine the tolerance or coarsen the grid"
             )
     return Protocol(times=times, hamiltonians=hams, beta=beta, label="curie_weiss")
-
-
-def _diagonal_cluster_tol(h: np.ndarray, tol_abs: float | None, tol_rel: float) -> float:
-    """The gap that clustering allows on the diagonal h: tol_abs (unset, the
-    one clustering derives from h) plus tol_rel times the spectral radius."""
-    tol_abs = default_cluster_tol_abs(h) if tol_abs is None else tol_abs
-    return tol_abs + tol_rel * float(np.max(np.abs(np.diag(h))))
 
 
 def _curie_weiss_nodes(j_coupling: float, n_spins: int, b_grid: np.ndarray, s: slice) -> np.ndarray:

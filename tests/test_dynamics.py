@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import gaugetherm as gt
 from gaugetherm.dynamics import GRID_UNIFORMITY_TOL
-from gaugetherm.dynamics import _cumtrap, _PowerIntegrands, _Propagator, _steps, _Window, _window
+from gaugetherm.dynamics import _cumtrap, _PowerIntegrands, _Propagator, _steps, _Window, _windows
 from gaugetherm.gauge import level_space, level_twirl
 from gaugetherm.linalg import (
     BLOCK_BYTES,
@@ -681,6 +682,30 @@ def test_evolve_across_node_blocks():
             u = scipy.linalg.expm(-1j * p.dt * (h[j] + h[j + 1]) / 2.0) @ u
 
 
+@pytest.mark.parametrize("route", ["evolve", "stream_run"])
+def test_pass_lets_each_window_go_before_the_next(route):
+    """evolve and stream_run take one pass (dynamics._pass), which makes a
+    block's window of Hamiltonians only once the previous window is let go,
+    by the pass and by its consumer: over four node blocks of a protocol that
+    makes its nodes, no node range it made before is alive when it makes the
+    next."""
+    stored = _ramp12(3 * BLOCK12 + 5, seed=59)
+    h, made = stored.hamiltonians, []
+
+    def nodes(s):
+        alive = [k for k, ref in enumerate(made) if ref() is not None]
+        assert not alive, f"window {alive} of the pass is alive while it makes window {len(made)}"
+        out = h[s].copy()
+        made.append(weakref.ref(out))
+        return out
+
+    p = gt.Protocol(times=stored.times, hamiltonians=nodes, beta=stored.beta)
+    made.clear()  # the protocol's own checks
+    rho0, _ = gt.gibbs_state(h[0], p.beta)
+    getattr(gt, route)(p, rho0)
+    assert len(made) == len(node_blocks(p.n_nodes, p.dim)) == 4
+
+
 class TestPassNamesGlobalIndices:
     """The evolution pass checks a node block at a time; a fault in the third
     block is named by its step or node index in the whole protocol."""
@@ -708,8 +733,8 @@ class TestPassNamesGlobalIndices:
         lv = dataclasses.replace(lv, basis=basis)
         run = _Propagator(rho0)
         with pytest.raises(ValidationError, match=f"level populations at node {self.bad} "):
-            for s in node_blocks(p.n_nodes, p.dim):
-                run.block(s, lv[s], _steps(_window(p, s), s, -1j * p.dt))
+            for s, win in _windows(p):
+                run.block(s, lv[s], _steps(win, s, -1j * p.dt))
 
     @pytest.mark.parametrize(
         "state, message",
@@ -797,30 +822,35 @@ def _assert_stream_run_matches_stored_route(p: gt.Protocol):
 
 
 @pytest.mark.parametrize(
-    "protocol",
+    "protocol, performed",
     [
-        lambda: _ramp12(3 * BLOCK12 + 5, seed=29),
-        lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801),
+        (lambda: _ramp12(3 * BLOCK12 + 5, seed=29), True),
+        (lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801), False),
+        (lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801, b_end=1.5), True),
     ],
-    ids=["ramp12", "curie_weiss"],
+    ids=["ramp12", "curie_weiss", "curie_weiss_b_end_1.5"],
 )
-def test_stream_run_matches_stored_route(protocol):
+def test_stream_run_matches_stored_route(protocol, performed):
     """stream_run decomposes the node Hamiltonians and folds one pass over
-    node blocks into the ledger, the tolerance and the connection check, with
-    the numbers of the stored route. Both protocols span four node blocks or
-    more, and the ramp does not commute with itself, so its states move;
-    Curie-Weiss is degenerate at its last node, so its check is skipped."""
+    node blocks into the ledger and the tolerance, and takes the connection
+    check's sums after it, with the numbers of the stored route. Every
+    protocol spans four node blocks or more. The ramp does not commute with
+    itself, so its states move. Curie-Weiss to B = 0 is degenerate at its
+    last node, so its check is skipped; to B = 1.5 it is degenerate nowhere,
+    so its check is performed on the real diagonal and spectra that the pass
+    keeps of every node."""
     p = protocol()
     assert len(node_blocks(p.n_nodes, p.dim)) >= 4
     run = _assert_stream_run_matches_stored_route(p)
-    assert run.connection.performed == (p.dim == 12)
+    assert run.connection.performed == performed
 
 
 def test_stream_run_at_one_node_per_block(monkeypatch):
     """With one node per block, as for d > 128, every block edge is a node:
-    the connection check's halo is the previous node at each, and every odd block
-    has no coarse node. An odd node count ends the fine and the coarse grid
-    on a shared node."""
+    the fine run carries its propagator across each, the neighbour traces
+    cross each with their one-node halo, and every odd block has no coarse
+    node. An odd node count ends the fine and the coarse grid on a shared
+    node."""
     monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * 12 * 12)
     p = _ramp12(13, seed=37)
     assert len(node_blocks(p.n_nodes, p.dim)) == p.n_nodes

@@ -275,14 +275,17 @@ def test_stochastic_entropy_zero_probability():
 
 
 def test_single_state_routes_share_the_kernel_checks():
-    from gaugetherm.gauge import twirl
+    from gaugetherm.gauge import twirl, twirl_oracle
+
+    def oracle(rho, ds):
+        return twirl_oracle(rho, ds, 4, np.random.default_rng(0))
 
     ds = structure_of(np.diag([0.0, 1.0]).astype(complex))
     # each bad state also has trace 1.8, which is diagnosed last
     nan = np.diag([0.9, 0.9]).astype(complex)
     nan[0, 1] = np.nan
     skew = np.array([[0.9, 0.3], [0.1, 0.9]], dtype=complex)
-    for route in (twirl, level_distribution, entropy_report):
+    for route in (twirl, oracle, level_distribution, entropy_report):
         with pytest.raises(ValidationError, match="dimension 3"):
             route(np.eye(3, dtype=complex) / 3, ds)
         # Hermitian with unit trace but no state: the clipped populations sum to 1.5
