@@ -24,9 +24,10 @@ class ValidationError(ValueError):
     """An operator failed one of its structural invariants."""
 
 
-# Stacked work on (n, d, d) arrays runs over blocks of consecutive matrices
-# holding about this many bytes of complex entries, so that its temporaries
-# stay a small fraction of the stack; a stack of small matrices is one block.
+# The passes over a protocol cut it into node blocks of consecutive matrices
+# holding about this many bytes of complex entries; a stack of small matrices
+# is one block. The validators and kernels a pass calls take what they get
+# whole: handed a whole stack, they hold temporaries of about a stack.
 BLOCK_BYTES = 2**18
 
 
@@ -35,8 +36,6 @@ def node_blocks(n: int, d: int) -> list[slice]:
     matrices: 16 bytes an entry, whatever the dtype of the stack, so that a
     real stack has the blocks of a complex one and the same digits."""
     size = max(1, BLOCK_BYTES // max(1, 16 * d * d))
-    if n <= size:
-        return [slice(0, n)]
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
@@ -53,16 +52,8 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2).copy()
 
 
-def _per_matrix(H: np.ndarray, fn) -> np.ndarray:
-    """fn, which maps a stack (k, d, d) to one value per matrix, over one
-    matrix or a stack (n, d, d); a stack longer than a node block is taken a
-    block at a time."""
-    if H.ndim == 2 or H.nbytes <= BLOCK_BYTES:
-        return fn(H)
-    return np.concatenate([fn(H[s]) for s in node_blocks(H.shape[0], H.shape[-1])])
-
-
-def _abs_max(H: np.ndarray) -> np.ndarray:
+def max_abs_entry(H: np.ndarray) -> np.ndarray:
+    """max |H_ij| of one matrix, or of every matrix of a stack (n, d, d)."""
     return np.abs(H).max(axis=(-2, -1), initial=0.0)
 
 
@@ -75,19 +66,14 @@ def _stack_hermitian_ok(H: np.ndarray) -> np.ndarray:
     np.conjugate(t, out=t)
     np.subtract(H, t, out=t)
     if np.iscomplexobj(t):
-        skew = _abs_max(t)
+        skew = max_abs_entry(t)
     else:
         skew = np.abs(t, out=t).max(axis=(-2, -1), initial=0.0)
     ok = skew <= HERMITICITY_TOL
     if not ok.all():
         rest = ~ok
-        ok[rest] = skew[rest] - HERMITICITY_TOL * np.maximum(1.0, _abs_max(H[rest])) <= 0.0
+        ok[rest] = skew[rest] - HERMITICITY_TOL * np.maximum(1.0, max_abs_entry(H[rest])) <= 0.0
     return ok
-
-
-def max_abs_entry(H: np.ndarray) -> np.ndarray:
-    """max |H_ij| of one matrix, or of every matrix of a stack (n, d, d)."""
-    return _per_matrix(np.asarray(H), _abs_max)
 
 
 def _named(name: str, bad: np.ndarray, first: int = 0) -> str:
@@ -108,7 +94,7 @@ def _hermitian_ok(H: np.ndarray) -> np.ndarray:
         return skew <= HERMITICITY_TOL or (
             skew - HERMITICITY_TOL * max(1.0, np.abs(H).max(initial=0.0)) <= 0.0
         )
-    return _per_matrix(H, _stack_hermitian_ok)
+    return _stack_hermitian_ok(H)
 
 
 def check_hermitian(H: np.ndarray, name: str, first: int = 0) -> None:
@@ -141,7 +127,7 @@ def validate_hermitian(H: np.ndarray, name: str = "operator", first: int = 0) ->
     """Check one square matrix, or a stack (n, d, d) of them, for finite
     Hermitian entries; each matrix is held to its own scale, and an error
     names the first failing matrix of a stack by its index counted from
-    `first`. A stack is checked in node blocks, so temporaries are a few blocks."""
+    `first`."""
     H = _square(H, name)
     check_hermitian(H, name, first)
     return H

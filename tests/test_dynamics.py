@@ -366,6 +366,16 @@ class TestClausius:
         assert "gibbs" in rep.reason
         assert rep.worst_slacks() == {}
 
+    def test_non_finite_start_not_applicable(self, lz_run):
+        """A NaN initial state was read as thermal, by a check that compared
+        its distance from the Gibbs state with >."""
+        states = lz_run.ev.states.copy()
+        states[0, 0, 0] = np.nan
+        ev = dataclasses.replace(lz_run.ev, states=states)
+        rep = gt.clausius_report(lz_run.p, ev, lz_run.tl)
+        assert not rep.applicable
+        assert rep.reason == "initial state differs from gibbs_state(H_0, beta) by nan"
+
     def test_all_slacks_nonnegative(self, lz_run):
         rep = gt.clausius_report(lz_run.p, lz_run.ev, lz_run.tl)
         assert rep.applicable
@@ -704,6 +714,50 @@ def test_pass_lets_each_window_go_before_the_next(route):
     rho0, _ = gt.gibbs_state(h[0], p.beta)
     getattr(gt, route)(p, rho0)
     assert len(made) == len(node_blocks(p.n_nodes, p.dim)) == 4
+
+
+def test_passes_hand_their_kernels_one_node_block(monkeypatch):
+    """The passes cut a protocol into node blocks, and the validators and
+    kernels they call take what they are given whole: over four node blocks,
+    stream_run, evolve, ledger, integration_tolerance and the connection
+    check hand the Hermitian check, max_abs_entry, cluster_spectra and
+    level_twirl no more than one node block at a time. level_space, which
+    ledger hands a whole stored run, takes its own blocks."""
+    p = _ramp12(3 * BLOCK12 + 5, seed=67)
+    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    block = node_blocks(p.n_nodes, p.dim)[0].stop
+    assert len(node_blocks(p.n_nodes, p.dim)) >= 4
+    handed = {}
+
+    def record(module, name, arg):
+        """Record the matrices of argument `arg` of every call of `name`
+        where `module` looks it up."""
+        fn = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            a = np.asarray(args[arg])
+            handed.setdefault(name, []).append(a.shape[0] if a.ndim == 3 else 1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for module, name, arg in [
+        (gt.linalg, "_stack_hermitian_ok", 0),
+        (gt.linalg, "max_abs_entry", 0),
+        (gt.gauge, "max_abs_entry", 0),
+        (gt.dynamics, "max_abs_entry", 0),
+        (gt.gauge, "cluster_spectra", 1),
+        (gt.dynamics, "cluster_spectra", 1),
+        (gt.dynamics, "level_twirl", 1),
+    ]:
+        record(module, name, arg)
+    gt.stream_run(p, rho0)
+    ev = gt.evolve(p, rho0)
+    gt.ledger(p, ev)
+    gt.integration_tolerance(p, ev)
+    assert gt.connection_cross_check(p, ev).performed
+    assert set(handed) == {"_stack_hermitian_ok", "max_abs_entry", "cluster_spectra", "level_twirl"}
+    assert {name: max(sizes) for name, sizes in handed.items()} == dict.fromkeys(handed, block)
 
 
 class TestPassNamesGlobalIndices:

@@ -235,6 +235,18 @@ def test_misaligned_distribution_rejected(lz_run):
         gt.build_ensemble(p, fwd, bad, ev)
 
 
+def test_non_finite_propagator_rejected(lz_run):
+    """A NaN in the final propagator made every transition NaN, which passed
+    the row-sum check that compared with >; only verify_ft failed, later."""
+    p, ev = lz_run.p, lz_run.ev
+    fwd = gt.level_distribution(lz_run.rho0, ev.structures[0])
+    rev = gt.thermal_level_distribution(ev.structures[-1], p.beta)
+    props = ev.propagators.copy()
+    props[-1, 0, 0] = np.nan
+    with pytest.raises(gt.ValidationError, match="transition rows deviate from stochasticity by nan"):
+        gt.build_ensemble(p, fwd, rev, dataclasses.replace(ev, propagators=props))
+
+
 def test_reference_energies_must_match_levels(lz_run):
     p, ev = lz_run.p, lz_run.ev
     fwd = gt.level_distribution(lz_run.rho0, ev.structures[0])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import gaugetherm as gt
 from gaugetherm.gauge import (
     DegeneracyStructure,
+    cluster_spectra,
     cluster_spectrum,
     default_cluster_tol_abs,
     sample_gauge_element,
@@ -60,6 +61,24 @@ def test_cluster_rejects_nonorthonormal_basis():
     w, V = eigh(np.diag([0.0, 1.0]).astype(complex))
     with pytest.raises(ValidationError):
         cluster_spectrum((w, V * 1.5), 1e-9)
+
+
+@pytest.mark.parametrize(
+    "w, basis_entry, message",
+    [
+        # a NaN gap compares false both ways: one level at energy nan
+        pytest.param([0.0, np.nan, 1.0], 1.0, "eigenvalues must be finite", id="nan_eigenvalue"),
+        # an infinite spectral radius makes the tolerance infinite: one level at inf
+        pytest.param([0.0, 1.0, np.inf], 1.0, "eigenvalues must be finite", id="inf_eigenvalue"),
+        # a NaN Gram entry passed a check that compared with >
+        pytest.param([0.0, 1.0, 2.0], np.nan, "not orthonormal", id="nan_basis"),
+    ],
+)
+def test_cluster_rejects_non_finite_input(w, basis_entry, message):
+    V = np.eye(3)
+    V[0, 0] = basis_entry
+    with pytest.raises(ValidationError, match=message):
+        cluster_spectra(np.array([w]), V[None], 1e-9)
 
 
 @pytest.mark.parametrize(

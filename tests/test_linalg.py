@@ -288,7 +288,9 @@ def test_single_matrix_validators_pass_within_tolerance():
         validate_hermitian(h)
 
 
-@pytest.mark.parametrize("n", [5, 10000])  # one node block, and three
+# a short stack, and one as long as three node blocks, which the validators
+# take whole all the same
+@pytest.mark.parametrize("n", [5, 10000])
 def test_stack_validators_reduce_the_scale_only_where_the_skew_fails(n):
     # matrix 2 has a skew of 1e-8, above HERMITICITY_TOL at unit scale but
     # within it at its own scale of 1e6: it passes, as do the exact ones
