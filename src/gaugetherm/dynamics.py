@@ -24,6 +24,7 @@ twirl and the step propagators. States and propagators are complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -453,12 +454,12 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
 
     The entropy, free-energy, Bures and relative-entropy columns are computed
     in level space from one stacked basis change of the states
-    (gauge.level_space): ledger takes it from the stored states, and
-    stream_run keeps what its pass computes for the twirl; either runs the
-    same column code (_entropy_columns) once on every node. Over each node's d
-    eigenvalues, with the level-basis diagonal x, the twirled spectrum t (each
-    level's p_k / n_k repeated n_k times) and the Gibbs spectrum q of the
-    level energies (linalg._log_gibbs, from log-weights):
+    (gauge.level_space), by the fold (_FineRun) that stream_run feeds its pass
+    and ledger the stored run's blocks (_stored_fold), once on every node
+    after the last block (_entropy_columns). Over each node's d eigenvalues,
+    with the level-basis diagonal x, the twirled spectrum t (each level's
+    p_k / n_k repeated n_k times) and the Gibbs spectrum q of the level
+    energies (linalg._log_gibbs, from log-weights):
 
     - f_eq = -ln Z / beta; s_gt and s_d are the Shannon entropies of t and x;
     - s_gamma = KL(x || t) = s_gt - s_d and rel_ent = KL(t || q) =
@@ -473,10 +474,7 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     general (non-commuting) matrix routes, equal to these columns to
     round-off; gibbs_state keeps its own weights (see there).
     """
-    lv = ev.structures
-    diag, pops = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])
-    rows = _entropy_columns(lv.mults, lv.spectra, diag, pops, p.beta)
-    return _ledger(work_heat_series(p, ev), rows, von_neumann_entropy(ev.states[0]))
+    return _stored_fold(p, ev).ledger(von_neumann_entropy(ev.states[0]))
 
 
 def _entropy_columns(
@@ -497,30 +495,7 @@ def _entropy_columns(
     return np.array([-ln_z / beta, shannon_entropy(t), shannon_entropy(x), s_gamma, bures, rel])
 
 
-def _ledger(series: WorkHeatSeries, rows: np.ndarray, s_vn: float) -> ThermoLedger:
-    """ledger's columns from the work/heat series, the entropy rows of every
-    node (_entropy_columns) and the state's von Neumann entropy."""
-    f_eq, s_gt, s_d, s_gamma, bures, rel_ent = rows
-    return ThermoLedger(
-        w_u=series.w_u,
-        w_inv=series.w_inv,
-        q_c=series.q_c,
-        q_u=series.q_u,
-        q_inv=series.q_u + series.q_c,
-        u=series.u,
-        f_eq=f_eq,
-        s_gt=s_gt,
-        s_d=s_d,
-        c_rel=s_d - s_vn,
-        s_gamma=s_gamma,
-        bures=bures,
-        rel_ent=rel_ent,
-    )
-
-
-def integration_tolerance(
-    p: Protocol, ev: EvolutionResult, tl: ThermoLedger | None = None
-) -> float:
+def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
     """Declared quadrature tolerance for this protocol run.
 
     Propagates on the grid coarsened by a factor of two (every other node of
@@ -536,15 +511,14 @@ def integration_tolerance(
     H_{2k+1} is the average of the end Hamiltonians H_2k and H_2k+2 to
     round-off, which a midpoint step of the coarse grid would take; for a
     protocol that is not affine it is a different second-order midpoint rule.
-    The fine series is read from tl, this run's ledger, when given. The 1.5
-    safety factor covers terms that converge only first order, e.g. a
-    degeneracy jump sitting on a single grid node.
+    The fine series is the run's work_heat_series. The 1.5 safety factor
+    covers terms that converge only first order, e.g. a degeneracy jump
+    sitting on a single grid node.
     """
     coarse = _CoarseRun(p, ev.states[0])
-    fine = work_heat_series(p, ev) if tl is None else tl
     for s, win in _windows(p):
         coarse.add(s, ev.structures[s], win)
-    return coarse.tolerance(fine)
+    return coarse.tolerance(work_heat_series(p, ev))
 
 
 class _CoarseRun:
@@ -595,11 +569,86 @@ class _CoarseRun:
         return 1.5 * worst + 1e-12
 
 
+class _FineRun:
+    """The fine grid's fold, which gives the ledger and the connection check:
+    add(s, win, lv, states, twirled, x, pops) takes a node block s, in node
+    order, with its window (_windows), levels record, states, twirled states,
+    level-basis diagonal and level populations (gauge.level_space). It folds
+    both state stacks into the work/heat neighbour traces (_PowerIntegrands)
+    and keeps every node's diagonal, spectrum, populations, multiplicities
+    and degenerate flag. stream_run feeds it its pass, ledger and
+    connection_cross_check a stored run (_stored_fold)."""
+
+    def __init__(self, p: Protocol):
+        n, self.beta, self.dt = p.n_nodes, p.beta, p.dt
+        # every node's level-basis diagonal and spectrum as one allocation: glibc's malloc
+        # serves a buffer this large by mmap, and once it is freed keeps the pass's block
+        # temporaries on its heap, where two (n, d) arrays left the heap trimmed and the
+        # next block refaulting it (about 10^5 page faults a Curie-Weiss run)
+        self.degenerate, (self.diag, self.spectra) = np.empty(n, dtype=bool), np.empty((2, n, p.dim))
+        self.pops, self.mults, self.fold = [], [], _PowerIntegrands(n)
+
+    def add(self, s: slice, win: _Window, lv: NodeLevels, states, twirled, x, pops) -> None:
+        self.degenerate[s], self.spectra[s], self.diag[s] = lv.degenerate, lv.spectra, x
+        self.pops.append(pops)
+        self.mults.append(lv.mults)
+        self.fold.add(s, win, states, twirled)
+
+    @cached_property
+    def integrands(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return self.fold.integrands(self.dt)
+
+    @cached_property
+    def series(self) -> WorkHeatSeries:
+        return _series(self.integrands, self.dt)
+
+    def ledger(self, s_vn: float) -> ThermoLedger:
+        """The ledger, given rho's von Neumann entropy; once, as it lets the populations go."""
+        pops, mults = np.concatenate(self.pops), np.concatenate(self.mults)
+        del self.pops, self.mults
+        rows = _entropy_columns(mults, self.spectra, self.diag, pops, self.beta)
+        f_eq, s_gt, s_d, s_gamma, bures, rel_ent = rows
+        s = self.series
+        return ThermoLedger(**vars(s), q_inv=s.q_u + s.q_c, f_eq=f_eq, s_gt=s_gt, s_d=s_d,
+                            c_rel=s_d - s_vn, s_gamma=s_gamma, bures=bures, rel_ent=rel_ent)
+
+    def connection(self) -> ConnectionCheck:
+        """connection_cross_check against this run's w_inv and q_u + q_c, or
+        skipped at the first degenerate node. sum_a x_a edot_a takes edot as
+        np.gradient does, on the neighbour sums x_j . e_{j+1} and
+        x_{j+1} . e_j as in _PowerIntegrands; t = sum x edot - Re Tr(rho Hdot)."""
+        if self.degenerate.any():
+            j = int(np.argmax(self.degenerate))
+            return ConnectionCheck(False, f"degenerate spectrum at node {j}; frame construction undefined")
+
+        def dot(a, b):
+            return np.einsum("ij,ij->i", a, b)
+
+        x, e, dt, s = self.diag, self.spectra, self.dt, self.series
+        work, heat, _ = self.integrands[0]
+        t = _ends(dot(x[:-1], e[1:]), dot(x[1:], e[:-1]), dot(x, e), dt) - work
+        w_cov, q_cov = _cumtrap(work + t, dt), _cumtrap(heat - t, dt)
+        dev = np.abs(w_cov - s.w_inv), np.abs(q_cov - (s.q_u + s.q_c))
+        return ConnectionCheck(True, "", w_cov, q_cov, *dev)
+
+
+def _stored_fold(p: Protocol, ev: EvolutionResult) -> _FineRun:
+    """_FineRun fed a stored run's node blocks as stream_run's pass feeds
+    it, the level space of each (gauge.level_space) from its stored states."""
+    fine = _FineRun(p)
+    for s, win in _windows(p):
+        lv, states = ev.structures[s], ev.states[s]
+        x, pops = level_space(states, lv.basis, lv.mults, lv.bounds[:-1], first=s.start)
+        fine.add(s, win, lv, states, ev.twirled_states[s], x, pops)
+    return fine
+
+
 @dataclass(frozen=True)
 class ConnectionCheck:
     """Covariant-derivative route for invariant work/heat vs the twirl route,
-    from D_t H = V Edot V^dag (connection_cross_check); not performed, with the
-    first degenerate node named in reason, when any node is degenerate."""
+    from D_t H = V Edot V^dag (connection_cross_check), with deviations from
+    the same run's w_inv and q_inv; not performed, with the first degenerate
+    node named in reason, when any node is degenerate."""
 
     performed: bool
     reason: str
@@ -609,36 +658,7 @@ class ConnectionCheck:
     q_deviation: np.ndarray | None = None
 
 
-def _degenerate_check(degenerate: np.ndarray) -> ConnectionCheck | None:
-    """The skipped check when a node is degenerate (degenerate[j] for node j):
-    the frame derivative is not defined across a merged level."""
-    if degenerate.any():
-        j = int(np.argmax(degenerate))
-        return ConnectionCheck(False, f"degenerate spectrum at node {j}; frame construction undefined")
-    return None
-
-
-def _connection(
-    x: np.ndarray, e: np.ndarray, integrands: tuple[np.ndarray, ...], dt: float, tl: ThermoLedger
-) -> ConnectionCheck:
-    """The performed check from every node's level-basis diagonal x and
-    spectrum e (n, d) and the states' work and heat integrands
-    (_PowerIntegrands), against the ledger. sum_a x_a edot_a takes edot as
-    np.gradient does; as in _PowerIntegrands, the central difference moves
-    onto the neighbour sums x_j . e_{j+1} and x_{j+1} . e_j. Then
-    t = Re Tr(rho [A,H]) = sum x edot - Re Tr(rho Hdot)."""
-    def dot(a, b):
-        return np.einsum("ij,ij->i", a, b)
-
-    work, heat, _ = integrands
-    t = _ends(dot(x[:-1], e[1:]), dot(x[1:], e[:-1]), dot(x, e), dt) - work
-    w_cov, q_cov = _cumtrap(work + t, dt), _cumtrap(heat - t, dt)
-    return ConnectionCheck(True, "", w_cov, q_cov, np.abs(w_cov - tl.w_inv), np.abs(q_cov - tl.q_inv))
-
-
-def connection_cross_check(
-    p: Protocol, ev: EvolutionResult, tl: ThermoLedger | None = None
-) -> ConnectionCheck:
+def connection_cross_check(p: Protocol, ev: EvolutionResult) -> ConnectionCheck:
     """Recompute W_inv and Q_inv from the frame connection and compare.
 
     The eigenframe V_t has the connection A = -Vdot V^dag (the sign that
@@ -648,19 +668,10 @@ def connection_cross_check(
     With t = Re Tr(rho [A,H]) = -Re Tr(H [A,rho]), the covariant work and heat
     integrands are those of work_heat_series plus and minus t. Skipped
     whenever any node is degenerate: the eigenframe is not defined across a
-    merged level. The sums are taken on every node at once (_connection),
-    as stream_run takes them after its pass.
+    merged level. The sums are taken on every node at once after the run's
+    blocks are folded (_FineRun.connection), as in stream_run.
     """
-    skipped = _degenerate_check(ev.structures.degenerate)
-    if skipped is not None:
-        return skipped
-    if tl is None:
-        tl = ledger(p, ev)
-    fold, lv = _PowerIntegrands(p.n_nodes), ev.structures
-    for s, win in _windows(p):
-        fold.add(s, win, ev.states[s])
-    x = level_space(ev.states, lv.basis, lv.mults, lv.bounds[:-1])[0]
-    return _connection(x, lv.spectra, fold.integrands(p.dt)[0], p.dt, tl)
+    return _stored_fold(p, ev).connection()
 
 
 @dataclass(frozen=True)
@@ -692,17 +703,15 @@ def stream_run(
     The pass is evolve's (_pass): it takes the node blocks in order, makes
     each block's window of Hamiltonians once (_windows, Protocol.block),
     decomposes the block's nodes and propagates them. stream_run feeds views
-    of the window and the block's levels record to every consumer before
-    letting them go: the fine run's states, folded into the neighbour traces
-    of the work/heat series; and the tolerance's run on the grid coarsened
-    by two (_CoarseRun), whose nodes are the block's even nodes and whose
-    steps are taken at its odd nodes, from their eigenvalues and basis
-    (integration_tolerance). The ledger's entropy rows are one
-    _entropy_columns call after the pass, on the level-basis diagonal, level
-    spectra and populations the pass keeps of every node; the connection
-    check takes D_t H = V Edot V^dag from the same diagonal and spectra
-    after the pass too (_connection), unless a node is degenerate. So the
-    pass decomposes 2n - 1 matrices, the n nodes and the n - 1 fine
+    of the window and the block's levels record to two folds before letting
+    them go: the fine run (_FineRun), which ledger and
+    connection_cross_check feed from a stored run; and the tolerance's run on
+    the grid coarsened by two (_CoarseRun), whose nodes are the block's even
+    nodes and whose steps are taken at its odd nodes, from their eigenvalues
+    and basis (integration_tolerance). The ledger's entropy rows and the
+    connection check's sums are taken after the pass, from what the fine run
+    keeps of every node; the check is skipped if a node is degenerate. So
+    the pass decomposes 2n - 1 matrices, the n nodes and the n - 1 fine
     midpoints. A run holds a few node blocks, and of every node its
     level-basis diagonal and spectrum (n, d), its level populations, ledger
     rows and degenerate flag: not the Hamiltonians of every node when the
@@ -713,21 +722,11 @@ def stream_run(
     5 nodes is refused before the pass.
     """
     rho0 = _initial_state(p, rho0)
-    n, d, dt = p.n_nodes, p.dim, p.dt
-    coarse = _CoarseRun(p, rho0)
-    nodes, kept = sorted({0, n // 2, n - 1}), []
-    # every node's level-basis diagonal and spectrum as one allocation: glibc's malloc
-    # serves a buffer this large by mmap, and once it is freed keeps the pass's block
-    # temporaries on its heap, where two (n, d) arrays left the heap trimmed and the
-    # next block refaulting it (about 10^5 page faults a Curie-Weiss run)
-    degenerate, (diag, spectra) = np.empty(n, dtype=bool), np.empty((2, n, d))
-    pops, mults, fine = [], [], _PowerIntegrands(n)
+    coarse, fine = _CoarseRun(p, rho0), _FineRun(p)
+    nodes, kept = sorted({0, p.n_nodes // 2, p.n_nodes - 1}), []
     blocks = _pass(p, rho0, cluster_tol_abs, cluster_tol_rel)
-    for s, win, lv, (props, states, twirled, x, block_pops) in blocks:
-        degenerate[s], spectra[s], diag[s] = lv.degenerate, lv.spectra, x
-        pops.append(block_pops)
-        mults.append(lv.mults)
-        fine.add(s, win, states, twirled)
+    for s, win, lv, (props, states, twirled, x, pops) in blocks:
+        fine.add(s, win, lv, states, twirled, x, pops)
         here = [j - s.start for j in nodes if s.start <= j < s.stop]
         if here:  # copies, which let the block go
             kept.append((states[here], twirled[here], props[here], lv[here]))
@@ -735,15 +734,11 @@ def stream_run(
         coarse.add(s, lv, win)
         del lv, win  # before the pass makes the next block
 
-    pops, mults = np.concatenate(pops), np.concatenate(mults)  # which lets the blocks' arrays go
-    rows = _entropy_columns(mults, spectra, diag, pops, p.beta)
-    integrands = fine.integrands(dt)
-    tl = _ledger(_series(integrands, dt), rows, von_neumann_entropy(rho0))
-    check = _degenerate_check(degenerate) or _connection(diag, spectra, integrands[0], dt, tl)
+    tl = fine.ledger(von_neumann_entropy(rho0))
     states, twirled, props, levels = zip(*kept)
     levels = join_levels(levels, np.concatenate([lv.basis for lv in levels]))
     ev = EvolutionResult(np.concatenate(states), np.concatenate(twirled), np.concatenate(props), levels)
-    return StreamedRun(nodes, ev, degenerate, tl, coarse.tolerance(tl), check)
+    return StreamedRun(nodes, ev, fine.degenerate, tl, coarse.tolerance(tl), fine.connection())
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ diagonal, the level populations p^k = Tr(Pi_k rho) and the twirled states of
 a stack of states from the node bases and level multiplicities. twirl,
 level_distribution and entropy_report take one state, which has its own
 kernel (_state_levels): the same products on 2-D arrays, bit for bit a row
-of a stacked call, without the stack's per-call overhead (node blocks, level
-starts, a second reduction), which dominates at d of a few. A real basis (the
+of a stacked call, without the stack's per-call overhead (level starts, a
+second reduction), which dominates at d of a few. A real basis (the
 eigenvectors of real Hamiltonians) takes real products throughout.
 """
 from __future__ import annotations
@@ -131,8 +131,8 @@ class NodeLevels:
     stays real through the pass, and complex otherwise. An int (negative
     too) gives node j's DegeneracyStructure, a view of these arrays built
     for that node alone, and iteration gives every node's from one cached
-    tuple; a slice or an index list gives the record of those nodes as a
-    contiguous copy.
+    tuple; a slice of step 1 gives the record of those nodes as views of
+    these arrays, and any other slice or an index list as a contiguous copy.
     """
 
     energies: np.ndarray
@@ -158,6 +158,12 @@ class NodeLevels:
             j = range(len(self))[key]
             a, b = self.bounds[j], self.bounds[j + 1]
             return DegeneracyStructure(self.energies[a:b], self.mults[a:b], self.basis[j])
+        if isinstance(key, slice) and key.step in (None, 1):  # a run of nodes, as views
+            r = range(len(self))[key]
+            j, k = r.start, max(r.start, r.stop)
+            a, b = self.bounds[j], self.bounds[k]
+            return NodeLevels(self.energies[a:b], self.mults[a:b], self.bounds[j : k + 1] - a,
+                              self.eigenvalues[j:k], self.basis[j:k])
         nodes = np.arange(len(self))[key]
         a, counts = self.bounds[nodes], np.diff(self.bounds)[nodes]
         bounds = np.append(0, np.cumsum(counts))
@@ -249,24 +255,22 @@ def level_space(
     first: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal of B_j^dag rho_j B_j (n, d) for the node bases B_j, formed from
-    the one product rho B as Re sum_i conj(B_ia) (rho B)_ia a node block at a
-    time, and the level populations Tr(Pi_k rho_j) of all nodes laid end to
-    end, of multiplicities mults, node j's first at node_starts[j] (a
-    NodeLevels' mults and bounds[:-1]). A real basis drops Im(rho), whose
-    diagonal in it is 0: the diagonal is that of B^T Re(rho) B, a real product.
+    the one product rho B as Re sum_i conj(B_ia) (rho B)_ia on the stack
+    given, which the passes keep to one node block, and the level populations
+    Tr(Pi_k rho_j) of all nodes laid end to end, of multiplicities mults, node
+    j's first at node_starts[j] (a NodeLevels' mults and bounds[:-1]). A real
+    basis drops Im(rho), whose diagonal in it is 0: the diagonal is that of
+    B^T Re(rho) B, a real product.
 
     Raises when the clipped populations of a node miss 1 by more than
     LEVEL_NORM_TOL, or are not finite: the state and the levels do not
     belong together; the node is named by its index counted from `first`, as
     in check_hermitian.
     """
-    n, d = states.shape[:2]
-    dim = basis.shape[-1]
+    d, dim = states.shape[1], basis.shape[-1]
     if states.shape[1:] != (dim, dim):
         raise ValidationError(f"state dimension {d} does not match structure dimension {dim}")
-    diag = np.empty((n, d))
-    for s in node_blocks(n, d):
-        diag[s] = _level_diagonal(states[s], basis[s])
+    diag = _level_diagonal(states, basis)
     pops = np.add.reduceat(diag.ravel(), np.cumsum(mults) - mults)
     total = np.add.reduceat(np.maximum(pops, 0.0), node_starts)
     miss = abs(total - 1.0)

@@ -25,7 +25,7 @@ def _run(p: gt.Protocol) -> ProtocolRun:
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
     ev = gt.evolve(p, rho0)
     tl = gt.ledger(p, ev)
-    tol = gt.integration_tolerance(p, ev, tl)
+    tol = gt.integration_tolerance(p, ev)
     return ProtocolRun(p=p, rho0=rho0, ev=ev, tl=tl, tol=tol)
 
 

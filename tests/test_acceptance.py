@@ -269,7 +269,7 @@ def test_twirl_monte_carlo_oracle():
 
 
 def test_connection_route_matches_ledger(lz_run):
-    cc = gt.connection_cross_check(lz_run.p, lz_run.ev, lz_run.tl)
+    cc = gt.connection_cross_check(lz_run.p, lz_run.ev)
     assert cc.performed, cc.reason
     w_dev = float(np.max(cc.w_deviation))
     q_dev = float(np.max(cc.q_deviation))

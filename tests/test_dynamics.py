@@ -328,19 +328,18 @@ class TestAlignedFrames:
         p = gt.random_protocol(3, 81, rng, beta=1.0)
         rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
         ev = gt.evolve(p, rho0)
-        tl = gt.ledger(p, ev)
         phases = np.exp(2j * np.pi * rng.random((p.n_nodes, 1, 3)))
         scrambled = dataclasses.replace(ev.structures, basis=ev.structures.basis * phases)
         ev2 = dataclasses.replace(ev, structures=scrambled)
-        a = gt.connection_cross_check(p, ev, tl)
-        b = gt.connection_cross_check(p, ev2, tl)
+        a = gt.connection_cross_check(p, ev)
+        b = gt.connection_cross_check(p, ev2)
         assert a.performed and b.performed
         assert np.max(np.abs(a.w_cov - b.w_cov)) < 1e-12
         assert np.max(np.abs(a.q_cov - b.q_cov)) < 1e-12
 
     def test_connection_cross_check_on_smooth_sweep(self, lz_run):
         p, ev = lz_run.p, lz_run.ev
-        cc = gt.connection_cross_check(p, ev, lz_run.tl)
+        cc = gt.connection_cross_check(p, ev)
         assert cc.performed
         assert np.max(cc.w_deviation) < 10 * lz_run.tol
         assert np.max(cc.q_deviation) < 10 * lz_run.tol
@@ -349,7 +348,7 @@ class TestAlignedFrames:
         assert np.max(np.abs(cc.q_cov - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
 
     def test_connection_skipped_when_levels_merge(self, cw_run):
-        cc = gt.connection_cross_check(cw_run.p, cw_run.ev, cw_run.tl)
+        cc = gt.connection_cross_check(cw_run.p, cw_run.ev)
         assert not cc.performed
         assert "degenerate" in cc.reason
 
@@ -657,9 +656,9 @@ def test_streamed_coarse_run_matches_stacked_reference(nodes, one_node_blocks, m
     """integration_tolerance folds the coarse run block by block, its step k
     taken at fine node 2k + 1 from the levels record: it matches a coarse run
     of scipy step exponentials within 1e-12 of the series' scale, and gives
-    bit for bit one value with the fine series rebuilt or read from the
-    ledger, and in stream_run. The two long grids (an odd and an even node
-    count) span seven node blocks, which start at odd and at even nodes, and
+    bit for bit the value of stream_run, which reads the fine series from its
+    ledger. The two long grids (an odd and an even node count) span seven
+    node blocks, which start at odd and at even nodes, and
     a block that starts at an even node takes its first step from the halo; with
     one node per block (as for d > 128) every odd node is a block with no
     coarse node, and every coarse step but the first comes from the halo."""
@@ -673,7 +672,6 @@ def test_streamed_coarse_run_matches_stacked_reference(nodes, one_node_blocks, m
     reference, scale = _coarse_reference(p, ev)
     tol = gt.integration_tolerance(p, ev)
     assert abs(tol - reference) <= 1e-12 * scale
-    assert gt.integration_tolerance(p, ev, gt.ledger(p, ev)) == tol
     assert gt.stream_run(p, rho0).tol == tol
 
 
@@ -720,9 +718,8 @@ def test_passes_hand_their_kernels_one_node_block(monkeypatch):
     """The passes cut a protocol into node blocks, and the validators and
     kernels they call take what they are given whole: over four node blocks,
     stream_run, evolve, ledger, integration_tolerance and the connection
-    check hand the Hermitian check, max_abs_entry, cluster_spectra and
-    level_twirl no more than one node block at a time. level_space, which
-    ledger hands a whole stored run, takes its own blocks."""
+    check hand the Hermitian check, max_abs_entry, cluster_spectra,
+    level_space and level_twirl no more than one node block at a time."""
     p = _ramp12(3 * BLOCK12 + 5, seed=67)
     rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
     block = node_blocks(p.n_nodes, p.dim)[0].stop
@@ -748,6 +745,7 @@ def test_passes_hand_their_kernels_one_node_block(monkeypatch):
         (gt.dynamics, "max_abs_entry", 0),
         (gt.gauge, "cluster_spectra", 1),
         (gt.dynamics, "cluster_spectra", 1),
+        (gt.dynamics, "level_space", 0),
         (gt.dynamics, "level_twirl", 1),
     ]:
         record(module, name, arg)
@@ -756,7 +754,8 @@ def test_passes_hand_their_kernels_one_node_block(monkeypatch):
     gt.ledger(p, ev)
     gt.integration_tolerance(p, ev)
     assert gt.connection_cross_check(p, ev).performed
-    assert set(handed) == {"_stack_hermitian_ok", "max_abs_entry", "cluster_spectra", "level_twirl"}
+    kernels = {"_stack_hermitian_ok", "max_abs_entry", "cluster_spectra", "level_space", "level_twirl"}
+    assert set(handed) == kernels
     assert {name: max(sizes) for name, sizes in handed.items()} == dict.fromkeys(handed, block)
 
 
@@ -856,8 +855,8 @@ def _assert_stream_run_matches_stored_route(p: gt.Protocol):
     tl = gt.ledger(p, ev)
     for field in dataclasses.fields(tl):
         assert np.array_equal(getattr(run.tl, field.name), getattr(tl, field.name)), field.name
-    assert run.tol == gt.integration_tolerance(p, ev, tl)
-    cc = gt.connection_cross_check(p, ev, tl)
+    assert run.tol == gt.integration_tolerance(p, ev)
+    cc = gt.connection_cross_check(p, ev)
     for field in dataclasses.fields(cc):
         a, b = getattr(run.connection, field.name), getattr(cc, field.name)
         assert (a is None and b is None) or np.array_equal(a, b), field.name

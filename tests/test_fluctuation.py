@@ -256,6 +256,19 @@ def test_reference_energies_must_match_levels(lz_run):
         gt.build_ensemble(p, fwd, shifted, ev)
 
 
+def test_nan_level_energy_does_not_match(lz_run):
+    """A NaN level energy passed the energy check, which compared with >,
+    against any finite distribution."""
+    p, ev = lz_run.p, lz_run.ev
+    fwd = gt.level_distribution(lz_run.rho0, ev.structures[0])
+    rev = gt.thermal_level_distribution(ev.structures[-1], p.beta)
+    energies = ev.structures.energies.copy()
+    energies[0] = np.nan
+    nan_levels = dataclasses.replace(ev.structures, energies=energies)
+    with pytest.raises(gt.ValidationError, match="forward_init energies do not match the level structure"):
+        gt.build_ensemble(p, fwd, rev, dataclasses.replace(ev, structures=nan_levels))
+
+
 class TestSampling:
     def test_determinism(self, lz_run):
         p, ev = lz_run.p, lz_run.ev

@@ -272,7 +272,8 @@ def test_node_levels_indexing():
     """An evolve run's levels record, over several node blocks at d = 8: an int
     (negative too) gives that node's structure, and a slice, a stride-2 slice
     or an index list gives the record of those nodes, each field equal to the
-    node's own levels and basis; degenerate flags each node."""
+    node's own levels and basis, and a slice of step 1 gives it as views;
+    degenerate flags each node."""
     rng = np.random.default_rng(31)
     n = 3 * node_blocks(10**6, 8)[0].stop + 5
     p = gt.random_protocol(8, n, rng, degenerate=True, beta=1.0)
@@ -299,10 +300,12 @@ def test_node_levels_indexing():
     assert all(same(lv[j], j) and same(lv[j - n], j) for j in range(n))
     assert all(same(ds, j) for j, ds in enumerate(lv))
     assert all(a is b for a, b in zip(lv, lv))  # iteration reads one cached tuple
-    for key in (slice(block - 3, block + 4), slice(1, None, 2), slice(0, None, 2), [n - 1, 0, block, 0]):
+    keys = [slice(block - 3, block + 4), slice(-5, None), slice(None, 3, 1), slice(5, 2)]
+    for key in keys + [slice(1, None, 2), slice(0, None, 2), [n - 1, 0, block, 0]]:
         nodes = np.arange(n)[key]
         sub = lv[key]
-        assert len(sub) == len(nodes)
+        assert len(sub) == len(nodes) == len(sub.eigenvalues) == len(sub.bounds) - 1
+        assert np.shares_memory(sub.basis, lv.basis) == (key in keys and len(nodes) > 0)
         assert all(same(sub[i], j) for i, j in enumerate(nodes))
         assert np.array_equal(sub.degenerate, lv.degenerate[nodes])
     flags = [ds.degenerate for ds in lv]
