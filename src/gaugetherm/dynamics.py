@@ -23,7 +23,7 @@ twirl and the step propagators. States and propagators are complex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -59,42 +59,27 @@ GRID_UNIFORMITY_TOL = 1e-12
 THERMAL_START_TOL = 1e-8
 
 
-class _Hamiltonians:
-    """Protocol.hamiltonians. Set, it takes a stack (n, d, d), which the
-    protocol stores, or a function that makes the stack (k, d, d) of the
-    nodes of a slice of step 1; read, it gives the stored stack, or a copy of
-    every node made by the function. The pass reads neither, only node
-    ranges (Protocol.block)."""
-
-    def __get__(self, p, owner=None):
-        if p is None:
-            raise AttributeError("hamiltonians")  # so that the field has no default
-        return p.block(slice(None))
-
-    def __set__(self, p, value):
-        p.__dict__["_given"] = value
-
-
 @dataclass(frozen=True)
 class Protocol:
     """Uniform grid t_0 = 0 ... t_N = tau with one Hamiltonian per node,
     float64 if every node is real and complex128 if one is complex
-    (linalg._stored). hamiltonians is a stack, which the protocol stores, or
-    a function that makes the nodes of a slice, as the model builders give
-    it; either way the nodes are checked a node block at a time when the
-    protocol is made, and handed out by block(s)."""
+    (linalg._stored). hamiltonians, an argument of the constructor only, is
+    a stack, which the protocol stores, or a function that makes the nodes
+    of a slice, as the model builders give it; either way the nodes are
+    checked a node block at a time when the protocol is made, and read only
+    through block(s), so dataclasses.replace must be given them again."""
 
     times: np.ndarray
-    hamiltonians: np.ndarray = _Hamiltonians()  # a descriptor, not a default
+    hamiltonians: InitVar[np.ndarray]
     beta: float
     label: str = ""
 
-    def __post_init__(self):
+    def __post_init__(self, given):
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or times.shape[0] < 2:
             raise ValidationError("protocol needs at least two grid nodes")
-        n, given = times.shape[0], self.__dict__.pop("_given")
+        n = times.shape[0]
         if callable(given):
             nodes, shape, count = given, np.shape(given(slice(0, 1))), 1
         else:
@@ -477,16 +462,14 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     return _stored_fold(p, ev).ledger(von_neumann_entropy(ev.states[0]))
 
 
-def _entropy_columns(
-    mults: np.ndarray, spectra: np.ndarray, diag: np.ndarray, pops: np.ndarray, beta: float
-) -> np.ndarray:
-    """ledger's f_eq, s_gt, s_d, s_gamma, bures and rel_ent rows (6, k) of k nodes from the
-    multiplicities of their levels laid end to end, their spectra (k, d) (NodeLevels.spectra),
-    level-basis diagonal (k, d) and level populations (gauge.level_space), each a sum over
-    the node's d eigenvalues of the spectra t and q that ledger describes; every operation
-    is row by row, so a node's row does not depend on the other nodes given with it."""
-    t = np.repeat(np.clip(pops, 0.0, None) / mults, mults).reshape(diag.shape)
-    t /= t.sum(axis=1, keepdims=True)
+def _entropy_columns(spectra: np.ndarray, diag: np.ndarray, t: np.ndarray, beta: float) -> np.ndarray:
+    """ledger's f_eq, s_gt, s_d, s_gamma, bures and rel_ent rows (6, k) of k nodes from their
+    spectra (k, d) (NodeLevels.spectra), level-basis diagonal (k, d) and twirled spectrum
+    (k, d) as _FineRun keeps it, which is normalized here into a new array, so the inputs
+    stay as given; each row is a sum over the node's d eigenvalues of the spectra t and q
+    that ledger describes, and every operation is row by row, so a node's row does not
+    depend on the other nodes given with it."""
+    t = t / t.sum(axis=1, keepdims=True)
     ln_q, ln_z = _log_gibbs(spectra, beta)
     x, q = np.clip(diag, 0.0, 1.0), np.exp(ln_q)
     hellinger = np.sum((np.sqrt(t) - np.sqrt(q)) ** 2, axis=1)
@@ -575,23 +558,24 @@ class _FineRun:
     order, with its window (_windows), levels record, states, twirled states,
     level-basis diagonal and level populations (gauge.level_space). It folds
     both state stacks into the work/heat neighbour traces (_PowerIntegrands)
-    and keeps every node's diagonal, spectrum, populations, multiplicities
-    and degenerate flag. stream_run feeds it its pass, ledger and
-    connection_cross_check a stored run (_stored_fold)."""
+    and keeps three level-space rows (n, d) and a degenerate flag per node:
+    the diagonal, the spectrum, and the twirled spectrum t, each level's
+    clipped population spread evenly over its multiplicity (unnormalized;
+    _entropy_columns normalizes it). stream_run feeds it its pass, ledger
+    and connection_cross_check a stored run (_stored_fold)."""
 
     def __init__(self, p: Protocol):
         n, self.beta, self.dt = p.n_nodes, p.beta, p.dt
-        # every node's level-basis diagonal and spectrum as one allocation: glibc's malloc
-        # serves a buffer this large by mmap, and once it is freed keeps the pass's block
-        # temporaries on its heap, where two (n, d) arrays left the heap trimmed and the
-        # next block refaulting it (about 10^5 page faults a Curie-Weiss run)
-        self.degenerate, (self.diag, self.spectra) = np.empty(n, dtype=bool), np.empty((2, n, p.dim))
-        self.pops, self.mults, self.fold = [], [], _PowerIntegrands(n)
+        self.degenerate, self.fold = np.empty(n, dtype=bool), _PowerIntegrands(n)
+        # every node's level-space rows as one allocation: glibc's malloc serves a buffer
+        # this large by mmap, and once it is freed keeps the pass's block temporaries on
+        # its heap, where two (n, d) arrays left the heap trimmed and the next block
+        # refaulting it (about 10^5 page faults a Curie-Weiss run)
+        self.diag, self.spectra, self.t = np.empty((3, n, p.dim))
 
     def add(self, s: slice, win: _Window, lv: NodeLevels, states, twirled, x, pops) -> None:
         self.degenerate[s], self.spectra[s], self.diag[s] = lv.degenerate, lv.spectra, x
-        self.pops.append(pops)
-        self.mults.append(lv.mults)
+        self.t[s] = np.repeat(np.clip(pops, 0.0, None) / lv.mults, lv.mults).reshape(x.shape)
         self.fold.add(s, win, states, twirled)
 
     @cached_property
@@ -603,11 +587,8 @@ class _FineRun:
         return _series(self.integrands, self.dt)
 
     def ledger(self, s_vn: float) -> ThermoLedger:
-        """The ledger, given rho's von Neumann entropy; once, as it lets the populations go."""
-        pops, mults = np.concatenate(self.pops), np.concatenate(self.mults)
-        del self.pops, self.mults
-        rows = _entropy_columns(mults, self.spectra, self.diag, pops, self.beta)
-        f_eq, s_gt, s_d, s_gamma, bures, rel_ent = rows
+        """The ledger, given rho's von Neumann entropy."""
+        f_eq, s_gt, s_d, s_gamma, bures, rel_ent = _entropy_columns(self.spectra, self.diag, self.t, self.beta)
         s = self.series
         return ThermoLedger(**vars(s), q_inv=s.q_u + s.q_c, f_eq=f_eq, s_gt=s_gt, s_d=s_d,
                             c_rel=s_d - s_vn, s_gamma=s_gamma, bures=bures, rel_ent=rel_ent)
@@ -713,7 +694,7 @@ def stream_run(
     keeps of every node; the check is skipped if a node is degenerate. So
     the pass decomposes 2n - 1 matrices, the n nodes and the n - 1 fine
     midpoints. A run holds a few node blocks, and of every node its
-    level-basis diagonal and spectrum (n, d), its level populations, ledger
+    level-basis diagonal, spectrum and twirled spectrum (n, d), its ledger
     rows and degenerate flag: not the Hamiltonians of every node when the
     protocol makes them (the model builders' protocols), nor the stacks of
     evolve or the levels of every node. The nodes kept are 0, n // 2 and

@@ -68,17 +68,8 @@ def landau_zener_protocol(
     nodes: int = MODELS["landau_zener"]["nodes"],
 ) -> Protocol:
     times = np.linspace(0.0, t_final, nodes)
-    hams = partial(_landau_zener_nodes, delta, v, times)
+    hams = partial(_ramp_nodes, 0.5 * delta * _SIGMA_X, 0.5 * v * _SIGMA_Z, times)
     return Protocol(times=times, hamiltonians=hams, beta=beta, label="landau_zener")
-
-
-def _landau_zener_nodes(delta: float, v: float, times: np.ndarray, s: slice) -> np.ndarray:
-    """The Landau-Zener Hamiltonians of the nodes s of the grid times, with
-    landau_zener's operations at every node, so each node is bit-equal to it:
-    the product allocates the block and the constant part is added in place."""
-    h = np.multiply((0.5 * v * times[s])[:, None, None], _SIGMA_Z)
-    h += 0.5 * delta * _SIGMA_X
-    return h
 
 
 def curie_weiss_protocol(
@@ -122,7 +113,8 @@ def curie_weiss_protocol(
 def _curie_weiss_nodes(j_coupling: float, n_spins: int, b_grid: np.ndarray, s: slice) -> np.ndarray:
     """The Curie-Weiss Hamiltonians of the nodes s of the field grid b_grid:
     curie_weiss's diagonal at every node, written into a preallocated block
-    with the same operations, so each node is bit-equal to curie_weiss."""
+    with the same operations, so each node is bit-equal to curie_weiss. Not
+    _ramp_nodes: its dense h_a and h_step would add two nodes to every build."""
     m, levels = _magnetizations(n_spins), np.arange(n_spins + 1)
     h = np.zeros((len(b_grid[s]), n_spins + 1, n_spins + 1))
     h[:, levels, levels] = -(j_coupling / n_spins) * m * m - b_grid[s, None] * m
@@ -173,9 +165,12 @@ def random_protocol(
 
 
 def _ramp_nodes(h_a: np.ndarray, h_step: np.ndarray, ramp: np.ndarray, s: slice) -> np.ndarray:
-    """h_a + ramp_j h_step at the nodes s, the operations of random_protocol's
-    ramp at every node."""
-    return h_a[None, :, :] + ramp[s, None, None] * h_step[None, :, :]
+    """h_a + ramp_j h_step at the nodes s, with the operations of landau_zener
+    and of random_protocol's ramp at every node, so each node is bit-equal to
+    them: the product allocates the block and h_a is added in place."""
+    h = np.multiply(ramp[s, None, None], h_step)
+    h += h_a
+    return h
 
 
 @dataclass(frozen=True)

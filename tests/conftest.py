@@ -22,7 +22,7 @@ class ProtocolRun:
 
 
 def _run(p: gt.Protocol) -> ProtocolRun:
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     ev = gt.evolve(p, rho0)
     tl = gt.ledger(p, ev)
     tol = gt.integration_tolerance(p, ev)

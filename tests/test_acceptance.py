@@ -88,7 +88,7 @@ def test_entropy_production_route_consistency(experiment_ensembles):
     for i in range(20):
         dim = int(rng.integers(2, 7))
         p = gt.random_protocol(dim, 81, rng, degenerate=(i % 3 == 0), beta=1.0)
-        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        rho0, _ = gt.gibbs_state(p.block(0), p.beta)
         ev = gt.evolve(p, rho0)
         tol = gt.integration_tolerance(p, ev)
         fwd = gt.level_distribution(rho0, ev.structures[0])

@@ -102,7 +102,7 @@ class TestRun:
 
         report = json.loads(first["report.json"])
         p = gt.build_protocol(load_run_config(cfg).spec)
-        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        rho0, _ = gt.gibbs_state(p.block(0), p.beta)
         ev = gt.evolve(p, rho0)
         tl = gt.ledger(p, ev)
         ledger_names = {f.name for f in fields(gt.ThermoLedger)}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import gaugetherm as gt
 from gaugetherm.dynamics import GRID_UNIFORMITY_TOL
-from gaugetherm.dynamics import _cumtrap, _PowerIntegrands, _Propagator, _steps, _Window, _windows
+from gaugetherm.dynamics import _cumtrap, _PowerIntegrands, _Propagator, _steps, _stored_fold, _Window, _windows
 from gaugetherm.gauge import level_space, level_twirl
 from gaugetherm.linalg import (
     BLOCK_BYTES,
@@ -39,7 +39,7 @@ def closed_form_route(p, ev):
     """w_cov and q_cov over whole stacks from D_t H = V Edot V^dag:
     Tr(rho D_t H) = sum x . np.gradient(e), for the diagonal x of V^dag rho V
     and the eigenvalues e, and Tr(H D_t rho) = Tr(d(rho H)/dt) - Tr(rho D_t H)."""
-    lv, h, rho = ev.structures, p.hamiltonians, ev.states
+    lv, h, rho = ev.structures, p.block(slice(None)), ev.states
     x = np.einsum("nia,nij,nja->na", lv.basis.conj(), rho, lv.basis).real
     e = np.repeat(lv.energies, lv.mults).reshape(p.n_nodes, p.dim)
     cov = np.sum(x * np.gradient(e, p.dt, axis=0), axis=1)
@@ -64,7 +64,7 @@ def frame_route(p, ev):
         ov = overlap[np.arange(d), perm]
         frames[j] = bases[j][:, perm] * (ov / np.abs(ov)).conj()
     conn = -np.einsum("nij,nkj->nik", np.gradient(frames, p.dt, axis=0), frames.conj())
-    h, rho = p.hamiltonians, ev.states
+    h, rho = p.block(slice(None)), ev.states
     t = traces(rho, conn @ h - h @ conn)
     work = traces(rho, np.gradient(h, p.dt, axis=0))
     heat = traces(np.gradient(rho, p.dt, axis=0), h)
@@ -157,8 +157,8 @@ def test_protocol_keeps_real_stacks_real(dtype, stored):
     is complex, here with every imaginary part 0."""
     hams = np.repeat(np.diag([1, -1])[None], 3, axis=0).astype(dtype)
     p = gt.Protocol(times=np.array([0.0, 0.5, 1.0]), hamiltonians=hams, beta=1.0)
-    assert p.hamiltonians.dtype == stored
-    assert np.array_equal(p.hamiltonians, hams)
+    assert p.dtype == stored
+    assert np.array_equal(p.block(slice(None)), hams)
 
 
 def test_cumtrap_matches_scipy_bit_for_bit():
@@ -251,7 +251,7 @@ class TestWorkHeat:
         w_final, resid = [], []
         for nodes in (101, 201, 401):
             p = ramp_protocol(h0.astype(complex), h1.astype(complex), nodes=nodes, beta=2.0)
-            rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+            rho0, _ = gt.gibbs_state(p.block(0), p.beta)
             ev = gt.evolve(p, rho0)
             tl = gt.ledger(p, ev)
             w_final.append(tl.w_u[-1])
@@ -271,7 +271,7 @@ class TestIntegrationTolerance:
     def test_rejects_tiny_grids(self):
         h = np.diag([0.0, 1.0]).astype(complex)
         p = ramp_protocol(h, 2 * h, nodes=3)
-        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        rho0, _ = gt.gibbs_state(p.block(0), p.beta)
         ev = gt.evolve(p, rho0)
         with pytest.raises(ValueError):
             gt.integration_tolerance(p, ev)
@@ -290,7 +290,7 @@ def test_coarse_grid_is_not_validated_again(monkeypatch):
     validated when it was built: neither the streamed nor the stored
     tolerance checks them again."""
     p = _ramp12(41, seed=43)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     ev = gt.evolve(p, rho0)
     calls = []
     validate = gt.dynamics.validate_hermitian
@@ -314,7 +314,7 @@ class TestAlignedFrames:
             p, ev, tol = run.p, run.ev, run.tol
         else:
             p = _ramp12(3 * BLOCK12 + 5, seed=31)
-            rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+            rho0, _ = gt.gibbs_state(p.block(0), p.beta)
             ev = gt.evolve(p, rho0)
             tol = gt.integration_tolerance(p, ev)
         cc = gt.connection_cross_check(p, ev)
@@ -326,7 +326,7 @@ class TestAlignedFrames:
     def test_connection_invariant_under_eigenvector_gauge(self):
         rng = np.random.default_rng(7)
         p = gt.random_protocol(3, 81, rng, beta=1.0)
-        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        rho0, _ = gt.gibbs_state(p.block(0), p.beta)
         ev = gt.evolve(p, rho0)
         phases = np.exp(2j * np.pi * rng.random((p.n_nodes, 1, 3)))
         scrambled = dataclasses.replace(ev.structures, basis=ev.structures.basis * phases)
@@ -398,7 +398,7 @@ class TestClausius:
 def test_small_protocol_invariants_property(seed):
     rng = np.random.default_rng(seed)
     p = gt.random_protocol(int(rng.integers(2, 5)), 41, rng, beta=1.0)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     ev = gt.evolve(p, rho0)
     tl = gt.ledger(p, ev)
     tol = gt.integration_tolerance(p, ev)
@@ -427,11 +427,11 @@ def test_level_space_ledger_matches_matrix_routes(seed, dim, degenerate, thermal
     rng = np.random.default_rng(seed)
     beta = float(0.5 + 1.5 * rng.random())
     p = gt.random_protocol(dim, 21, rng, degenerate=degenerate, beta=beta)
-    rho0 = gt.gibbs_state(p.hamiltonians[0], beta)[0] if thermal else random_density(dim, rng)
+    rho0 = gt.gibbs_state(p.block(0), beta)[0] if thermal else random_density(dim, rng)
     ev = gt.evolve(p, rho0)
     tl = gt.ledger(p, ev)
     for j in range(p.n_nodes):
-        sigma, ln_z = gt.gibbs_state(p.hamiltonians[j], beta)
+        sigma, ln_z = gt.gibbs_state(p.block(j), beta)
         # references built here, apart from the level-space kernel: the twirl
         # from the projector formula, s_gt as its von Neumann entropy, and s_d
         # from the full basis change B^dag rho B
@@ -467,18 +467,18 @@ def test_level_space_ledger_matches_matrix_routes(seed, dim, degenerate, thermal
     # on a result rebuilt with gauge-conjugated states as the gauge suite does;
     # relative to the column or, where a column vanishes exactly (q_c on a
     # single-level run), to the protocol's energy scale
-    energy = np.max(np.abs(p.hamiltonians))
+    energy = np.max(np.abs(p.block(slice(None))))
     conj, conj_twirled, _ = gauge_conjugates(ev, range(p.n_nodes), rng)
     rebuilt = dataclasses.replace(ev, states=conj, twirled_states=conj_twirled)
     for run in (ev, rebuilt):
         series = gt.work_heat_series(p, run)
-        h_dot = np.gradient(p.hamiltonians, p.dt, axis=0)
+        h_dot = np.gradient(p.block(slice(None)), p.dt, axis=0)
         reference = {
             "w_u": _cumtrap(traces(run.states, h_dot), p.dt),
             "w_inv": _cumtrap(traces(run.twirled_states, h_dot), p.dt),
-            "q_c": _cumtrap(traces(np.gradient(run.twirled_states, p.dt, axis=0), p.hamiltonians), p.dt),
-            "q_u": _cumtrap(traces(np.gradient(run.states, p.dt, axis=0), p.hamiltonians), p.dt),
-            "u": traces(run.states, p.hamiltonians),
+            "q_c": _cumtrap(traces(np.gradient(run.twirled_states, p.dt, axis=0), p.block(slice(None))), p.dt),
+            "q_u": _cumtrap(traces(np.gradient(run.states, p.dt, axis=0), p.block(slice(None))), p.dt),
+            "u": traces(run.states, p.block(slice(None))),
         }
         for name, ref in reference.items():
             err = np.max(np.abs(getattr(series, name) - ref))
@@ -496,7 +496,7 @@ def test_divergence_columns_keep_their_sign():
     q = ortho_group.rvs(6, random_state=0)
     h = q @ np.diag([0.0, 0.0, 0.7, 0.7, 0.7, 1.9]) @ q.T
     p = constant_protocol((h + h.T) / 2, 1.0, 1.0, 101)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     tl = gt.stream_run(p, rho0).tl
     assert tl.rel_ent.min() >= 0.0 and tl.s_gamma.min() >= 0.0
     assert tl.rel_ent.max() < 1e-14 and tl.s_gamma.max() < 1e-14
@@ -505,7 +505,7 @@ def test_divergence_columns_keep_their_sign():
 def test_eigendecomposition_budget(monkeypatch):
     rng = np.random.default_rng(5)
     p = gt.random_protocol(4, 41, rng, degenerate=True, beta=1.0)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     counts = {"eigh": 0, "eigvalsh": 0}
 
     def counting(name):
@@ -540,7 +540,7 @@ def test_stacked_passes_hold_a_few_blocks(tmp_path):
     `gaugetherm run` holds a few blocks and per-node rows, not its
     Hamiltonians, which its protocol makes a node block at a time."""
     p = gt.curie_weiss_protocol(n_spins=40, nodes=401)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     stack = p.n_nodes * p.dim**2 * np.dtype(complex).itemsize
     config = tmp_path / "curie_weiss.ini"
     config.write_text(
@@ -622,7 +622,7 @@ def _coarse_reference(p: gt.Protocol, ev: gt.EvolutionResult) -> tuple[float, fl
     scipy.linalg.expm(-2i dt H_{2k+1}) at the odd fine nodes, states twirled
     on the levels of the even ones, and the work/heat series as trapezoid sums
     of np.gradient traces; and the largest fine series entry, its scale."""
-    h, dt, rho0 = p.hamiltonians, 2 * p.dt, ev.states[0]
+    h, dt, rho0 = p.block(slice(None)), 2 * p.dt, ev.states[0]
     hc = h[::2]
     props = [np.eye(p.dim, dtype=complex)]
     for k in range(len(hc) - 1):
@@ -665,7 +665,7 @@ def test_streamed_coarse_run_matches_stacked_reference(nodes, one_node_blocks, m
     if one_node_blocks:
         monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * 12 * 12)
     p = _ramp12(nodes, seed=nodes)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     ev = gt.evolve(p, rho0)
     blocks = len(node_blocks(p.n_nodes, p.dim))
     assert blocks == p.n_nodes if one_node_blocks else blocks >= (7 if nodes > 5 else 1)
@@ -680,9 +680,9 @@ def test_evolve_across_node_blocks():
     node blocks every cumulative propagator and state matches the product of
     scipy step exponentials."""
     p = _ramp12(3 * BLOCK12 + 5, seed=11)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     ev = gt.evolve(p, rho0)
-    h, u = p.hamiltonians, np.eye(12, dtype=complex)
+    h, u = p.block(slice(None)), np.eye(12, dtype=complex)
     for j in range(p.n_nodes):
         assert np.allclose(ev.propagators[j], u, rtol=0.0, atol=1e-10), j
         assert np.allclose(ev.states[j], u @ rho0 @ u.conj().T, rtol=0.0, atol=1e-10), j
@@ -698,7 +698,7 @@ def test_pass_lets_each_window_go_before_the_next(route):
     makes its nodes, no node range it made before is alive when it makes the
     next."""
     stored = _ramp12(3 * BLOCK12 + 5, seed=59)
-    h, made = stored.hamiltonians, []
+    h, made = stored.block(slice(None)), []
 
     def nodes(s):
         alive = [k for k, ref in enumerate(made) if ref() is not None]
@@ -721,7 +721,7 @@ def test_passes_hand_their_kernels_one_node_block(monkeypatch):
     check hand the Hermitian check, max_abs_entry, cluster_spectra,
     level_space and level_twirl no more than one node block at a time."""
     p = _ramp12(3 * BLOCK12 + 5, seed=67)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     block = node_blocks(p.n_nodes, p.dim)[0].stop
     assert len(node_blocks(p.n_nodes, p.dim)) >= 4
     handed = {}
@@ -779,7 +779,7 @@ class TestPassNamesGlobalIndices:
 
     def test_level_populations(self):
         p = _ramp12(self.n, seed=3)
-        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        rho0, _ = gt.gibbs_state(p.block(0), p.beta)
         lv = gt.evolve(p, rho0).structures
         basis = lv.basis.copy()
         basis[self.bad] *= 2.0
@@ -849,7 +849,7 @@ def _assert_stream_run_matches_stored_route(p: gt.Protocol):
     stacks: the ledger, the tolerance, the connection check, the kept nodes'
     states, twirled states, propagators and levels, and every node's
     degenerate flag."""
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     run = gt.stream_run(p, rho0)
     ev = gt.evolve(p, rho0)
     tl = gt.ledger(p, ev)
@@ -898,6 +898,22 @@ def test_stream_run_matches_stored_route(protocol, performed):
     assert run.connection.performed == performed
 
 
+def test_fine_fold_gives_its_ledger_twice():
+    """The fine fold keeps three level-space rows per node, and its ledger
+    normalizes the twirled spectrum into a new array: a second ledger equals
+    the first and the stored route's bit for bit, on a run of several node
+    blocks that ends degenerate."""
+    p = gt.curie_weiss_protocol(n_spins=20, nodes=801)
+    rho0 = random_density(p.dim, np.random.default_rng(13))
+    ev = gt.evolve(p, rho0)
+    fine, s_vn = _stored_fold(p, ev), gt.von_neumann_entropy(rho0)
+    first, second, stored = fine.ledger(s_vn), fine.ledger(s_vn), gt.ledger(p, ev)
+    for field in dataclasses.fields(first):
+        a = getattr(first, field.name)
+        assert np.array_equal(a, getattr(second, field.name)), field.name
+        assert np.array_equal(a, getattr(stored, field.name)), field.name
+
+
 def test_stream_run_at_one_node_per_block(monkeypatch):
     """With one node per block, as for d > 128, every block edge is a node:
     the fine run carries its propagator across each, the neighbour traces
@@ -915,9 +931,9 @@ def test_stream_run_on_one_level():
     Hamiltonians and its state, does no work, and stream_run equals the
     stored route."""
     p = constant_protocol(np.array([[0.7]], dtype=complex), beta=1.0, t_final=1.0, nodes=9)
-    h = p.hamiltonians.copy()
+    h = p.block(slice(None)).copy()
     run = _assert_stream_run_matches_stored_route(p)
-    assert np.array_equal(p.hamiltonians, h)
+    assert np.array_equal(p.block(slice(None)), h)
     assert np.allclose(run.ev.states, 1.0, rtol=0.0, atol=1e-14)
     assert np.allclose(run.tl.w_u, 0.0, rtol=0.0, atol=1e-14)
     assert np.allclose(run.tl.f_eq, 0.7, rtol=0.0, atol=1e-14)
@@ -933,7 +949,7 @@ def test_stream_run_matches_stored_route_on_real_thermal_start(d):
     g = rng.normal(size=(2, d, d))
     g = (g + np.swapaxes(g, -1, -2)) / 2
     p = ramp_protocol(g[0], g[1], nodes=41, beta=0.7)
-    assert p.hamiltonians.dtype == gt.gibbs_state(p.hamiltonians[0], p.beta)[0].dtype == np.float64
+    assert p.dtype == gt.gibbs_state(p.block(0), p.beta)[0].dtype == np.float64
     _assert_stream_run_matches_stored_route(p)
 
 
@@ -953,7 +969,7 @@ def test_stream_run_names_the_first_degenerate_node(one_node_blocks, monkeypatch
     if one_node_blocks:
         monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * 3 * 3)
     p = _crossing(21)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     ev = gt.evolve(p, rho0)
     assert [j for j, ds in enumerate(ev.structures) if ds.degenerate] == [10]
     run = gt.stream_run(p, rho0)
@@ -972,7 +988,7 @@ def test_connection_check_across_node_blocks(one_node_blocks, monkeypatch):
     if one_node_blocks:
         monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * 12 * 12)
         assert len(node_blocks(p.n_nodes, p.dim)) == p.n_nodes
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     ev = gt.evolve(p, rho0)
     cc = gt.connection_cross_check(p, ev)
     assert cc.performed
@@ -1004,7 +1020,7 @@ class TestRealSolverSwitch:
 
     def test_curie_weiss_decomposes_real_stacks_only(self, monkeypatch):
         p = gt.curie_weiss_protocol(n_spins=20, nodes=401)
-        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        rho0, _ = gt.gibbs_state(p.block(0), p.beta)
         calls = eigh_inputs(monkeypatch)
         run = gt.stream_run(p, rho0)
         assert calls and {dtype for dtype, _ in calls} == {np.dtype(np.float64)}
@@ -1013,7 +1029,7 @@ class TestRealSolverSwitch:
 
     def test_random_protocol_decomposes_complex_stacks_only(self, monkeypatch):
         p = gt.random_protocol(5, 301, np.random.default_rng(3), beta=1.0)
-        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        rho0, _ = gt.gibbs_state(p.block(0), p.beta)
         calls = eigh_inputs(monkeypatch)
         run = gt.stream_run(p, rho0)
         assert calls and {dtype for dtype, _ in calls} == {np.dtype(np.complex128)}
@@ -1026,7 +1042,7 @@ class TestRealSolverSwitch:
         p = _real_ramp12(3 * BLOCK12 + 5, seed=43)
         k = BLOCK12 + BLOCK12 // 2
         a = np.random.default_rng(47).normal(size=(12, 12))
-        hams = p.hamiltonians.astype(complex)
+        hams = p.block(slice(None)).astype(complex)
         hams[k] += 0.1j * (a - a.T)
         p = gt.Protocol(times=p.times, hamiltonians=hams, beta=p.beta)
         rho0, _ = gt.gibbs_state(hams[0], p.beta)
@@ -1034,7 +1050,7 @@ class TestRealSolverSwitch:
         ev = gt.evolve(p, rho0)
         blocks = node_blocks(p.n_nodes, p.dim)
         assert len(blocks) == 4 and blocks[1].start < k < blocks[1].stop - 1
-        assert p.hamiltonians.dtype == np.complex128
+        assert p.dtype == np.complex128
         # per block: its nodes, then the midpoints that lead into its nodes
         assert [dtype for dtype, _ in calls] == [np.dtype(np.complex128)] * 8
         assert [count for _, count in calls[::2]] == [s.stop - s.start for s in blocks]
@@ -1048,12 +1064,12 @@ class TestRealSolverSwitch:
         protocol stored complex, which takes the complex solver and keeps
         complex bases."""
         p = _real_ramp12(3 * BLOCK12 + 5, seed=53)
-        rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+        rho0, _ = gt.gibbs_state(p.block(0), p.beta)
         calls = eigh_inputs(monkeypatch)
         ev = gt.evolve(p, rho0)
         assert {dtype for dtype, _ in calls} == {np.dtype(np.float64)}
         assert ev.structures.basis.dtype == np.float64
-        h, u = p.hamiltonians, np.eye(12, dtype=complex)
+        h, u = p.block(slice(None)), np.eye(12, dtype=complex)
         for j in range(p.n_nodes):
             assert np.allclose(ev.propagators[j], u, rtol=0.0, atol=1e-10), j
             assert np.allclose(ev.states[j], u @ rho0 @ u.conj().T, rtol=0.0, atol=1e-10), j
@@ -1062,7 +1078,7 @@ class TestRealSolverSwitch:
 
         real = gt.stream_run(p, rho0)
         calls.clear()
-        cplx = gt.stream_run(dataclasses.replace(p, hamiltonians=p.hamiltonians.astype(complex)), rho0)
+        cplx = gt.stream_run(dataclasses.replace(p, hamiltonians=p.block(slice(None)).astype(complex)), rho0)
         assert {dtype for dtype, _ in calls} == {np.dtype(np.complex128)}
         assert real.connection.performed and cplx.connection.performed
         assert real.ev.structures.basis.dtype == np.float64

@@ -15,7 +15,7 @@ from test_linalg import random_density
 
 
 def thermal_ends(p):
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     ev = gt.evolve(p, rho0)
     fwd = gt.level_distribution(rho0, ev.structures[0])
     rev = gt.thermal_level_distribution(ev.structures[-1], p.beta)

@@ -94,7 +94,7 @@ def test_cluster_rejects_non_finite_tolerances(kw):
     """Such a tolerance merged the two Landau-Zener levels (gap >= 2) into one
     level of multiplicity 2 at every node."""
     p = gt.landau_zener_protocol(nodes=11)
-    rho0, _ = gt.gibbs_state(p.hamiltonians[0], p.beta)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         gt.evolve(p, rho0, **kw)
 
@@ -285,7 +285,7 @@ def test_node_levels_indexing():
     ]
     block = node_blocks(n, 8)[0].stop
     for j in (0, block - 1, block, n - 1):  # each node's own clustering, block edges included
-        ds = structure_of(p.hamiltonians[j])
+        ds = structure_of(p.block(j))
         assert np.array_equal(ds.mults, ref[j][1])
         assert np.allclose(ds.energies, ref[j][0], atol=1e-12)
 

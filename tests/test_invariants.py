@@ -204,11 +204,11 @@ def test_single_state_routes_are_rows_of_the_stacked_kernel(dim, degenerate):
 
     rng = np.random.default_rng(100 * dim + degenerate)
     real = _real_ramp(dim, rng, degenerate)
-    assert real.hamiltonians.dtype == np.float64
+    assert real.dtype == np.float64
     for p in (gt.random_protocol(dim, 7, rng, degenerate=degenerate), real):
         ev = gt.evolve(p, random_density(dim, rng))
         lv = ev.structures
-        assert lv.basis.dtype == p.hamiltonians.dtype
+        assert lv.basis.dtype == p.dtype
         if degenerate:
             assert ev.structures[0].degenerate and ev.structures[-1].degenerate
         for states in (ev.states, ev.states.real.copy()):

@@ -139,7 +139,7 @@ def test_bures_angle_precise_near_unit_fidelity():
     # arccos(sqrt(F)) turns a round-off of ~1e-15 in F into ~3e-8 in the
     # angle of a degenerate thermal state with itself; the polar route does not
     p = random_protocol(4, 21, np.random.default_rng(1), degenerate=True, beta=1.0)
-    sigma, _ = gibbs_state(p.hamiltonians[0], 1.0)
+    sigma, _ = gibbs_state(p.block(0), 1.0)
     assert bures_angle(sigma, sigma) < 1e-12
 
 
@@ -150,7 +150,7 @@ def test_fidelity_precise_with_small_weights():
     rng = np.random.default_rng(9021)
     beta = float(0.5 + 1.5 * rng.random())
     p = random_protocol(5, 21, rng, beta=beta)
-    sigma, _ = gibbs_state(p.hamiltonians[0], beta)
+    sigma, _ = gibbs_state(p.block(0), beta)
     assert 1.0 - fidelity(sigma, sigma) < 1e-12
 
 

@@ -45,27 +45,27 @@ class TestProtocolBuilders:
         assert p.label == "landau_zener"
         assert len(p.times) == 1001
         assert p.times[-1] == pytest.approx(1.0)
-        assert np.allclose(p.hamiltonians[0], gt.landau_zener(2.0, 1.0, 0.0))
-        assert np.allclose(p.hamiltonians[-1], gt.landau_zener(2.0, 1.0, 1.0))
+        assert np.allclose(p.block(0), gt.landau_zener(2.0, 1.0, 0.0))
+        assert np.allclose(p.block(-1), gt.landau_zener(2.0, 1.0, 1.0))
 
     def test_field_ramp_protocol(self):
         p = gt.curie_weiss_protocol()
         assert p.label == "curie_weiss"
         assert len(p.times) == 2001
-        assert p.hamiltonians.shape[1] == 51
-        assert np.allclose(p.hamiltonians[0], gt.curie_weiss(1.0, 50, 2.0))
-        assert np.allclose(p.hamiltonians[-1], gt.curie_weiss(1.0, 50, 0.0))
+        assert p.dim == 51
+        assert np.allclose(p.block(0), gt.curie_weiss(1.0, 50, 2.0))
+        assert np.allclose(p.block(-1), gt.curie_weiss(1.0, 50, 0.0))
 
     def test_stacked_builders_equal_the_per_node_hamiltonians(self):
         p = gt.landau_zener_protocol(delta=0.3, v=-2.7, t_final=3.3, nodes=57)
         assert np.array_equal(
-            p.hamiltonians, np.stack([gt.landau_zener(0.3, -2.7, t) for t in p.times])
+            p.block(slice(None)), np.stack([gt.landau_zener(0.3, -2.7, t) for t in p.times])
         )
         p = gt.curie_weiss_protocol(
             j_coupling=0.7, n_spins=7, b_start=-1.0, b_end=3.0, t_final=2.5, nodes=33
         )
         b_grid = -1.0 + (p.times / 2.5) * 4.0
-        assert np.array_equal(p.hamiltonians, np.stack([gt.curie_weiss(0.7, 7, b) for b in b_grid]))
+        assert np.array_equal(p.block(slice(None)), np.stack([gt.curie_weiss(0.7, 7, b) for b in b_grid]))
         with pytest.raises(ValueError):
             gt.curie_weiss_protocol(n_spins=0)
 
@@ -82,11 +82,24 @@ class TestProtocolBuilders:
             tracemalloc.stop()
         assert peak <= 0.05 * stack
 
+    def test_repr_holds_no_stack(self):
+        # the Hamiltonians are an argument of the constructor only, read
+        # through block(s): repr names the fields and makes no node
+        p = gt.curie_weiss_protocol(n_spins=40, nodes=401)
+        stack = 401 * 41 * 41 * 8
+        tracemalloc.start()
+        try:
+            repr(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * stack
+
     def test_builders_are_real(self):
         assert gt.landau_zener(2.0, 1.0, 0.3).dtype == np.float64
         assert gt.curie_weiss(1.0, 4, 0.5).dtype == np.float64
-        assert gt.landau_zener_protocol(nodes=11).hamiltonians.dtype == np.float64
-        assert gt.curie_weiss_protocol(n_spins=4, nodes=11).hamiltonians.dtype == np.float64
+        assert gt.landau_zener_protocol(nodes=11).dtype == np.float64
+        assert gt.curie_weiss_protocol(n_spins=4, nodes=11).dtype == np.float64
 
     def test_field_ramp_rejects_coarse_tolerance(self):
         # a clustering tolerance beating the smallest on-grid splitting would
@@ -136,7 +149,7 @@ def test_builders_make_every_node_block_bit_equal(case, blocks):
         assert h.dtype == p.dtype
         for j in range(s.start, s.stop):
             assert np.array_equal(h[j - s.start], node(j)), j
-    stored = gt.Protocol(times=p.times, hamiltonians=p.hamiltonians, beta=p.beta)
+    stored = gt.Protocol(times=p.times, hamiltonians=p.block(slice(None)), beta=p.beta)
     assert stored.dtype == p.dtype
     rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     made, kept = gt.stream_run(p, rho0), gt.stream_run(stored, rho0)
@@ -203,14 +216,14 @@ class TestRandomProtocol:
     def test_deterministic_per_seed(self):
         a = gt.random_protocol(4, 11, np.random.default_rng(5))
         b = gt.random_protocol(4, 11, np.random.default_rng(5))
-        assert np.array_equal(a.hamiltonians, b.hamiltonians)
+        assert np.array_equal(a.block(slice(None)), b.block(slice(None)))
 
     def test_degenerate_endpoints(self):
         p = gt.random_protocol(5, 21, np.random.default_rng(7), degenerate=True)
         for j in (0, -1):
-            w = np.sort(np.linalg.eigvalsh(p.hamiltonians[j]))
+            w = np.sort(np.linalg.eigvalsh(p.block(j)))
             assert np.min(np.diff(w)) < 1e-12
-        w_mid = np.sort(np.linalg.eigvalsh(p.hamiltonians[10]))
+        w_mid = np.sort(np.linalg.eigvalsh(p.block(10)))
         assert np.min(np.diff(w_mid)) > 1e-6
 
     def test_dimension_bounds(self):
@@ -349,7 +362,7 @@ class TestModelSpec:
         )
         a = gt.build_protocol(spec)
         b = gt.build_protocol(spec)
-        assert np.array_equal(a.hamiltonians, b.hamiltonians)
+        assert np.array_equal(a.block(slice(None)), b.block(slice(None)))
 
     def test_required_params_registry_is_total(self):
         assert set(MODELS) == {"landau_zener", "curie_weiss", "random", "matrix"}
@@ -367,7 +380,7 @@ class TestModelSpec:
         spec = gt.ModelSpec(name="matrix", nodes=5, t_final=2.0, beta=1.0, matrix_path=str(path))
         p = gt.build_protocol(spec)
         assert p.label == "matrix" and p.n_nodes == 5 and p.tau == 2.0
-        assert np.array_equal(p.hamiltonians[-1], [[0, 1], [1, 0]])
+        assert np.array_equal(p.block(-1), [[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="requires key 'matrix_path'"):
             gt.ModelSpec(name="matrix", nodes=5, t_final=1.0, beta=1.0)
         with pytest.raises(ValueError, match="only valid for model 'matrix'"):
