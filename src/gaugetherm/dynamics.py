@@ -32,24 +32,22 @@ import numpy as np
 from .gauge import (
     CLUSTER_TOL_REL,
     NodeLevels,
+    _spread,
     cluster_spectra,
     default_cluster_tol_abs,
     join_levels,
     level_space,
     level_twirl,
 )
+from .invariants import _entropy_split, _gibbs_terms
 from .linalg import (
     ValidationError,
     _dag,
-    _divergence,
-    _log_gibbs,
     _stored,
     _transposed,
-    check_hermitian,
     gibbs_state,
     max_abs_entry,
     node_blocks,
-    shannon_entropy,
     validate_density,
     validate_hermitian,
     von_neumann_entropy,
@@ -186,7 +184,7 @@ def evolve(
 
     The spectral work is one eigendecomposition per node Hamiltonian, made
     as one stacked call per node block and clustered into the block's levels
-    (_decompose), and one per midpoint Hamiltonian, which gives every step
+    (_pass), and one per midpoint Hamiltonian, which gives every step
     propagator (_steps), both from the block's window of Hamiltonians
     (_windows). The dtype of the protocol picks the solver: a real protocol
     takes the real-symmetric one and keeps real bases, half the bytes of
@@ -240,14 +238,19 @@ def _windows(p: Protocol):
 def _pass(p: Protocol, rho0: np.ndarray, tol_abs: float | None, tol_rel: float):
     """The pass over node blocks that evolve stores and stream_run folds,
     from a validated rho0: each node block s in node order, with its window
-    (_windows), the levels record of its nodes (_decompose) and the arrays
-    that _Propagator.block gives for it. It lets the window and the levels
-    go before it makes the next block; so must a consumer."""
+    (_windows), the levels record of its nodes and the arrays that
+    _Propagator.block gives for it. The levels are clustered from one
+    stacked eigendecomposition of the block's Hamiltonians, whose
+    eigenvalues and eigenvectors the record keeps; the dtype picks the
+    solver, so a real block has a real basis. It lets the window and the
+    levels go before it makes the next block; so must a consumer."""
     run, c = _Propagator(rho0), -1j * p.dt
     for s, win in _windows(p):
-        lv = _decompose(win.nodes(s.start, s.stop), tol_abs, tol_rel)
+        h = win.nodes(s.start, s.stop)
+        tol = default_cluster_tol_abs(h) if tol_abs is None else tol_abs
+        lv = cluster_spectra(*np.linalg.eigh(h), tol, tol_rel)
         yield s, win, lv, run.block(s, lv, _steps(win, s, c))
-        del win, lv
+        del win, lv, h
 
 
 def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
@@ -258,15 +261,6 @@ def _initial_state(p: Protocol, rho0: np.ndarray) -> np.ndarray:
     if rho0.shape[0] != p.dim:
         raise ValidationError("initial state dimension does not match the protocol")
     return rho0
-
-
-def _decompose(h: np.ndarray, cluster_tol_abs: float | None, cluster_tol_rel: float) -> NodeLevels:
-    """The clustered levels of a node block (k, d, d) of Hamiltonians, from one
-    stacked eigendecomposition, whose eigenvalues and eigenvectors the record
-    keeps; the dtype picks the solver, so a real block has a real basis."""
-    tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
-    w, V = np.linalg.eigh(h)
-    return cluster_spectra(w, V, tol_abs, cluster_tol_rel)
 
 
 class _Propagator:
@@ -296,9 +290,9 @@ class _Propagator:
         if a == 0:
             states[0] = self.rho0
         validate_density(states, "evolved state at node", check_psd=False, first=a)
-        diag, pops = level_space(states, lv.basis, lv.mults, lv.bounds[:-1], first=a)
+        diag, pops = level_space(states, lv, first=a)
         self.u = props[-1].copy()
-        return props, states, level_twirl(pops, lv.basis, lv.mults), diag, pops
+        return props, states, level_twirl(pops, lv), diag, pops
 
 
 def _steps(win: _Window, s: slice, c: complex) -> np.ndarray:
@@ -309,7 +303,7 @@ def _steps(win: _Window, s: slice, c: complex) -> np.ndarray:
     lo = max(s.start - 1, 0)
     h = win.nodes(lo, s.stop)
     mid = (h[:-1] + h[1:]) / 2.0
-    check_hermitian(mid, "operator", lo)
+    validate_hermitian(mid, "operator", lo)
     return _exponentials(*np.linalg.eigh(mid), c)
 
 
@@ -441,41 +435,27 @@ def ledger(p: Protocol, ev: EvolutionResult) -> ThermoLedger:
     in level space from one stacked basis change of the states
     (gauge.level_space), by the fold (_FineRun) that stream_run feeds its pass
     and ledger the stored run's blocks (_stored_fold), once on every node
-    after the last block (_entropy_columns). Over each node's d eigenvalues,
-    with the level-basis diagonal x, the twirled spectrum t (each level's
-    p_k / n_k repeated n_k times) and the Gibbs spectrum q of the level
-    energies (linalg._log_gibbs, from log-weights):
+    after the last block, by the kernels that entropy_report shares
+    (invariants._entropy_split and invariants._gibbs_terms). Over each node's
+    d eigenvalues, with the level-basis diagonal x, the twirled spectrum t
+    (each level's p_k / n_k repeated n_k times) and the Gibbs spectrum q of
+    the level energies (linalg._log_gibbs, from log-weights):
 
     - f_eq = -ln Z / beta; s_gt and s_d are the Shannon entropies of t and x;
+    - c_rel = s_d - s_vn, with s_vn taken once, from states[0]: unitary
+      evolution keeps the spectrum;
     - s_gamma = KL(x || t) = s_gt - s_d and rel_ent = KL(t || q) =
       S(rho^E || gibbs(H)) are divergences, summed from terms clipped at 0
       (linalg._divergence), and rel_ent stays finite where q underflows;
     - bures = arccos(sum sqrt(t q)), the sum being the root fidelity of two
       commuting states, evaluated as 2 arcsin(||sqrt(t) - sqrt(q)|| / 2),
-      which keeps its digits as the fidelity approaches 1;
-    - s_vn is taken once, from states[0]: unitary evolution keeps the spectrum.
+      which keeps its digits as the fidelity approaches 1.
 
     gibbs_state, fidelity, bures_angle and relative_entropy remain the
     general (non-commuting) matrix routes, equal to these columns to
     round-off; gibbs_state keeps its own weights (see there).
     """
     return _stored_fold(p, ev).ledger(von_neumann_entropy(ev.states[0]))
-
-
-def _entropy_columns(spectra: np.ndarray, diag: np.ndarray, t: np.ndarray, beta: float) -> np.ndarray:
-    """ledger's f_eq, s_gt, s_d, s_gamma, bures and rel_ent rows (6, k) of k nodes from their
-    spectra (k, d) (NodeLevels.spectra), level-basis diagonal (k, d) and twirled spectrum
-    (k, d) as _FineRun keeps it, which is normalized here into a new array, so the inputs
-    stay as given; each row is a sum over the node's d eigenvalues of the spectra t and q
-    that ledger describes, and every operation is row by row, so a node's row does not
-    depend on the other nodes given with it."""
-    t = t / t.sum(axis=1, keepdims=True)
-    ln_q, ln_z = _log_gibbs(spectra, beta)
-    x, q = np.clip(diag, 0.0, 1.0), np.exp(ln_q)
-    hellinger = np.sum((np.sqrt(t) - np.sqrt(q)) ** 2, axis=1)
-    bures = 2.0 * np.arcsin(np.minimum(np.sqrt(hellinger) / 2.0, 1.0))
-    s_gamma, rel = _divergence(x, t), _divergence(t, q, ln_q)
-    return np.array([-ln_z / beta, shannon_entropy(t), shannon_entropy(x), s_gamma, bures, rel])
 
 
 def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
@@ -561,8 +541,9 @@ class _FineRun:
     and keeps three level-space rows (n, d) and a degenerate flag per node:
     the diagonal, the spectrum, and the twirled spectrum t, each level's
     clipped population spread evenly over its multiplicity (unnormalized;
-    _entropy_columns normalizes it). stream_run feeds it its pass, ledger
-    and connection_cross_check a stored run (_stored_fold)."""
+    ledger normalizes it into a new array, so it can be called again).
+    stream_run feeds it its pass, ledger and connection_cross_check a stored
+    run (_stored_fold)."""
 
     def __init__(self, p: Protocol):
         n, self.beta, self.dt = p.n_nodes, p.beta, p.dt
@@ -575,7 +556,7 @@ class _FineRun:
 
     def add(self, s: slice, win: _Window, lv: NodeLevels, states, twirled, x, pops) -> None:
         self.degenerate[s], self.spectra[s], self.diag[s] = lv.degenerate, lv.spectra, x
-        self.t[s] = np.repeat(np.clip(pops, 0.0, None) / lv.mults, lv.mults).reshape(x.shape)
+        self.t[s] = _spread(np.clip(pops, 0.0, None), lv)
         self.fold.add(s, win, states, twirled)
 
     @cached_property
@@ -588,10 +569,12 @@ class _FineRun:
 
     def ledger(self, s_vn: float) -> ThermoLedger:
         """The ledger, given rho's von Neumann entropy."""
-        f_eq, s_gt, s_d, s_gamma, bures, rel_ent = _entropy_columns(self.spectra, self.diag, self.t, self.beta)
+        t = self.t / self.t.sum(axis=1, keepdims=True)
+        s_gt, s_d, c_rel, s_gamma = _entropy_split(self.diag, t, s_vn)
+        f_eq, bures, rel_ent = _gibbs_terms(self.spectra, t, self.beta)
         s = self.series
         return ThermoLedger(**vars(s), q_inv=s.q_u + s.q_c, f_eq=f_eq, s_gt=s_gt, s_d=s_d,
-                            c_rel=s_d - s_vn, s_gamma=s_gamma, bures=bures, rel_ent=rel_ent)
+                            c_rel=c_rel, s_gamma=s_gamma, bures=bures, rel_ent=rel_ent)
 
     def connection(self) -> ConnectionCheck:
         """connection_cross_check against this run's w_inv and q_u + q_c, or
@@ -619,7 +602,7 @@ def _stored_fold(p: Protocol, ev: EvolutionResult) -> _FineRun:
     fine = _FineRun(p)
     for s, win in _windows(p):
         lv, states = ev.structures[s], ev.states[s]
-        x, pops = level_space(states, lv.basis, lv.mults, lv.bounds[:-1], first=s.start)
+        x, pops = level_space(states, lv, first=s.start)
         fine.add(s, win, lv, states, ev.twirled_states[s], x, pops)
     return fine
 

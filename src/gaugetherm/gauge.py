@@ -13,7 +13,7 @@ from which a node's DegeneracyStructure is a view.
 
 The level-space kernel, level_space and level_twirl, gives the level-basis
 diagonal, the level populations p^k = Tr(Pi_k rho) and the twirled states of
-a stack of states from the node bases and level multiplicities. twirl,
+a stack of states from the levels record of their nodes. twirl,
 level_distribution and entropy_report take one state, which has its own
 kernel (_state_levels): the same products on 2-D arrays, bit for bit a row
 of a stacked call, without the stack's per-call overhead (level starts, a
@@ -247,32 +247,26 @@ def _level_diagonal(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b.conj() * (rho @ b)).real.sum(axis=-2)
 
 
-def level_space(
-    states: np.ndarray,
-    basis: np.ndarray,
-    mults: np.ndarray,
-    node_starts: np.ndarray,
-    first: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of B_j^dag rho_j B_j (n, d) for the node bases B_j, formed from
-    the one product rho B as Re sum_i conj(B_ia) (rho B)_ia on the stack
-    given, which the passes keep to one node block, and the level populations
-    Tr(Pi_k rho_j) of all nodes laid end to end, of multiplicities mults, node
-    j's first at node_starts[j] (a NodeLevels' mults and bounds[:-1]). A real
-    basis drops Im(rho), whose diagonal in it is 0: the diagonal is that of
-    B^T Re(rho) B, a real product.
+def level_space(states: np.ndarray, lv: NodeLevels, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of B_j^dag rho_j B_j (n, d) for the node bases B_j of the
+    levels record lv, formed from the one product rho B as
+    Re sum_i conj(B_ia) (rho B)_ia on the stack given, which the passes keep
+    to one node block, and the level populations Tr(Pi_k rho_j) of all nodes
+    laid end to end, as lv lays out its levels. A real basis drops Im(rho),
+    whose diagonal in it is 0: the diagonal is that of B^T Re(rho) B, a real
+    product.
 
     Raises when the clipped populations of a node miss 1 by more than
     LEVEL_NORM_TOL, or are not finite: the state and the levels do not
     belong together; the node is named by its index counted from `first`, as
-    in check_hermitian.
+    in linalg.validate_hermitian.
     """
-    d, dim = states.shape[1], basis.shape[-1]
+    d, dim = states.shape[1], lv.basis.shape[-1]
     if states.shape[1:] != (dim, dim):
         raise ValidationError(f"state dimension {d} does not match structure dimension {dim}")
-    diag = _level_diagonal(states, basis)
-    pops = np.add.reduceat(diag.ravel(), np.cumsum(mults) - mults)
-    total = np.add.reduceat(np.maximum(pops, 0.0), node_starts)
+    diag = _level_diagonal(states, lv.basis)
+    pops = np.add.reduceat(diag.ravel(), np.cumsum(lv.mults) - lv.mults)
+    total = np.add.reduceat(np.maximum(pops, 0.0), lv.bounds[:-1])
     miss = abs(total - 1.0)
     if not miss.max() <= LEVEL_NORM_TOL:  # one test, which a NaN fails as well
         j = int(np.argmax(~(miss <= LEVEL_NORM_TOL)))
@@ -280,13 +274,21 @@ def level_space(
     return diag, pops
 
 
-def level_twirl(pops: np.ndarray, basis: np.ndarray, mults: np.ndarray) -> np.ndarray:
+def level_twirl(pops: np.ndarray, lv: NodeLevels) -> np.ndarray:
     """The twirled states B_j diag(p/n) B_j^dag (n, d, d), complex, from
-    level_space's populations, for the node bases B_j (n, d, d) and level
-    multiplicities; a real basis takes a real product."""
-    n, d = basis.shape[:2]
-    cols = np.repeat(pops / mults, mults).reshape(n, 1, d)
-    return np.matmul(basis * cols, _dag(basis), out=np.empty((n, d, d), dtype=complex))
+    level_space's populations, for the node bases B_j and level
+    multiplicities n of the levels record lv; a real basis takes a real
+    product."""
+    n, d = lv.basis.shape[:2]
+    cols = _spread(pops, lv)[:, None]
+    return np.matmul(lv.basis * cols, _dag(lv.basis), out=np.empty((n, d, d), dtype=complex))
+
+
+def _spread(values: np.ndarray, lv: NodeLevels) -> np.ndarray:
+    """values, one per level of the levels record lv as it lays them out,
+    each divided evenly over its level's multiplicity n: the rows (n_nodes,
+    d) of v / n repeated n times, as level_twirl spreads the populations."""
+    return np.repeat(values / lv.mults, lv.mults).reshape(lv.basis.shape[:2])
 
 
 def _state_levels(

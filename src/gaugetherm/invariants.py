@@ -28,6 +28,7 @@ from .linalg import (
     _check_beta,
     _dag,
     _divergence,
+    _log_gibbs,
     _spectral_entropy,
     log_partition,
     shannon_entropy,
@@ -120,14 +121,44 @@ class EntropyReport:
 
 
 def entropy_report(rho: np.ndarray, ds: DegeneracyStructure) -> EntropyReport:
-    """The entropy split of one state from one level-space pass
-    (gauge._state_levels, which validates rho, once) and the spectrum of the
-    validated state; s_gamma = KL(level-basis diagonal || twirled spectrum)
-    = s_gt - s_d."""
+    """The entropy split (_entropy_split) of one state from one level-space
+    pass (gauge._state_levels, which validates rho, once) and the spectrum
+    of the validated state; the twirled spectrum spreads the normalized
+    level distribution."""
     rho, diag, _, probs = _state_levels(rho, ds)
-    x, t = np.clip(diag, 0.0, 1.0), np.repeat(probs / ds.mults, ds.mults)
-    s_vn, s_d, s_gt = _spectral_entropy(rho), shannon_entropy(x), shannon_entropy(t)
-    return EntropyReport(s_gt, s_vn, s_d, c_rel=s_d - s_vn, s_gamma=float(_divergence(x, t)))
+    s_vn = _spectral_entropy(rho)
+    s_gt, s_d, c_rel, s_gamma = _entropy_split(diag, np.repeat(probs / ds.mults, ds.mults), s_vn)
+    return EntropyReport(s_gt, s_vn, s_d, c_rel, float(s_gamma))
+
+
+def _entropy_split(diag: np.ndarray, t: np.ndarray, s_vn):
+    """s_gt, s_d, c_rel and s_gamma of one state from its level-basis
+    diagonal (d,) and twirled spectrum t (d,), or of each row of stacks
+    (k, d), given the von Neumann entropy s_vn: s_gt and s_d are the Shannon
+    entropies of t and of the diagonal x clipped to [0, 1], c_rel = s_d - s_vn,
+    and s_gamma = KL(x || t) = s_gt - s_d, a divergence summed from terms
+    clipped at 0 (linalg._divergence). Each row is a sum over its d entries,
+    so a node's values do not depend on the other rows given with it; the
+    ledger's rows and entropy_report are this kernel's."""
+    x = np.clip(diag, 0.0, 1.0)
+    s_d = shannon_entropy(x)
+    return shannon_entropy(t), s_d, s_d - s_vn, _divergence(x, t)
+
+
+def _gibbs_terms(spectra: np.ndarray, t: np.ndarray, beta: float):
+    """The ledger's f_eq, bures and rel_ent of one node from its spectrum (d,)
+    and twirled spectrum t (d,), or of each row of stacks (k, d), against the
+    Gibbs spectrum q of the level energies at beta (linalg._log_gibbs, from
+    log-weights): f_eq = -ln Z / beta; rel_ent = KL(t || q) = S(rho^E ||
+    gibbs(H)), finite where q underflows; bures = arccos(sum sqrt(t q)), the
+    root fidelity of two commuting states, evaluated as
+    2 arcsin(||sqrt(t) - sqrt(q)|| / 2), which keeps its digits as the
+    fidelity approaches 1. Row by row, as _entropy_split."""
+    ln_q, ln_z = _log_gibbs(spectra, beta)
+    q = np.exp(ln_q)
+    hellinger = np.sum((np.sqrt(t) - np.sqrt(q)) ** 2, axis=-1)
+    bures = 2.0 * np.arcsin(np.minimum(np.sqrt(hellinger) / 2.0, 1.0))
+    return -ln_z / beta, bures, _divergence(t, q, ln_q)
 
 
 def noneq_free_energy(

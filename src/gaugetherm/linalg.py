@@ -97,19 +97,6 @@ def _hermitian_ok(H: np.ndarray) -> np.ndarray:
     return _stack_hermitian_ok(H)
 
 
-def check_hermitian(H: np.ndarray, name: str, first: int = 0) -> None:
-    """validate_hermitian's checks on a real or complex square matrix or
-    stack whose first matrix is number `first` (so that a block of a longer
-    stack is reported by its index in that stack)."""
-    ok = _hermitian_ok(H)
-    # only a failing input is diagnosed: non-finite entries first
-    if not (ok if H.ndim == 2 else ok.all()):
-        finite = np.isfinite(max_abs_entry(H))
-        if not finite.all():
-            raise ValidationError(f"{_named(name, ~finite, first)} has non-finite entries")
-        raise ValidationError(f"{_named(name, ~ok, first)} is not Hermitian within tolerance")
-
-
 def _stored(a) -> np.ndarray:
     """The stored form of an operator: float64 if it is real (int and bool
     too), complex128 if it is complex, even when every imaginary part is 0."""
@@ -117,6 +104,8 @@ def _stored(a) -> np.ndarray:
 
 
 def _square(H: np.ndarray, name: str) -> np.ndarray:
+    """H in its stored form (_stored: no copy of a float64 or complex128
+    array), checked to be a square matrix or a stack (n, d, d) of them."""
     H = _stored(H)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {H.shape}")
@@ -127,9 +116,17 @@ def validate_hermitian(H: np.ndarray, name: str = "operator", first: int = 0) ->
     """Check one square matrix, or a stack (n, d, d) of them, for finite
     Hermitian entries; each matrix is held to its own scale, and an error
     names the first failing matrix of a stack by its index counted from
-    `first`."""
+    `first` (so that a block of a longer stack is reported by its index in
+    that stack). Returns H in its stored form (_square), which is H itself
+    when H is a float64 or complex128 array."""
     H = _square(H, name)
-    check_hermitian(H, name, first)
+    ok = _hermitian_ok(H)
+    # only a failing input is diagnosed: non-finite entries first
+    if not (ok if H.ndim == 2 else ok.all()):
+        finite = np.isfinite(max_abs_entry(H))
+        if not finite.all():
+            raise ValidationError(f"{_named(name, ~finite, first)} has non-finite entries")
+        raise ValidationError(f"{_named(name, ~ok, first)} is not Hermitian within tolerance")
     return H
 
 
@@ -149,7 +146,7 @@ def validate_density(
     else:
         ok = bool((_hermitian_ok(rho) & (abs(tr - 1.0) <= TRACE_TOL)).all())
     if not ok:
-        check_hermitian(rho, name, first)
+        validate_hermitian(rho, name, first)
         bad = abs(tr - 1.0) > TRACE_TOL
         tr_bad = complex(np.ravel(tr)[np.argmax(bad)])
         raise ValidationError(f"{_named(name, bad, first)} trace is {tr_bad:.3e}, expected 1")

@@ -74,7 +74,7 @@ def gauge_conjugates(
         conj[i] = v @ ev.states[j] @ v.conj().T
     lv = ev.structures[list(nodes)]
     validate_density(conj, check_psd=False)
-    twirled = level_twirl(level_space(conj, lv.basis, lv.mults, lv.bounds[:-1])[1], lv.basis, lv.mults)
+    twirled = level_twirl(level_space(conj, lv)[1], lv)
     worst = float(np.max(np.abs(twirled - ev.twirled_states[list(nodes)])))
     return conj, twirled, worst
 

@@ -178,11 +178,9 @@ def test_avoided_crossing_coherence(lz_run):
 
 
 def test_field_ramp_degeneracy_entropy(cw_run):
-    tl, ev = cw_run.tl, cw_run.ev
+    tl = cw_run.tl
     n = len(cw_run.p.times)
-    degenerate = {
-        j for j, ds in enumerate(ev.structures) if int(np.max(ds.mults)) > 1
-    }
+    degenerate = set(np.flatnonzero(cw_run.degenerate).tolist())
     # pairs m1 + m2 = -k cross at field 0.02k, which lands exactly on every
     # 20th grid node of the 2→0 ramp; the zero-field endpoint merges all +-m
     expected = {n - 1 - 20 * k for k in range(1, 50)} | {n - 1}

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gaugetherm as gt
 from gaugetherm.dynamics import GRID_UNIFORMITY_TOL
 from gaugetherm.dynamics import _cumtrap, _PowerIntegrands, _Propagator, _steps, _stored_fold, _Window, _windows
-from gaugetherm.gauge import level_space, level_twirl
+from gaugetherm.gauge import NodeLevels, level_space, level_twirl
 from gaugetherm.linalg import (
     BLOCK_BYTES,
     ValidationError,
@@ -288,18 +288,22 @@ class TestIntegrationTolerance:
 def test_coarse_grid_is_not_validated_again(monkeypatch):
     """The coarse grid's Hamiltonians are nodes of the protocol, already
     validated when it was built: neither the streamed nor the stored
-    tolerance checks them again."""
+    tolerance checks them again. The fine pass checks its midpoints, one
+    stack per node block (_steps), and stream_run checks only those."""
     p = _ramp12(41, seed=43)
     rho0, _ = gt.gibbs_state(p.block(0), p.beta)
     ev = gt.evolve(p, rho0)
     calls = []
     validate = gt.dynamics.validate_hermitian
     monkeypatch.setattr(
-        gt.dynamics, "validate_hermitian", lambda *a, **k: calls.append(1) or validate(*a, **k)
+        gt.dynamics, "validate_hermitian", lambda h, *a: calls.append((h.shape, *a)) or validate(h, *a)
     )
     gt.integration_tolerance(p, ev)
-    gt.stream_run(p, rho0)
     assert calls == []
+    gt.evolve(p, rho0)
+    fine, calls[:] = list(calls), []
+    gt.stream_run(p, rho0)
+    assert calls == fine == [((40, 12, 12), "operator", 0)]
 
 
 class TestAlignedFrames:
@@ -348,9 +352,12 @@ class TestAlignedFrames:
         assert np.max(np.abs(cc.q_cov - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
 
     def test_connection_skipped_when_levels_merge(self, cw_run):
-        cc = gt.connection_cross_check(cw_run.p, cw_run.ev)
-        assert not cc.performed
-        assert "degenerate" in cc.reason
+        # the streamed run, and the stored route on a small ramp to B = 0
+        p = gt.curie_weiss_protocol(n_spins=10, nodes=201)
+        rho0, _ = gt.gibbs_state(p.block(0), p.beta)
+        for cc in (cw_run.connection, gt.connection_cross_check(p, gt.evolve(p, rho0))):
+            assert not cc.performed
+            assert "degenerate" in cc.reason
 
 
 class TestClausius:
@@ -728,12 +735,13 @@ def test_passes_hand_their_kernels_one_node_block(monkeypatch):
 
     def record(module, name, arg):
         """Record the matrices of argument `arg` of every call of `name`
-        where `module` looks it up."""
+        where `module` looks it up, or the nodes of a levels record."""
         fn = getattr(module, name)
 
         def recorded(*args, **kwargs):
-            a = np.asarray(args[arg])
-            handed.setdefault(name, []).append(a.shape[0] if a.ndim == 3 else 1)
+            a = args[arg]
+            size = len(a) if isinstance(a, NodeLevels) else (a.shape[0] if np.ndim(a) == 3 else 1)
+            handed.setdefault(name, []).append(size)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recorded)
@@ -1101,11 +1109,12 @@ class TestRealSolverSwitch:
         basis = np.linalg.qr(rng.normal(size=(n, d, d)))[0]
         states = np.array([random_density(d, rng) for _ in range(n)])
         mults = np.tile([1, 3, 2] * 8 + [3], n)  # 25 levels per node
-        starts = np.arange(n) * 25
-        diag, pops = level_space(states, basis, mults, starts)
-        diag_c, pops_c = level_space(states, basis.astype(complex), mults, starts)
+        lv = NodeLevels(np.zeros(25 * n), mults, np.arange(n + 1) * 25, np.zeros((n, d)), basis)
+        lv_c = dataclasses.replace(lv, basis=basis.astype(complex))
+        diag, pops = level_space(states, lv)
+        diag_c, pops_c = level_space(states, lv_c)
         assert np.allclose(diag, diag_c, rtol=0.0, atol=1e-14)
         assert np.allclose(pops, pops_c, rtol=0.0, atol=1e-14)
-        twirled = level_twirl(pops, basis, mults)
+        twirled = level_twirl(pops, lv)
         assert twirled.dtype == np.complex128
-        assert np.allclose(twirled, level_twirl(pops_c, basis.astype(complex), mults), rtol=0.0, atol=1e-14)
+        assert np.allclose(twirled, level_twirl(pops_c, lv_c), rtol=0.0, atol=1e-14)

@@ -12,6 +12,7 @@ from gaugetherm.gauge import (
     cluster_spectra,
     cluster_spectrum,
     default_cluster_tol_abs,
+    join_levels,
     sample_gauge_element,
     twirl,
     twirl_oracle,
@@ -313,11 +314,19 @@ def test_node_levels_indexing():
     assert flags[0] and flags[-1] and not any(flags[1:-1])
 
 
-def test_node_levels_endpoint_reads_build_one_node(cw_run):
+def test_node_levels_endpoint_reads_build_one_node():
     """rec[0] and rec[-1] of a 2001-node record build only their own node's
     structure, a view of the record, equal to the one iteration gives; the
-    per-node tuple is not built by an int access."""
-    rec = dataclasses.replace(cw_run.ev.structures)  # a fresh record, with no cached tuple
+    per-node tuple is not built by an int access. The record is the
+    Curie-Weiss ramp's, clustered a node block at a time as evolve does."""
+    p = gt.curie_weiss_protocol()
+    basis, levels = np.empty((p.n_nodes, p.dim, p.dim), p.dtype), []
+    for s in node_blocks(p.n_nodes, p.dim):
+        h = p.block(s)
+        lv = cluster_spectra(*np.linalg.eigh(h), default_cluster_tol_abs(h))
+        basis[s] = lv.basis
+        levels.append(dataclasses.replace(lv, basis=basis[s]))
+    rec = join_levels(levels, basis)  # a fresh record, with no cached tuple
     assert len(rec) == 2001
     ends = rec[0], rec[-1]
     assert "_nodes" not in rec.__dict__

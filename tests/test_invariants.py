@@ -212,8 +212,8 @@ def test_single_state_routes_are_rows_of_the_stacked_kernel(dim, degenerate):
         if degenerate:
             assert ev.structures[0].degenerate and ev.structures[-1].degenerate
         for states in (ev.states, ev.states.real.copy()):
-            diag, pops = level_space(states, lv.basis, lv.mults, lv.bounds[:-1])
-            twirled = level_twirl(pops, lv.basis, lv.mults)
+            diag, pops = level_space(states, lv)
+            twirled = level_twirl(pops, lv)
             for j, (rho, ds) in enumerate(zip(states, lv)):
                 row = np.maximum(pops[lv.bounds[j] : lv.bounds[j + 1]], 0.0)
                 row /= row.sum()
@@ -223,6 +223,34 @@ def test_single_state_routes_are_rows_of_the_stacked_kernel(dim, degenerate):
                 assert rep.s_d == shannon_entropy(np.clip(diag[j], 0.0, 1.0))
                 probs = LevelDistribution(probs=row, mults=ds.mults, energies=ds.energies)
                 assert rep.s_gt == s_gauge(probs)
+
+
+def test_ledger_rows_are_entropy_reports():
+    """The ledger's entropy columns and entropy_report are one kernel's
+    (invariants._entropy_split): at every node of stored runs of random
+    protocols, degenerate or not, from off-thermal and thermal starts, and of
+    a Curie-Weiss N = 20 ramp, s_d is the same bit for bit, and s_gt and
+    s_gamma agree to round-off (the two normalize the twirled spectrum at
+    different steps). c_rel differs by the round-off of s_vn, which the
+    ledger takes once, from states[0], and entropy_report from each state."""
+    rng = np.random.default_rng(29)
+    runs = []
+    for dim, degenerate, thermal in [(4, False, False), (5, True, False), (4, False, True), (6, True, True)]:
+        p = gt.random_protocol(dim, 170, rng, degenerate=degenerate, beta=1.0)
+        rho0 = gibbs_state(p.block(0), p.beta)[0] if thermal else random_density(dim, rng)
+        runs.append((p, rho0, degenerate))
+    p = gt.curie_weiss_protocol(n_spins=20)  # which merges levels on its way to B = 0
+    runs.append((p, gibbs_state(p.block(0), p.beta)[0], True))
+    for p, rho0, degenerate in runs:
+        ev = gt.evolve(p, rho0)
+        tl = gt.ledger(p, ev)
+        assert ev.structures.degenerate.any() == degenerate
+        for j, (rho, ds) in enumerate(zip(ev.states, ev.structures)):
+            rep = entropy_report(rho, ds)
+            assert rep.s_d == tl.s_d[j]
+            assert abs(rep.s_gt - tl.s_gt[j]) <= 1e-15
+            assert abs(rep.s_gamma - tl.s_gamma[j]) <= 1e-15
+            assert abs(rep.c_rel - tl.c_rel[j]) <= 1e-13
 
 
 def test_s_gauge_mixedness_credit():
