@@ -8,9 +8,11 @@ grid derivatives taken by central differences. Both pieces are second order,
 so the declared integration tolerance scales as C dt^2. It compares the run
 with one on the grid coarsened by two, whose step from fine node 2k to
 2k + 2 is taken at the middle fine node, exp(-2i dt H_{2k+1}), from that
-node's eigendecomposition. For the four models H is affine in t, so H_{2k+1}
-is the average of the end Hamiltonians to round-off; for a protocol that is
-not affine, it is a different second-order midpoint rule.
+node's levels record: its basis and its level spectrum, which holds the
+eigenvalue of a one-dimensional level and the mean of a merged level's,
+within the clustering tolerance of each. For the four models H is affine in
+t, so H_{2k+1} is the average of the end Hamiltonians to round-off; for a
+protocol that is not affine, it is a different second-order midpoint rule.
 
 A protocol holds its Hamiltonians as a stored stack, or as a function that
 makes the nodes of a node range, as the model builders give them; every
@@ -241,9 +243,10 @@ def _pass(p: Protocol, rho0: np.ndarray, tol_abs: float | None, tol_rel: float):
     (_windows), the levels record of its nodes and the arrays that
     _Propagator.block gives for it. The levels are clustered from one
     stacked eigendecomposition of the block's Hamiltonians, whose
-    eigenvalues and eigenvectors the record keeps; the dtype picks the
-    solver, so a real block has a real basis. It lets the window and the
-    levels go before it makes the next block; so must a consumer."""
+    eigenvectors the record keeps with the level spectra and level starts
+    of the clustering; the dtype picks the solver, so a real block has a
+    real basis. It lets the window and the levels go before it makes the
+    next block; so must a consumer."""
     run, c = _Propagator(rho0), -1j * p.dt
     for s, win in _windows(p):
         h = win.nodes(s.start, s.stop)
@@ -309,8 +312,9 @@ def _steps(win: _Window, s: slice, c: complex) -> np.ndarray:
 
 def _exponentials(w: np.ndarray, V: np.ndarray, c: complex) -> np.ndarray:
     """exp(c H) = V e^{c w} V^dag of each Hamiltonian from its eigenvalues w
-    (k, d) and eigenvectors V (k, d, d); a real V takes two real products,
-    one for each part of e^{c w}."""
+    (k, d), or a levels record's level spectrum, and eigenvectors V
+    (k, d, d); a real V takes two real products, one for each part of
+    e^{c w}."""
     z = np.exp(c * w)[..., None, :]
     if np.iscomplexobj(V):
         return (V * z) @ _dag(V)
@@ -467,11 +471,13 @@ def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
     fine nodes 0, 2, 4, ... with the same clustering tolerances, so they
     reuse the levels of ev and the fine Hamiltonians. Coarse step k,
     from fine node 2k to 2k + 2, is exp(-2i dt H_{2k+1}), taken at the middle
-    fine node from the eigenvalues and basis that ev's levels record already
-    holds, so the coarse run (_CoarseRun) makes no eigendecomposition and
-    stores no coarse stack: it folds the even nodes of each fine node block
-    into its neighbour traces. For the four models H is affine in t, so
-    H_{2k+1} is the average of the end Hamiltonians H_2k and H_2k+2 to
+    fine node from the level spectrum and basis that ev's levels record
+    already holds, so the coarse run (_CoarseRun) makes no
+    eigendecomposition and stores no coarse stack: it folds the even nodes
+    of each fine node block into its neighbour traces. On a merged level
+    the step takes the level mean for each of its eigenvalues, a change
+    within the clustering tolerance. For the four models H is affine in t,
+    so H_{2k+1} is the average of the end Hamiltonians H_2k and H_2k+2 to
     round-off, which a midpoint step of the coarse grid would take; for a
     protocol that is not affine it is a different second-order midpoint rule.
     The fine series is the run's work_heat_series. The 1.5 safety factor
@@ -493,9 +499,10 @@ class _CoarseRun:
     coarse nodes (s.start + 1) // 2 .. (s.stop + 1) // 2 - 1, into the coarse
     neighbour traces; a one-node block of an odd node has none. Coarse step
     k is taken at the middle fine node, exp(-2i dt H_{2k+1}), from the
-    eigenvalues and basis of fine node 2k + 1 in lv, real or complex as the
-    pass keeps them; for an affine H it is the coarse midpoint step to
-    round-off (integration_tolerance). The step into a block's first even
+    level spectrum and basis of fine node 2k + 1 in lv, real or complex as
+    the pass keeps them; for an affine H it is the coarse midpoint step to
+    round-off (integration_tolerance). The even nodes of lv, the coarse
+    run's levels, are a view of it. The step into a block's first even
     node may need the previous block's last node, which the run holds as a
     one-node halo. A grid of fewer than 5 nodes is refused when the run is
     made."""
@@ -505,11 +512,11 @@ class _CoarseRun:
             raise ValueError("tolerance estimation needs at least 5 grid nodes")
         self.dt = float(p.times[2] - p.times[0])
         self.run, self.fold = _Propagator(rho0), _PowerIntegrands((p.n_nodes + 1) // 2)
-        self.halo = None  # eigenvalues and basis of the last fine node given, if it is odd
+        self.halo = None  # level spectrum and basis of the last fine node given, if it is odd
 
     def add(self, s: slice, lv: NodeLevels, win: _Window) -> None:
         odd = (s.start + 1) % 2  # the block's first odd node, counted from s.start
-        w, V = lv.eigenvalues[odd::2], lv.basis[odd::2]
+        w, V = lv.spectra[odd::2], lv.basis[odd::2]
         if self.halo is not None:
             w, V = np.concatenate([self.halo[0], w]), np.concatenate([self.halo[1], V])
         self.halo = (w[-1:].copy(), V[-1:].copy()) if s.stop % 2 == 0 else None
@@ -671,9 +678,9 @@ def stream_run(
     them go: the fine run (_FineRun), which ledger and
     connection_cross_check feed from a stored run; and the tolerance's run on
     the grid coarsened by two (_CoarseRun), whose nodes are the block's even
-    nodes and whose steps are taken at its odd nodes, from their eigenvalues
-    and basis (integration_tolerance). The ledger's entropy rows and the
-    connection check's sums are taken after the pass, from what the fine run
+    nodes and whose steps are taken at its odd nodes, from their level
+    spectra and bases (integration_tolerance). The ledger's entropy rows and
+    the connection check's sums are taken after the pass, from what the fine run
     keeps of every node; the check is skipped if a node is degenerate. So
     the pass decomposes 2n - 1 matrices, the n nodes and the n - 1 fine
     midpoints. A run holds a few node blocks, and of every node its

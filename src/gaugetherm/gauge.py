@@ -7,9 +7,9 @@ averages a state over that group: the result keeps only the level populations
 and spreads each uniformly across its eigenspace.
 
 One spectrum clusters into a DegeneracyStructure (cluster_spectrum), a stack
-of node spectra into one NodeLevels record (cluster_spectra): the levels of
-every node laid end to end, the raw eigenvalues and the eigenvector stack,
-from which a node's DegeneracyStructure is a view.
+of node spectra into one NodeLevels record (cluster_spectra) of three
+stacks: every node's level spectrum, level-start mask and eigenvectors. An
+int gives a node's DegeneracyStructure, and any other key cuts the stacks.
 
 The level-space kernel, level_space and level_twirl, gives the level-basis
 diagonal, the level populations p^k = Tr(Pi_k rho) and the twirled states of
@@ -118,36 +118,48 @@ def cluster_spectrum(
 
 @dataclass(frozen=True)
 class NodeLevels:
-    """The clustered levels of a run of nodes, as one record.
+    """The clustered levels of a run of nodes, as three stacks.
 
-    energies and mults hold the levels of every node laid end to end, node j's
-    being bounds[j]:bounds[j + 1]; eigenvalues (n, d) holds every node's raw
-    ascending eigenvalues, as the solver gave them, and basis (n, d, d) the
-    eigenvector stack whose node j columns hold the levels in order. So the
-    record gives exp(c H_j) without a new decomposition: the coarse run of
-    dynamics.integration_tolerance takes its step from fine node 2k to
-    2k + 2 at the middle node 2k + 1 from it. The dtype of the Hamiltonians
-    picks the solver, so the basis is real when their stack is, and then
-    stays real through the pass, and complex otherwise. An int (negative
-    too) gives node j's DegeneracyStructure, a view of these arrays built
-    for that node alone, and iteration gives every node's from one cached
-    tuple; a slice of step 1 gives the record of those nodes as views of
-    these arrays, and any other slice or an index list as a contiguous copy.
+    spectra (n, d) holds each node's level energies, each repeated over its
+    multiplicity; first (n, d) is true where a level starts, so row j is
+    node j's multiplicity pattern, which fixes its gauge group
+    U(n^1) x ... x U(n^L); and basis (n, d, d) is the eigenvector stack
+    whose node j columns hold the levels in order. So the record gives
+    exp(c H_j) without a new decomposition, up to the spread of a merged
+    level's eigenvalues about its energy, within the clustering tolerance:
+    the coarse run of dynamics.integration_tolerance takes its step from
+    fine node 2k to 2k + 2 at the middle node 2k + 1 from it. The dtype of
+    the Hamiltonians picks the solver, so the basis is real when their stack
+    is, and then stays real through the pass, and complex otherwise.
+
+    An int (negative too) gives node j's DegeneracyStructure, with energies
+    spectra[j][first[j]] and a view of basis[j], and iteration gives every
+    node's from one cached tuple; any other key cuts the three stacks as
+    numpy does, so a slice of any step is a view and an index list a copy.
     """
 
-    energies: np.ndarray
-    mults: np.ndarray
-    bounds: np.ndarray
-    eigenvalues: np.ndarray
+    spectra: np.ndarray
+    first: np.ndarray
     basis: np.ndarray
 
     def __len__(self) -> int:
         return len(self.basis)
 
     @cached_property
+    def mults(self) -> np.ndarray:
+        """Every level's multiplicity, the levels of every node laid end to
+        end, as level_space lays out its populations."""
+        return _multiplicities(self.first)
+
+    @property
+    def _offsets(self) -> np.ndarray:
+        """The index in mults of each node's first level (n,)."""
+        return self.first.cumsum()[:: self.first.shape[1]] - 1
+
+    @cached_property
     def _nodes(self) -> tuple[DegeneracyStructure, ...]:
-        cuts = self.bounds[1:-1]
-        energies, mults = np.split(self.energies, cuts), np.split(self.mults, cuts)
+        cuts = self._offsets[1:]
+        energies, mults = np.split(self.spectra[self.first], cuts), np.split(self.mults, cuts)
         return tuple(map(DegeneracyStructure, energies, mults, self.basis))
 
     def __iter__(self):
@@ -156,41 +168,28 @@ class NodeLevels:
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             j = range(len(self))[key]
-            a, b = self.bounds[j], self.bounds[j + 1]
-            return DegeneracyStructure(self.energies[a:b], self.mults[a:b], self.basis[j])
-        if isinstance(key, slice) and key.step in (None, 1):  # a run of nodes, as views
-            r = range(len(self))[key]
-            j, k = r.start, max(r.start, r.stop)
-            a, b = self.bounds[j], self.bounds[k]
-            return NodeLevels(self.energies[a:b], self.mults[a:b], self.bounds[j : k + 1] - a,
-                              self.eigenvalues[j:k], self.basis[j:k])
-        nodes = np.arange(len(self))[key]
-        a, counts = self.bounds[nodes], np.diff(self.bounds)[nodes]
-        bounds = np.append(0, np.cumsum(counts))
-        levels = np.repeat(a - bounds[:-1], counts) + np.arange(bounds[-1])
-        return NodeLevels(
-            self.energies[levels], self.mults[levels], bounds, self.eigenvalues[nodes], self.basis[nodes]
-        )
-
-    @property
-    def spectra(self) -> np.ndarray:
-        """Every node's level energies, each repeated over its multiplicity (n, d)."""
-        return np.repeat(self.energies, self.mults).reshape(len(self), -1)
+            first = self.first[j]
+            return DegeneracyStructure(self.spectra[j][first], _multiplicities(first), self.basis[j])
+        return NodeLevels(self.spectra[key], self.first[key], self.basis[key])
 
     @property
     def degenerate(self) -> np.ndarray:
         """Whether each node has a level of multiplicity above 1."""
-        return np.maximum.reduceat(self.mults, self.bounds[:-1]) > 1
+        return ~self.first.all(axis=1)
+
+
+def _multiplicities(first: np.ndarray) -> np.ndarray:
+    """The multiplicity of each level whose starts the mask first marks, in
+    row order: how often each running count of level starts recurs."""
+    return np.bincount(first.cumsum())[1:]
 
 
 def join_levels(records: list[NodeLevels], basis: np.ndarray) -> NodeLevels:
-    """The records of consecutive runs of nodes as one, whose basis is their
-    bases stacked (n, d, d), which the caller has filled."""
-    counts = np.concatenate([np.diff(lv.bounds) for lv in records])
-    energies = np.concatenate([lv.energies for lv in records])
-    mults = np.concatenate([lv.mults for lv in records])
-    eigenvalues = np.concatenate([lv.eigenvalues for lv in records])
-    return NodeLevels(energies, mults, np.append(0, np.cumsum(counts)), eigenvalues, basis)
+    """The records of consecutive runs of nodes as one: their level spectra
+    and level-start masks stacked, and basis, their bases stacked (n, d, d),
+    which the caller has filled."""
+    spectra = np.concatenate([lv.spectra for lv in records])
+    return NodeLevels(spectra, np.concatenate([lv.first for lv in records]), basis)
 
 
 def cluster_spectra(
@@ -203,9 +202,10 @@ def cluster_spectra(
 
     w (n, d) holds ascending spectra and V (n, d, d) their eigenvectors, as
     np.linalg.eigh returns them for a stack; tol_abs is one tolerance or one
-    per spectrum. The record keeps w as its eigenvalues and V as its basis,
-    real or complex as the solver gave it (the dtype of the Hamiltonians
-    picks the solver); a real V's Gram check is a real product.
+    per spectrum. The record keeps the level spectrum, each level's mean
+    eigenvalue repeated over its multiplicity, the level-start mask and V as
+    its basis, real or complex as the solver gave it (the dtype of the
+    Hamiltonians picks the solver); a real V's Gram check is a real product.
     """
     w = np.asarray(w, dtype=float)
     n, d = w.shape
@@ -221,9 +221,9 @@ def cluster_spectra(
     first[:, 1:] = np.diff(w, axis=1) > tol[:, None]
     last = np.ones_like(first)
     last[:, :-1] = first[:, 1:]
-    n_levels = first.sum(axis=1)
+    level_starts = np.flatnonzero(first)
     # every gap inside a level is <= tol, but a chain of such gaps can span more
-    if np.any(w[last] - w[first] > np.repeat(tol, n_levels)):
+    if np.any(w[last] - w[first] > tol[level_starts // d]):
         raise ValidationError(
             "clustering tolerance chains eigenvalues into a level wider than the "
             "tolerance; tighten the tolerance or treat the levels as merged"
@@ -233,10 +233,9 @@ def cluster_spectra(
     if not np.abs(gram).max(initial=0.0) <= PROJECTOR_TOL:  # one test, which a NaN fails as well
         raise ValidationError("eigenbasis is not orthonormal within tolerance")
 
-    level_starts = np.flatnonzero(first)
-    mults = np.diff(np.append(level_starts, n * d))
+    mults = _multiplicities(first)
     energies = np.add.reduceat(w.ravel(), level_starts) / mults
-    return NodeLevels(energies, mults, np.append(0, np.cumsum(n_levels)), w, V)
+    return NodeLevels(np.repeat(energies, mults).reshape(n, d), first, V)
 
 
 def _level_diagonal(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,7 +251,8 @@ def level_space(states: np.ndarray, lv: NodeLevels, first: int = 0) -> tuple[np.
     levels record lv, formed from the one product rho B as
     Re sum_i conj(B_ia) (rho B)_ia on the stack given, which the passes keep
     to one node block, and the level populations Tr(Pi_k rho_j) of all nodes
-    laid end to end, as lv lays out its levels. A real basis drops Im(rho),
+    laid end to end, summed from the level starts of lv.first in row order,
+    as lv.mults lays out its levels. A real basis drops Im(rho),
     whose diagonal in it is 0: the diagonal is that of B^T Re(rho) B, a real
     product.
 
@@ -265,8 +265,8 @@ def level_space(states: np.ndarray, lv: NodeLevels, first: int = 0) -> tuple[np.
     if states.shape[1:] != (dim, dim):
         raise ValidationError(f"state dimension {d} does not match structure dimension {dim}")
     diag = _level_diagonal(states, lv.basis)
-    pops = np.add.reduceat(diag.ravel(), np.cumsum(lv.mults) - lv.mults)
-    total = np.add.reduceat(np.maximum(pops, 0.0), lv.bounds[:-1])
+    pops = np.add.reduceat(diag.ravel(), np.flatnonzero(lv.first))
+    total = np.add.reduceat(np.maximum(pops, 0.0), lv._offsets)
     miss = abs(total - 1.0)
     if not miss.max() <= LEVEL_NORM_TOL:  # one test, which a NaN fails as well
         j = int(np.argmax(~(miss <= LEVEL_NORM_TOL)))
@@ -288,7 +288,7 @@ def _spread(values: np.ndarray, lv: NodeLevels) -> np.ndarray:
     """values, one per level of the levels record lv as it lays them out,
     each divided evenly over its level's multiplicity n: the rows (n_nodes,
     d) of v / n repeated n times, as level_twirl spreads the populations."""
-    return np.repeat(values / lv.mults, lv.mults).reshape(lv.basis.shape[:2])
+    return np.repeat(values / lv.mults, lv.mults).reshape(lv.first.shape)
 
 
 def _state_levels(

@@ -41,8 +41,7 @@ def closed_form_route(p, ev):
     and the eigenvalues e, and Tr(H D_t rho) = Tr(d(rho H)/dt) - Tr(rho D_t H)."""
     lv, h, rho = ev.structures, p.block(slice(None)), ev.states
     x = np.einsum("nia,nij,nja->na", lv.basis.conj(), rho, lv.basis).real
-    e = np.repeat(lv.energies, lv.mults).reshape(p.n_nodes, p.dim)
-    cov = np.sum(x * np.gradient(e, p.dt, axis=0), axis=1)
+    cov = np.sum(x * np.gradient(lv.spectra, p.dt, axis=0), axis=1)
     work = traces(rho, np.gradient(h, p.dt, axis=0))
     heat = traces(np.gradient(rho, p.dt, axis=0), h)
     return _cumtrap(cov, p.dt), _cumtrap(work + heat - cov, p.dt)
@@ -767,6 +766,28 @@ def test_passes_hand_their_kernels_one_node_block(monkeypatch):
     assert {name: max(sizes) for name, sizes in handed.items()} == dict.fromkeys(handed, block)
 
 
+def test_coarse_run_cuts_its_levels_as_views(monkeypatch):
+    """The tolerance's coarse run hands the level-space kernel the even nodes
+    of each fine node block's levels record as a view of it, not a copy: on
+    a stored run of four node blocks, each record it hands shares all three
+    stacks with the run's, and the records cover every coarse node once."""
+    p = _ramp12(3 * BLOCK12 + 5, seed=67)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
+    ev = gt.evolve(p, rho0)
+    handed, kernel = [], gt.dynamics.level_space
+
+    def recorded(states, lv, first=0):
+        handed.append(lv)
+        return kernel(states, lv, first)
+
+    monkeypatch.setattr(gt.dynamics, "level_space", recorded)
+    gt.integration_tolerance(p, ev)
+    assert len(handed) >= 4 and sum(map(len, handed)) == (p.n_nodes + 1) // 2
+    for lv in handed:
+        for field in dataclasses.fields(lv):
+            assert np.shares_memory(getattr(lv, field.name), getattr(ev.structures, field.name)), field.name
+
+
 class TestPassNamesGlobalIndices:
     """The evolution pass checks a node block at a time; a fault in the third
     block is named by its step or node index in the whole protocol."""
@@ -883,24 +904,33 @@ def _assert_stream_run_matches_stored_route(p: gt.Protocol):
 
 
 @pytest.mark.parametrize(
-    "protocol, performed",
+    "protocol, performed, block",
     [
-        (lambda: _ramp12(3 * BLOCK12 + 5, seed=29), True),
-        (lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801), False),
-        (lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801, b_end=1.5), True),
+        (lambda: _ramp12(3 * BLOCK12 + 5, seed=29), True, None),
+        (lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801), False, None),
+        (lambda: gt.curie_weiss_protocol(n_spins=20, nodes=801, b_end=1.5), True, None),
+        (lambda: _crossing(23), False, 4),
+        (lambda: constant_protocol(_rotated_degenerate(43), 1.0, 1.0, 41), False, 7),
     ],
-    ids=["ramp12", "curie_weiss", "curie_weiss_b_end_1.5"],
+    ids=["ramp12", "curie_weiss", "curie_weiss_b_end_1.5", "crossing", "rotated_degenerate"],
 )
-def test_stream_run_matches_stored_route(protocol, performed):
+def test_stream_run_matches_stored_route(protocol, performed, block, monkeypatch):
     """stream_run decomposes the node Hamiltonians and folds one pass over
     node blocks into the ledger and the tolerance, and takes the connection
     check's sums after it, with the numbers of the stored route. Every
-    protocol spans four node blocks or more. The ramp does not commute with
-    itself, so its states move. Curie-Weiss to B = 0 is degenerate at its
-    last node, so its check is skipped; to B = 1.5 it is degenerate nowhere,
-    so its check is performed on the real diagonal and spectra that the pass
-    keeps of every node."""
+    protocol spans four node blocks or more; at d of 3 or 4, blocks of
+    `block` nodes. The ramp does not commute with itself, so its states move.
+    Curie-Weiss to B = 0 is degenerate at its last node, so its check is
+    skipped; to B = 1.5 it is degenerate nowhere, so its check is performed
+    on the real diagonal and spectra that the pass keeps of every node. The
+    coarse run takes its steps at the odd nodes from their level spectra:
+    the crossing merges a level at odd node 11 only, the last node of a
+    block, which the coarse run carries into the next; the constant
+    rotated matrix merges two levels at every node, each of whose
+    eigenvalues differ in their last bits."""
     p = protocol()
+    if block is not None:
+        monkeypatch.setattr(gt.linalg, "BLOCK_BYTES", 16 * p.dim**2 * block)
     assert len(node_blocks(p.n_nodes, p.dim)) >= 4
     run = _assert_stream_run_matches_stored_route(p)
     assert run.connection.performed == performed
@@ -959,6 +989,16 @@ def test_stream_run_matches_stored_route_on_real_thermal_start(d):
     p = ramp_protocol(g[0], g[1], nodes=41, beta=0.7)
     assert p.dtype == gt.gibbs_state(p.block(0), p.beta)[0].dtype == np.float64
     _assert_stream_run_matches_stored_route(p)
+
+
+def _rotated_degenerate(seed: int) -> np.ndarray:
+    """A complex 4 x 4 H with the levels 0 and 1, each doubly degenerate, in
+    a random unitary basis, so that clustering merges eigenvalues that differ
+    at round-off."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    h = q @ np.diag([0.0, 0.0, 1.0, 1.0]) @ q.conj().T
+    return (h + h.conj().T) / 2
 
 
 def _crossing(nodes: int) -> gt.Protocol:
@@ -1108,8 +1148,10 @@ class TestRealSolverSwitch:
         assert len(node_blocks(n, d)) >= 3
         basis = np.linalg.qr(rng.normal(size=(n, d, d)))[0]
         states = np.array([random_density(d, rng) for _ in range(n)])
-        mults = np.tile([1, 3, 2] * 8 + [3], n)  # 25 levels per node
-        lv = NodeLevels(np.zeros(25 * n), mults, np.arange(n + 1) * 25, np.zeros((n, d)), basis)
+        mults = [1, 3, 2] * 8 + [3]  # 25 levels per node
+        first = np.zeros((n, d), dtype=bool)
+        first[:, np.cumsum([0] + mults[:-1])] = True
+        lv = NodeLevels(np.zeros((n, d)), first, basis)
         lv_c = dataclasses.replace(lv, basis=basis.astype(complex))
         diag, pops = level_space(states, lv)
         diag_c, pops_c = level_space(states, lv_c)

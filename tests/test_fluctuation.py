@@ -262,9 +262,9 @@ def test_nan_level_energy_does_not_match(lz_run):
     p, ev = lz_run.p, lz_run.ev
     fwd = gt.level_distribution(lz_run.rho0, ev.structures[0])
     rev = gt.thermal_level_distribution(ev.structures[-1], p.beta)
-    energies = ev.structures.energies.copy()
-    energies[0] = np.nan
-    nan_levels = dataclasses.replace(ev.structures, energies=energies)
+    spectra = ev.structures.spectra.copy()
+    spectra[0, 0] = np.nan
+    nan_levels = dataclasses.replace(ev.structures, spectra=spectra)
     with pytest.raises(gt.ValidationError, match="forward_init energies do not match the level structure"):
         gt.build_ensemble(p, fwd, rev, dataclasses.replace(ev, structures=nan_levels))
 

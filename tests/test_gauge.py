@@ -271,42 +271,45 @@ def test_gauge_conjugates_twirl_the_stack_as_twirl_does_each_state(dim, nodes):
 
 def test_node_levels_indexing():
     """An evolve run's levels record, over several node blocks at d = 8: an int
-    (negative too) gives that node's structure, and a slice, a stride-2 slice
-    or an index list gives the record of those nodes, each field equal to the
-    node's own levels and basis, and a slice of step 1 gives it as views;
-    degenerate flags each node."""
+    (negative too) and iteration give that node's own structure, the
+    clustering of its Hamiltonian; every other key cuts the three stacks as
+    numpy does, so a slice of any step, stride 2 included, is a view of the
+    record and an index list is a copy, and each node of the cut has its own
+    levels; degenerate flags each node."""
     rng = np.random.default_rng(31)
     n = 3 * node_blocks(10**6, 8)[0].stop + 5
     p = gt.random_protocol(8, n, rng, degenerate=True, beta=1.0)
     lv = gt.evolve(p, random_density(8, rng)).structures
-    assert len(lv) == n and len(lv.bounds) == n + 1
-    ref = [
-        (lv.energies[a:b], lv.mults[a:b], lv.basis[j])
-        for j, (a, b) in enumerate(zip(lv.bounds[:-1], lv.bounds[1:]))
-    ]
+    assert len(lv) == n and lv.spectra.shape == lv.first.shape == (n, 8)
     block = node_blocks(n, 8)[0].stop
     for j in (0, block - 1, block, n - 1):  # each node's own clustering, block edges included
         ds = structure_of(p.block(j))
-        assert np.array_equal(ds.mults, ref[j][1])
-        assert np.allclose(ds.energies, ref[j][0], atol=1e-12)
+        assert np.array_equal(lv[j].mults, ds.mults)
+        assert np.allclose(lv[j].energies, ds.energies, atol=1e-12)
 
     def same(ds, j):
-        energies, mults, basis = ref[j]
+        """ds holds node j's levels as the record's stacks give them."""
+        first = lv.first[j]
         return (
-            np.array_equal(ds.energies, energies)
-            and np.array_equal(ds.mults, mults)
-            and np.array_equal(ds.basis, basis)
+            np.array_equal(ds.energies, lv.spectra[j][first])
+            and np.array_equal(np.repeat(ds.energies, ds.mults), lv.spectra[j])
+            and np.array_equal(ds.mults, np.diff(np.append(np.flatnonzero(first), 8)))
+            and np.array_equal(ds.basis, lv.basis[j])
         )
 
     assert all(same(lv[j], j) and same(lv[j - n], j) for j in range(n))
     assert all(same(ds, j) for j, ds in enumerate(lv))
     assert all(a is b for a, b in zip(lv, lv))  # iteration reads one cached tuple
-    keys = [slice(block - 3, block + 4), slice(-5, None), slice(None, 3, 1), slice(5, 2)]
-    for key in keys + [slice(1, None, 2), slice(0, None, 2), [n - 1, 0, block, 0]]:
+    views = [slice(block - 3, block + 4), slice(-5, None), slice(None, 3, 1), slice(5, 2),
+             slice(1, None, 2), slice(0, None, 2), slice(None, None, -3)]
+    for key in views + [[n - 1, 0, block, 0]]:
         nodes = np.arange(n)[key]
         sub = lv[key]
-        assert len(sub) == len(nodes) == len(sub.eigenvalues) == len(sub.bounds) - 1
-        assert np.shares_memory(sub.basis, lv.basis) == (key in keys and len(nodes) > 0)
+        assert len(sub) == len(nodes)
+        for field in dataclasses.fields(sub):
+            cut, whole = getattr(sub, field.name), getattr(lv, field.name)
+            assert np.array_equal(cut, whole[nodes])
+            assert np.shares_memory(cut, whole) == (key in views and len(nodes) > 0), (key, field.name)
         assert all(same(sub[i], j) for i, j in enumerate(nodes))
         assert np.array_equal(sub.degenerate, lv.degenerate[nodes])
     flags = [ds.degenerate for ds in lv]
@@ -316,9 +319,10 @@ def test_node_levels_indexing():
 
 def test_node_levels_endpoint_reads_build_one_node():
     """rec[0] and rec[-1] of a 2001-node record build only their own node's
-    structure, a view of the record, equal to the one iteration gives; the
-    per-node tuple is not built by an int access. The record is the
-    Curie-Weiss ramp's, clustered a node block at a time as evolve does."""
+    structure, whose basis is a view of the record, equal to the one
+    iteration gives; the per-node tuple is not built by an int access. The
+    record is the Curie-Weiss ramp's, clustered a node block at a time as
+    evolve does."""
     p = gt.curie_weiss_protocol()
     basis, levels = np.empty((p.n_nodes, p.dim, p.dim), p.dtype), []
     for s in node_blocks(p.n_nodes, p.dim):

@@ -214,8 +214,9 @@ def test_single_state_routes_are_rows_of_the_stacked_kernel(dim, degenerate):
         for states in (ev.states, ev.states.real.copy()):
             diag, pops = level_space(states, lv)
             twirled = level_twirl(pops, lv)
+            bounds = np.append(0, np.cumsum(lv.first.sum(axis=1)))  # node j's levels in pops
             for j, (rho, ds) in enumerate(zip(states, lv)):
-                row = np.maximum(pops[lv.bounds[j] : lv.bounds[j + 1]], 0.0)
+                row = np.maximum(pops[bounds[j] : bounds[j + 1]], 0.0)
                 row /= row.sum()
                 assert np.array_equal(level_distribution(rho, ds).probs, row)
                 assert np.array_equal(twirl(rho, ds), twirled[j])
