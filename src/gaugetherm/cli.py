@@ -228,9 +228,9 @@ def _third_law(cfg: RunConfig, h: np.ndarray) -> dict:
         raise ConfigError(
             f"[third_law] beta_min = {settings['beta_min']} is not below the final beta {beta_final:.6g}"
         )
-    scan = third_law_scan(h, np.geomspace(settings["beta_min"], beta_final, settings["points"]), **cluster)
     out_dir = cfg.resolved["run"]["out"]
     os.makedirs(out_dir, exist_ok=True)
+    scan = third_law_scan(h, np.geomspace(settings["beta_min"], beta_final, settings["points"]), **cluster)
     limit = np.full_like(scan.s_gt, math.log(scan.ground_multiplicity))
     _write_csv(os.path.join(out_dir, "third_law.csv"), THIRD_LAW_HEADER, [scan.betas, scan.s_gt, limit])
     final = {"final_beta": float(scan.betas[-1]), "final_s_gt": float(scan.s_gt[-1])}
@@ -253,10 +253,10 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     cfg = load_run_config(config_path, out_override)
     out_dir, emit, cluster = cfg.resolved["run"]["out"], cfg.resolved["run"]["emit"], _cluster(cfg)
     p = build_protocol(cfg.spec, **cluster)
+    os.makedirs(out_dir, exist_ok=True)  # before the run, which a bad path would waste
     rho0, _ = gibbs_state(p.block(0), p.beta)
     run = stream_run(p, rho0, **cluster)
     tol, gate = run.tol, cfg.resolved["tolerances"]["integration_gate"]
-    os.makedirs(out_dir, exist_ok=True)
 
     report = {
         "config": cfg.resolved,
@@ -292,6 +292,7 @@ def cmd_verify(suite: str, cases: int, seed: int, out_dir: str) -> int:
         raise ConfigError(f"--cases must be >= 1, got {cases}")
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    os.makedirs(out_dir, exist_ok=True)
     results = SUITES[suite](cases, seed)
     all_pass = all(r["pass"] for r in results)
     numeric_keys = sorted(
@@ -311,7 +312,6 @@ def cmd_verify(suite: str, cases: int, seed: int, out_dir: str) -> int:
         "worst": worst,
         "results": results,
     }
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"verify_{suite.replace('-', '_')}.json")
     _write_json(path, report)
     for r in results:
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # ConfigError and the models' own checks
+    except (ValueError, OSError) as exc:  # ConfigError, the models' checks, an output path not made
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

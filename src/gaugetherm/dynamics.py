@@ -20,12 +20,13 @@ pass reads them a node block at a time (Protocol.block), so a protocol made
 by a function is never held whole. They are float64 if real and complex128
 if complex, and the dtype picks the solver. The spectral work of a real
 protocol is real: the real-symmetric solver, real eigenvectors in every
-levels record (gauge.NodeLevels), and real products in the level space, the
-twirl and the step propagators. States and propagators are complex.
+levels record (gauge.DegeneracyStructure), and real products in the level
+space, the twirl and the step propagators. States and propagators are
+complex.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -33,11 +34,10 @@ import numpy as np
 
 from .gauge import (
     CLUSTER_TOL_REL,
-    NodeLevels,
+    DegeneracyStructure,
     _spread,
     cluster_spectra,
     default_cluster_tol_abs,
-    join_levels,
     level_space,
     level_twirl,
 )
@@ -168,7 +168,7 @@ class EvolutionResult:
     states: np.ndarray
     twirled_states: np.ndarray
     propagators: np.ndarray
-    structures: NodeLevels
+    structures: DegeneracyStructure
 
 
 def evolve(
@@ -191,24 +191,25 @@ def evolve(
     (_windows). The dtype of the protocol picks the solver: a real protocol
     takes the real-symmetric one and keeps real bases, half the bytes of
     complex ones, and a complex protocol takes the complex one in every
-    block. The real solver may pick another basis inside a
-    degenerate level than the complex one. The pass over node blocks
-    (_pass) decomposes and propagates each block, and evolve writes it into
-    the stacks returned, the node bases of the levels record among them.
-    Those stacks are for library callers that read every node; stream_run
-    folds the same pass into the ledger, the tolerance and the connection
-    check without storing it.
+    block. The real solver may pick another basis inside a degenerate level
+    than the complex one. The pass over node blocks (_pass) decomposes and
+    propagates each block, and evolve writes it into stacks made once for
+    every node: the propagators, states and twirled states, and the three
+    stacks of one levels record (gauge.DegeneracyStructure), the block's
+    rows of its level spectra, level-start mask and bases. The record is
+    read only once every block is written. Those stacks are for library
+    callers that read every node; stream_run folds the same pass into the
+    ledger, the tolerance and the connection check without storing it.
     """
     rho0 = _initial_state(p, rho0)
-    levels = []
-    props, states, twirled = (np.empty((p.n_nodes, p.dim, p.dim), complex) for _ in range(3))
-    basis = np.empty((p.n_nodes, p.dim, p.dim), p.dtype)
+    n, d = p.n_nodes, p.dim
+    props, states, twirled = (np.empty((n, d, d), complex) for _ in range(3))
+    levels = DegeneracyStructure(np.empty((n, d)), np.empty((n, d), bool), np.empty((n, d, d), p.dtype))
     for s, win, lv, block in _pass(p, rho0, cluster_tol_abs, cluster_tol_rel):
         props[s], states[s], twirled[s] = block[:3]
-        basis[s] = lv.basis
-        levels.append(replace(lv, basis=basis[s]))  # so the block's eigenvectors go
+        levels.spectra[s], levels.first[s], levels.basis[s] = lv.spectra, lv.first, lv.basis
         del win, lv, block  # before the pass makes the next block
-    return EvolutionResult(states, twirled, props, join_levels(levels, basis))
+    return EvolutionResult(states, twirled, props, levels)
 
 
 class _Window(NamedTuple):
@@ -240,13 +241,13 @@ def _windows(p: Protocol):
 def _pass(p: Protocol, rho0: np.ndarray, tol_abs: float | None, tol_rel: float):
     """The pass over node blocks that evolve stores and stream_run folds,
     from a validated rho0: each node block s in node order, with its window
-    (_windows), the levels record of its nodes and the arrays that
-    _Propagator.block gives for it. The levels are clustered from one
-    stacked eigendecomposition of the block's Hamiltonians, whose
-    eigenvectors the record keeps with the level spectra and level starts
-    of the clustering; the dtype picks the solver, so a real block has a
-    real basis. It lets the window and the levels go before it makes the
-    next block; so must a consumer."""
+    (_windows), the levels record of its nodes (gauge.DegeneracyStructure,
+    from cluster_spectra) and the arrays that _Propagator.block gives for
+    it. The levels are clustered from one stacked eigendecomposition of the
+    block's Hamiltonians, whose eigenvectors the record keeps with the level
+    spectra and level starts of the clustering; the dtype picks the solver,
+    so a real block has a real basis. It lets the window and the levels go
+    before it makes the next block; so must a consumer."""
     run, c = _Propagator(rho0), -1j * p.dt
     for s, win in _windows(p):
         h = win.nodes(s.start, s.stop)
@@ -282,7 +283,7 @@ class _Propagator:
         self.rho0 = rho0
         self.u = np.eye(rho0.shape[0], dtype=complex)  # the propagator into the last node given
 
-    def block(self, s: slice, lv: NodeLevels, steps: np.ndarray) -> tuple[np.ndarray, ...]:
+    def block(self, s: slice, lv: DegeneracyStructure, steps: np.ndarray) -> tuple[np.ndarray, ...]:
         a, b = s.start, s.stop
         lo = max(a - 1, 0)  # steps lo .. b - 2 lead into the block's nodes
         props = np.empty((b - a,) + self.u.shape, dtype=complex)
@@ -472,6 +473,7 @@ def integration_tolerance(p: Protocol, ev: EvolutionResult) -> float:
     reuse the levels of ev and the fine Hamiltonians. Coarse step k,
     from fine node 2k to 2k + 2, is exp(-2i dt H_{2k+1}), taken at the middle
     fine node from the level spectrum and basis that ev's levels record
+    (gauge.DegeneracyStructure, cut a node block at a time as views)
     already holds, so the coarse run (_CoarseRun) makes no
     eigendecomposition and stores no coarse stack: it folds the even nodes
     of each fine node block into its neighbour traces. On a merged level
@@ -494,18 +496,18 @@ class _CoarseRun:
     """The tolerance's run on the grid coarsened by two, whose nodes are the
     fine nodes 0, 2, 4, ... and their Hamiltonians, from rho0 (validated).
     add(s, lv, win) takes a fine node block s, in node order, with the
-    levels record of its nodes and its window (_windows), whose even nodes
-    are the coarse grid's, and propagates the block's even nodes, the
-    coarse nodes (s.start + 1) // 2 .. (s.stop + 1) // 2 - 1, into the coarse
-    neighbour traces; a one-node block of an odd node has none. Coarse step
-    k is taken at the middle fine node, exp(-2i dt H_{2k+1}), from the
-    level spectrum and basis of fine node 2k + 1 in lv, real or complex as
-    the pass keeps them; for an affine H it is the coarse midpoint step to
-    round-off (integration_tolerance). The even nodes of lv, the coarse
-    run's levels, are a view of it. The step into a block's first even
-    node may need the previous block's last node, which the run holds as a
-    one-node halo. A grid of fewer than 5 nodes is refused when the run is
-    made."""
+    levels record of its nodes (gauge.DegeneracyStructure) and its window
+    (_windows), whose even nodes are the coarse grid's, and propagates the
+    block's even nodes, the coarse nodes (s.start + 1) // 2 ..
+    (s.stop + 1) // 2 - 1, into the coarse neighbour traces; a one-node
+    block of an odd node has none. Coarse step k is taken at the middle fine
+    node, exp(-2i dt H_{2k+1}), from the level spectrum and basis of fine
+    node 2k + 1 in lv, real or complex as the pass keeps them; for an affine
+    H it is the coarse midpoint step to round-off (integration_tolerance).
+    The even nodes of lv, the coarse run's levels, are a stride-2 cut of it,
+    a view of its three stacks. The step into a block's first even node may
+    need the previous block's last node, which the run holds as a one-node
+    halo. A grid of fewer than 5 nodes is refused when the run is made."""
 
     def __init__(self, p: Protocol, rho0: np.ndarray):
         if p.n_nodes < 5:
@@ -514,7 +516,7 @@ class _CoarseRun:
         self.run, self.fold = _Propagator(rho0), _PowerIntegrands((p.n_nodes + 1) // 2)
         self.halo = None  # level spectrum and basis of the last fine node given, if it is odd
 
-    def add(self, s: slice, lv: NodeLevels, win: _Window) -> None:
+    def add(self, s: slice, lv: DegeneracyStructure, win: _Window) -> None:
         odd = (s.start + 1) % 2  # the block's first odd node, counted from s.start
         w, V = lv.spectra[odd::2], lv.basis[odd::2]
         if self.halo is not None:
@@ -561,7 +563,7 @@ class _FineRun:
         # refaulting it (about 10^5 page faults a Curie-Weiss run)
         self.diag, self.spectra, self.t = np.empty((3, n, p.dim))
 
-    def add(self, s: slice, win: _Window, lv: NodeLevels, states, twirled, x, pops) -> None:
+    def add(self, s: slice, win: _Window, lv: DegeneracyStructure, states, twirled, x, pops) -> None:
         self.degenerate[s], self.spectra[s], self.diag[s] = lv.degenerate, lv.spectra, x
         self.t[s] = _spread(np.clip(pops, 0.0, None), lv)
         self.fold.add(s, win, states, twirled)
@@ -688,9 +690,13 @@ def stream_run(
     rows and degenerate flag: not the Hamiltonians of every node when the
     protocol makes them (the model builders' protocols), nor the stacks of
     evolve or the levels of every node. The nodes kept are 0, n // 2 and
-    n - 1; their bases are real when the protocol is, as in the pass. Faults
-    are raised a block at a time in node order, and a protocol of fewer than
-    5 nodes is refused before the pass.
+    n - 1: their rows of each block's states, twirled states, propagators
+    and three levels stacks are copied, and each is concatenated over the
+    blocks into one stack, so ev.structures is one levels record
+    (gauge.DegeneracyStructure) of the kept nodes; their bases are real
+    when the protocol is, as in the pass. Faults are raised a block at a
+    time in node order, and a protocol of fewer than 5 nodes is refused
+    before the pass.
     """
     rho0 = _initial_state(p, rho0)
     coarse, fine = _CoarseRun(p, rho0), _FineRun(p)
@@ -700,15 +706,15 @@ def stream_run(
         fine.add(s, win, lv, states, twirled, x, pops)
         here = [j - s.start for j in nodes if s.start <= j < s.stop]
         if here:  # copies, which let the block go
-            kept.append((states[here], twirled[here], props[here], lv[here]))
+            kept.append((states[here], twirled[here], props[here],
+                         lv.spectra[here], lv.first[here], lv.basis[here]))
         del props, states, twirled  # before the coarse run makes its own
         coarse.add(s, lv, win)
         del lv, win  # before the pass makes the next block
 
     tl = fine.ledger(von_neumann_entropy(rho0))
-    states, twirled, props, levels = zip(*kept)
-    levels = join_levels(levels, np.concatenate([lv.basis for lv in levels]))
-    ev = EvolutionResult(np.concatenate(states), np.concatenate(twirled), np.concatenate(props), levels)
+    states, twirled, props, *levels = map(np.concatenate, zip(*kept))
+    ev = EvolutionResult(states, twirled, props, DegeneracyStructure(*levels))
     return StreamedRun(nodes, ev, fine.degenerate, tl, coarse.tolerance(tl), fine.connection())
 
 

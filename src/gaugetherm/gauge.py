@@ -6,10 +6,11 @@ U(n^1) x ... x U(n^L) acting inside the degenerate eigenspaces. Twirling
 averages a state over that group: the result keeps only the level populations
 and spreads each uniformly across its eigenspace.
 
-One spectrum clusters into a DegeneracyStructure (cluster_spectrum), a stack
-of node spectra into one NodeLevels record (cluster_spectra) of three
-stacks: every node's level spectrum, level-start mask and eigenvectors. An
-int gives a node's DegeneracyStructure, and any other key cuts the stacks.
+A stack of node spectra clusters into one levels record, a
+DegeneracyStructure (cluster_spectra) of three stacks: every node's level
+spectrum, level-start mask and eigenvectors. One spectrum clusters into the
+record of one node (cluster_spectrum), the rows of the three stacks; any
+key, an int included, cuts a record as numpy cuts its stacks.
 
 The level-space kernel, level_space and level_twirl, gives the level-basis
 diagonal, the level populations p^k = Tr(Pi_k rho) and the twirled states of
@@ -60,52 +61,114 @@ def cluster_tol(w: np.ndarray, tol_abs: float | np.ndarray, tol_rel: float = CLU
 
 @dataclass(frozen=True)
 class DegeneracyStructure:
-    """Clustered levels of a Hermitian spectrum.
+    """The clustered levels of one node, or of a run of nodes, as three
+    stacks.
 
-    energies[k] is the multiplicity-weighted mean of the member eigenvalues,
-    mults[k] the level dimension, and basis the unitary whose columns hold
-    the levels in order, mults[k] of them spanning level k. The multiplicities
-    fix the gauge group U(n^1) x ... x U(n^L), so dim, starts and slices are
-    derived from mults and basis. Projectors are materialized on demand;
-    storing them per level would dominate memory on long protocols.
+    spectra holds the level energies, each level's mean eigenvalue repeated
+    over its multiplicity; first is true where a level starts, so it is the
+    multiplicity pattern, which fixes the gauge group U(n^1) x ... x U(n^L);
+    and basis is the unitary whose columns hold the levels in order. One
+    node is (d,), (d,) and (d, d); a run of nodes is (n, d), (n, d) and
+    (n, d, d), and row j is node j. So the record gives exp(c H_j) without
+    a new decomposition, up to the spread of a merged level's eigenvalues
+    about its energy, within the clustering tolerance: the coarse run of
+    dynamics.integration_tolerance takes its step from fine node 2k to
+    2k + 2 at the middle node 2k + 1 from it. The dtype of the Hamiltonians
+    picks the solver, so the basis is real when their stack is, and then
+    stays real through the pass, and complex otherwise.
+
+    Every key cuts the three stacks as numpy does: an int (negative too)
+    gives node j as views of its rows, a slice of any step a view and an
+    index list a copy. len() and iteration count the nodes of a run, the
+    iteration from one cached tuple of rows. starts, mults and energies are
+    flat over the nodes, every level of every node laid end to end, as
+    level_space lays out its populations; starts and mults are derived from
+    first once, on first use (_layout), so a record whose stacks are written
+    after it is made (evolve, cluster_spectra) is read only once its mask
+    is; energies are gathered from spectra on every read. Projectors are
+    materialized on demand; storing them per level would dominate memory on
+    long protocols.
     """
 
-    energies: np.ndarray
-    mults: np.ndarray
+    spectra: np.ndarray
+    first: np.ndarray
     basis: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def __getitem__(self, key) -> DegeneracyStructure:
+        return DegeneracyStructure(self.spectra[key], self.first[key], self.basis[key])
+
+    @cached_property
+    def _nodes(self) -> tuple[DegeneracyStructure, ...]:
+        return tuple(map(DegeneracyStructure, self.spectra, self.first, self.basis))
+
+    def __iter__(self):
+        return iter(self._nodes)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-1]
 
     @property
     def n_levels(self) -> int:
-        return len(self.mults)
+        return len(self.starts)
 
     @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """starts and mults, from first: the flat index of each level's
+        start, and its distance to the next level's start or to the end of
+        the stack."""
+        starts = self.first.ravel().nonzero()[0]
+        mults = np.empty_like(starts)
+        mults[:-1], mults[-1:] = starts[1:], self.first.size
+        mults -= starts
+        return starts, mults
+
+    @property
     def starts(self) -> np.ndarray:
-        """Index of each level's first eigenvector column, for np.add.reduceat."""
-        return np.cumsum(self.mults) - self.mults
+        """The flat index of each level's first eigenvector column, over the
+        nodes in row order, for np.add.reduceat."""
+        return self._layout[0]
+
+    @property
+    def mults(self) -> np.ndarray:
+        return self._layout[1]
+
+    @property
+    def energies(self) -> np.ndarray:
+        """Each level's energy, the spectrum at its start."""
+        return self.spectra.ravel()[self.starts]
+
+    @property
+    def _offsets(self) -> np.ndarray:
+        """The index in mults of each node's first level (n,), on a run."""
+        return self.first.cumsum()[:: self.first.shape[1]] - 1
 
     @cached_property
     def slices(self) -> tuple[slice, ...]:
-        """The basis columns of each level."""
-        return tuple(map(slice, self.starts.tolist(), np.cumsum(self.mults).tolist()))
+        """The basis columns of each level, of one node."""
+        starts, mults = self._layout
+        return tuple(map(slice, starts.tolist(), (starts + mults).tolist()))
 
     def projector(self, k: int) -> np.ndarray:
         cols = self.basis[:, self.slices[k]]
         return cols @ cols.conj().T
 
     @property
-    def degenerate(self) -> bool:
-        return bool(np.any(self.mults > 1))
+    def degenerate(self) -> np.bool_ | np.ndarray:
+        """Whether the node, or each node of a run, has a level of
+        multiplicity above 1."""
+        return ~self.first.all(axis=-1)
 
 
 def cluster_spectrum(
     es: tuple[np.ndarray, np.ndarray], tol_abs: float, tol_rel: float = CLUSTER_TOL_REL
 ) -> DegeneracyStructure:
     """Greedy gap clustering of an ascending spectrum into degenerate levels;
-    es is the pair (eigenvalues, eigenvectors) that linalg.eigh gives.
+    es is the pair (eigenvalues, eigenvectors) that linalg.eigh gives, and
+    the result one node's levels, row 0 of cluster_spectra's.
 
     A new level starts whenever the gap to the previous eigenvalue exceeds
     tol_abs + tol_rel * spectral_radius. Exact model degeneracies sit at
@@ -116,96 +179,22 @@ def cluster_spectrum(
     return cluster_spectra(np.asarray(w)[None], np.asarray(V)[None], tol_abs, tol_rel)[0]
 
 
-@dataclass(frozen=True)
-class NodeLevels:
-    """The clustered levels of a run of nodes, as three stacks.
-
-    spectra (n, d) holds each node's level energies, each repeated over its
-    multiplicity; first (n, d) is true where a level starts, so row j is
-    node j's multiplicity pattern, which fixes its gauge group
-    U(n^1) x ... x U(n^L); and basis (n, d, d) is the eigenvector stack
-    whose node j columns hold the levels in order. So the record gives
-    exp(c H_j) without a new decomposition, up to the spread of a merged
-    level's eigenvalues about its energy, within the clustering tolerance:
-    the coarse run of dynamics.integration_tolerance takes its step from
-    fine node 2k to 2k + 2 at the middle node 2k + 1 from it. The dtype of
-    the Hamiltonians picks the solver, so the basis is real when their stack
-    is, and then stays real through the pass, and complex otherwise.
-
-    An int (negative too) gives node j's DegeneracyStructure, with energies
-    spectra[j][first[j]] and a view of basis[j], and iteration gives every
-    node's from one cached tuple; any other key cuts the three stacks as
-    numpy does, so a slice of any step is a view and an index list a copy.
-    """
-
-    spectra: np.ndarray
-    first: np.ndarray
-    basis: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def mults(self) -> np.ndarray:
-        """Every level's multiplicity, the levels of every node laid end to
-        end, as level_space lays out its populations."""
-        return _multiplicities(self.first)
-
-    @property
-    def _offsets(self) -> np.ndarray:
-        """The index in mults of each node's first level (n,)."""
-        return self.first.cumsum()[:: self.first.shape[1]] - 1
-
-    @cached_property
-    def _nodes(self) -> tuple[DegeneracyStructure, ...]:
-        cuts = self._offsets[1:]
-        energies, mults = np.split(self.spectra[self.first], cuts), np.split(self.mults, cuts)
-        return tuple(map(DegeneracyStructure, energies, mults, self.basis))
-
-    def __iter__(self):
-        return iter(self._nodes)
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            j = range(len(self))[key]
-            first = self.first[j]
-            return DegeneracyStructure(self.spectra[j][first], _multiplicities(first), self.basis[j])
-        return NodeLevels(self.spectra[key], self.first[key], self.basis[key])
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        """Whether each node has a level of multiplicity above 1."""
-        return ~self.first.all(axis=1)
-
-
-def _multiplicities(first: np.ndarray) -> np.ndarray:
-    """The multiplicity of each level whose starts the mask first marks, in
-    row order: how often each running count of level starts recurs."""
-    return np.bincount(first.cumsum())[1:]
-
-
-def join_levels(records: list[NodeLevels], basis: np.ndarray) -> NodeLevels:
-    """The records of consecutive runs of nodes as one: their level spectra
-    and level-start masks stacked, and basis, their bases stacked (n, d, d),
-    which the caller has filled."""
-    spectra = np.concatenate([lv.spectra for lv in records])
-    return NodeLevels(spectra, np.concatenate([lv.first for lv in records]), basis)
-
-
 def cluster_spectra(
     w: np.ndarray,
     V: np.ndarray,
     tol_abs: float | np.ndarray,
     tol_rel: float = CLUSTER_TOL_REL,
-) -> NodeLevels:
+) -> DegeneracyStructure:
     """cluster_spectrum over a stack of eigensystems in one vectorised pass.
 
     w (n, d) holds ascending spectra and V (n, d, d) their eigenvectors, as
     np.linalg.eigh returns them for a stack; tol_abs is one tolerance or one
-    per spectrum. The record keeps the level spectrum, each level's mean
-    eigenvalue repeated over its multiplicity, the level-start mask and V as
-    its basis, real or complex as the solver gave it (the dtype of the
-    Hamiltonians picks the solver); a real V's Gram check is a real product.
+    per spectrum. The record of the n nodes keeps the level spectrum, each
+    level's mean eigenvalue repeated over its multiplicity, the level-start
+    mask and V as its basis, real or complex as the solver gave it (the
+    dtype of the Hamiltonians picks the solver); a real V's Gram check is a
+    real product. The level starts and multiplicities that the means take
+    are the record's own.
     """
     w = np.asarray(w, dtype=float)
     n, d = w.shape
@@ -221,9 +210,9 @@ def cluster_spectra(
     first[:, 1:] = np.diff(w, axis=1) > tol[:, None]
     last = np.ones_like(first)
     last[:, :-1] = first[:, 1:]
-    level_starts = np.flatnonzero(first)
+    lv = DegeneracyStructure(np.empty((n, d)), first, V)  # its spectra filled below
     # every gap inside a level is <= tol, but a chain of such gaps can span more
-    if np.any(w[last] - w[first] > tol[level_starts // d]):
+    if np.any(w[last] - w[first] > tol[lv.starts // d]):
         raise ValidationError(
             "clustering tolerance chains eigenvalues into a level wider than the "
             "tolerance; tighten the tolerance or treat the levels as merged"
@@ -233,9 +222,9 @@ def cluster_spectra(
     if not np.abs(gram).max(initial=0.0) <= PROJECTOR_TOL:  # one test, which a NaN fails as well
         raise ValidationError("eigenbasis is not orthonormal within tolerance")
 
-    mults = _multiplicities(first)
-    energies = np.add.reduceat(w.ravel(), level_starts) / mults
-    return NodeLevels(np.repeat(energies, mults).reshape(n, d), first, V)
+    energies = np.add.reduceat(w.ravel(), lv.starts) / lv.mults
+    lv.spectra[:] = np.repeat(energies, lv.mults).reshape(n, d)
+    return lv
 
 
 def _level_diagonal(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,15 +235,16 @@ def _level_diagonal(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b.conj() * (rho @ b)).real.sum(axis=-2)
 
 
-def level_space(states: np.ndarray, lv: NodeLevels, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def level_space(
+    states: np.ndarray, lv: DegeneracyStructure, first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal of B_j^dag rho_j B_j (n, d) for the node bases B_j of the
-    levels record lv, formed from the one product rho B as
+    levels record lv of a run of nodes, formed from the one product rho B as
     Re sum_i conj(B_ia) (rho B)_ia on the stack given, which the passes keep
     to one node block, and the level populations Tr(Pi_k rho_j) of all nodes
-    laid end to end, summed from the level starts of lv.first in row order,
-    as lv.mults lays out its levels. A real basis drops Im(rho),
-    whose diagonal in it is 0: the diagonal is that of B^T Re(rho) B, a real
-    product.
+    laid end to end, summed from the level starts lv.starts, as lv.mults
+    lays out its levels. A real basis drops Im(rho), whose diagonal in it
+    is 0: the diagonal is that of B^T Re(rho) B, a real product.
 
     Raises when the clipped populations of a node miss 1 by more than
     LEVEL_NORM_TOL, or are not finite: the state and the levels do not
@@ -265,7 +255,7 @@ def level_space(states: np.ndarray, lv: NodeLevels, first: int = 0) -> tuple[np.
     if states.shape[1:] != (dim, dim):
         raise ValidationError(f"state dimension {d} does not match structure dimension {dim}")
     diag = _level_diagonal(states, lv.basis)
-    pops = np.add.reduceat(diag.ravel(), np.flatnonzero(lv.first))
+    pops = np.add.reduceat(diag.ravel(), lv.starts)
     total = np.add.reduceat(np.maximum(pops, 0.0), lv._offsets)
     miss = abs(total - 1.0)
     if not miss.max() <= LEVEL_NORM_TOL:  # one test, which a NaN fails as well
@@ -274,7 +264,7 @@ def level_space(states: np.ndarray, lv: NodeLevels, first: int = 0) -> tuple[np.
     return diag, pops
 
 
-def level_twirl(pops: np.ndarray, lv: NodeLevels) -> np.ndarray:
+def level_twirl(pops: np.ndarray, lv: DegeneracyStructure) -> np.ndarray:
     """The twirled states B_j diag(p/n) B_j^dag (n, d, d), complex, from
     level_space's populations, for the node bases B_j and level
     multiplicities n of the levels record lv; a real basis takes a real
@@ -284,7 +274,7 @@ def level_twirl(pops: np.ndarray, lv: NodeLevels) -> np.ndarray:
     return np.matmul(lv.basis * cols, _dag(lv.basis), out=np.empty((n, d, d), dtype=complex))
 
 
-def _spread(values: np.ndarray, lv: NodeLevels) -> np.ndarray:
+def _spread(values: np.ndarray, lv: DegeneracyStructure) -> np.ndarray:
     """values, one per level of the levels record lv as it lays them out,
     each divided evenly over its level's multiplicity n: the rows (n_nodes,
     d) of v / n repeated n times, as level_twirl spreads the populations."""

@@ -98,7 +98,10 @@ def stochastic_entropies(ld: LevelDistribution) -> np.ndarray:
 
 def stochastic_entropy(k: int, ld: LevelDistribution) -> float:
     """s(k) of stochastic_entropies for one level, which must carry probability
-    above PROB_FLOOR for a trajectory to start or end there."""
+    above PROB_FLOOR for a trajectory to start or end there. k counts the
+    levels from 0; a negative k names no level."""
+    if not 0 <= k < ld.n_levels:
+        raise ValueError(f"level {k} is not one of the {ld.n_levels} levels")
     if float(ld.probs[k]) <= PROB_FLOOR:
         raise ValueError(f"level {k} has zero probability; trajectory undefined")
     return float(stochastic_entropies(ld)[k])
@@ -175,7 +178,7 @@ def noneq_free_energy(
     H = validate_hermitian(H, "H")
     if H.shape != (ds.dim, ds.dim):
         raise ValidationError(f"H dimension {H.shape[-1]} does not match structure dimension {ds.dim}")
-    e = np.repeat(ds.energies, ds.mults)
+    e = ds.spectra
     dev = float(np.max(np.abs(_dag(ds.basis) @ H @ ds.basis - np.diag(e))))
     tol = float(cluster_tol(e, default_cluster_tol_abs(H)))
     if not dev <= tol:

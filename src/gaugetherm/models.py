@@ -203,7 +203,7 @@ def third_law_scan(
         raise ValueError("betas must be strictly ascending")
     tol_abs = default_cluster_tol_abs(h) if cluster_tol_abs is None else cluster_tol_abs
     ds = cluster_spectrum(eigh(h), tol_abs, cluster_tol_rel)
-    ln_w, _ = _log_gibbs(np.repeat(ds.energies, ds.mults), betas)
+    ln_w, _ = _log_gibbs(ds.spectra, betas)
     gap = float(ds.energies[1] - ds.energies[0]) if ds.n_levels > 1 else None
     return ThirdLawScan(
         betas=betas,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gaugetherm as gt
+import gaugetherm.cli
 from gaugetherm.cli import (
     CSV_HEADER,
     THIRD_LAW_HEADER,
@@ -270,6 +271,26 @@ class TestConfigErrors:
         assert run_cli(["third-law", "--config", cfg, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert "config error: [third_law] beta_min = 1000000.0 is not below the final beta 500000" in err
+
+    def test_output_directory_that_cannot_be_made(self, tmp_path, monkeypatch, capsys):
+        """An output path under a regular file is a config error (exit 2), for
+        run, verify and third-law, found before the run's pass or the suite's
+        cases start."""
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        cfg = write_config(tmp_path / "run.ini", LZ_SMALL)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output directory was made")
+
+        monkeypatch.setattr("gaugetherm.cli.stream_run", no_work)
+        monkeypatch.setitem(gaugetherm.cli.SUITES, "gauge", no_work)
+        assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert run_cli(["verify", "--suite", "gauge", "--cases", "1", "--out", out]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert run_cli(["third-law", "--config", cfg, "--out", out]) == 2
+        assert "config error: " in capsys.readouterr().err
 
     def test_verify_bad_arguments(self, capsys):
         assert run_cli(["verify", "--suite", "nonesuch"]) == 2

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gaugetherm as gt
 from gaugetherm.dynamics import GRID_UNIFORMITY_TOL
 from gaugetherm.dynamics import _cumtrap, _PowerIntegrands, _Propagator, _steps, _stored_fold, _Window, _windows
-from gaugetherm.gauge import NodeLevels, level_space, level_twirl
+from gaugetherm.gauge import DegeneracyStructure, level_space, level_twirl
 from gaugetherm.linalg import (
     BLOCK_BYTES,
     ValidationError,
@@ -739,7 +739,7 @@ def test_passes_hand_their_kernels_one_node_block(monkeypatch):
 
         def recorded(*args, **kwargs):
             a = args[arg]
-            size = len(a) if isinstance(a, NodeLevels) else (a.shape[0] if np.ndim(a) == 3 else 1)
+            size = len(a) if isinstance(a, DegeneracyStructure) else (a.shape[0] if np.ndim(a) == 3 else 1)
             handed.setdefault(name, []).append(size)
             return fn(*args, **kwargs)
 
@@ -1151,7 +1151,7 @@ class TestRealSolverSwitch:
         mults = [1, 3, 2] * 8 + [3]  # 25 levels per node
         first = np.zeros((n, d), dtype=bool)
         first[:, np.cumsum([0] + mults[:-1])] = True
-        lv = NodeLevels(np.zeros((n, d)), first, basis)
+        lv = DegeneracyStructure(np.zeros((n, d)), first, basis)
         lv_c = dataclasses.replace(lv, basis=basis.astype(complex))
         diag, pops = level_space(states, lv)
         diag_c, pops_c = level_space(states, lv_c)

@@ -12,7 +12,6 @@ from gaugetherm.gauge import (
     cluster_spectra,
     cluster_spectrum,
     default_cluster_tol_abs,
-    join_levels,
     sample_gauge_element,
     twirl,
     twirl_oracle,
@@ -217,7 +216,7 @@ def test_twirl_is_entropy_nondecreasing(seed):
 
 
 def test_structure_from_levels_alone():
-    """energies, mults and basis fix the whole level layout: a structure
+    """spectra, first and basis fix the whole level layout: a structure
     built from them alone samples gauge elements and enumerates the TPM
     ensemble exactly as cluster_spectrum's own structures do."""
     rng = np.random.default_rng(12)
@@ -225,7 +224,7 @@ def test_structure_from_levels_alone():
     rho0 = random_density(5, rng)
     ev = gt.evolve(p, rho0)
     rebuilt = [
-        DegeneracyStructure(energies=ds.energies, mults=ds.mults, basis=ds.basis)
+        DegeneracyStructure(spectra=ds.spectra, first=ds.first, basis=ds.basis)
         for ds in ev.structures
     ]
     ds = rebuilt[0]
@@ -272,10 +271,11 @@ def test_gauge_conjugates_twirl_the_stack_as_twirl_does_each_state(dim, nodes):
 def test_node_levels_indexing():
     """An evolve run's levels record, over several node blocks at d = 8: an int
     (negative too) and iteration give that node's own structure, the
-    clustering of its Hamiltonian; every other key cuts the three stacks as
-    numpy does, so a slice of any step, stride 2 included, is a view of the
-    record and an index list is a copy, and each node of the cut has its own
-    levels; degenerate flags each node."""
+    clustering of its Hamiltonian, as views of its rows; every other key cuts
+    the three stacks as numpy does, so a slice of any step, stride 2
+    included, is a view of the record and an index list is a copy, and each
+    node of the cut has its own levels, none on an empty cut; degenerate
+    flags each node."""
     rng = np.random.default_rng(31)
     n = 3 * node_blocks(10**6, 8)[0].stop + 5
     p = gt.random_protocol(8, n, rng, degenerate=True, beta=1.0)
@@ -298,6 +298,13 @@ def test_node_levels_indexing():
         )
 
     assert all(same(lv[j], j) and same(lv[j - n], j) for j in range(n))
+    for j in (0, block, n - 1, -1, -n):
+        for field in dataclasses.fields(lv):
+            row, whole = getattr(lv[j], field.name), getattr(lv, field.name)
+            assert np.shares_memory(row, whole), (j, field.name)
+    empty = lv[5:2]
+    for derived in (empty.starts, empty.mults, empty.energies):
+        assert derived.shape == (0,)
     assert all(same(ds, j) for j, ds in enumerate(lv))
     assert all(a is b for a, b in zip(lv, lv))  # iteration reads one cached tuple
     views = [slice(block - 3, block + 4), slice(-5, None), slice(None, 3, 1), slice(5, 2),
@@ -324,13 +331,13 @@ def test_node_levels_endpoint_reads_build_one_node():
     record is the Curie-Weiss ramp's, clustered a node block at a time as
     evolve does."""
     p = gt.curie_weiss_protocol()
-    basis, levels = np.empty((p.n_nodes, p.dim, p.dim), p.dtype), []
-    for s in node_blocks(p.n_nodes, p.dim):
+    n, d = p.n_nodes, p.dim
+    # a fresh record, with no cached tuple
+    rec = DegeneracyStructure(np.empty((n, d)), np.empty((n, d), bool), np.empty((n, d, d), p.dtype))
+    for s in node_blocks(n, d):
         h = p.block(s)
         lv = cluster_spectra(*np.linalg.eigh(h), default_cluster_tol_abs(h))
-        basis[s] = lv.basis
-        levels.append(dataclasses.replace(lv, basis=basis[s]))
-    rec = join_levels(levels, basis)  # a fresh record, with no cached tuple
+        rec.spectra[s], rec.first[s], rec.basis[s] = lv.spectra, lv.first, lv.basis
     assert len(rec) == 2001
     ends = rec[0], rec[-1]
     assert "_nodes" not in rec.__dict__

@@ -293,6 +293,19 @@ def test_stochastic_entropies_vectorise_the_single_outcome_form():
             stochastic_entropy(k, ld)
 
 
+@pytest.mark.parametrize("k", [-1, 2, 5])
+def test_stochastic_entropy_refuses_a_level_it_does_not_have(k):
+    """k counts the levels from 0: a negative k does not read the last
+    level's entropy, and k = n_levels is a ValueError, not an IndexError."""
+    ld = LevelDistribution(
+        probs=np.array([0.5, 0.5]),
+        mults=np.array([2, 1]),
+        energies=np.array([0.0, 1.0]),
+    )
+    with pytest.raises(ValueError, match=f"level {k} is not one of the 2 levels"):
+        stochastic_entropy(k, ld)
+
+
 def test_stochastic_entropy_zero_probability():
     ld = LevelDistribution(
         probs=np.array([1.0, 0.0]),
