@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import Protocol, StreamedRun, _split_bounds, clausius_report, stream_run
 from .invariants import level_distribution, s_gauge
-from .linalg import ValidationError, gibbs_state
+from .linalg import ValidationError, _one_blas_thread, gibbs_state
 from .models import (
     MODELS,
     ModelSpec,
@@ -343,12 +343,15 @@ def main(argv=None) -> int:
     p_third.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
+    # the whole command at one BLAS thread: the protocol build and the report
+    # sections as well as the pass (linalg._one_blas_thread)
     try:
-        if args.command == "run":
-            return cmd_run(args.config, args.out)
-        if args.command == "verify":
-            return cmd_verify(args.suite, args.cases, args.seed, args.out)
-        return cmd_third_law(args.config, args.out)
+        with _one_blas_thread():
+            if args.command == "run":
+                return cmd_run(args.config, args.out)
+            if args.command == "verify":
+                return cmd_verify(args.suite, args.cases, args.seed, args.out)
+            return cmd_third_law(args.config, args.out)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3

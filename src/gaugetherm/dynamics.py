@@ -45,6 +45,7 @@ from .invariants import _entropy_split, _gibbs_terms
 from .linalg import (
     ValidationError,
     _dag,
+    _one_blas_thread,
     _stored,
     _transposed,
     gibbs_state,
@@ -59,7 +60,7 @@ GRID_UNIFORMITY_TOL = 1e-12
 THERMAL_START_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Protocol:
     """Uniform grid t_0 = 0 ... t_N = tau with one Hamiltonian per node,
     float64 if every node is real and complex128 if one is complex
@@ -161,7 +162,7 @@ def _check_nodes(nodes, n: int, d: int) -> np.dtype:
     return np.dtype(complex if cplx else float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionResult:
     """States, twirled states, cumulative propagators, and the levels record of every node."""
 
@@ -199,16 +200,19 @@ def evolve(
     rows of its level spectra, level-start mask and bases. The record is
     read only once every block is written. Those stacks are for library
     callers that read every node; stream_run folds the same pass into the
-    ledger, the tolerance and the connection check without storing it.
+    ledger, the tolerance and the connection check without storing it. The
+    OpenBLAS pool runs at one thread while evolve does
+    (linalg._one_blas_thread).
     """
-    rho0 = _initial_state(p, rho0)
-    n, d = p.n_nodes, p.dim
-    props, states, twirled = (np.empty((n, d, d), complex) for _ in range(3))
-    levels = DegeneracyStructure(np.empty((n, d)), np.empty((n, d), bool), np.empty((n, d, d), p.dtype))
-    for s, win, lv, block in _pass(p, rho0, cluster_tol_abs, cluster_tol_rel):
-        props[s], states[s], twirled[s] = block[:3]
-        levels.spectra[s], levels.first[s], levels.basis[s] = lv.spectra, lv.first, lv.basis
-        del win, lv, block  # before the pass makes the next block
+    with _one_blas_thread():
+        rho0 = _initial_state(p, rho0)
+        n, d = p.n_nodes, p.dim
+        props, states, twirled = (np.empty((n, d, d), complex) for _ in range(3))
+        levels = DegeneracyStructure(np.empty((n, d)), np.empty((n, d), bool), np.empty((n, d, d), p.dtype))
+        for s, win, lv, block in _pass(p, rho0, cluster_tol_abs, cluster_tol_rel):
+            props[s], states[s], twirled[s] = block[:3]
+            levels.spectra[s], levels.first[s], levels.basis[s] = lv.spectra, lv.first, lv.basis
+            del win, lv, block  # before the pass makes the next block
     return EvolutionResult(states, twirled, props, levels)
 
 
@@ -339,7 +343,7 @@ def _cumtrap(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkHeatSeries:
     w_u: np.ndarray
     w_inv: np.ndarray
@@ -410,7 +414,7 @@ def work_heat_series(p: Protocol, ev: EvolutionResult) -> WorkHeatSeries:
     return _series(fold.integrands(p.dt), p.dt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoLedger:
     """Per-node cumulative thermodynamic series for one protocol run.
 
@@ -616,7 +620,7 @@ def _stored_fold(p: Protocol, ev: EvolutionResult) -> _FineRun:
     return fine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionCheck:
     """Covariant-derivative route for invariant work/heat vs the twirl route,
     from D_t H = V Edot V^dag (connection_cross_check), with deviations from
@@ -647,7 +651,7 @@ def connection_cross_check(p: Protocol, ev: EvolutionResult) -> ConnectionCheck:
     return _stored_fold(p, ev).connection()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamedRun:
     """What stream_run keeps. ev holds only the kept nodes, their states,
     twirled states, propagators and levels, so its [0] and [-1] are the
@@ -696,29 +700,31 @@ def stream_run(
     (gauge.DegeneracyStructure) of the kept nodes; their bases are real
     when the protocol is, as in the pass. Faults are raised a block at a
     time in node order, and a protocol of fewer than 5 nodes is refused
-    before the pass.
+    before the pass. The OpenBLAS pool runs at one thread while stream_run
+    does (linalg._one_blas_thread).
     """
-    rho0 = _initial_state(p, rho0)
-    coarse, fine = _CoarseRun(p, rho0), _FineRun(p)
-    nodes, kept = sorted({0, p.n_nodes // 2, p.n_nodes - 1}), []
-    blocks = _pass(p, rho0, cluster_tol_abs, cluster_tol_rel)
-    for s, win, lv, (props, states, twirled, x, pops) in blocks:
-        fine.add(s, win, lv, states, twirled, x, pops)
-        here = [j - s.start for j in nodes if s.start <= j < s.stop]
-        if here:  # copies, which let the block go
-            kept.append((states[here], twirled[here], props[here],
-                         lv.spectra[here], lv.first[here], lv.basis[here]))
-        del props, states, twirled  # before the coarse run makes its own
-        coarse.add(s, lv, win)
-        del lv, win  # before the pass makes the next block
+    with _one_blas_thread():
+        rho0 = _initial_state(p, rho0)
+        coarse, fine = _CoarseRun(p, rho0), _FineRun(p)
+        nodes, kept = sorted({0, p.n_nodes // 2, p.n_nodes - 1}), []
+        blocks = _pass(p, rho0, cluster_tol_abs, cluster_tol_rel)
+        for s, win, lv, (props, states, twirled, x, pops) in blocks:
+            fine.add(s, win, lv, states, twirled, x, pops)
+            here = [j - s.start for j in nodes if s.start <= j < s.stop]
+            if here:  # copies, which let the block go
+                kept.append((states[here], twirled[here], props[here],
+                             lv.spectra[here], lv.first[here], lv.basis[here]))
+            del props, states, twirled  # before the coarse run makes its own
+            coarse.add(s, lv, win)
+            del lv, win  # before the pass makes the next block
 
-    tl = fine.ledger(von_neumann_entropy(rho0))
-    states, twirled, props, *levels = map(np.concatenate, zip(*kept))
-    ev = EvolutionResult(states, twirled, props, DegeneracyStructure(*levels))
-    return StreamedRun(nodes, ev, fine.degenerate, tl, coarse.tolerance(tl), fine.connection())
+        tl = fine.ledger(von_neumann_entropy(rho0))
+        states, twirled, props, *levels = map(np.concatenate, zip(*kept))
+        ev = EvolutionResult(states, twirled, props, DegeneracyStructure(*levels))
+        return StreamedRun(nodes, ev, fine.degenerate, tl, coarse.tolerance(tl), fine.connection())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClausiusReport:
     """Slack of the four lower bounds on work, per node, plus the exact balance.
 

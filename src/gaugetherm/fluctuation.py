@@ -36,7 +36,7 @@ class AbsoluteContinuityError(ValidationError):
     """Forward and reverse trajectory measures do not share support."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoPointEnsemble:
     """Exact joint statistics of the two measurements.
 
@@ -83,7 +83,7 @@ class FtReport:
     microreversibility_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFtReport:
     count: int
     ift_value: float

@@ -59,7 +59,7 @@ def cluster_tol(w: np.ndarray, tol_abs: float | np.ndarray, tol_rel: float = CLU
     return tol_abs + tol_rel * np.max(np.abs(w), axis=-1, initial=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegeneracyStructure:
     """The clustered levels of one node, or of a run of nodes, as three
     stacks.
@@ -87,7 +87,9 @@ class DegeneracyStructure:
     after it is made (evolve, cluster_spectra) is read only once its mask
     is; energies are gathered from spectra on every read. Projectors are
     materialized on demand; storing them per level would dominate memory on
-    long protocols.
+    long protocols. Records compare and hash by identity (eq=False), as do
+    the other frozen records of arrays: two cuts of one record are two
+    records.
     """
 
     spectra: np.ndarray
@@ -288,11 +290,13 @@ def _state_levels(
     (d,), its level populations (L,) and their distribution, the populations
     clamped at zero and renormalized. The products and sums are those of a
     stacked call on 2-D arrays, so each is bit for bit a row of one; the
-    checks and their messages are the same too."""
+    checks and their messages are the same too. ds is the levels of one
+    node, whose basis has rho's shape: a run's record is refused."""
     rho = validate_density(rho, check_psd=False)
-    if rho.shape != (ds.dim, ds.dim):
+    if rho.shape != ds.basis.shape:
         raise ValidationError(
-            f"state dimension {rho.shape[-1]} does not match structure dimension {ds.dim}"
+            f"state shape {rho.shape}, dimension {rho.shape[-1]}, does not match "
+            f"the levels' basis shape {ds.basis.shape}, one node's (d, d)"
         )
     diag = _level_diagonal(rho, ds.basis)
     pops = np.add.reduceat(diag, ds.starts)
@@ -355,6 +359,8 @@ def _level_elements(ds: DegeneracyStructure, count: int, rng: np.random.Generato
 def sample_gauge_element(ds: DegeneracyStructure, rng: np.random.Generator) -> np.ndarray:
     """One gauge-group element: an independent Haar unitary on each level,
     embedded in the full space via the eigenbasis (twirl_oracle's sampler at
-    one element)."""
+    one element). ds is the levels of one node: a run's record is refused."""
     B = ds.basis
+    if B.ndim != 2:
+        raise ValidationError(f"a gauge element needs the levels of one node, basis shape (d, d), not {B.shape}")
     return B @ _level_elements(ds, 1, rng)[0] @ B.conj().T

@@ -36,7 +36,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelDistribution:
     """Populations over the levels of a DegeneracyStructure."""
 

@@ -8,7 +8,13 @@ operator takes the real-symmetric one (np.linalg.eigh).
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import threading
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -37,6 +43,88 @@ def node_blocks(n: int, d: int) -> list[slice]:
     real stack has the blocks of a complex one and the same digits."""
     size = max(1, BLOCK_BYTES // max(1, 16 * d * d))
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+
+
+# Each entry point of a pass (cli.main, dynamics.evolve, dynamics.stream_run)
+# holds the OpenBLAS pool at one thread while it runs. The pass is many small
+# d x d products: at d = 51 a second worker bought no wall time and spun
+# through the single-threaded work between them, doubling the CPU time.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_BLAS_THREAD_SYMBOLS = (  # (getter, setter): numpy 2 wheels, then the names of 1.x wheels and other builds
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+class _BlasPool:
+    """The thread getter and setter of a loaded OpenBLAS, as a context that
+    holds the pool at one thread: the outermost entry reads the pool's size
+    and sets it to 1, and the matching exit sets the size it read, so
+    nested entries, and entries from several threads, leave the pool as the
+    first one found it."""
+
+    def __init__(self, symbol: str, get, set_):
+        self.symbol, self.get, self.set = symbol, get, set_
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._before = 1
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._before = self.get()
+                self.set(1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self.set(self._before)
+
+
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process, numpy's
+    first; none where /proc/self/maps cannot be read (not Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:  # a line's last field is its path, if any
+            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    found = [path for path in paths if "openblas" in os.path.basename(path).lower()]
+    return sorted(found, key=lambda path: ("numpy" not in path, path))
+
+
+@functools.cache
+def _blas_pool() -> _BlasPool | None:
+    """The pool of the first loaded OpenBLAS that exports a known getter and
+    setter pair (_BLAS_THREAD_SYMBOLS), looked up once, on first use, not at
+    import; None where there is none."""
+    for path in _loaded_openblas():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is None or set_ is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return _BlasPool(set_name, get, set_)
+    return None
+
+
+def _one_blas_thread():
+    """A context that runs the OpenBLAS pool at one thread and then restores
+    its size (_BlasPool); one that does nothing when a thread variable of
+    _THREAD_VARIABLES is set or no known setter is loaded. The pool is the
+    process's, so threads of a library caller share the one setting while
+    an entry holds it."""
+    if any(os.environ.get(name) for name in _THREAD_VARIABLES):
+        return contextlib.nullcontext()
+    return _blas_pool() or contextlib.nullcontext()
 
 
 def _dag(a: np.ndarray) -> np.ndarray:

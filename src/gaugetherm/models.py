@@ -173,7 +173,7 @@ def _ramp_nodes(h_a: np.ndarray, h_step: np.ndarray, ramp: np.ndarray, s: slice)
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThirdLawScan:
     """Invariant entropy of the thermal state along an inverse-temperature grid."""
 

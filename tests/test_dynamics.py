@@ -1160,3 +1160,30 @@ class TestRealSolverSwitch:
         twirled = level_twirl(pops, lv)
         assert twirled.dtype == np.complex128
         assert np.allclose(twirled, level_twirl(pops_c, lv_c), rtol=0.0, atol=1e-14)
+
+
+def test_records_of_arrays_compare_by_identity():
+    """The frozen records that hold arrays compare and hash by identity: a
+    generated __eq__ compared their arrays' truth values, which raised on two
+    cuts of one levels record, and a generated __hash__ raised on any."""
+    rng = np.random.default_rng(5)
+    p = gt.random_protocol(3, 11, rng)
+    rho0, _ = gt.gibbs_state(p.block(0), p.beta)
+    ev = gt.evolve(p, rho0)
+    tl = gt.ledger(p, ev)
+    fwd = gt.level_distribution(ev.states[0], ev.structures[0])
+    ens = gt.build_ensemble(p, fwd, gt.thermal_level_distribution(ev.structures[-1], p.beta), ev)
+    records = [
+        p, ev, ev.structures, ev.structures[0], tl, gt.work_heat_series(p, ev),
+        gt.connection_cross_check(p, ev), gt.stream_run(p, rho0), gt.clausius_report(p, ev, tl),
+        fwd, ens, gt.sample_trajectories(ens, 10, rng), gt.third_law_scan(p.block(0), [1.0, 2.0]),
+    ]
+    for x in records:
+        assert x == x and not x != x
+        assert hash(x) == object.__hash__(x)
+    assert {type(x).__name__ for x in records} >= {
+        "Protocol", "EvolutionResult", "DegeneracyStructure", "ThermoLedger", "WorkHeatSeries",
+        "ConnectionCheck", "StreamedRun", "ClausiusReport", "LevelDistribution",
+        "TwoPointEnsemble", "SampledFtReport", "ThirdLawScan",
+    }
+    assert ev.structures[0] != ev.structures[0]  # two cuts, two records

@@ -349,3 +349,24 @@ def test_node_levels_endpoint_reads_build_one_node():
     assert ends[1].degenerate and not ends[0].degenerate
     with pytest.raises(IndexError):
         rec[len(rec)]
+
+
+def test_one_node_routes_refuse_a_run_of_nodes():
+    """A run's levels record has a (d, d) state's dimension but (n, d, d)
+    bases: the one-node routes refuse it with the two shapes named, where the
+    populations' level starts ran past the state's diagonal (IndexError in
+    add.reduceat) and the gauge element's blocks did not broadcast."""
+    p = gt.random_protocol(3, 11, np.random.default_rng(1), degenerate=True)
+    ev = gt.evolve(p, np.eye(3) / 3)
+    rho, lv = ev.states[0], ev.structures
+    shapes = r"state shape \(3, 3\), dimension 3, does not match the levels' basis shape \(11, 3, 3\)"
+    routes = (twirl, gt.level_distribution, gt.entropy_report,
+              lambda r, ds: twirl_oracle(r, ds, 4, np.random.default_rng(0)))
+    for route in routes:
+        with pytest.raises(ValidationError, match=shapes):
+            route(rho, lv)
+        route(rho, lv[0])  # one node of the run is accepted
+    with pytest.raises(ValidationError, match=r"one node, basis shape \(d, d\), not \(11, 3, 3\)"):
+        sample_gauge_element(lv, np.random.default_rng(0))
+    v = sample_gauge_element(lv[0], np.random.default_rng(0))
+    assert np.allclose(v @ v.conj().T, np.eye(3), atol=1e-12)

@@ -1,17 +1,23 @@
 """Frozen-value and property tests for the linear-algebra layer."""
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaugetherm as gt
+import gaugetherm.cli  # gt.cli, which the package does not import
 from gaugetherm.linalg import (
+    _THREAD_VARIABLES,
     BLOCK_BYTES,
     PROB_FLOOR,
     ValidationError,
+    _blas_pool,
     _divergence,
     _log_gibbs,
+    _one_blas_thread,
     bures_angle,
     eigh,
     fidelity,
@@ -451,3 +457,150 @@ def test_fidelity_bounds_property(seed):
     p, q = p / p.sum(), q / q.sum()
     f_diag = fidelity(np.diag(p).astype(complex), np.diag(q).astype(complex))
     assert f_diag == pytest.approx(float(np.sqrt(p * q).sum() ** 2), abs=1e-8)
+
+
+# The OpenBLAS pool at one thread (linalg._one_blas_thread). Each test sets
+# the pool to 2 first, so that it reads a change on a one-core host too.
+NO_SETTER = (
+    "no loaded OpenBLAS exports a known thread getter and setter "
+    "(another BLAS, or no /proc/self/maps), so the pool cannot be read"
+)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """The process's OpenBLAS pool at 2 threads, with no thread variable set;
+    its size is restored after the test."""
+    for name in _THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    found = _blas_pool()
+    if found is None:
+        pytest.skip(NO_SETTER)
+    before = found.get()
+    found.set(2)
+    assert found.get() == 2
+    yield found
+    found.set(before)
+
+
+def _recording(monkeypatch, module, name, pool, seen):
+    """module.name, patched to append the pool's size to seen on each call."""
+    real = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(pool.get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+def test_one_blas_thread_sets_and_restores_the_pool(pool):
+    with _one_blas_thread():
+        assert pool.get() == 1
+        with _one_blas_thread():  # nested: still one thread, and not restored early
+            assert pool.get() == 1
+        assert pool.get() == 1
+    assert pool.get() == 2
+    with pytest.raises(RuntimeError, match="body"):
+        with _one_blas_thread():
+            assert pool.get() == 1
+            raise RuntimeError("body")
+    assert pool.get() == 2
+
+
+def test_one_blas_thread_from_two_threads(pool):
+    """Entries from two threads that overlap: thread a enters, b enters, a
+    leaves while b is inside. b still runs at one thread, and b's exit
+    restores the size that a found, not the 1 that b found."""
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with _one_blas_thread():
+            a_in.set()
+            b_in.wait(timeout=30)
+        a_out.set()
+
+    def b():
+        a_in.wait(timeout=30)
+        with _one_blas_thread():
+            b_in.set()
+            a_out.wait(timeout=30)
+            seen.append(pool.get())
+
+    workers = [threading.Thread(target=a), threading.Thread(target=b)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert not any(w.is_alive() for w in workers)
+    assert a_out.is_set() and seen == [1]
+    assert pool.get() == 2
+
+
+@pytest.mark.parametrize("route", ["stream_run", "evolve"])
+def test_the_pass_runs_at_one_blas_thread(pool, monkeypatch, route):
+    """The pool reads 1 at every node block's steps and clustering of the
+    pass, and the caller's size is back after it."""
+    p = gt.random_protocol(4, 21, np.random.default_rng(2))
+    rho0, _ = gibbs_state(p.block(0), p.beta)
+    seen = []
+    _recording(monkeypatch, gt.dynamics, "_steps", pool, seen)
+    _recording(monkeypatch, gt.dynamics, "cluster_spectra", pool, seen)
+    getattr(gt, route)(p, rho0)
+    assert seen and set(seen) == {1}
+    assert pool.get() == 2
+
+
+def test_cli_leaves_the_pool_as_it_found_it(pool, monkeypatch, tmp_path):
+    config = tmp_path / "lz.ini"
+    config.write_text(
+        "[model]\nname = landau_zener\nnodes = 41\n\n[params]\ndelta = 2.0\nv = 1.0\n\n"
+        f"[run]\nout = {tmp_path / 'out'}\n"
+    )
+    seen = []  # the protocol build is outside stream_run: the command's own entry holds it
+    _recording(monkeypatch, gt.cli, "build_protocol", pool, seen)
+    _recording(monkeypatch, gt.dynamics, "_steps", pool, seen)
+    assert gt.cli.main(["run", "--config", str(config)]) == 0
+    assert seen and set(seen) == {1}
+    assert pool.get() == 2
+
+
+@pytest.mark.parametrize("name", _THREAD_VARIABLES)
+def test_a_thread_variable_leaves_the_pool_alone(pool, monkeypatch, name):
+    """A user's thread count stands: the pass runs on the pool as it is."""
+    monkeypatch.setenv(name, "2")
+    with _one_blas_thread():
+        assert pool.get() == 2
+    seen = []
+    _recording(monkeypatch, gt.dynamics, "_steps", pool, seen)
+    p = gt.random_protocol(3, 11, np.random.default_rng(3))
+    gt.stream_run(p, gibbs_state(p.block(0), p.beta)[0])
+    assert seen and set(seen) == {2}
+    assert pool.get() == 2
+
+
+def test_without_a_known_setter_the_context_does_nothing(monkeypatch):
+    """Where no loaded library exports a known getter and setter pair, or no
+    library is found, the lookup finds no pool and the context changes
+    nothing; the pool's size is read where the real symbols are there to
+    read it."""
+    real = _blas_pool()
+    lookup = gt.linalg._blas_pool.__wrapped__  # the lookup, not its cached result
+    for name in _THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    before = real and real.get()
+    try:
+        if real:
+            real.set(2)
+        for patch in [("_BLAS_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),)),
+                      ("_loaded_openblas", lambda: [])]:
+            with monkeypatch.context() as m:
+                m.setattr(gt.linalg, *patch)
+                m.setattr(gt.linalg, "_blas_pool", lookup)
+                assert lookup() is None
+                with _one_blas_thread():
+                    assert not real or real.get() == 2
+    finally:
+        if real:
+            real.set(before)
