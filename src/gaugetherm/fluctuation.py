@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import EvolutionResult, Protocol
-from .gauge import DegeneracyStructure
+from .gauge import DegeneracyStructure, _spread
 from .invariants import (
     LevelDistribution,
     s_gauge,
     stochastic_entropies,
     thermal_level_distribution,
 )
-from .linalg import PROB_FLOOR, ValidationError, _divergence, log_partition
+from .linalg import PROB_FLOOR, ValidationError, _divergence, _log_gibbs, shannon_entropy
 
 ROW_SUM_TOL = 1e-10
 DETAILED_RELATION_TOL = 1e-10
@@ -230,12 +230,7 @@ def verify_ft(ens: TwoPointEnsemble) -> FtReport:
     mean_sigma = float((ens.joint_forward[stat] * ens.sigma[stat]).sum())
 
     evolved = np.asarray(ens.forward_init.probs) @ ens.transition
-    ld_evolved = LevelDistribution(
-        probs=evolved,
-        mults=ens.structure_tau.mults,
-        energies=ens.structure_tau.energies,
-    )
-    d_s = s_gauge(ld_evolved) - s_gauge(ens.forward_init)
+    d_s = shannon_entropy(_spread(evolved, ens.structure_tau)) - s_gauge(ens.forward_init)
     via_entropy = d_s + float(_divergence(evolved, np.asarray(ens.reverse_ref.probs, dtype=float)))
     via_endpoints = s_gauge(ens.reverse_ref) - s_gauge(ens.forward_init)
 
@@ -246,10 +241,8 @@ def verify_ft(ens: TwoPointEnsemble) -> FtReport:
         mean_w = float(evolved @ ens.structure_tau.energies) - float(
             np.asarray(ens.forward_init.probs) @ ens.structure_0.energies
         )
-        d_f = (
-            log_partition(ens.structure_0.energies, ens.structure_0.mults, beta)
-            - log_partition(ens.structure_tau.energies, ens.structure_tau.mults, beta)
-        ) / beta
+        ln_z0 = _log_gibbs(ens.structure_0.spectra, beta)[1]
+        d_f = float(ln_z0 - _log_gibbs(ens.structure_tau.spectra, beta)[1]) / beta
         via_work = beta * (mean_w - d_f)
     else:
         via_work = math.nan

@@ -15,11 +15,19 @@ key, an int included, cuts a record as numpy cuts its stacks.
 The level-space kernel, level_space and level_twirl, gives the level-basis
 diagonal, the level populations p^k = Tr(Pi_k rho) and the twirled states of
 a stack of states from the levels record of their nodes. twirl,
-level_distribution and entropy_report take one state, which has its own
-kernel (_state_levels): the same products on 2-D arrays, bit for bit a row
-of a stacked call, without the stack's per-call overhead (level starts, a
-second reduction), which dominates at d of a few. A real basis (the
-eigenvectors of real Hamiltonians) takes real products throughout.
+level_distribution and entropy_report take one state, whose populations
+have their own kernel (_state_levels): the same products on 2-D arrays, bit
+for bit a row of a stacked call, without the stack's per-call overhead
+(level starts, a second reduction), which dominates at d of a few; twirl
+then spreads them with level_twirl, of which it is the node case. A real
+basis (the eigenvectors of real Hamiltonians) takes real products
+throughout.
+
+Every one-node route (twirl, twirl_oracle, sample_gauge_element, the
+projectors and slices here; level_distribution, entropy_report,
+thermal_level_distribution and noneq_free_energy in invariants) takes one
+node's levels, basis (d, d), and refuses a run's record, or one of another
+dimension, in one check (DegeneracyStructure._node).
 """
 from __future__ import annotations
 
@@ -80,16 +88,17 @@ class DegeneracyStructure:
     Every key cuts the three stacks as numpy does: an int (negative too)
     gives node j as views of its rows, a slice of any step a view and an
     index list a copy. len() and iteration count the nodes of a run, the
-    iteration from one cached tuple of rows. starts, mults and energies are
-    flat over the nodes, every level of every node laid end to end, as
-    level_space lays out its populations; starts and mults are derived from
-    first once, on first use (_layout), so a record whose stacks are written
-    after it is made (evolve, cluster_spectra) is read only once its mask
-    is; energies are gathered from spectra on every read. Projectors are
-    materialized on demand; storing them per level would dominate memory on
-    long protocols. Records compare and hash by identity (eq=False), as do
-    the other frozen records of arrays: two cuts of one record are two
-    records.
+    iteration from one cached tuple of rows; one node's record has neither
+    (TypeError), as a 0-d numpy array has no len(). starts, mults and
+    energies are flat over the nodes, every level of every node laid end to
+    end, as level_space lays out its populations; starts and mults are
+    derived from first once, on first use (_layout), so a record whose
+    stacks are written after it is made (evolve, cluster_spectra) is read
+    only once its mask is; energies are gathered from spectra on every read.
+    Projectors are materialized on demand; storing them per level would
+    dominate memory on long protocols. Records compare and hash by identity
+    (eq=False), as do the other frozen records of arrays: two cuts of one
+    record are two records.
     """
 
     spectra: np.ndarray
@@ -97,6 +106,8 @@ class DegeneracyStructure:
     basis: np.ndarray
 
     def __len__(self) -> int:
+        if self.basis.ndim != 3:
+            raise TypeError("len() of one node's levels: only a run of nodes has a length")
         return len(self.basis)
 
     def __getitem__(self, key) -> DegeneracyStructure:
@@ -107,6 +118,8 @@ class DegeneracyStructure:
         return tuple(map(DegeneracyStructure, self.spectra, self.first, self.basis))
 
     def __iter__(self):
+        if self.basis.ndim != 3:
+            raise TypeError("iteration over one node's levels: only a run of nodes iterates")
         return iter(self._nodes)
 
     @property
@@ -148,9 +161,21 @@ class DegeneracyStructure:
         """The index in mults of each node's first level (n,), on a run."""
         return self.first.cumsum()[:: self.first.shape[1]] - 1
 
+    def _node(self, shape: tuple[int, ...] | None = None) -> None:
+        """The one check of every one-node route: refuse the record unless it
+        is one node's levels, basis (d, d), and, when an operand's shape is
+        given, its basis has that shape."""
+        want = (self.dim, self.dim) if shape is None else shape
+        if len(want) != 2 or self.basis.shape != want:
+            raise ValidationError(
+                f"shape {want}, dimension {want[-1]}, does not match the levels' basis "
+                f"shape {self.basis.shape}: a one-node route takes one node's levels, basis (d, d)"
+            )
+
     @cached_property
     def slices(self) -> tuple[slice, ...]:
         """The basis columns of each level, of one node."""
+        self._node()
         starts, mults = self._layout
         return tuple(map(slice, starts.tolist(), (starts + mults).tolist()))
 
@@ -175,7 +200,9 @@ def cluster_spectrum(
     A new level starts whenever the gap to the previous eigenvalue exceeds
     tol_abs + tol_rel * spectral_radius. Exact model degeneracies sit at
     round-off scale, far below physical gaps, so the split is unambiguous for
-    every protocol this library builds; ambiguous inputs fail validation.
+    every protocol this library builds; ambiguous inputs fail validation,
+    and so does a spectrum that is not ascending, whose negative gap would
+    count as inside a level.
     """
     w, V = es
     return cluster_spectra(np.asarray(w)[None], np.asarray(V)[None], tol_abs, tol_rel)[0]
@@ -189,14 +216,14 @@ def cluster_spectra(
 ) -> DegeneracyStructure:
     """cluster_spectrum over a stack of eigensystems in one vectorised pass.
 
-    w (n, d) holds ascending spectra and V (n, d, d) their eigenvectors, as
-    np.linalg.eigh returns them for a stack; tol_abs is one tolerance or one
-    per spectrum. The record of the n nodes keeps the level spectrum, each
-    level's mean eigenvalue repeated over its multiplicity, the level-start
-    mask and V as its basis, real or complex as the solver gave it (the
-    dtype of the Hamiltonians picks the solver); a real V's Gram check is a
-    real product. The level starts and multiplicities that the means take
-    are the record's own.
+    w (n, d) holds ascending spectra, which is checked, and V (n, d, d)
+    their eigenvectors, as np.linalg.eigh returns them for a stack; tol_abs
+    is one tolerance or one per spectrum. The record of the n nodes keeps
+    the level spectrum, each level's mean eigenvalue repeated over its
+    multiplicity, the level-start mask and V as its basis, real or complex
+    as the solver gave it (the dtype of the Hamiltonians picks the solver);
+    a real V's Gram check is a real product. The level starts and
+    multiplicities that the means take are the record's own.
     """
     w = np.asarray(w, dtype=float)
     n, d = w.shape
@@ -208,8 +235,11 @@ def cluster_spectra(
         raise ValidationError("eigenvalues must be finite")
     tol = cluster_tol(w, tol_abs, tol_rel)
 
+    gaps = np.diff(w, axis=1)
+    if (gaps < 0).any():  # a negative gap would count as inside a level
+        raise ValidationError("eigenvalues must be in ascending order, as eigh gives them")
     first = np.ones((n, d), dtype=bool)
-    first[:, 1:] = np.diff(w, axis=1) > tol[:, None]
+    first[:, 1:] = gaps > tol[:, None]
     last = np.ones_like(first)
     last[:, :-1] = first[:, 1:]
     lv = DegeneracyStructure(np.empty((n, d)), first, V)  # its spectra filled below
@@ -269,18 +299,20 @@ def level_space(
 def level_twirl(pops: np.ndarray, lv: DegeneracyStructure) -> np.ndarray:
     """The twirled states B_j diag(p/n) B_j^dag (n, d, d), complex, from
     level_space's populations, for the node bases B_j and level
-    multiplicities n of the levels record lv; a real basis takes a real
+    multiplicities n of the levels record lv of a run; of one node's record
+    and populations, the one twirled state (d, d). A real basis takes a real
     product."""
-    n, d = lv.basis.shape[:2]
-    cols = _spread(pops, lv)[:, None]
-    return np.matmul(lv.basis * cols, _dag(lv.basis), out=np.empty((n, d, d), dtype=complex))
+    b, cols = lv.basis, _spread(pops, lv)[..., None, :]
+    return np.matmul(b * cols, _dag(b), out=np.empty(b.shape, dtype=complex))
 
 
 def _spread(values: np.ndarray, lv: DegeneracyStructure) -> np.ndarray:
     """values, one per level of the levels record lv as it lays them out,
     each divided evenly over its level's multiplicity n: the rows (n_nodes,
-    d) of v / n repeated n times, as level_twirl spreads the populations."""
-    return np.repeat(values / lv.mults, lv.mults).reshape(lv.first.shape)
+    d) of v / n repeated n times, or the one row (d,) of one node's record,
+    as level_twirl spreads the populations."""
+    n = lv.mults
+    return np.repeat(values / n, n).reshape(lv.first.shape)
 
 
 def _state_levels(
@@ -291,13 +323,9 @@ def _state_levels(
     clamped at zero and renormalized. The products and sums are those of a
     stacked call on 2-D arrays, so each is bit for bit a row of one; the
     checks and their messages are the same too. ds is the levels of one
-    node, whose basis has rho's shape: a run's record is refused."""
+    node, whose basis has rho's shape (DegeneracyStructure._node)."""
     rho = validate_density(rho, check_psd=False)
-    if rho.shape != ds.basis.shape:
-        raise ValidationError(
-            f"state shape {rho.shape}, dimension {rho.shape[-1]}, does not match "
-            f"the levels' basis shape {ds.basis.shape}, one node's (d, d)"
-        )
+    ds._node(rho.shape)
     diag = _level_diagonal(rho, ds.basis)
     pops = np.add.reduceat(diag, ds.starts)
     probs = np.maximum(pops, 0.0)
@@ -314,10 +342,7 @@ def twirl(rho: np.ndarray, ds: DegeneracyStructure) -> np.ndarray:
     level basis (level_twirl's product on one state), which is exact and
     O(d^3); Haar averaging lives only in twirl_oracle.
     """
-    pops = _state_levels(rho, ds)[2]
-    b = ds.basis
-    out = np.empty(b.shape, dtype=complex)
-    return np.matmul(b * np.repeat(pops / ds.mults, ds.mults), _dag(b), out=out)
+    return level_twirl(_state_levels(rho, ds)[2], ds)
 
 
 def twirl_oracle(
@@ -359,8 +384,6 @@ def _level_elements(ds: DegeneracyStructure, count: int, rng: np.random.Generato
 def sample_gauge_element(ds: DegeneracyStructure, rng: np.random.Generator) -> np.ndarray:
     """One gauge-group element: an independent Haar unitary on each level,
     embedded in the full space via the eigenbasis (twirl_oracle's sampler at
-    one element). ds is the levels of one node: a run's record is refused."""
+    one element). ds is the levels of one node (its slices check it)."""
     B = ds.basis
-    if B.ndim != 2:
-        raise ValidationError(f"a gauge element needs the levels of one node, basis shape (d, d), not {B.shape}")
     return B @ _level_elements(ds, 1, rng)[0] @ B.conj().T

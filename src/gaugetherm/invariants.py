@@ -18,6 +18,7 @@ import numpy as np
 from .gauge import (
     LEVEL_NORM_TOL,
     DegeneracyStructure,
+    _spread,
     _state_levels,
     cluster_tol,
     default_cluster_tol_abs,
@@ -30,7 +31,6 @@ from .linalg import (
     _divergence,
     _log_gibbs,
     _spectral_entropy,
-    log_partition,
     shannon_entropy,
     validate_hermitian,
 )
@@ -77,9 +77,11 @@ def level_distribution(rho: np.ndarray, ds: DegeneracyStructure) -> LevelDistrib
 
 
 def thermal_level_distribution(ds: DegeneracyStructure, beta: float) -> LevelDistribution:
-    """Gibbs-weighted level populations p^k = n^k e^{-beta e^k} / Z."""
+    """Gibbs-weighted level populations p^k = n^k e^{-beta e^k} / Z of one
+    node's levels, with ln Z from the node's level spectrum (linalg._log_gibbs)."""
     _check_beta(beta)  # before beta meets the energies
-    ln_p = np.log(ds.mults) - beta * np.asarray(ds.energies) - log_partition(ds.energies, ds.mults, beta)
+    ds._node()
+    ln_p = np.log(ds.mults) - beta * ds.energies - _log_gibbs(ds.spectra, beta)[1]
     return LevelDistribution(probs=np.exp(ln_p), mults=ds.mults, energies=ds.energies)
 
 
@@ -130,7 +132,7 @@ def entropy_report(rho: np.ndarray, ds: DegeneracyStructure) -> EntropyReport:
     level distribution."""
     rho, diag, _, probs = _state_levels(rho, ds)
     s_vn = _spectral_entropy(rho)
-    s_gt, s_d, c_rel, s_gamma = _entropy_split(diag, np.repeat(probs / ds.mults, ds.mults), s_vn)
+    s_gt, s_d, c_rel, s_gamma = _entropy_split(diag, _spread(probs, ds), s_vn)
     return EntropyReport(s_gt, s_vn, s_d, c_rel, float(s_gamma))
 
 
@@ -176,8 +178,7 @@ def noneq_free_energy(
     """
     _check_beta(beta)
     H = validate_hermitian(H, "H")
-    if H.shape != (ds.dim, ds.dim):
-        raise ValidationError(f"H dimension {H.shape[-1]} does not match structure dimension {ds.dim}")
+    ds._node(H.shape)
     e = ds.spectra
     dev = float(np.max(np.abs(_dag(ds.basis) @ H @ ds.basis - np.diag(e))))
     tol = float(cluster_tol(e, default_cluster_tol_abs(H)))

@@ -292,12 +292,6 @@ def _log_gibbs(e: np.ndarray, beta) -> tuple[np.ndarray, np.ndarray]:
     return x - ln_sum, (ln_sum - beta * e0)[..., 0]
 
 
-def log_partition(energies: np.ndarray, mults: np.ndarray, beta: float) -> float:
-    """ln Z from a clustered (energy, multiplicity) spectrum (_log_gibbs)."""
-    _check_beta(beta)
-    return float(_log_gibbs(np.repeat(energies, mults), beta)[1])
-
-
 def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """A stack (count, n, n) of independent Haar-distributed unitaries: one
     complex Ginibre stack, one stacked QR, phase fix (Mezzadri, Notices AMS

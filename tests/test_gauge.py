@@ -63,6 +63,18 @@ def test_cluster_rejects_nonorthonormal_basis():
         cluster_spectrum((w, V * 1.5), 1e-9)
 
 
+def test_cluster_refuses_an_unsorted_spectrum():
+    """A negative gap counted as inside a level, so (1, 0) clustered into one
+    level of multiplicity 2 at energy 0.5; in a stack, one descending pair
+    among ascending spectra is refused too."""
+    with pytest.raises(ValidationError, match="ascending"):
+        cluster_spectrum((np.array([1.0, 0.0]), np.eye(2)), 1e-9)
+    w = np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+    with pytest.raises(ValidationError, match="ascending"):
+        cluster_spectra(w, np.stack([np.eye(3)] * 2), 1e-9)
+    assert cluster_spectra(w[:1], np.eye(3)[None], 1e-9).mults.tolist() == [1, 1, 1]
+
+
 @pytest.mark.parametrize(
     "w, basis_entry, message",
     [
@@ -275,7 +287,8 @@ def test_node_levels_indexing():
     the three stacks as numpy does, so a slice of any step, stride 2
     included, is a view of the record and an index list is a copy, and each
     node of the cut has its own levels, none on an empty cut; degenerate
-    flags each node."""
+    flags each node. One node's record has no length and does not iterate,
+    where it counted and iterated its d eigenvectors."""
     rng = np.random.default_rng(31)
     n = 3 * node_blocks(10**6, 8)[0].stop + 5
     p = gt.random_protocol(8, n, rng, degenerate=True, beta=1.0)
@@ -307,6 +320,11 @@ def test_node_levels_indexing():
         assert derived.shape == (0,)
     assert all(same(ds, j) for j, ds in enumerate(lv))
     assert all(a is b for a, b in zip(lv, lv))  # iteration reads one cached tuple
+    for node in (lv[0], structure_of(p.block(0))):
+        with pytest.raises(TypeError, match="one node"):
+            len(node)
+        with pytest.raises(TypeError, match="one node"):
+            iter(node)
     views = [slice(block - 3, block + 4), slice(-5, None), slice(None, 3, 1), slice(5, 2),
              slice(1, None, 2), slice(0, None, 2), slice(None, None, -3)]
     for key in views + [[n - 1, 0, block, 0]]:
@@ -351,22 +369,32 @@ def test_node_levels_endpoint_reads_build_one_node():
         rec[len(rec)]
 
 
-def test_one_node_routes_refuse_a_run_of_nodes():
+_ONE_NODE_ROUTES = {  # each takes a node's state rho, Hamiltonian h and levels ds
+    "twirl": lambda rho, h, ds: twirl(rho, ds),
+    "twirl_oracle": lambda rho, h, ds: twirl_oracle(rho, ds, 4, np.random.default_rng(0)),
+    "level_distribution": lambda rho, h, ds: gt.level_distribution(rho, ds),
+    "entropy_report": lambda rho, h, ds: gt.entropy_report(rho, ds),
+    "sample_gauge_element": lambda rho, h, ds: sample_gauge_element(ds, np.random.default_rng(0)),
+    "thermal_level_distribution": lambda rho, h, ds: gt.thermal_level_distribution(ds, 1.0),
+    "noneq_free_energy": lambda rho, h, ds: gt.noneq_free_energy(rho, h, ds, 1.0),
+    "projector": lambda rho, h, ds: ds.projector(0),
+}
+
+
+@pytest.mark.parametrize("route", _ONE_NODE_ROUTES.values(), ids=_ONE_NODE_ROUTES.keys())
+def test_one_node_routes_refuse_a_run_of_nodes(route):
     """A run's levels record has a (d, d) state's dimension but (n, d, d)
-    bases: the one-node routes refuse it with the two shapes named, where the
-    populations' level starts ran past the state's diagonal (IndexError in
-    add.reduceat) and the gauge element's blocks did not broadcast."""
+    bases: every one-node route refuses it with the two shapes named, where
+    the populations' level starts ran past the state's diagonal (IndexError
+    in add.reduceat), the gauge element's blocks did not broadcast, the free
+    energy raised a TypeError, and the thermal distribution, the projector
+    and the slices answered for every level of the run."""
     p = gt.random_protocol(3, 11, np.random.default_rng(1), degenerate=True)
     ev = gt.evolve(p, np.eye(3) / 3)
-    rho, lv = ev.states[0], ev.structures
-    shapes = r"state shape \(3, 3\), dimension 3, does not match the levels' basis shape \(11, 3, 3\)"
-    routes = (twirl, gt.level_distribution, gt.entropy_report,
-              lambda r, ds: twirl_oracle(r, ds, 4, np.random.default_rng(0)))
-    for route in routes:
-        with pytest.raises(ValidationError, match=shapes):
-            route(rho, lv)
-        route(rho, lv[0])  # one node of the run is accepted
-    with pytest.raises(ValidationError, match=r"one node, basis shape \(d, d\), not \(11, 3, 3\)"):
-        sample_gauge_element(lv, np.random.default_rng(0))
-    v = sample_gauge_element(lv[0], np.random.default_rng(0))
-    assert np.allclose(v @ v.conj().T, np.eye(3), atol=1e-12)
+    rho, h, lv = ev.states[0], p.block(0), ev.structures
+    shapes = r"shape \(3, 3\), dimension 3, does not match the levels' basis shape \(11, 3, 3\)"
+    with pytest.raises(ValidationError, match=shapes):
+        route(rho, h, lv)
+    out = route(rho, h, lv[0])  # one node of the run is accepted
+    if route is _ONE_NODE_ROUTES["sample_gauge_element"]:
+        assert np.allclose(out @ out.conj().T, np.eye(3), atol=1e-12)

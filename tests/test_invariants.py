@@ -21,7 +21,6 @@ from gaugetherm.linalg import (
     ValidationError,
     eigh,
     gibbs_state,
-    log_partition,
     relative_entropy,
     shannon_entropy,
 )
@@ -120,14 +119,25 @@ def test_non_positive_beta_rejected(beta):
 @pytest.mark.parametrize("beta", [math.inf, math.nan])
 def test_non_finite_beta_rejected(beta):
     """At beta = inf the free energy would be Tr(rho H) and ln Z NaN; both
-    refuse it, as gibbs_state does."""
+    refuse it (noneq_free_energy, thermal_level_distribution), as
+    gibbs_state does."""
     h = np.diag([0.0, 1.0]).astype(complex)
     ds = structure_of(h)
     message = f"beta must be positive and finite, got {beta}"
     with pytest.raises(ValueError, match=message):
         noneq_free_energy(np.eye(2, dtype=complex) / 2, h, ds, beta)
     with pytest.raises(ValueError, match=message):
-        log_partition(ds.energies, ds.mults, beta)
+        thermal_level_distribution(ds, beta)
+
+
+def test_thermal_level_distribution_matches_direct_sum():
+    ds = structure_of(np.diag([0.0, 0.5, 0.5, 2.0]).astype(complex))
+    e, n = ds.energies, ds.mults
+    assert n.tolist() == [1, 2, 1]
+    beta = 1.3
+    direct = [m * math.exp(-beta * x) for x, m in zip(e, n)]
+    probs = thermal_level_distribution(ds, beta).probs
+    assert probs == pytest.approx(np.array(direct) / sum(direct), rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -135,7 +145,10 @@ def test_non_finite_beta_rejected(beta):
     [
         (np.diag([0.0, np.nan]).astype(complex), "H has non-finite entries"),
         (np.diag([5.0, 7.0]).astype(complex), "H is not diagonal with the structure's level energies"),
-        (np.diag([0.0, 1.0, 2.0]).astype(complex), "H dimension 3 does not match structure dimension 2"),
+        (
+            np.diag([0.0, 1.0, 2.0]).astype(complex),
+            r"shape \(3, 3\), dimension 3, does not match the levels' basis shape \(2, 2\)",
+        ),
     ],
     ids=["nan_entry", "other_levels", "other_dimension"],
 )
@@ -220,6 +233,8 @@ def test_single_state_routes_are_rows_of_the_stacked_kernel(dim, degenerate):
                 row /= row.sum()
                 assert np.array_equal(level_distribution(rho, ds).probs, row)
                 assert np.array_equal(twirl(rho, ds), twirled[j])
+                # twirl is level_twirl's node case: a node's record, a row of the stack's
+                assert np.array_equal(level_twirl(pops[bounds[j] : bounds[j + 1]], ds), twirled[j])
                 rep = entropy_report(rho, ds)
                 assert rep.s_d == shannon_entropy(np.clip(diag[j], 0.0, 1.0))
                 probs = LevelDistribution(probs=row, mults=ds.mults, energies=ds.energies)

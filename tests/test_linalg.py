@@ -24,7 +24,6 @@ from gaugetherm.linalg import (
     gibbs_state,
     haar_unitaries,
     haar_unitary,
-    log_partition,
     relative_entropy,
     shannon_entropy,
     validate_density,
@@ -64,14 +63,6 @@ def test_gibbs_extreme_beta_no_overflow():
     rho, _ = gibbs_state(h, 100.0)
     assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.isfinite(rho))
-
-
-def test_log_partition_matches_direct_sum():
-    e = np.array([0.0, 0.5, 2.0])
-    n = np.array([1, 2, 1])
-    beta = 1.3
-    direct = math.log(sum(m * math.exp(-beta * x) for x, m in zip(e, n)))
-    assert log_partition(e, n, beta) == pytest.approx(direct, rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -369,7 +360,11 @@ def test_log_gibbs_keeps_underflowing_weights_finite():
         one_w, one_z = _log_gibbs(e, b)
         assert np.array_equal(row_w, one_w) and row_z == one_z
     assert np.array_equal(stacked_w, spread_w) and np.array_equal(stacked_z, spread_z)
-    assert log_partition(np.array([0.0, 1.0, 800.0]), np.array([2, 1, 1]), 2.0) == ln_z
+    # thermal_level_distribution takes ln Z from _log_gibbs of the level spectrum
+    ds = gt.cluster_spectrum((e, np.eye(4)), 1e-9)
+    assert ds.mults.tolist() == [2, 1, 1]
+    ln_p = np.log(ds.mults) - 2.0 * ds.energies - ln_z
+    assert np.array_equal(gt.thermal_level_distribution(ds, 2.0).probs, np.exp(ln_p))
 
 
 def test_divergence_keeps_its_sign():
